@@ -18,10 +18,11 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from .codegen import CodegenOptions, build_binary, emit_c, find_cc, write_unit
 from .model import HybridAutomaton, ModelError, Network, load_model
-from .shagen import generate_sha, sha_to_ir
+from .shagen import IllFormedAutomaton, Sha, generate_sha, sha_to_ir
 from .swa import (
     ENGINES,
     Swa,
@@ -31,7 +32,6 @@ from .swa import (
     read_stimulus,
     simulate,
 )
-from .whacheck import check_wha
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -123,53 +123,68 @@ def _select(net: Network, name: str | None) -> list[HybridAutomaton]:
     return [net.automaton(name)]
 
 
-def _checked(ha: HybridAutomaton) -> bool:
-    """Report validation failures on stderr; True when the automaton is fine."""
-    report = check_wha(ha)
-    if report.passed:
-        return True
-    for diag in report.to_diagnostics():
+def _report(ha: HybridAutomaton, exc: IllFormedAutomaton) -> None:
+    for diag in exc.report.to_diagnostics():
         print(f"{ha.name}: {diag}", file=sys.stderr)
-    return False
 
 
-def _build(ha: HybridAutomaton, delta: Fraction) -> Swa:
-    sha, warnings = generate_sha(ha, delta)
+def _analysed(automata: Sequence[HybridAutomaton], delta: Fraction) -> list[Sha] | None:
+    """Analyse every automaton, which also validates it.
+
+    Validation failures go to stderr and yield None; fairness warnings
+    are printed only when every automaton passed.
+    """
+    shas: list[Sha] = []
+    warnings: list[str] = []
+    failed = False
+    for ha in automata:
+        try:
+            sha, warns = generate_sha(ha, delta)
+        except IllFormedAutomaton as exc:
+            _report(ha, exc)
+            failed = True
+            continue
+        shas.append(sha)
+        warnings.extend(warns)
+    if failed:
+        return None
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return build_swa(sha)
+    return shas
+
+
+def _composed(automata: Sequence[HybridAutomaton], delta: Fraction) -> Swa | None:
+    shas = _analysed(automata, delta)
+    return None if shas is None else compose_all(build_swa(sha) for sha in shas)
 
 
 def _cmd_check(args) -> int:
     net = load_model(args.model)
     failed = False
     for ha in net.automata:
-        report = check_wha(ha)
-        if report.passed:
+        try:
             _, warnings = generate_sha(ha, args.delta)
-            print(f"{ha.name}: PASS")
-            for w in warnings:
-                print(f"{ha.name}: warning: {w}")
-        else:
+        except IllFormedAutomaton as exc:
             failed = True
-            for diag in report.to_diagnostics():
-                print(f"{ha.name}: {diag}", file=sys.stderr)
-            n = len(report.violations)
+            _report(ha, exc)
+            n = len(exc.report.violations)
             print(f"{ha.name}: FAIL ({n} violation{'s' if n != 1 else ''})")
+            continue
+        print(f"{ha.name}: PASS")
+        for w in warnings:
+            print(f"{ha.name}: warning: {w}")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _cmd_compile(args) -> int:
     net = load_model(args.model)
     automata = _select(net, args.automaton)
-    if not all([_checked(ha) for ha in automata]):
+    shas = _analysed(automata, args.delta)
+    if shas is None:
         return EXIT_CHECK_FAILED
     outdir = Path(args.out)
     options = CodegenOptions(ticks=args.ticks, stimulus_path=args.stimulus)
-    for ha in automata:
-        sha, warnings = generate_sha(ha, args.delta)
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
+    for ha, sha in zip(automata, shas):
         unit = emit_c(build_swa(sha), options)
         for path in write_unit(unit, outdir):
             print(path)
@@ -215,25 +230,25 @@ def _cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    ha = automata[0]
-    if not _checked(ha):
+    swa = _composed(automata, args.delta)
+    if swa is None:
         return EXIT_CHECK_FAILED
-    return _run_trace(_build(ha, args.delta), args)
+    return _run_trace(swa, args)
 
 
 def _cmd_compose_and_simulate(args) -> int:
     net = load_model(args.model)
-    if not all([_checked(ha) for ha in net.automata]):
+    swa = _composed(net.automata, args.delta)
+    if swa is None:
         return EXIT_CHECK_FAILED
-    swa = compose_all(_build(ha, args.delta) for ha in net.automata)
     return _run_trace(swa, args)
 
 
 def _cmd_bench(args) -> int:
     net = load_model(args.model)
-    if not all([_checked(ha) for ha in net.automata]):
+    swa = _composed(net.automata, args.delta)
+    if swa is None:
         return EXIT_CHECK_FAILED
-    swa = compose_all(_build(ha, args.delta) for ha in net.automata)
     simulate(swa, 1)  # build and cache the specialised engine up front
     start = time.perf_counter()
     simulate(swa, args.ticks)

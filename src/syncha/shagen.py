@@ -30,7 +30,15 @@ from .odesolve import (
     solve_ode,
     time_to_reach,
 )
-from .whacheck import check_wha
+from .whacheck import WhaReport, check_wha
+
+
+class IllFormedAutomaton(ValueError):
+    """`generate_sha` refused an automaton; ``report`` lists the violations."""
+
+    def __init__(self, report: WhaReport):
+        self.report = report
+        super().__init__(f"automaton is not well formed:\n{report}")
 
 
 @dataclass(frozen=True)
@@ -141,14 +149,15 @@ def generate_sha(ha: HybridAutomaton, delta: Fraction) -> tuple[Sha, list[str]]:
 
     Returns the analysed automaton and a list of fairness warnings, one
     per location whose dwell time is unbounded.  Raises ValueError for a
-    non-positive delta or an automaton that fails the static checks.
+    non-positive delta, and IllFormedAutomaton (a ValueError) for an
+    automaton that fails the static checks.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError(f"tick width must be positive, got {delta}")
     report = check_wha(ha)
     if not report.passed:
-        raise ValueError(f"automaton is not well formed:\n{report}")
+        raise IllFormedAutomaton(report)
     analyses = tuple(_analyse_location(ha, loc, delta) for loc in ha.locations)
     warnings = [
         f"fairness required: location {a.location} of {ha.name} has an unbounded dwell time"

@@ -23,12 +23,19 @@ at tick t is visible during tick t+1 and never during tick t itself.
 `compose` builds the synchronous product of two executable automata.
 While one side switches and the other evolves, the evolving side is
 frozen for that tick (its values re-enter as fresh initial values), so
-a product tick never interleaves a half-step with a jump.
+a product tick never interleaves a half-step with a jump.  The product
+records the automata it was built from as its ``parts``.
 
 Two engines run the same semantics: a readable generic interpreter and
-a specialising one that compiles the automaton to straight-line Python.
-They produce bit-identical traces; the specialised engine exists for
-very long runs.
+a specialising one that compiles to straight-line Python.  They produce
+bit-identical traces; the specialised engine exists for very long runs.
+It runs a network from its parts rather than from the product's egress
+list.  Evolution is one test per product state.  A switch is decided
+per part: each part takes the first enabled edge of its own location,
+and a part without one must be able to evolve and is frozen.  Guards and
+updates never read another automaton's variables, so this is the
+transition the product's egress order (joint switches first) picks, in
+code that grows linearly with the parts on the switch path.
 """
 
 from __future__ import annotations
@@ -120,7 +127,12 @@ class SwaState:
 
 @dataclass(frozen=True)
 class Swa:
-    """An executable tick-synchronous automaton."""
+    """An executable tick-synchronous automaton.
+
+    A product records the automata it was built from, in composition
+    order, as ``parts``; its states are their row-major product.  A
+    lowered automaton has no parts and is its own single part.
+    """
 
     name: str
     variables: tuple[str, ...]
@@ -130,13 +142,29 @@ class Swa:
     states: tuple[SwaState, ...]
     initial_state: str
     delta: Fraction
-    composed: bool = False
+    parts: tuple[Swa, ...] = field(default=(), repr=False)
     delta_f: float = field(init=False, repr=False, compare=False)
     _by_name: dict = field(init=False, repr=False, compare=False)
+    _hash: int | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta_f", float(self.delta))
         object.__setattr__(self, "_by_name", {s.name: s for s in self.states})
+
+    def __hash__(self) -> int:
+        # Structural hashing walks every state and transition, so it is
+        # done once.  A product's states follow from its parts, which are
+        # far smaller; hashing those in their place stays consistent
+        # with ==, since equal products have equal parts.
+        if self._hash is None:
+            key = (self.name, self.variables, self.init_values, self.inputs, self.outputs,
+                   self.initial_state, self.delta, self.parts or self.states)
+            object.__setattr__(self, "_hash", hash(key))
+        return self._hash
+
+    @property
+    def composed(self) -> bool:
+        return bool(self.parts)
 
     def state(self, name: str) -> SwaState:
         try:
@@ -504,7 +532,7 @@ def compose(a: Swa, b: Swa, name: str | None = None) -> Swa:
         states=tuple(states),
         initial_state=a.initial_state + b.initial_state,
         delta=a.delta,
-        composed=True,
+        parts=(a.parts or (a,)) + (b.parts or (b,)),
     )
 
 
@@ -525,7 +553,7 @@ def compose_all(swas: Iterable[Swa], name: str | None = None) -> Swa:
             states=product.states,
             initial_state=product.initial_state,
             delta=product.delta,
-            composed=product.composed,
+            parts=product.parts,
         )
     return product
 
@@ -681,11 +709,33 @@ def _py_update(expr: AffineExpr, name_of: Callable[[str], str]) -> str:
     return f"{term} + {expr.b_f!r}"
 
 
+def _py_can_evolve(state: SwaState, mask: Callable[[Iterable[str]], int]) -> list[str]:
+    """Conditions for an evolution step: trigger silence, then the invariant."""
+    conds = []
+    absent_mask = mask(state.self_transition.absent)
+    if absent_mask:
+        conds.append(f"(_vis & {absent_mask}) == 0")
+    inv = _py_constraint(state.self_transition.guard, lambda v: f"v_{v}")
+    if inv != "True":
+        conds.append(inv)
+    return conds
+
+
 def _runner_source(swa: Swa, trace: bool) -> str:
-    """Generate the specialised tick loop for one automaton."""
+    """Generate the specialised tick loop for an automaton or a network.
+
+    Evolution is one test per product state (trigger silence and the
+    conjoined invariant), followed by every witness step.  Switching is
+    decided per part, in code linear in the parts: each part takes the
+    first enabled edge of its own location; a part with none must be
+    able to evolve and is frozen; at least one part must jump.  Guards
+    and updates never read another automaton's variables, so this is
+    the transition the product's egress order (joint switches first,
+    then one side with the rest frozen) would pick.
+    """
+    parts = swa.parts or (swa,)
     events = swa.events()
     bit = {e: 1 << idx for idx, e in enumerate(events)}
-    state_idx = {s.name: idx for idx, s in enumerate(swa.states)}
     init = dict(swa.init_values)
 
     def mask(names: Iterable[str]) -> int:
@@ -694,20 +744,41 @@ def _runner_source(swa: Swa, trace: bool) -> str:
             m |= bit[n]
         return m
 
+    # a product state's index is mixed-radix over its parts' location
+    # indices, row-major in composition order
+    strides: list[int] = []
+    size = 1
+    for part in reversed(parts):
+        strides.insert(0, size)
+        size *= len(part.states)
+    digits = [
+        [j // stride % len(part.states) for part, stride in zip(parts, strides)]
+        for j in range(len(swa.states))
+    ]
+    if size != len(swa.states) or any(
+        s.name != "".join(part.states[d].name for part, d in zip(parts, ds))
+        for s, ds in zip(swa.states, digits)
+    ):
+        raise ValueError(f"the states of {swa.name} are not the row-major product of its parts")
+    tail = "," if swa.variables else ""
+    us = ", ".join(f"u_{var}" for var in swa.variables)
+    stuck = f"_mk_stuck(_loc, ({us}{tail}), _k, _vis, _t)"
+
     w = []  # source lines
     emit = w.append
     emit("def _swarun(_TICKS, _STT, _STM, _row, _mk_stuck):")
     emit("    _exp = _EXP")
-    for s in swa.states:
-        if s.name == swa.initial_state:
-            for var, wit in s.witnesses:
-                x0 = float(init[var])
-                emit(f"    v_{var} = {x0!r}")
-                emit(f"    u_{var} = {x0!r}")
-                emit(f"    i_{var} = {x0!r}")
-                emit(f"    c1_{var} = {resolve_c1(wit, x0)!r}")
-    emit(f"    _loc = {state_idx[swa.initial_state]}")
-    emit(f"    _prev = {state_idx[swa.initial_state]}")
+    for var, wit in swa.state(swa.initial_state).witnesses:
+        x0 = float(init[var])
+        emit(f"    v_{var} = {x0!r}")
+        emit(f"    u_{var} = {x0!r}")
+        emit(f"    i_{var} = {x0!r}")
+        emit(f"    c1_{var} = {resolve_c1(wit, x0)!r}")
+    start = [st.name for st in swa.states].index(swa.initial_state)
+    emit(f"    _loc = {start}")
+    emit(f"    _prev = {start}")
+    for p, d in enumerate(digits[start]):
+        emit(f"    _l{p} = {d}")
     emit("    _k = 0")
     emit("    _pend = 0")
     emit("    _nst = len(_STT)")
@@ -720,31 +791,66 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("        _vis = _pend")
     emit("        _emit = 0")
 
-    first = True
-    for s in swa.states:
-        idx = state_idx[s.name]
-        kw = "if" if first else "elif"
-        first = False
-        emit(f"        {kw} _loc == {idx}:  # {s.name}")
-        absent_mask = mask(s.self_transition.absent)
-        conds = []
-        if absent_mask:
-            conds.append(f"(_vis & {absent_mask}) == 0")
-        inv = _py_constraint(s.self_transition.guard, lambda v: f"v_{v}")
-        if inv != "True":
-            conds.append(inv)
-        emit(f"            if {' and '.join(conds) if conds else 'True'}:")
-        emit("                _k += 1")
-        wrote = False
+    for idx, s in enumerate(swa.states):
+        conds = [f"_loc == {idx}", *_py_can_evolve(s, mask)]
+        emit(f"        {'if' if idx == 0 else 'elif'} {' and '.join(conds)}:  # {s.name}")
+        emit("            _k += 1")
         for var, wit in s.witnesses:
             if wit.kind is WitnessKind.CONSTANT:
                 continue  # value stays at c1, no assignment needed
-            emit(f"                u_{var} = {_py_witness(wit, f'c1_{var}', '_k', swa.delta_f)}")
-            wrote = True
-        if not wrote:
-            emit("                pass")
-        emit("            else:")
+            emit(f"            u_{var} = {_py_witness(wit, f'c1_{var}', '_k', swa.delta_f)}")
 
+    # Switching.  Some part cannot evolve, so it either jumps or the
+    # network is stuck: at least one part jumps.  u_* keep the committed
+    # values until every part has decided.
+    emit("        else:")
+    for p, part in enumerate(parts):
+        for line in _py_part_switch(part, p, mask, stuck, swa.delta_f):
+            emit(f"            {line}")
+    for var in swa.variables:
+        emit(f"            u_{var} = v_{var}")
+    emit("            _k = 0")
+    emit("            _prev = _loc")
+    index = " + ".join(
+        f"_l{p} * {stride}" if stride != 1 else f"_l{p}" for p, stride in enumerate(strides)
+    )
+    emit(f"            _loc = {index}")
+
+    if trace:
+        vals = ", ".join(f"v_{var}" for var in swa.variables)
+        emit(f"        _row(_t, _loc, ({vals}{tail}), _vis, _emit)")
+    emit("        if _t == _next:")
+    emit("            _pend = _STM[_si] | _emit")
+    emit("            _si += 1")
+    emit("            _next = _STT[_si] if _si < _nst else -1")
+    emit("        else:")
+    emit("            _pend = _emit")
+    emit("        _t += 1")
+    is_ = ", ".join(f"i_{var}" for var in swa.variables)
+    emit(f"    return (_loc, _k, ({us}{tail}), ({is_}{tail}), _pend, _prev)")
+    return "\n".join(w) + "\n"
+
+
+def _py_part_switch(
+    part: Swa, p: int, mask: Callable[[Iterable[str]], int], stuck: str, delta_f: float
+) -> list[str]:
+    """Switch-tick code for one part, whose location index is `_l<p>`.
+
+    The part's first enabled edge patches its `v_*` in place and moves
+    `_l<p>`; without one, the part must be able to evolve and restarts
+    its witnesses from the held values, or the network is stuck.
+    """
+    loc_idx = {s.name: idx for idx, s in enumerate(part.states)}
+    w: list[str] = []
+    emit = w.append
+
+    def reenter(state: SwaState, indent: str) -> None:
+        for var, wit in state.witnesses:
+            emit(f"{indent}i_{var} = v_{var}")
+            emit(f"{indent}c1_{var} = {_py_c1(wit, f'v_{var}')}")
+
+    for idx, s in enumerate(part.states):
+        emit(f"{'if' if idx == 0 else 'elif'} _l{p} == {idx}:  # {s.name}")
         # previous-tick values, needed for crossing detection
         prev_needed = _dedup(
             var
@@ -754,13 +860,12 @@ def _runner_source(swa: Swa, trace: bool) -> str:
             for var in group.variables()
         )
         for var in prev_needed:
-            wit = s.witness_for(var)
-            prev_expr = _py_witness(wit, f"c1_{var}", "(_k - 1)", swa.delta_f)
-            emit(f"                p_{var} = ({prev_expr}) if _k >= 1 else v_{var}")
-        emit("                _f = False")
-
-        for tr in s.egress:
-            lit = []
+            prev_expr = _py_witness(s.witness_for(var), f"c1_{var}", "(_k - 1)", delta_f)
+            emit(f"    p_{var} = ({prev_expr}) if _k >= 1 else v_{var}")
+        if s.egress:
+            emit("    _f = False")
+        for n, tr in enumerate(s.egress):
+            lit = ["not _f"] if n else []
             pm = mask(tr.event.present)
             am = mask(tr.event.absent)
             if pm:
@@ -768,8 +873,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
             if am:
                 lit.append(f"(_vis & {am}) == 0")
             label = str(tr.event) if not tr.event.is_trivial() else "true"
-            emit(f"                # -> {tr.dst} on {label}")
-            emit(f"                if not _f and {' and '.join(lit) if lit else 'True'}:")
+            emit(f"    # -> {tr.dst} on {label}")
+            emit(f"    if {' and '.join(lit) if lit else 'True'}:")
             snap_vars: list[str] = []
             guard_terms: list[str] = []
             alt_terms: list[str] = []
@@ -784,25 +889,21 @@ def _runner_source(swa: Swa, trace: bool) -> str:
                     if not nonstrict:
                         continue
                     snap_vars.append(var)
-                    emit(f"                    s_{var} = v_{var}")
+                    emit(f"        s_{var} = v_{var}")
                     branch = "if"
                     for c in nonstrict:
-                        emit(
-                            f"                    {branch} not (v_{var} {c.op} {c.bound_f!r}):"
-                        )
+                        emit(f"        {branch} not (v_{var} {c.op} {c.bound_f!r}):")
                         b = repr(c.bound_f)
                         emit(
-                            f"                        if (p_{var} <= {b} and {b} <= v_{var})"
+                            f"            if (p_{var} <= {b} and {b} <= v_{var})"
                             f" or (v_{var} <= {b} and {b} <= p_{var}):"
                         )
-                        emit(f"                            s_{var} = {b}")
+                        emit(f"                s_{var} = {b}")
                         branch = "elif"
                 if len([v for v in gvars if v in snap_vars]) > 1:
                     alt_terms.append(
                         "("
-                        + " + ".join(
-                            f"(s_{v} != v_{v})" for v in gvars if v in snap_vars
-                        )
+                        + " + ".join(f"(s_{v} != v_{v})" for v in gvars if v in snap_vars)
                         + ") <= 1"
                     )
                 name_of = lambda v: f"s_{v}" if v in snap_vars else f"v_{v}"
@@ -810,49 +911,31 @@ def _runner_source(swa: Swa, trace: bool) -> str:
                 if term != "True":
                     guard_terms.append(term)
             cond = " and ".join(alt_terms + guard_terms) if (alt_terms or guard_terms) else "True"
-            emit(f"                    if {cond}:")
-            body: list[str] = []
+            emit(f"        if {cond}:")
             for var in snap_vars:
-                body.append(f"v_{var} = s_{var}")
-            if tr.updates:
-                for j, (var, expr) in enumerate(tr.updates):
-                    body.append(f"t_{j} = {_py_update(expr, lambda v: f'v_{v}')}")
-                for j, (var, _) in enumerate(tr.updates):
-                    body.append(f"v_{var} = t_{j}")
-            dst_state = swa.state(tr.dst)
-            for var, wit in dst_state.witnesses:
-                body.append(f"u_{var} = v_{var}")
-                body.append(f"i_{var} = v_{var}")
-                body.append(f"c1_{var} = {_py_c1(wit, f'v_{var}')}")
-            body.append("_k = 0")
-            body.append(f"_prev = {idx}")
-            body.append(f"_loc = {state_idx[tr.dst]}")
+                emit(f"            v_{var} = s_{var}")
+            for j, (var, expr) in enumerate(tr.updates):
+                emit(f"            t_{j} = {_py_update(expr, lambda v: f'v_{v}')}")
+            for j, (var, _) in enumerate(tr.updates):
+                emit(f"            v_{var} = t_{j}")
+            reenter(part.state(tr.dst), "            ")
+            emit(f"            _l{p} = {loc_idx[tr.dst]}")
             if tr.emits:
-                body.append(f"_emit = {mask(tr.emits)}")
-            body.append("_f = True")
-            for line in body:
-                emit(f"                        {line}")
-        emit("                if not _f:")
-        vals = ", ".join(f"v_{var}" for var in swa.variables)
-        emit(
-            f"                    raise _mk_stuck(_loc, ({vals}{',' if swa.variables else ''}), _k, _vis, _t)"
-        )
-
-    if trace:
-        vals = ", ".join(f"v_{var}" for var in swa.variables)
-        emit(f"        _row(_t, _loc, ({vals}{',' if swa.variables else ''}), _vis, _emit)")
-    emit("        if _t == _next:")
-    emit("            _pend = _STM[_si] | _emit")
-    emit("            _si += 1")
-    emit("            _next = _STT[_si] if _si < _nst else -1")
-    emit("        else:")
-    emit("            _pend = _emit")
-    emit("        _t += 1")
-    us = ", ".join(f"u_{var}" for var in swa.variables)
-    is_ = ", ".join(f"i_{var}" for var in swa.variables)
-    tail = "," if swa.variables else ""
-    emit(f"    return (_loc, _k, ({us}{tail}), ({is_}{tail}), _pend, _prev)")
-    return "\n".join(w) + "\n"
+                emit(f"            _emit |= {mask(tr.emits)}")
+            emit("            _f = True")
+        # no enabled edge: the part is frozen for this tick if it can evolve
+        indent = "    "
+        if s.egress:
+            emit("    if not _f:")
+            indent = "        "
+        conds = _py_can_evolve(s, mask)
+        if conds:
+            emit(f"{indent}if not ({' and '.join(conds)}):")
+            emit(f"{indent}    raise {stuck}")
+        reenter(s, indent)
+        if not conds and not s.witnesses:
+            emit(f"{indent}pass")
+    return w
 
 
 @lru_cache(maxsize=64)

@@ -418,3 +418,80 @@ def _fuzz_clocked(rng, seed: int, n_locs: int) -> str:
         )
     lines.append("")
     return "\n".join(lines)
+
+
+def fuzz_network(seed: int) -> str:
+    """A random event-linked network of 2 to 4 automata, deterministic per seed.
+
+    Automaton i owns a level x<i> and sometimes a clock c<i>.  Its
+    locations alternate rising and falling flows between two bounds.
+    Each location leaves, in a random order, through a boundary-equality
+    edge (the level snaps onto the bound), a clock edge whose guard
+    ranges over both variables (at most one of them may snap), and one
+    edge for each event the automaton listens to: the external GO and
+    events the other automata emit.  Edges carry affine updates that
+    stay inside the bounds.  Every location has an edge for every
+    listened-to event, so most runs never get stuck.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    lines = [f"network net{seed}", ""]
+    for i in range(n):
+        x, c = f"x{i}", f"c{i}"
+        clocked = bool(rng.integers(0, 2))
+        lo = round(float(rng.uniform(1, 20)), 1)
+        hi = round(lo + float(rng.uniform(5, 30)), 1)
+        mid = round((lo + hi) / 2, 1)
+        period = f"{float(rng.integers(2, 9)) / 10:g}"
+        others = [f"E{j}" for j in range(n) if j != i and rng.integers(0, 2)]
+        listens = (["GO"] if rng.integers(0, 2) else []) + others[:1]
+        n_locs = int(rng.integers(2, 4))
+        loc = [f"{'fghj'[i]}{j}" for j in range(n_locs)]
+        lines += [f"automaton q{i}", f"  var {x} init {lo:g}"]
+        if clocked:
+            lines.append(f"  var {c} init 0")
+        if listens:
+            lines.append("  input " + " ".join(listens))
+        lines += [f"  output E{i}", ""]
+        inv = f"{x} >= {lo:g} && {x} <= {hi:g}"
+        reset = f", {c}' := 0" if clocked else ""
+        edges = []
+        for j in range(n_locs):
+            rising = j % 2 == 0
+            lines.append(f"  {'initial location' if j == 0 else 'location'} {loc[j]}")
+            lines.append(f"    invariant {inv}" + (f" && {c} >= 0 && {c} <= {period}" if clocked else ""))
+            rate = _RATES[int(rng.integers(0, len(_RATES)))]
+            decay = _DECAYS[int(rng.integers(0, len(_DECAYS)))]
+            if rng.integers(0, 2):
+                lines.append(f"    flow {x}' = {'' if rising else '-'}{float(rate) * 6:g}")
+            elif rising:
+                lines.append(f"    flow {x}' = {float(decay) * 8:g} * ({hi + float(rng.integers(5, 30)):g} - {x})")
+            else:
+                lines.append(f"    flow {x}' = -{float(decay) * 8:g} * {x}")
+            if clocked:
+                lines.append(f"    flow {c}' = 1")
+            lines.append("")
+            # every edge resets the clock, so no location is entered past its period
+            plain = f" do {c}' := 0" if clocked else ""
+            bound = f"edge {loc[j]} -> {loc[(j + 1) % n_locs]} guard {x} == {hi if rising else lo:g}"
+            bound += f" do {x}' := {mid:g}{reset}" if rng.integers(0, 3) == 0 else plain
+            own = [bound + (f" emit E{i}" if rng.integers(0, 3) else "")]
+            if clocked:
+                own.append(
+                    f"edge {loc[j]} -> {loc[int(rng.integers(0, n_locs))]} guard {inv} && {c} == {period}"
+                    f" do {c}' := 0" + (f" emit E{i}" if rng.integers(0, 2) else "")
+                )
+            for k, ev in enumerate(listens):
+                trigger = ev
+                if k == 0 and len(listens) > 1 and rng.integers(0, 3) == 0:
+                    trigger += f" && !{listens[1]}"
+                # 0.5 * x + b maps [lo, hi] into itself for lo/2 <= b <= hi/2
+                b = round(float(rng.uniform(lo / 2, hi / 2)), 1)
+                scaled = f" do {x}' := 0.5 * {x} + {b:g}{reset}"
+                own.append(
+                    f"edge {loc[j]} -> {loc[int(rng.integers(0, n_locs))]} on {trigger} guard {inv}"
+                    + (scaled if rng.integers(0, 2) else plain)
+                )
+            edges += [own[k] for k in rng.permutation(len(own))]
+        lines += ["  " + e for e in edges] + [""]
+    return "\n".join(lines)

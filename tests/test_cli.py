@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from syncha import shagen, whacheck
 from syncha.cli import main
 from oracles import parse_trace
 
@@ -162,6 +163,47 @@ class TestComposeAndSimulate:
         assert rows[0].location == "farup"
         assert rows[2084].outputs == ("CLOSE",)
         assert rows[2085].location == "neardown"
+
+    def test_checks_each_automaton_once(self, capsys, models_dir, monkeypatch):
+        checked = []
+        real_check = whacheck.check_wha
+
+        def counting_check(ha):
+            checked.append(ha.name)
+            return real_check(ha)
+
+        monkeypatch.setattr(shagen, "check_wha", counting_check)
+        monkeypatch.setattr("syncha.cli.check_wha", counting_check, raising=False)
+        code, out, err = invoke(
+            capsys,
+            "compose-and-simulate", str(models_dir / "watertank.pha"), "--ticks", "3",
+        )
+        assert code == 0
+        assert sorted(checked) == ["burner", "tank"]
+
+    def test_ill_formed_part_is_reported_with_its_line(self, capsys, fixtures_dir):
+        code, out, err = invoke(
+            capsys, "compose-and-simulate", str(fixtures_dir / "nonmono.pha"), "--ticks", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "box: NON_MONOTONE (line 11): flow x' in warm" in err
+
+    def test_stuck_network_exits_3_under_both_engines(self, capsys, fixtures_dir, tmp_path):
+        stim = tmp_path / "go.csv"
+        stim.write_text("5,GO\n")
+        messages = []
+        for engine in ("generic", "compiled"):
+            code, out, err = invoke(
+                capsys,
+                "compose-and-simulate", str(fixtures_dir / "stucknet.pha"),
+                "--ticks", "10", "--stimulus", str(stim), "--engine", engine,
+            )
+            assert code == 3
+            messages.append(err.splitlines()[-1])
+        assert messages[0] == messages[1]
+        assert "stuck at tick 6 in state 'gocreep'" in messages[1]
+        assert "x = 0.06, y = 0.06" in messages[1]
 
 
 class TestCompile:

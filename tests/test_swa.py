@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from syncha.expr import AffineExpr
 from syncha.model import load_model, parse_model
 from syncha.swa import (
+    SwaState,
     UnreachableState,
     _eval_update,
+    _runner_source,
     build_swa,
     compile_automaton,
     compose,
@@ -24,7 +26,7 @@ from syncha.swa import (
     trace_header,
 )
 from syncha.shagen import generate_sha
-from oracles import parse_trace
+from oracles import fuzz_network, parse_trace
 
 DELTA = Fraction(1, 100)
 
@@ -415,3 +417,98 @@ class TestComposedTraceShape:
         assert rows[1].outputs == ("PING",)
         assert rows[2].outputs == ("PONG",)
         assert rows[1].inputs == ("GO",)
+
+
+def timer_chain(n):
+    """n two-location timers; each starts when the previous one finishes."""
+    lines = ["network chain", ""]
+    for i in range(n):
+        x = f"x{i}"
+        lines += [f"automaton t{i}", f"  var {x} init 0"]
+        if i:
+            lines.append(f"  input E{i - 1}")
+        lines += [f"  output E{i}", "", f"  initial location a{i}"]
+        if i:
+            lines += [f"    invariant {x} >= 0 && {x} <= 0", f"    flow {x}' = 0", ""]
+        else:
+            lines += [f"    invariant {x} >= 0 && {x} <= 0.3", f"    flow {x}' = 1", ""]
+        lines += [f"  location b{i}", f"    invariant {x} >= 0 && {x} <= 0.2", f"    flow {x}' = 1", ""]
+        if i:
+            lines.append(f"  edge a{i} -> b{i} on E{i - 1}")
+        else:
+            lines.append(f"  edge a{i} -> b{i} guard {x} == 0.3 do {x}' := 0")
+        lines += [f"  edge b{i} -> a{i} guard {x} == 0.2 do {x}' := 0 emit E{i}", ""]
+    return parse_model("\n".join(lines))
+
+
+def network_product(net):
+    return compose_all(comp(net, a.name) for a in net.automata)
+
+
+def outcome(swa, ticks, stimulus, engine, traced=True):
+    """The trace and the final state, or the stuck report's fields."""
+    buf = io.StringIO() if traced else None
+    try:
+        final = simulate(swa, ticks, stimulus, out=buf, engine=engine)
+    except UnreachableState as exc:
+        final = (exc.automaton, exc.tick, exc.state, exc.valuation, exc.k, exc.visible)
+    return (buf.getvalue() if traced else None), final
+
+
+class TestNetworkRunner:
+    """The specialised engine runs a product part by part."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        ticks=st.integers(1, 300),
+        gos=st.lists(st.integers(0, 299), max_size=12),
+    )
+    def test_fuzzed_networks_agree_with_the_generic_engine(self, seed, ticks, gos):
+        product = network_product(parse_model(fuzz_network(seed)))
+        stimulus = {t: frozenset({"GO"}) for t in gos}
+        generic = outcome(product, ticks, stimulus, "generic")
+        assert outcome(product, ticks, stimulus, "compiled") == generic
+        assert outcome(product, ticks, stimulus, "compiled", traced=False)[1] == generic[1]
+
+    def test_stuck_part_reports_committed_values(self, fixtures_dir):
+        product = network_product(load_model(fixtures_dir / "stucknet.pha"))
+        stimulus = {5: frozenset({"GO"})}
+        reports = []
+        for engine in ("generic", "compiled"):
+            with pytest.raises(UnreachableState) as exc_info:
+                simulate(product, 10, stimulus, engine=engine)
+            exc = exc_info.value
+            reports.append((exc.tick, exc.state, exc.valuation, exc.k, exc.visible))
+        assert reports[0] == reports[1]
+        tick_, state, valuation, k, visible = reports[1]
+        assert (tick_, state, k, visible) == (6, "gocreep", 6, frozenset({"GO"}))
+        # the mover's edge is enabled and would set x to 7
+        assert valuation == {"x": pytest.approx(0.06), "y": pytest.approx(0.06)}
+
+    def test_runner_source_grows_linearly_with_the_parts(self):
+        sizes = {n: len(_runner_source(network_product(timer_chain(n)), False)) for n in range(2, 7)}
+        assert sizes[6] < 64 * 1024
+        for n in range(2, 6):
+            assert sizes[n + 1] <= 2 * sizes[n], sizes
+
+    def test_repeat_run_does_not_rehash_the_product(self, monkeypatch):
+        product = network_product(timer_chain(4))
+        simulate(product, 5)
+        calls = []
+        real_hash = SwaState.__hash__
+
+        def counting_hash(self):
+            calls.append(self.name)
+            return real_hash(self)
+
+        monkeypatch.setattr(SwaState, "__hash__", counting_hash)
+        simulate(product, 5)
+        assert calls == []
+
+    def test_parts_survive_renaming(self, burner_swa, pingpong_swas):
+        left, right = pingpong_swas
+        plant = compose_all([burner_swa, compose(left, right)], name="plant")
+        assert plant.parts == (burner_swa, left, right)
+        assert not burner_swa.composed and burner_swa.parts == ()
+        assert trace_text(plant, 200, engine="compiled") == trace_text(plant, 200, engine="generic")
