@@ -148,7 +148,10 @@ class CUnit:
 def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
     options = options or CodegenOptions()
     if len(swa.events()) > 64:
-        raise ValueError("the driver packs events into a 64-bit stimulus mask")
+        raise ValueError(
+            f"automaton {swa.name!r} has {len(swa.events())} events, more than the C "
+            "driver's limit of 64 (it packs events into a 64-bit stimulus mask)"
+        )
     names = _Names()
     auto = names.claim("auto", swa.name, lambda n: {n, f"{n}R"})
     nvars = len(swa.variables)

@@ -43,10 +43,6 @@ def _is_inf(x: Endpoint) -> bool:
     return isinstance(x, float) and math.isinf(x)
 
 
-def _ep_float(x: Endpoint) -> float:
-    return x if isinstance(x, float) else float(x)
-
-
 @dataclass(frozen=True)
 class Interval:
     """A possibly unbounded real interval with independent endpoint closure.
@@ -239,15 +235,6 @@ class Constraint:
         return " && ".join(str(c) for c in self.conjuncts)
 
 
-def eval_constraint(constraint: Constraint, valuation: Mapping[str, float]) -> bool:
-    """Evaluate a conjunction against a float valuation.
-
-    Raises MissingVariable if any referenced variable is unbound.  Equality
-    is exact float equality; ``x == 20`` is false at 20.0000001.
-    """
-    return constraint.holds(valuation)
-
-
 def constraint_to_interval(constraint: Constraint, variable: str) -> Interval:
     """Project a conjunction onto one variable as the tightest interval.
 
@@ -281,13 +268,6 @@ class AffineExpr:
 
     def evaluate_exact(self, value: Rational) -> Rational:
         return self.a * value + self.b
-
-    def evaluate_in(self, valuation: Mapping[str, float]) -> float:
-        if self.a == 0:
-            return self.b_f
-        if self.variable not in valuation:
-            raise MissingVariable(self.variable)
-        return self.a_f * valuation[self.variable] + self.b_f
 
     def root(self) -> Rational | None:
         """The unique zero of the expression, or None when a == 0."""

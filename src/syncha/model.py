@@ -187,9 +187,6 @@ class HybridAutomaton:
                 seen.setdefault(ev, None)
         return tuple(seen)
 
-    def init_valuation(self) -> dict[str, Rational]:
-        return dict(self.init_values)
-
 
 @dataclass(frozen=True)
 class Network:

@@ -35,7 +35,10 @@ per part: each part takes the first enabled edge of its own location,
 and a part without one must be able to evolve and is frozen.  Guards and
 updates never read another automaton's variables, so this is the
 transition the product's egress order (joint switches first) picks, in
-code that grows linearly with the parts on the switch path.
+code that grows linearly with the parts on the switch path.  The
+specialised engine writes its own trace rows: each branch formats its row
+with one `%` operation on a string built with the code, and a value the
+state holds constant is formatted once per switch, not on every tick.
 """
 
 from __future__ import annotations
@@ -116,7 +119,6 @@ class SwaState:
     witnesses: tuple[tuple[str, WitnessFunction], ...]
     egress: tuple[SwaTransition, ...]
     nsteps: int | None  # bound on consecutive evolution steps, None if unbounded
-    fairness_warning: bool
 
     def witness_for(self, variable: str) -> WitnessFunction:
         for var, w in self.witnesses:
@@ -257,7 +259,6 @@ def build_swa(sha: Sha) -> Swa:
                 witnesses=analysis.witnesses,
                 egress=egress,
                 nsteps=analysis.nsteps,
-                fairness_warning=analysis.fairness_warning,
             )
         )
     return Swa(
@@ -514,7 +515,6 @@ def compose(a: Swa, b: Swa, name: str | None = None) -> Swa:
                     witnesses=s1.witnesses + s2.witnesses,
                     egress=tuple(egress),
                     nsteps=_min_nsteps(s1.nsteps, s2.nsteps),
-                    fairness_warning=_min_nsteps(s1.nsteps, s2.nsteps) is None,
                 )
             )
     names = [s.name for s in states]
@@ -732,6 +732,10 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     and updates never read another automaton's variables, so this is
     the transition the product's egress order (joint switches first,
     then one side with the rest frozen) would pick.
+
+    With ``trace`` every branch writes its row with one %-format.  A
+    variable its state holds constant is printed from the string
+    ``f_<var>``, formatted at set-up and after every switch.
     """
     parts = swa.parts or (swa,)
     events = swa.events()
@@ -764,16 +768,45 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     us = ", ".join(f"u_{var}" for var in swa.variables)
     stuck = f"_mk_stuck(_loc, ({us}{tail}), _k, _vis, _t)"
 
+    def constant_in(state: SwaState) -> set[str]:
+        return {var for var, wit in state.witnesses if wit.kind is WitnessKind.CONSTANT}
+
+    held = tuple(
+        var for var in swa.variables if any(var in constant_in(s) for s in swa.states)
+    ) if trace else ()
+
+    def write_row(state: SwaState | None) -> str:
+        """The statement writing `state`'s evolve row, or the switch row if None."""
+        fixed = constant_in(state) if state else held
+        fmt = ["%d", "%.15g", state.name if state else "%s"]
+        args = ["_t", f"_t * {swa.delta_f!r}"] + ([] if state else ["_names[_loc]"])
+        for var in swa.variables:
+            fmt.append("%s" if var in fixed else "%.15g")
+            args.append(f"f_{var}" if var in fixed else f"v_{var}")
+        ins = bool(swa.inputs)
+        outs = bool(swa.outputs) and state is None  # an evolve tick emits nothing
+        fmt += ["%s" if ins else "", "%s" if outs else ""]
+        args += ["_ins[_vis]"] * ins + ["_outs[_emit]"] * outs
+        return f"_write({','.join(fmt) + chr(10)!r} % ({', '.join(args)}))"
+
     w = []  # source lines
     emit = w.append
-    emit("def _swarun(_TICKS, _STT, _STM, _row, _mk_stuck):")
+    emit("def _swarun(_TICKS, _STT, _STM, _write, _mk_stuck):")
     emit("    _exp = _EXP")
+    if trace:
+        emit(f"    _names = {tuple(s.name for s in swa.states)!r}")
+        if swa.inputs:
+            emit(f"    _ins = _MaskNames({tuple((e, bit[e]) for e in swa.inputs)!r})")
+        if swa.outputs:
+            emit(f"    _outs = _MaskNames({tuple((e, bit[e]) for e in swa.outputs)!r})")
     for var, wit in swa.state(swa.initial_state).witnesses:
         x0 = float(init[var])
         emit(f"    v_{var} = {x0!r}")
         emit(f"    u_{var} = {x0!r}")
         emit(f"    i_{var} = {x0!r}")
         emit(f"    c1_{var} = {resolve_c1(wit, x0)!r}")
+        if var in held:
+            emit(f"    f_{var} = {_fmt(x0)!r}")
     start = [st.name for st in swa.states].index(swa.initial_state)
     emit(f"    _loc = {start}")
     emit(f"    _prev = {start}")
@@ -799,6 +832,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
             if wit.kind is WitnessKind.CONSTANT:
                 continue  # value stays at c1, no assignment needed
             emit(f"            u_{var} = {_py_witness(wit, f'c1_{var}', '_k', swa.delta_f)}")
+        if trace:
+            emit(f"            {write_row(s)}")
 
     # Switching.  Some part cannot evolve, so it either jumps or the
     # network is stuck: at least one part jumps.  u_* keep the committed
@@ -815,10 +850,11 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         f"_l{p} * {stride}" if stride != 1 else f"_l{p}" for p, stride in enumerate(strides)
     )
     emit(f"            _loc = {index}")
-
     if trace:
-        vals = ", ".join(f"v_{var}" for var in swa.variables)
-        emit(f"        _row(_t, _loc, ({vals}{tail}), _vis, _emit)")
+        for var in held:
+            emit(f"            f_{var} = '%.15g' % v_{var}")
+        emit(f"            {write_row(None)}")
+
     emit("        if _t == _next:")
     emit("            _pend = _STM[_si] | _emit")
     emit("            _si += 1")
@@ -938,10 +974,22 @@ def _py_part_switch(
     return w
 
 
+class _MaskNames(dict):
+    """Event mask -> the `;`-joined names of the given events it holds, filled in on a miss."""
+
+    def __init__(self, named: tuple[tuple[str, int], ...]):
+        super().__init__()
+        self.named = named
+
+    def __missing__(self, m: int) -> str:
+        text = self[m] = ";".join(e for e, b in self.named if m & b)
+        return text
+
+
 @lru_cache(maxsize=64)
 def _build_runner(swa: Swa, trace: bool):
     source = _runner_source(swa, trace)
-    namespace = {"_EXP": math.exp}
+    namespace = {"_EXP": math.exp, "_MaskNames": _MaskNames}
     exec(compile(source, f"<swa:{swa.name}>", "exec"), namespace)
     return namespace["_swarun"]
 
@@ -964,31 +1012,8 @@ def run_compiled(
     stt = [t for t, _ in stim_items]
     stm = [m for _, m in stim_items]
     loc_names = tuple(s.name for s in swa.states)
-
-    row = None
     if out is not None:
         out.write(trace_header(swa) + "\n")
-        in_cache: dict[int, str] = {}
-        out_cache: dict[int, str] = {}
-        inputs_t = swa.inputs
-        outputs_t = swa.outputs
-        delta_f = swa.delta_f
-        write = out.write
-
-        def row(t, loc, values, vis, emitted):
-            ins = in_cache.get(vis)
-            if ins is None:
-                ins = ";".join(e for e in inputs_t if vis & bit[e])
-                in_cache[vis] = ins
-            outs = out_cache.get(emitted)
-            if outs is None:
-                outs = ";".join(e for e in outputs_t if emitted & bit[e])
-                out_cache[emitted] = outs
-            parts = [str(t), _fmt(t * delta_f), loc_names[loc]]
-            parts.extend(map(_fmt, values))
-            parts.append(ins)
-            parts.append(outs)
-            write(",".join(parts) + "\n")
 
     def mk_stuck(loc, values, k, vis, t):
         valuation = dict(zip(swa.variables, values))
@@ -996,7 +1021,8 @@ def run_compiled(
         return UnreachableState(swa.name, loc_names[loc], valuation, k, visible, tick=t)
 
     fn = _build_runner(swa, out is not None)
-    loc, k, us, is_, pend, prev = fn(ticks, stt, stm, row, mk_stuck)
+    write = out.write if out is not None else None
+    loc, k, us, is_, pend, prev = fn(ticks, stt, stm, write, mk_stuck)
     # after an evolution tick the previous state equals the current one;
     # the loop only tracks it across switches, so patch it up here
     if k != 0:

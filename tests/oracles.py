@@ -431,7 +431,10 @@ def fuzz_network(seed: int) -> str:
     edge for each event the automaton listens to: the external GO and
     events the other automata emit.  Edges carry affine updates that
     stay inside the bounds.  Every location has an edge for every
-    listened-to event, so most runs never get stuck.
+    listened-to event, so most runs never get stuck.  An automaton that
+    listens sometimes holds its level in one location (`x' = 0`); that
+    location's event edges may loop back to it, always with the affine
+    update, so the held value changes on a self-loop.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
@@ -446,6 +449,7 @@ def fuzz_network(seed: int) -> str:
         others = [f"E{j}" for j in range(n) if j != i and rng.integers(0, 2)]
         listens = (["GO"] if rng.integers(0, 2) else []) + others[:1]
         n_locs = int(rng.integers(2, 4))
+        held = int(rng.integers(0, n_locs)) if listens and rng.integers(0, 2) else -1
         loc = [f"{'fghj'[i]}{j}" for j in range(n_locs)]
         lines += [f"automaton q{i}", f"  var {x} init {lo:g}"]
         if clocked:
@@ -462,7 +466,9 @@ def fuzz_network(seed: int) -> str:
             lines.append(f"    invariant {inv}" + (f" && {c} >= 0 && {c} <= {period}" if clocked else ""))
             rate = _RATES[int(rng.integers(0, len(_RATES)))]
             decay = _DECAYS[int(rng.integers(0, len(_DECAYS)))]
-            if rng.integers(0, 2):
+            if j == held:
+                lines.append(f"    flow {x}' = 0")
+            elif rng.integers(0, 2):
                 lines.append(f"    flow {x}' = {'' if rising else '-'}{float(rate) * 6:g}")
             elif rising:
                 lines.append(f"    flow {x}' = {float(decay) * 8:g} * ({hi + float(rng.integers(5, 30)):g} - {x})")
@@ -488,10 +494,12 @@ def fuzz_network(seed: int) -> str:
                 # 0.5 * x + b maps [lo, hi] into itself for lo/2 <= b <= hi/2
                 b = round(float(rng.uniform(lo / 2, hi / 2)), 1)
                 scaled = f" do {x}' := 0.5 * {x} + {b:g}{reset}"
-                own.append(
-                    f"edge {loc[j]} -> {loc[int(rng.integers(0, n_locs))]} on {trigger} guard {inv}"
-                    + (scaled if rng.integers(0, 2) else plain)
-                )
+                if j == held and rng.integers(0, 2):
+                    dst, update = j, scaled
+                else:
+                    dst = int(rng.integers(0, n_locs))
+                    update = scaled if rng.integers(0, 2) else plain
+                own.append(f"edge {loc[j]} -> {loc[dst]} on {trigger} guard {inv}" + update)
             edges += [own[k] for k in rng.permutation(len(own))]
         lines += ["  " + e for e in edges] + [""]
     return "\n".join(lines)

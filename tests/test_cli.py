@@ -244,6 +244,22 @@ class TestCompile:
         assert code == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_more_than_64_events_is_a_usage_error(self, capsys, tmp_path):
+        names = " ".join(f"E{i}" for i in range(65))
+        model = tmp_path / "wide.pha"
+        model.write_text(
+            "network wide\n\nautomaton much\n  var x init 0\n"
+            f"  input {names}\n\n  initial location idle\n"
+            "    invariant x == 0\n    flow x' = 0\n",
+            encoding="utf-8",
+        )
+        code, out, err = invoke(capsys, "compile", str(model), "--out", str(tmp_path / "c"))
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            "error: automaton 'much' has 65 events, more than the C driver's limit "
+            "of 64 (it packs events into a 64-bit stimulus mask)"
+        )
+
 
 class TestBench:
     def test_reports_throughput_and_sizes(self, capsys, models_dir):

@@ -312,7 +312,6 @@ class TestCompose:
     def test_nsteps_takes_the_tighter_bound(self, watertank_swa):
         assert watertank_swa.state("t2b1").nsteps == 1275
         assert watertank_swa.state("t1b1").nsteps == 2500
-        assert not watertank_swa.state("t1b1").fairness_warning
 
     def test_delta_mismatch_rejected(self, watertank_net):
         coarse, _ = compile_automaton(watertank_net.automaton("tank"), Fraction(1, 10))
@@ -512,3 +511,47 @@ class TestNetworkRunner:
         assert plant.parts == (burner_swa, left, right)
         assert not burner_swa.composed and burner_swa.parts == ()
         assert trace_text(plant, 200, engine="compiled") == trace_text(plant, 200, engine="generic")
+
+
+HELDNET_STIMULUS = {1: frozenset({"NOISE"}), 4: frozenset({"GO"}), 9: frozenset({"GO", "NOISE"})}
+
+
+class TestTraceRows:
+    """The specialised runner writes its own rows, byte for byte as `run` does.
+
+    `heldnet` pairs a keeper whose level x is held (x' = 0) with a clock
+    that restarts every 4 ticks.  Each GO bumps x through a self-loop.
+    """
+
+    @pytest.fixture(scope="class")
+    def rows(self, fixtures_dir):
+        product = network_product(load_model(fixtures_dir / "heldnet.pha"))
+        generic, compiled = (
+            trace_text(product, 16, HELDNET_STIMULUS, engine) for engine in ("generic", "compiled")
+        )
+        assert compiled == generic
+        header, *rows = compiled.splitlines()
+        assert header == "tick,time,location,x,c,inputs,outputs"
+        return rows
+
+    def test_self_loop_on_a_held_location_shows_the_new_value(self, rows):
+        # GO supplied at tick 4 is visible at tick 5: x goes from 1 to 2
+        assert rows[4:10] == [
+            "4,0.04,holdrun,1,0,,TICK",
+            "5,0.05,holdrun,2,0,GO,BUMPED",
+            "6,0.06,holdrun,2,0,,",
+            "7,0.07,holdrun,2,0.01,,",
+            "8,0.08,holdrun,2,0.02,,",
+            "9,0.09,holdrun,2,0.03,,",
+        ]
+
+    def test_held_part_keeps_its_value_while_the_other_switches(self, rows):
+        # the clock restarts at ticks 4 and 15 while the keeper is frozen
+        assert rows[3:5] == ["3,0.03,holdrun,1,0.03,,", "4,0.04,holdrun,1,0,,TICK"]
+        assert rows[14:16] == ["14,0.14,holdrun,3,0.03,,", "15,0.15,holdrun,3,0,,TICK"]
+
+    def test_evolve_rows_show_inputs_and_switch_rows_show_outputs(self, rows):
+        # NOISE triggers no edge, so it shows on an evolve row
+        assert rows[:3] == ["0,0,holdrun,1,0,,", "1,0.01,holdrun,1,0.01,,", "2,0.02,holdrun,1,0.02,NOISE,"]
+        # both parts switch on tick 10: the keeper on GO, the clock on its bound
+        assert rows[10] == "10,0.1,holdrun,3,0,GO;NOISE,BUMPED;TICK"
