@@ -184,8 +184,9 @@ def _cmd_compile(args) -> int:
         return EXIT_CHECK_FAILED
     outdir = Path(args.out)
     options = CodegenOptions(ticks=args.ticks, stimulus_path=args.stimulus)
-    for ha, sha in zip(automata, shas):
-        unit = emit_c(build_swa(sha), options)
+    # emit every unit before writing any, so a rejected automaton leaves no files
+    units = [emit_c(build_swa(sha), options) for sha in shas]
+    for ha, sha, unit in zip(automata, shas, units):
         for path in write_unit(unit, outdir):
             print(path)
         if args.emit_ir:

@@ -2,9 +2,10 @@
 
 Each automaton becomes two translation units:
 
-* ``<name>.c`` holds the state globals, one witness function and one
-  entry-constant function per state and variable, and the reaction
-  function that advances a single tick,
+* ``<name>.c`` holds the state globals, one witness function per state
+  and variable, an entry-constant function where that constant is not
+  the entry value itself, and the reaction function that advances a
+  single tick,
 * ``<name>_main.c`` holds a driver that loads an optional stimulus
   table, calls the reaction in a loop and prints the same trace format
   as the Python engines.
@@ -13,6 +14,14 @@ Every arithmetic expression is emitted with exactly the operation shape
 the interpreter uses (same association, same special cases), so the C
 binary and the Python engines compute identical doubles and identical
 ``%.15g`` trace rows on the same libm.
+
+The driver formats a float only where the value is unknown.  Each row is
+one ``printf``.  Its time field is integer arithmetic on the tick index
+when `swa.decimal_delta` gives the tick length as a short decimal.  A
+variable that some state holds constant has a string ``<var>_txt``,
+formatted before the loop and after every switch tick (``k == 0`` after
+the reaction); the states that hold the same set of variables share a
+row format, chosen through ``rowkind``, that prints those strings.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from pathlib import Path
 
 from .expr import Comparison, Constraint, Rational, format_number
 from .odesolve import WitnessFunction, WitnessKind, resolve_c1
-from .swa import Swa, SwaState
+from .swa import Swa, SwaState, constant_in, decimal_delta
 
 _C_KEYWORDS = frozenset(
     """auto break case char const continue default do double else enum extern
@@ -39,7 +48,7 @@ _RESERVED = _C_KEYWORDS | frozenset(
     strtol strtod strcmp strncmp strcpy strlen qsort atol atoi exit malloc
     realloc free stdin stdout stderr errno d k cstate pstate stuck states
     statename t si off next ticks argc argv ins outs mask stim_ticks
-    stim_masks stim_n stim_cap stim_path load_stimulus INFINITY NAN""".split()
+    stim_masks stim_n stim_cap stim_path load_stimulus INFINITY NAN rowkind tf tp""".split()
 )
 
 
@@ -97,10 +106,14 @@ def _c_witness_body(w: WitnessFunction) -> str:
     return f"return {c_num(w.x_eq)} + C1*exp({c_num(w.a)}*d*k);"
 
 
-def _c_init_body(w: WitnessFunction) -> str:
-    if w.kind is WitnessKind.EXPONENTIAL and w.x_eq_f != 0.0:
-        return f"return x0 - {c_num(w.x_eq)};"
-    return "return x0;"
+def _shifted(w: WitnessFunction) -> bool:
+    """Whether the entry constant is the entry value minus an equilibrium."""
+    return w.kind is WitnessKind.EXPONENTIAL and w.x_eq_f != 0.0
+
+
+def _c_refresh(sn: str, n: int, w: WitnessFunction, value: str) -> str:
+    """The entry constant of variable n in state sn, entered at `value`."""
+    return f"{sn}_init_{n}({value})" if _shifted(w) else value
 
 
 def _c_update(expr, name_of) -> str:
@@ -164,7 +177,7 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
             | {f"{n}_init_{i}" for i in range(1, nvars + 1)},
         )
     for v in swa.variables:
-        names.claim("var", v, lambda n: {n, f"{n}_u", f"C1_{n}"})
+        names.claim("var", v, lambda n: {n, f"{n}_u", f"C1_{n}", f"{n}_txt"})
     for e in swa.events():
         names.claim("event", e, lambda n: {n, f"{n}_out"})
 
@@ -211,7 +224,8 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
             else:
                 args = "double d, double k, double C1"
             emit(f"double {sn}_ode_{n}({args}) {{ {_c_witness_body(wit)} }}")
-            emit(f"double {sn}_init_{n}(double x0) {{ {_c_init_body(wit)} }}")
+            if _shifted(wit):
+                emit(f"double {sn}_init_{n}(double x0) {{ return x0 - {c_num(wit.x_eq)}; }}")
     emit("")
 
     emit(f"enum states {reaction}(enum states cstate, enum states pstate) {{")
@@ -255,8 +269,8 @@ def _emit_state_case(
     parts = [p for p in ("" if inv == "1" else inv, silences) if p]
     emit(f"if ({' && '.join(parts) if parts else '1'}) {{")
     emit("    if (pstate != cstate) {")
-    for v, _ in s.witnesses:
-        emit(f"        C1_{cv(v)} = {sn}_init_{var_index[v]}({cv(v)});")
+    for v, wit in s.witnesses:
+        emit(f"        C1_{cv(v)} = {_c_refresh(sn, var_index[v], wit, cv(v))};")
     emit("    }")
     emit("    k = k + 1;")
     for v, wit in s.witnesses:
@@ -358,8 +372,8 @@ def _emit_state_case(
         if tr.dst == s.name:
             # a self loop re-enters the state, so pstate never differs and
             # the lazy refresh above would keep a stale entry constant
-            for v, _ in s.witnesses:
-                put(f"    C1_{cv(v)} = {sn}_init_{var_index[v]}({cv(v)});")
+            for v, wit in s.witnesses:
+                put(f"    C1_{cv(v)} = {_c_refresh(sn, var_index[v], wit, cv(v))};")
         put(f"    cstate = {cs(tr.dst)};")
         for e in tr.emits:
             put(f"    {ce(e)}_out = 1;")
@@ -378,12 +392,40 @@ def _emit_state_case(
     return out
 
 
+def _c_time_field(swa: Swa) -> tuple[list[str], str, str]:
+    """Statements, printf conversion and arguments for the time field of row t.
+
+    With `decimal_delta` the field is integer arithmetic on t*m: the
+    quotient by 10**j, then the remainder with its trailing zeros
+    stripped.  A precision of 0 prints nothing of a zero remainder.
+    """
+    dec = decimal_delta(swa.delta)
+    if dec is None:
+        return [], "%.15g", f"t * {c_float(swa.delta_f)}"
+    m, j = dec
+    scaled = "t" if m == 1 else f"t * {m}"
+    if j == 0:
+        return [], "%ld", scaled
+    lines = [
+        f"long tf = {scaled} % {10**j};",
+        f"int tp = {j};",
+        "while (tp && tf % 10 == 0) {",
+        "    tf /= 10;",
+        "    tp--;",
+        "}",
+    ]
+    return lines, "%ld%s%.*ld", f'{scaled} / {10**j}, tp ? "." : "", tp, tf'
+
+
 def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions) -> str:
     cv = lambda v: names.of("var", v)
     ce = lambda e: names.of("event", e)
     cs = lambda s: names.of("state", s)
     events = swa.events()
     name_width = sum(len(e) for e in events) + len(events) + 8
+    held_sets = [tuple(v for v in swa.variables if v in constant_in(s)) for s in swa.states]
+    kinds = list(dict.fromkeys(held_sets))
+    held = [v for v in swa.variables if any(v in hs for hs in kinds)]
 
     w: list[str] = []
     emit = w.append
@@ -393,7 +435,6 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("")
     emit(f"enum states {{ {', '.join(cs(s.name) for s in swa.states)} }};")
     emit(f"enum states {reaction}(enum states cstate, enum states pstate);")
-    emit("extern double d;")
     emit("extern long k;")
     emit("extern int stuck;")
     for v in swa.variables:
@@ -406,6 +447,14 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         + ", ".join(f'"{s.name}"' for s in swa.states)
         + " };"
     )
+    if len(kinds) > 1:
+        emit(
+            "static const int rowkind[] = { "
+            + ", ".join(str(kinds.index(hs)) for hs in held_sets)
+            + " };"
+        )
+    for v in held:
+        emit(f"static char {cv(v)}_txt[32];")
     emit("")
     emit("static long *stim_ticks = 0;")
     emit("static unsigned long long *stim_masks = 0;")
@@ -489,6 +538,8 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit(f"    enum states cstate = {cs(swa.initial_state)};")
     emit(f"    enum states pstate = {cs(swa.initial_state)};")
     emit("    long si = 0;")
+    for v in held:
+        emit(f'    snprintf({cv(v)}_txt, sizeof {cv(v)}_txt, "%.15g", {cv(v)});')
     header = ",".join(["tick", "time", "location", *swa.variables, "inputs", "outputs"])
     emit(f'    printf("{header}\\n");')
     emit("    for (long t = 0; t < ticks; t++) {")
@@ -507,6 +558,11 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         emit(f'            if ({ce(e)}) fprintf(stderr, "  visible: {e}\\n");')
     emit("            exit(3);")
     emit("        }")
+    if held:
+        emit("        if (k == 0) {")
+        for v in held:
+            emit(f'            snprintf({cv(v)}_txt, sizeof {cv(v)}_txt, "%.15g", {cv(v)});')
+        emit("        }")
     emit(f"        char ins[{name_width}];")
     emit(f"        char outs[{name_width}];")
     emit("        int off = 0;")
@@ -525,12 +581,25 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         emit(f"            off += {len(e)};")
         emit("        }")
     emit("        outs[off] = '\\0';")
-    value_fmt = ",%.15g" * len(swa.variables)
-    value_args = "".join(f", {cv(v)}" for v in swa.variables)
-    emit(
-        f'        printf("%ld,%.15g,%s{value_fmt},%s,%s\\n",'
-        f" t, t * d, statename[cstate]{value_args}, ins, outs);"
-    )
+    time_lines, time_fmt, time_args = _c_time_field(swa)
+    for line in time_lines:
+        emit(f"        {line}")
+
+    def row(hs: tuple[str, ...]) -> str:
+        fmt = "".join(",%s" if v in hs else ",%.15g" for v in swa.variables)
+        args = "".join(f", {cv(v)}_txt" if v in hs else f", {cv(v)}" for v in swa.variables)
+        return (
+            f'printf("%ld,{time_fmt},%s{fmt},%s,%s\\n",'
+            f" t, {time_args}, statename[cstate]{args}, ins, outs);"
+        )
+
+    if len(kinds) == 1:
+        emit(f"        {row(kinds[0])}")
+    else:
+        emit("        switch (rowkind[cstate]) {")
+        for i, hs in enumerate(kinds):
+            emit(f"        case {i}: {row(hs)} break;")
+        emit("        }")
     emit("        unsigned long long mask = 0;")
     emit("        while (si < stim_n && stim_ticks[si] < t) si++;")
     emit("        while (si < stim_n && stim_ticks[si] == t) {")

@@ -164,10 +164,6 @@ class Swa:
             object.__setattr__(self, "_hash", hash(key))
         return self._hash
 
-    @property
-    def composed(self) -> bool:
-        return bool(self.parts)
-
     def state(self, name: str) -> SwaState:
         try:
             return self._by_name[name]
@@ -569,6 +565,42 @@ def _fmt(x: float) -> str:
     return "%.15g" % x
 
 
+@lru_cache(maxsize=None)
+def decimal_delta(delta: Fraction) -> tuple[int, int] | None:
+    """``(m, j)`` when ``delta * 10**j == m`` is an integer, j <= 3 and m < 10**6.
+
+    For such a tick length every engine writes the time field of row t as
+    the exact decimal t*m / 10**j: the integer part, then ``.`` and the j
+    fraction digits with trailing zeros stripped, or the integer part alone
+    when the fraction is 0.  This is byte-equal to ``'%.15g' % (t * delta_f)``
+    for every t*m < 10**15: that double lies within 2.3e-16 relative of the
+    decimal, which has at most 15 significant digits.  Past that, where
+    ``%.15g`` would round, the exact decimal is still written.  For any
+    other delta (None) the time field is ``%.15g`` of t * delta_f.
+    """
+    for j in range(4):
+        scaled = delta * 10**j
+        if scaled.denominator == 1:
+            return (scaled.numerator, j) if scaled.numerator < 10**6 else None
+    return None
+
+
+@lru_cache(maxsize=None)
+def time_suffixes(j: int) -> tuple[str, ...]:
+    """The text after the integer part of the time field, by fraction f < 10**j."""
+    return ("",) + tuple(("." + "%0*d" % (j, f)).rstrip("0") for f in range(1, 10**j))
+
+
+def time_field(t: int, delta: Fraction) -> str:
+    """The time field of trace row t, as `decimal_delta` defines it."""
+    dec = decimal_delta(delta)
+    if dec is None:
+        return _fmt(t * float(delta))
+    m, j = dec
+    whole, frac = divmod(t * m, 10**j)
+    return f"{whole}{time_suffixes(j)[frac]}"
+
+
 def format_trace_row(
     swa: Swa,
     t: int,
@@ -579,7 +611,7 @@ def format_trace_row(
 ) -> str:
     ins = ";".join(e for e in swa.inputs if e in visible)
     outs = ";".join(e for e in swa.outputs if e in emitted)
-    parts = [str(t), _fmt(t * swa.delta_f), location]
+    parts = [str(t), time_field(t, swa.delta), location]
     parts.extend(_fmt(v) for v in values)
     parts.append(ins)
     parts.append(outs)
@@ -721,6 +753,11 @@ def _py_can_evolve(state: SwaState, mask: Callable[[Iterable[str]], int]) -> lis
     return conds
 
 
+def constant_in(state: SwaState) -> set[str]:
+    """The variables `state` holds constant: a trace formats them once per switch."""
+    return {var for var, wit in state.witnesses if wit.kind is WitnessKind.CONSTANT}
+
+
 def _runner_source(swa: Swa, trace: bool) -> str:
     """Generate the specialised tick loop for an automaton or a network.
 
@@ -733,7 +770,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     the transition the product's egress order (joint switches first,
     then one side with the rest frozen) would pick.
 
-    With ``trace`` every branch writes its row with one %-format.  A
+    With ``trace`` every branch writes its row with one %-format.  The
+    time field is integer arithmetic when `decimal_delta` allows it.  A
     variable its state holds constant is printed from the string
     ``f_<var>``, formatted at set-up and after every switch.
     """
@@ -768,18 +806,26 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     us = ", ".join(f"u_{var}" for var in swa.variables)
     stuck = f"_mk_stuck(_loc, ({us}{tail}), _k, _vis, _t)"
 
-    def constant_in(state: SwaState) -> set[str]:
-        return {var for var, wit in state.witnesses if wit.kind is WitnessKind.CONSTANT}
-
     held = tuple(
         var for var in swa.variables if any(var in constant_in(s) for s in swa.states)
     ) if trace else ()
 
+    dec = decimal_delta(swa.delta)
+    if dec is None:
+        time_fmt, time_args = "%.15g", [f"_t * {swa.delta_f!r}"]
+    else:
+        m, j = dec
+        scaled = "_t" if m == 1 else f"_t * {m}"
+        if j == 0:
+            time_fmt, time_args = "%d", [scaled]
+        else:
+            time_fmt, time_args = "%d%s", [f"{scaled} // {10**j}", f"_suf[{scaled} % {10**j}]"]
+
     def write_row(state: SwaState | None) -> str:
         """The statement writing `state`'s evolve row, or the switch row if None."""
         fixed = constant_in(state) if state else held
-        fmt = ["%d", "%.15g", state.name if state else "%s"]
-        args = ["_t", f"_t * {swa.delta_f!r}"] + ([] if state else ["_names[_loc]"])
+        fmt = ["%d", time_fmt, state.name if state else "%s"]
+        args = ["_t", *time_args] + ([] if state else ["_names[_loc]"])
         for var in swa.variables:
             fmt.append("%s" if var in fixed else "%.15g")
             args.append(f"f_{var}" if var in fixed else f"v_{var}")
@@ -795,6 +841,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("    _exp = _EXP")
     if trace:
         emit(f"    _names = {tuple(s.name for s in swa.states)!r}")
+        if dec is not None and dec[1]:
+            emit(f"    _suf = _SUFFIXES({dec[1]})")
         if swa.inputs:
             emit(f"    _ins = _MaskNames({tuple((e, bit[e]) for e in swa.inputs)!r})")
         if swa.outputs:
@@ -989,7 +1037,7 @@ class _MaskNames(dict):
 @lru_cache(maxsize=64)
 def _build_runner(swa: Swa, trace: bool):
     source = _runner_source(swa, trace)
-    namespace = {"_EXP": math.exp, "_MaskNames": _MaskNames}
+    namespace = {"_EXP": math.exp, "_MaskNames": _MaskNames, "_SUFFIXES": time_suffixes}
     exec(compile(source, f"<swa:{swa.name}>", "exec"), namespace)
     return namespace["_swarun"]
 

@@ -17,37 +17,23 @@ int OFF = 0;
 int OFF_out = 0;
 
 double t1b1_ode_1(double C1) { return C1; }
-double t1b1_init_1(double x0) { return x0; }
 double t1b1_ode_2(double d, double k, double C1) { return C1 + 1*d*k; }
-double t1b1_init_2(double x0) { return x0; }
 double t1b2_ode_1(double C1) { return C1; }
-double t1b2_init_1(double x0) { return x0; }
 double t1b2_ode_2(double d, double k, double C1) { return C1 + 1*d*k; }
-double t1b2_init_2(double x0) { return x0; }
 double t2b1_ode_1(double d, double k, double C1) { return 150 + C1*exp(-0.075*d*k); }
 double t2b1_init_1(double x0) { return x0 - 150; }
 double t2b1_ode_2(double d, double k, double C1) { return C1 + 1*d*k; }
-double t2b1_init_2(double x0) { return x0; }
 double t2b2_ode_1(double d, double k, double C1) { return 150 + C1*exp(-0.075*d*k); }
 double t2b2_init_1(double x0) { return x0 - 150; }
 double t2b2_ode_2(double d, double k, double C1) { return C1 + 1*d*k; }
-double t2b2_init_2(double x0) { return x0; }
 double t3b1_ode_1(double C1) { return C1; }
-double t3b1_init_1(double x0) { return x0; }
 double t3b1_ode_2(double d, double k, double C1) { return C1 + 1*d*k; }
-double t3b1_init_2(double x0) { return x0; }
 double t3b2_ode_1(double C1) { return C1; }
-double t3b2_init_1(double x0) { return x0; }
 double t3b2_ode_2(double d, double k, double C1) { return C1 + 1*d*k; }
-double t3b2_init_2(double x0) { return x0; }
 double t4b1_ode_1(double d, double k, double C1) { return C1*exp(-0.075*d*k); }
-double t4b1_init_1(double x0) { return x0; }
 double t4b1_ode_2(double d, double k, double C1) { return C1 + 1*d*k; }
-double t4b1_init_2(double x0) { return x0; }
 double t4b2_ode_1(double d, double k, double C1) { return C1*exp(-0.075*d*k); }
-double t4b2_init_1(double x0) { return x0; }
 double t4b2_ode_2(double d, double k, double C1) { return C1 + 1*d*k; }
-double t4b2_init_2(double x0) { return x0; }
 
 enum states tankburnerR(enum states cstate, enum states pstate) {
     x = x_u;
@@ -56,8 +42,8 @@ enum states tankburnerR(enum states cstate, enum states pstate) {
     case t1b1: {
         if (x == 20 && c >= 0 && c <= 25 && !ON && !OFF) {
             if (pstate != cstate) {
-                C1_x = t1b1_init_1(x);
-                C1_c = t1b1_init_2(c);
+                C1_x = x;
+                C1_c = c;
             }
             k = k + 1;
             x_u = t1b1_ode_1(C1_x);
@@ -128,8 +114,8 @@ enum states tankburnerR(enum states cstate, enum states pstate) {
     case t1b2: {
         if (x == 20 && c >= 0 && c <= 15 && !ON && !OFF) {
             if (pstate != cstate) {
-                C1_x = t1b2_init_1(x);
-                C1_c = t1b2_init_2(c);
+                C1_x = x;
+                C1_c = c;
             }
             k = k + 1;
             x_u = t1b2_ode_1(C1_x);
@@ -201,7 +187,7 @@ enum states tankburnerR(enum states cstate, enum states pstate) {
         if (x >= 20 && x <= 100 && c >= 0 && c <= 25 && !ON && !OFF) {
             if (pstate != cstate) {
                 C1_x = t2b1_init_1(x);
-                C1_c = t2b1_init_2(c);
+                C1_c = c;
             }
             k = k + 1;
             x_u = t2b1_ode_1(d, k, C1_x);
@@ -295,7 +281,7 @@ enum states tankburnerR(enum states cstate, enum states pstate) {
         if (x >= 20 && x <= 100 && c >= 0 && c <= 15 && !ON && !OFF) {
             if (pstate != cstate) {
                 C1_x = t2b2_init_1(x);
-                C1_c = t2b2_init_2(c);
+                C1_c = c;
             }
             k = k + 1;
             x_u = t2b2_ode_1(d, k, C1_x);
@@ -388,8 +374,8 @@ enum states tankburnerR(enum states cstate, enum states pstate) {
     case t3b1: {
         if (x == 100 && c >= 0 && c <= 25 && !ON && !OFF) {
             if (pstate != cstate) {
-                C1_x = t3b1_init_1(x);
-                C1_c = t3b1_init_2(c);
+                C1_x = x;
+                C1_c = c;
             }
             k = k + 1;
             x_u = t3b1_ode_1(C1_x);
@@ -445,8 +431,8 @@ enum states tankburnerR(enum states cstate, enum states pstate) {
     case t3b2: {
         if (x == 100 && c >= 0 && c <= 15 && !ON && !OFF) {
             if (pstate != cstate) {
-                C1_x = t3b2_init_1(x);
-                C1_c = t3b2_init_2(c);
+                C1_x = x;
+                C1_c = c;
             }
             k = k + 1;
             x_u = t3b2_ode_1(C1_x);
@@ -502,8 +488,8 @@ enum states tankburnerR(enum states cstate, enum states pstate) {
     case t4b1: {
         if (x >= 20 && x <= 100 && c >= 0 && c <= 25 && !ON && !OFF) {
             if (pstate != cstate) {
-                C1_x = t4b1_init_1(x);
-                C1_c = t4b1_init_2(c);
+                C1_x = x;
+                C1_c = c;
             }
             k = k + 1;
             x_u = t4b1_ode_1(d, k, C1_x);
@@ -596,8 +582,8 @@ enum states tankburnerR(enum states cstate, enum states pstate) {
     case t4b2: {
         if (x >= 20 && x <= 100 && c >= 0 && c <= 15 && !ON && !OFF) {
             if (pstate != cstate) {
-                C1_x = t4b2_init_1(x);
-                C1_c = t4b2_init_2(c);
+                C1_x = x;
+                C1_c = c;
             }
             k = k + 1;
             x_u = t4b2_ode_1(d, k, C1_x);

@@ -4,7 +4,6 @@
 
 enum states { t1b1, t1b2, t2b1, t2b2, t3b1, t3b2, t4b1, t4b2 };
 enum states tankburnerR(enum states cstate, enum states pstate);
-extern double d;
 extern long k;
 extern int stuck;
 extern double x;
@@ -13,6 +12,8 @@ extern int ON, ON_out;
 extern int OFF, OFF_out;
 
 static const char *statename[] = { "t1b1", "t1b2", "t2b1", "t2b2", "t3b1", "t3b2", "t4b1", "t4b2" };
+static const int rowkind[] = { 0, 0, 1, 1, 0, 0, 1, 1 };
+static char x_txt[32];
 
 static long *stim_ticks = 0;
 static unsigned long long *stim_masks = 0;
@@ -90,6 +91,7 @@ int main(int argc, char **argv) {
     enum states cstate = t1b1;
     enum states pstate = t1b1;
     long si = 0;
+    snprintf(x_txt, sizeof x_txt, "%.15g", x);
     printf("tick,time,location,x,c,inputs,outputs\n");
     for (long t = 0; t < ticks; t++) {
         enum states next = tankburnerR(cstate, pstate);
@@ -102,6 +104,9 @@ int main(int argc, char **argv) {
             if (ON) fprintf(stderr, "  visible: ON\n");
             if (OFF) fprintf(stderr, "  visible: OFF\n");
             exit(3);
+        }
+        if (k == 0) {
+            snprintf(x_txt, sizeof x_txt, "%.15g", x);
         }
         char ins[15];
         char outs[15];
@@ -119,7 +124,16 @@ int main(int argc, char **argv) {
             off += 3;
         }
         outs[off] = '\0';
-        printf("%ld,%.15g,%s,%.15g,%.15g,%s,%s\n", t, t * d, statename[cstate], x, c, ins, outs);
+        long tf = t % 100;
+        int tp = 2;
+        while (tp && tf % 10 == 0) {
+            tf /= 10;
+            tp--;
+        }
+        switch (rowkind[cstate]) {
+        case 0: printf("%ld,%ld%s%.*ld,%s,%s,%.15g,%s,%s\n", t, t / 100, tp ? "." : "", tp, tf, statename[cstate], x_txt, c, ins, outs); break;
+        case 1: printf("%ld,%ld%s%.*ld,%s,%.15g,%.15g,%s,%s\n", t, t / 100, tp ? "." : "", tp, tf, statename[cstate], x, c, ins, outs); break;
+        }
         unsigned long long mask = 0;
         while (si < stim_n && stim_ticks[si] < t) si++;
         while (si < stim_n && stim_ticks[si] == t) {

@@ -260,6 +260,24 @@ class TestCompile:
             "of 64 (it packs events into a 64-bit stimulus mask)"
         )
 
+    def test_rejected_automaton_leaves_no_files(self, capsys, tmp_path):
+        # the first automaton compiles; the second has too many events
+        names = " ".join(f"E{i}" for i in range(65))
+        model = tmp_path / "mixed.pha"
+        model.write_text(
+            "network mixed\n\nautomaton ok\n  var x init 0\n\n"
+            "  initial location idle\n    invariant x == 0\n    flow x' = 0\n\n"
+            f"automaton much\n  var y init 0\n  input {names}\n\n"
+            "  initial location idle\n    invariant y == 0\n    flow y' = 0\n",
+            encoding="utf-8",
+        )
+        outdir = tmp_path / "c"
+        code, out, err = invoke(capsys, "compile", str(model), "--out", str(outdir))
+        assert code == 2
+        assert "automaton 'much' has 65 events" in err
+        assert out == ""
+        assert not outdir.exists() or list(outdir.glob("*.c")) == []
+
 
 class TestBench:
     def test_reports_throughput_and_sizes(self, capsys, models_dir):

@@ -16,7 +16,9 @@ from syncha.codegen import (
     write_unit,
 )
 from syncha.model import load_model, parse_model
-from syncha.swa import compile_automaton, simulate
+from syncha.swa import UnreachableState, compile_automaton, compose_all, constant_in, simulate
+
+from oracles import fuzz_network
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -228,6 +230,44 @@ class TestDifferential:
         assert proc.returncode == 3
         assert "stuck at tick 6" in proc.stderr
         assert proc.stdout == interpreter_trace_prefix_of_stuck(swa)
+
+
+def product_of(net, delta=Fraction(1, 100)):
+    return compose_all(compile_automaton(ha, delta)[0] for ha in net.automata)
+
+
+@needs_cc
+@pytest.mark.parametrize("model", ["thermostat", "watertank", "traingate"])
+def test_bundled_products_compile_strictly(models_dir, tmp_path, model):
+    unit = emit_c(product_of(load_model(models_dir / f"{model}.pha")))
+    auto_path, main_path = write_unit(unit, tmp_path)
+    cmd = [find_cc(), "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", "-O2",
+           str(auto_path), str(main_path), "-lm", "-o", str(tmp_path / unit.name)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_cc
+@pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 8), Fraction(1, 3)])
+@pytest.mark.parametrize("seed", [42, 157])
+def test_fuzzed_networks_with_held_values_match_the_generic_engine(tmp_path, seed, delta):
+    """Decimal, scaled-decimal and %.15g time fields; rows that print held values."""
+    product = product_of(parse_model(fuzz_network(seed)), delta)
+    assert any(constant_in(s) for s in product.states)
+    stimulus = {t: frozenset({"GO"}) for t in range(7, 400, 23)}
+    csv = tmp_path / "go.csv"
+    csv.write_text("".join(f"{t},GO\n" for t in stimulus))
+    unit = emit_c(product)
+    assert "rowkind" in unit.driver_source
+    proc = binary_trace(unit, tmp_path, ["400", str(csv)])
+    buf = io.StringIO()
+    try:
+        simulate(product, 400, stimulus, out=buf, engine="generic")
+    except UnreachableState:
+        assert proc.returncode == 3
+    else:
+        assert proc.returncode == 0
+    assert proc.stdout == buf.getvalue()
 
 
 def interpreter_trace_prefix_of_stuck(swa):

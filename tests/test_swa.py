@@ -17,12 +17,14 @@ from syncha.swa import (
     compile_automaton,
     compose,
     compose_all,
+    decimal_delta,
     initial_exec_state,
     parse_stimulus,
     run,
     run_compiled,
     simulate,
     tick,
+    time_field,
     trace_header,
 )
 from syncha.shagen import generate_sha
@@ -47,7 +49,7 @@ class TestBuild:
         assert [s.name for s in tank_swa.states] == ["t1", "t2", "t3", "t4"]
         assert tank_swa.initial_state == "t1"
         assert tank_swa.delta == DELTA
-        assert not tank_swa.composed
+        assert tank_swa.parts == ()
         for s in tank_swa.states:
             assert s.self_transition.absent == ("ON", "OFF")
             for tr in s.egress:
@@ -203,6 +205,60 @@ class TestStimulusParsing:
         assert all(r.inputs == () for r in rows)
 
 
+@st.composite
+def decimal_ticks(draw):
+    """A tick length m / 10**j and a tick t with t*m < 10**15, often the largest."""
+    j = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 10**6 - 1))
+    top = (10**15 - 1) // m
+    t = draw(st.one_of(st.just(top), st.integers(0, top)))
+    return Fraction(m, 10**j), t
+
+
+class TestTimeField:
+    """One rule for the time column: exact decimals where `%.15g` would agree."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(decimal_ticks())
+    def test_decimal_ticks_match_printf(self, delta_t):
+        delta, t = delta_t
+        assert decimal_delta(delta) is not None
+        assert time_field(t, delta) == "%.15g" % (t * float(delta))
+
+    @pytest.mark.parametrize(
+        "delta",
+        [Fraction(1, 3), Fraction(1, 7), Fraction(2, 3), Fraction(1, 10**4), Fraction(10**6)],
+    )
+    def test_other_ticks_fall_back_to_printf(self, delta):
+        assert decimal_delta(delta) is None
+        for t in (0, 1, 7, 12345, 10**9 + 3):
+            assert time_field(t, delta) == "%.15g" % (t * float(delta))
+
+    def test_helper_values(self):
+        assert decimal_delta(Fraction(1, 100)) == (1, 2)
+        assert decimal_delta(Fraction(1, 8)) == (125, 3)
+        assert decimal_delta(Fraction(5, 2)) == (25, 1)
+        assert decimal_delta(Fraction(999_999)) == (999_999, 0)
+        assert [time_field(t, Fraction(1, 100)) for t in (0, 5, 10, 100, 105, 110)] == [
+            "0", "0.05", "0.1", "1", "1.05", "1.1",
+        ]
+
+    def test_past_printf_range_the_decimal_stays_exact(self):
+        assert "%.15g" % float(10**15) == "1e+15"
+        assert time_field(10**15, Fraction(1)) == "1000000000000000"
+        assert time_field(10**15 + 1, Fraction(1, 10)) == "100000000000000.1"
+
+    @pytest.mark.parametrize(
+        "delta", [Fraction(1, 100), Fraction(1, 8), Fraction(3, 8), Fraction(2), Fraction(1, 3)]
+    )
+    def test_engines_write_the_same_time_field(self, models_dir, delta):
+        swa = comp(load_model(models_dir / "thermostat.pha"), "thermo", delta)
+        compiled = trace_text(swa, 300, engine="compiled")
+        assert compiled == trace_text(swa, 300, engine="generic")
+        times = [row.split(",")[1] for row in compiled.splitlines()[1:]]
+        assert times == ["%.15g" % (t * float(delta)) for t in range(300)]
+
+
 class TestUnreachable:
     def test_stuck_reports_tick_and_state(self, fixtures_dir):
         net = load_model(fixtures_dir / "stuckling.pha")
@@ -276,13 +332,13 @@ class TestEngines:
 
 
 class TestCompose:
-    def test_product_states_are_row_major(self, watertank_swa):
+    def test_product_states_are_row_major(self, watertank_swa, tank_swa, burner_swa):
         names = [s.name for s in watertank_swa.states]
         assert names == [
             "t1b1", "t1b2", "t2b1", "t2b2", "t3b1", "t3b2", "t4b1", "t4b2",
         ]
         assert watertank_swa.initial_state == "t1b1"
-        assert watertank_swa.composed
+        assert watertank_swa.parts == (tank_swa, burner_swa)
 
     def test_product_interface(self, watertank_swa):
         assert watertank_swa.variables == ("x", "c")
@@ -509,7 +565,7 @@ class TestNetworkRunner:
         left, right = pingpong_swas
         plant = compose_all([burner_swa, compose(left, right)], name="plant")
         assert plant.parts == (burner_swa, left, right)
-        assert not burner_swa.composed and burner_swa.parts == ()
+        assert burner_swa.parts == ()
         assert trace_text(plant, 200, engine="compiled") == trace_text(plant, 200, engine="generic")
 
 
