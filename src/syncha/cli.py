@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands mirror the pipeline stages: ``check`` validates a model,
-``compile`` emits C, ``simulate`` and ``compose-and-simulate`` produce
-traces, and ``bench`` measures throughput.
+``compile`` emits C, and ``simulate`` and ``compose-and-simulate``
+produce traces.
 
 Exit codes: 0 on success, 1 when a model fails validation, 2 for bad
 input (unreadable files, parse errors, unusable flags), 3 when a run
@@ -14,13 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
-import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .codegen import CodegenOptions, build_binary, emit_c, find_cc, write_unit
+from .codegen import CodegenOptions, emit_c, write_unit
 from .model import HybridAutomaton, ModelError, Network, load_model
 from .shagen import IllFormedAutomaton, Sha, generate_sha, sha_to_ir
 from .swa import (
@@ -108,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sim_flags(sp)
     sp.set_defaults(func=_cmd_compose_and_simulate)
-
-    sp = sub.add_parser("bench", help="measure simulation throughput")
-    common(sp)
-    sp.add_argument("--ticks", type=int, default=1000000, help="reactions to time")
-    sp.set_defaults(func=_cmd_bench)
 
     return parser
 
@@ -243,31 +236,6 @@ def _cmd_compose_and_simulate(args) -> int:
     if swa is None:
         return EXIT_CHECK_FAILED
     return _run_trace(swa, args)
-
-
-def _cmd_bench(args) -> int:
-    net = load_model(args.model)
-    swa = _composed(net.automata, args.delta)
-    if swa is None:
-        return EXIT_CHECK_FAILED
-    simulate(swa, 1)  # build and cache the specialised engine up front
-    start = time.perf_counter()
-    simulate(swa, args.ticks)
-    elapsed = time.perf_counter() - start
-    rate = args.ticks / elapsed if elapsed > 0 else float("inf")
-    print(f"{swa.name}: {args.ticks} ticks in {elapsed:.3f}s ({rate:,.0f} ticks/s)")
-    unit = emit_c(swa)
-    source_bytes = len(unit.automaton_source) + len(unit.driver_source)
-    print(f"C source: {source_bytes} bytes in 2 files")
-    cc = find_cc()
-    if cc is None:
-        print("C binary: skipped, no C compiler on PATH")
-        return EXIT_OK
-    with tempfile.TemporaryDirectory() as td:
-        binary = build_binary(unit, td, cc=cc)
-        assert binary is not None
-        print(f"C binary: {binary.stat().st_size} bytes ({cc})")
-    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -2,10 +2,10 @@
 
 Each automaton becomes two translation units:
 
-* ``<name>.c`` holds the state globals, one witness function per state
-  and variable, an entry-constant function where that constant is not
-  the entry value itself, and the reaction function that advances a
-  single tick,
+* ``<name>.c`` holds the state globals, one witness function per
+  location of each part and variable, and the reaction function that
+  advances a single tick: one evolve case per product state, then the
+  parts' switch code printed from `swa.switch_plan`,
 * ``<name>_main.c`` holds a driver that loads an optional stimulus
   table, calls the reaction in a loop and prints the same trace format
   as the Python engines.
@@ -13,7 +13,8 @@ Each automaton becomes two translation units:
 Every arithmetic expression is emitted with exactly the operation shape
 the interpreter uses (same association, same special cases), so the C
 binary and the Python engines compute identical doubles and identical
-``%.15g`` trace rows on the same libm.
+``%.15g`` trace rows on the same libm.  Guards, updates and entry
+constants are printed by the same functions as the Python runner's.
 
 The driver formats a float only where the value is unknown.  Each row is
 one ``printf``.  Its time field is integer arithmetic on the tick index
@@ -31,9 +32,18 @@ import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
-from .expr import Comparison, Constraint, Rational, format_number
+from .expr import Constraint, Rational, format_number
 from .odesolve import WitnessFunction, WitnessKind, resolve_c1
-from .swa import Swa, SwaState, constant_in, decimal_delta
+from .swa import (
+    LocationPlan,
+    Swa,
+    affine_text,
+    c1_text,
+    constant_in,
+    constraint_text,
+    decimal_delta,
+    switch_plan,
+)
 
 _C_KEYWORDS = frozenset(
     """auto break case char const continue default do double else enum extern
@@ -46,8 +56,8 @@ _C_KEYWORDS = frozenset(
 _RESERVED = _C_KEYWORDS | frozenset(
     """main exp fabs printf fprintf snprintf fputs fopen fclose fgets memcpy
     strtol strtod strcmp strncmp strcpy strlen qsort atol atoi exit malloc
-    realloc free stdin stdout stderr errno d k cstate pstate stuck states
-    statename t si off next ticks argc argv ins outs mask stim_ticks
+    realloc free stdin stdout stderr errno d k cstate stuck states
+    statename t si off ticks argc argv ins outs mask stim_ticks
     stim_masks stim_n stim_cap stim_path load_stimulus INFINITY NAN rowkind tf tp""".split()
 )
 
@@ -86,14 +96,8 @@ def c_float(x: float) -> str:
     return repr(x)
 
 
-def _c_comparison(var_expr: str, comp: Comparison) -> str:
-    return f"{var_expr} {comp.op} {c_num(comp.bound)}"
-
-
 def _c_constraint(c: Constraint, name_of) -> str:
-    if not c.conjuncts:
-        return "1"
-    return " && ".join(_c_comparison(name_of(cmp.variable), cmp) for cmp in c.conjuncts)
+    return constraint_text(c, name_of, c_num, " && ", "1")
 
 
 def _c_witness_body(w: WitnessFunction) -> str:
@@ -104,38 +108,6 @@ def _c_witness_body(w: WitnessFunction) -> str:
     if w.x_eq_f == 0.0:
         return f"return C1*exp({c_num(w.a)}*d*k);"
     return f"return {c_num(w.x_eq)} + C1*exp({c_num(w.a)}*d*k);"
-
-
-def _shifted(w: WitnessFunction) -> bool:
-    """Whether the entry constant is the entry value minus an equilibrium."""
-    return w.kind is WitnessKind.EXPONENTIAL and w.x_eq_f != 0.0
-
-
-def _c_refresh(sn: str, n: int, w: WitnessFunction, value: str) -> str:
-    """The entry constant of variable n in state sn, entered at `value`."""
-    return f"{sn}_init_{n}({value})" if _shifted(w) else value
-
-
-def _c_update(expr, name_of) -> str:
-    # mirrors swa._eval_update case for case
-    if expr.a == 0:
-        return c_num(expr.b)
-    val = name_of(expr.variable)
-    if expr.a == 1:
-        term = val
-    elif expr.a == -1:
-        term = f"-{val}"
-    else:
-        term = f"{c_num(expr.a)}*{val}"
-    if expr.b == 0:
-        return term
-    return f"{term} + {c_num(expr.b)}"
-
-
-def _witness_call(sn: str, n: int, wit: WitnessFunction, k_expr: str, c1: str) -> str:
-    if wit.kind is WitnessKind.CONSTANT:
-        return f"{sn}_ode_{n}({c1})"
-    return f"{sn}_ode_{n}(d, {k_expr}, {c1})"
 
 
 @dataclass(frozen=True)
@@ -167,15 +139,14 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
         )
     names = _Names()
     auto = names.claim("auto", swa.name, lambda n: {n, f"{n}R"})
-    nvars = len(swa.variables)
+    var_index = {v: i + 1 for i, v in enumerate(swa.variables)}
+    for p, part in enumerate(swa.parts or (swa,)):
+        for s in part.states:
+            names.claim(
+                f"loc{p}", s.name, lambda n: {f"{n}_ode_{var_index[v]}" for v in part.variables}
+            )
     for s in swa.states:
-        names.claim(
-            "state",
-            s.name,
-            lambda n: {n}
-            | {f"{n}_ode_{i}" for i in range(1, nvars + 1)}
-            | {f"{n}_init_{i}" for i in range(1, nvars + 1)},
-        )
+        names.claim("state", s.name, lambda n: {n})
     for v in swa.variables:
         names.claim("var", v, lambda n: {n, f"{n}_u", f"C1_{n}", f"{n}_txt"})
     for e in swa.events():
@@ -183,16 +154,23 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
 
     reaction = f"{auto}R"
     state_names = tuple(names.of("state", s.name) for s in swa.states)
-    automaton_source = _emit_automaton(swa, names, reaction)
+    automaton_source = _emit_automaton(swa, names, reaction, var_index)
     driver_source = _emit_driver(swa, names, reaction, options)
     return CUnit(auto, automaton_source, driver_source, reaction, state_names)
 
 
-def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
+def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str, int]) -> str:
+    """Globals, one witness function per part location and variable, and the reaction.
+
+    The reaction has one evolve case per product state.  A switch tick
+    then runs one `switch` per part on its location index, printed from
+    the `switch_plan`, and recombines the product state.  A lone
+    automaton's switch code sits in its evolve case instead.
+    """
+    plan = switch_plan(swa)
     cv = lambda v: names.of("var", v)
-    ce = lambda e: names.of("event", e)
     cs = lambda s: names.of("state", s)
-    var_index = {v: i + 1 for i, v in enumerate(swa.variables)}
+    lone = len(plan.parts) == 1
 
     w: list[str] = []
     emit = w.append
@@ -211,185 +189,127 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
         c1 = resolve_c1(initial.witness_for(v), x0)
         emit(f"double C1_{cv(v)} = {c_float(c1)};")
     for e in swa.events():
-        emit(f"int {ce(e)} = 0;")
-        emit(f"int {ce(e)}_out = 0;")
+        emit(f"int {names.of('event', e)} = 0;")
+        emit(f"int {names.of('event', e)}_out = 0;")
+    emit("")
+    for p, locations in enumerate(plan.parts):
+        for loc in locations:
+            for v, wit in loc.witnesses:
+                args = "double C1" if wit.kind is WitnessKind.CONSTANT else "double d, double k, double C1"
+                emit(f"double {names.of(f'loc{p}', loc.name)}_ode_{var_index[v]}({args}) "
+                     f"{{ {_c_witness_body(wit)} }}")
     emit("")
 
-    for s in swa.states:
-        sn = cs(s.name)
-        for v, wit in s.witnesses:
-            n = var_index[v]
-            if wit.kind is WitnessKind.CONSTANT:
-                args = "double C1"
-            else:
-                args = "double d, double k, double C1"
-            emit(f"double {sn}_ode_{n}({args}) {{ {_c_witness_body(wit)} }}")
-            if _shifted(wit):
-                emit(f"double {sn}_init_{n}(double x0) {{ return x0 - {c_num(wit.x_eq)}; }}")
-    emit("")
+    def call(p: int, loc: LocationPlan, v: str, wit: WitnessFunction, k: str) -> str:
+        args = f"C1_{cv(v)}" if wit.kind is WitnessKind.CONSTANT else f"d, {k}, C1_{cv(v)}"
+        return f"{names.of(f'loc{p}', loc.name)}_ode_{var_index[v]}({args})"
 
-    emit(f"enum states {reaction}(enum states cstate, enum states pstate) {{")
-    for v in swa.variables:
-        emit(f"    {cv(v)} = {cv(v)}_u;")
-    emit("    switch (cstate) {")
-    for s in swa.states:
-        emit(f"    case {cs(s.name)}: {{")
-        for line in _emit_state_case(swa, s, names, var_index):
-            emit(f"        {line}" if line else "")
-        emit("        break;")
-        emit("    }")
-    emit("    }")
-    emit("    return cstate;")
-    emit("}")
-    return "\n".join(w) + "\n"
+    def test(*conds: str, present: int = 0, absent: int = 0) -> str:
+        """The event tests, then `conds`, joined; "1" when there are none."""
+        events = [("!" if absent >> i & 1 else "") + names.of("event", e)
+                  for i, e in enumerate(plan.events) if (present | absent) >> i & 1]
+        return " && ".join(events + [c for c in conds if c != "1"]) or "1"
 
+    def fresh(base: str, taken: set[str]) -> str:
+        while base in taken:
+            base += "_"
+        taken.add(base)
+        return base
 
-def _emit_state_case(
-    swa: Swa, s: SwaState, names: _Names, var_index: dict[str, int]
-) -> list[str]:
-    cv = lambda v: names.of("var", v)
-    ce = lambda e: names.of("event", e)
-    cs = lambda st: names.of("state", st)
-    sn = cs(s.name)
-
-    taken: set[str] = set()
-
-    def local(base: str) -> str:
-        name = base
-        while name in names.used or name in taken:
-            name += "_"
-        taken.add(name)
-        return name
-
-    out: list[str] = []
-    emit = out.append
-
-    inv = _c_constraint(s.self_transition.guard, cv)
-    silences = " && ".join(f"!{ce(e)}" for e in s.self_transition.absent)
-    parts = [p for p in ("" if inv == "1" else inv, silences) if p]
-    emit(f"if ({' && '.join(parts) if parts else '1'}) {{")
-    emit("    if (pstate != cstate) {")
-    for v, wit in s.witnesses:
-        emit(f"        C1_{cv(v)} = {_c_refresh(sn, var_index[v], wit, cv(v))};")
-    emit("    }")
-    emit("    k = k + 1;")
-    for v, wit in s.witnesses:
-        call = _witness_call(sn, var_index[v], wit, "k", f"C1_{cv(v)}")
-        emit(f"    {cv(v)}_u = {call};")
-    emit(f"    cstate = {sn};")
-    emit("}")
-    emit("else {")
-
-    inner: list[str] = []
-    put = inner.append
-
-    # previous-tick values, needed for crossing detection
-    prev_needed: list[str] = []
-    for tr in s.egress:
-        for group, sat in zip(tr.guard_groups, tr.saturable):
-            if not sat:
-                continue
-            for var in group.variables():
-                has_nonstrict = any(
-                    c.variable == var and c.op not in ("<", ">") for c in group.conjuncts
-                )
-                if has_nonstrict and var not in prev_needed:
-                    prev_needed.append(var)
-    prev_name: dict[str, str] = {}
-    for var in prev_needed:
-        wit = s.witness_for(var)
-        pn = local(f"{cv(var)}_prev")
-        prev_name[var] = pn
-        call = _witness_call(sn, var_index[var], wit, "k - 1", f"C1_{cv(var)}")
-        put(f"double {pn} = (k >= 1) ? {call} : {cv(var)};")
-
-    # snap candidates: at most one comparison bound per variable can be
-    # adopted, and only when the trajectory crossed it since last tick
-    cand_name: dict[tuple[int, str], str] = {}
-    for ti, tr in enumerate(s.egress):
-        for group, sat in zip(tr.guard_groups, tr.saturable):
-            if not sat:
-                continue
-            for var in group.variables():
-                nonstrict = [
-                    c
-                    for c in group.conjuncts
-                    if c.variable == var and c.op not in ("<", ">")
-                ]
-                if not nonstrict:
-                    continue
-                cn = local(f"{cv(var)}_c{ti}")
-                cand_name[(ti, var)] = cn
-                put(f"double {cn} = {cv(var)};")
-                branch = "if"
-                for c in nonstrict:
+    def switch_code(p: int, loc: LocationPlan, lv: str) -> list[str]:
+        """Part p's switch tick in `loc`; `lv` holds its location index."""
+        taken = set(names.used)
+        out: list[str] = []
+        put = out.append
+        prev = {}
+        for v, wit in loc.prev:
+            prev[v] = fresh(f"{cv(v)}_prev", taken)
+            put(f"double {prev[v]} = (k >= 1) ? {call(p, loc, v, wit, 'k - 1')} : {cv(v)};")
+        # snap candidates: the first failing non-strict bound, if crossed
+        cands = []
+        for i, e in enumerate(loc.edges):
+            cands.append({})
+            for v, comps in e.snaps:
+                x, pv = cv(v), prev[v]
+                cn = cands[-1][v] = fresh(f"{x}_c{i}", taken)
+                put(f"double {cn} = {x};")
+                for n, c in enumerate(comps):
                     b = c_num(c.bound)
-                    pv = prev_name[var]
-                    put(f"{branch} (!({cv(var)} {c.op} {b})) {{")
-                    put(
-                        f"    if (({pv} <= {b} && {b} <= {cv(var)})"
-                        f" || ({cv(var)} <= {b} && {b} <= {pv})) {{"
-                    )
+                    put(f"{'else if' if n else 'if'} (!({x} {c.op} {b})) {{")
+                    put(f"    if (({pv} <= {b} && {b} <= {x}) || ({x} <= {b} && {b} <= {pv})) {{")
                     put(f"        {cn} = {b};")
                     put("    }")
                     put("}")
-                    branch = "else if"
+        for i, (e, cand) in enumerate(zip(loc.edges, cands)):
+            one = " + ".join(f"({cn} != {cv(v)})" for v, cn in cand.items())
+            guard = _c_constraint(e.guard, lambda v: cand.get(v, cv(v)))
+            cond = test(f"({one}) <= 1" if e.exclusive else "1", guard, present=e.present, absent=e.absent)
+            put(f"{'else if' if i else 'if'} ({cond}) {{")
+            for v, cn in cand.items():
+                put(f"    {cv(v)} = {cn};")
+            temps = [(v, fresh(f"{cv(v)}_t{j}", taken), x) for j, (v, x) in enumerate(e.updates)]
+            for v, tn, x in temps:
+                put(f"    double {tn} = {affine_text(x, cv, c_num)};")
+            for v, tn, _ in temps:
+                put(f"    {cv(v)} = {tn};")
+            for v, wit in e.refresh:
+                put(f"    C1_{cv(v)} = {c1_text(wit, cv(v), c_num)};")
+            put(f"    {lv} = {cs(swa.states[e.dst].name) if lone else e.dst};")
+            for n, ev in enumerate(plan.events):
+                if e.emits >> n & 1:
+                    put(f"    {names.of('event', ev)}_out = 1;")
+            put("}")
+        # no enabled edge: frozen if the part can evolve, else stuck
+        evolve = test(_c_constraint(loc.invariant, cv), absent=loc.triggers)
+        frozen = [f"if (!({evolve})) {{", "    stuck = 1;", "    return cstate;", "}"] if evolve != "1" else []
+        frozen += [f"C1_{cv(v)} = {c1_text(wit, cv(v), c_num)};" for v, wit in loc.witnesses]
+        if loc.edges and frozen:
+            return out + ["else {", *(f"    {line}" for line in frozen), "}"]
+        return out + frozen
 
-    branch = "if"
-    for ti, tr in enumerate(s.egress):
-        conds: list[str] = []
-        for e in tr.event.present:
-            conds.append(ce(e))
-        for e in tr.event.absent:
-            conds.append(f"!{ce(e)}")
-        patched = lambda v, _ti=ti: cand_name.get((_ti, v), cv(v))
-        for group, sat in zip(tr.guard_groups, tr.saturable):
-            if sat:
-                snapped = [v for v in group.variables() if (ti, v) in cand_name]
-                if len(snapped) > 1:
-                    count = " + ".join(
-                        f"({cand_name[(ti, v)]} != {cv(v)})" for v in snapped
-                    )
-                    conds.append(f"({count}) <= 1")
-            term = _c_constraint(group, patched)
-            if term != "1":
-                conds.append(term)
-        put(f"{branch} ({' && '.join(conds) if conds else '1'}) {{")
-        for v in swa.variables:
-            if (ti, v) in cand_name:
-                put(f"    {cv(v)} = {cand_name[(ti, v)]};")
-        if tr.updates:
-            temps: list[tuple[str, str]] = []
-            for j, (var, expr) in enumerate(tr.updates):
-                tn = local(f"{cv(var)}_t{j}")
-                temps.append((var, tn))
-                put(f"    double {tn} = {_c_update(expr, cv)};")
-            for var, tn in temps:
-                put(f"    {cv(var)} = {tn};")
-        for v in swa.variables:
-            put(f"    {cv(v)}_u = {cv(v)};")
-        put("    k = 0;")
-        if tr.dst == s.name:
-            # a self loop re-enters the state, so pstate never differs and
-            # the lazy refresh above would keep a stale entry constant
-            for v, wit in s.witnesses:
-                put(f"    C1_{cv(v)} = {_c_refresh(sn, var_index[v], wit, cv(v))};")
-        put(f"    cstate = {cs(tr.dst)};")
-        for e in tr.emits:
-            put(f"    {ce(e)}_out = 1;")
-        put("}")
-        branch = "else if"
-    if s.egress:
-        put("else {")
-        put("    stuck = 1;")
-        put("}")
+    emit(f"enum states {reaction}(enum states cstate) {{")
+    for v in swa.variables:
+        emit(f"    {cv(v)} = {cv(v)}_u;")
+    emit("    switch (cstate) {")
+    for j, s in enumerate(swa.states):
+        emit(f"    case {cs(s.name)}: {{")
+        selft = s.self_transition
+        emit(f"        if ({test(_c_constraint(selft.guard, cv), absent=plan.mask(selft.absent))}) {{")
+        emit("            k = k + 1;")
+        for p, d in enumerate(plan.digits[j]):
+            loc = plan.parts[p][d]
+            for v, wit in loc.witnesses:
+                emit(f"            {cv(v)}_u = {call(p, loc, v, wit, 'k')};")
+        emit("            return cstate;")
+        emit("        }")
+        if lone:
+            w += [f"        {line}" for line in switch_code(0, plan.parts[0][j], "cstate")]
+        emit("        break;")
+        emit("    }")
+    emit("    }")
+    if not lone:
+        lvs = [fresh(f"l{p}", names.used) for p in range(len(plan.parts))]
+        for p, (locations, stride) in enumerate(zip(plan.parts, plan.strides)):
+            digit = "cstate" if stride == 1 else f"cstate / {stride}"
+            emit(f"    int {lvs[p]} = {digit}{f' % {len(locations)}' if p else ''};")
+        for p, locations in enumerate(plan.parts):
+            emit(f"    switch ({lvs[p]}) {{")
+            for d, loc in enumerate(locations):
+                emit(f"    case {d}: {{  /* {loc.name} */")
+                w += [f"        {line}" for line in switch_code(p, loc, lvs[p])]
+                emit("        break;")
+                emit("    }")
+            emit("    }")
+    for v in swa.variables:
+        emit(f"    {cv(v)}_u = {cv(v)};")
+    emit("    k = 0;")
+    if lone:
+        emit("    return cstate;")
     else:
-        put("stuck = 1;")
-
-    for line in inner:
-        emit(f"    {line}" if line else "")
+        index = " + ".join(lv if st == 1 else f"{lv} * {st}" for lv, st in zip(lvs, plan.strides))
+        emit(f"    return (enum states)({index});")
     emit("}")
-    return out
+    return "\n".join(w) + "\n"
 
 
 def _c_time_field(swa: Swa) -> tuple[list[str], str, str]:
@@ -434,11 +354,11 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("#include <string.h>")
     emit("")
     emit(f"enum states {{ {', '.join(cs(s.name) for s in swa.states)} }};")
-    emit(f"enum states {reaction}(enum states cstate, enum states pstate);")
+    emit(f"enum states {reaction}(enum states cstate);")
     emit("extern long k;")
     emit("extern int stuck;")
     for v in swa.variables:
-        emit(f"extern double {cv(v)};")
+        emit(f"extern double {cv(v)}, {cv(v)}_u;")
     for e in events:
         emit(f"extern int {ce(e)}, {ce(e)}_out;")
     emit("")
@@ -536,16 +456,13 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("    if (argc > 2) stim_path = argv[2];")
     emit("    if (stim_path) load_stimulus(stim_path);")
     emit(f"    enum states cstate = {cs(swa.initial_state)};")
-    emit(f"    enum states pstate = {cs(swa.initial_state)};")
     emit("    long si = 0;")
     for v in held:
         emit(f'    snprintf({cv(v)}_txt, sizeof {cv(v)}_txt, "%.15g", {cv(v)});')
     header = ",".join(["tick", "time", "location", *swa.variables, "inputs", "outputs"])
     emit(f'    printf("{header}\\n");')
     emit("    for (long t = 0; t < ticks; t++) {")
-    emit(f"        enum states next = {reaction}(cstate, pstate);")
-    emit("        pstate = cstate;")
-    emit("        cstate = next;")
+    emit(f"        cstate = {reaction}(cstate);")
     emit("        if (stuck) {")
     emit(
         '            fprintf(stderr, "stuck at tick %ld in state %s:'
@@ -553,7 +470,7 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         " t, statename[cstate], k);"
     )
     for v in swa.variables:
-        emit(f'            fprintf(stderr, "  {v} = %.17g\\n", {cv(v)});')
+        emit(f'            fprintf(stderr, "  {v} = %.17g\\n", {cv(v)}_u);')
     for e in events:
         emit(f'            if ({ce(e)}) fprintf(stderr, "  visible: {e}\\n");')
     emit("            exit(3);")

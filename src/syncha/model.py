@@ -940,10 +940,6 @@ def _validate_automaton(
     return diags
 
 
-def variable_owners(network: Network) -> dict[str, str]:
-    return {v: a.name for a in network.automata for v in a.variables}
-
-
 # --- serializer ---------------------------------------------------------------
 
 

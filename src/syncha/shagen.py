@@ -26,7 +26,6 @@ from .odesolve import (
     Monotonicity,
     WitnessFunction,
     classify_monotonicity,
-    resolve_c1,
     solve_ode,
     time_to_reach,
 )
@@ -165,12 +164,6 @@ def generate_sha(ha: HybridAutomaton, delta: Fraction) -> tuple[Sha, list[str]]:
         if a.fairness_warning
     ]
     return Sha(ha, delta, analyses), warnings
-
-
-def initial_c1(sha: Sha, location: str, variable: str) -> float:
-    """Integration constant for entering `location` with the declared init value."""
-    witness = sha.analysis(location).witness_for(variable)
-    return resolve_c1(witness, float(dict(sha.base.init_values)[variable]))
 
 
 def sha_to_ir(sha: Sha) -> dict:

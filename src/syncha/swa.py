@@ -26,30 +26,30 @@ frozen for that tick (its values re-enter as fresh initial values), so
 a product tick never interleaves a half-step with a jump.  The product
 records the automata it was built from as its ``parts``.
 
-Two engines run the same semantics: a readable generic interpreter and
-a specialising one that compiles to straight-line Python.  They produce
-bit-identical traces; the specialised engine exists for very long runs.
-It runs a network from its parts rather than from the product's egress
-list.  Evolution is one test per product state.  A switch is decided
-per part: each part takes the first enabled edge of its own location,
-and a part without one must be able to evolve and is frozen.  Guards and
-updates never read another automaton's variables, so this is the
-transition the product's egress order (joint switches first) picks, in
-code that grows linearly with the parts on the switch path.  The
-specialised engine writes its own trace rows: each branch formats its row
-with one `%` operation on a string built with the code, and a value the
-state holds constant is formatted once per switch, not on every tick.
+`switch_plan` states the switch tick once, for each location of each
+part: the test for freezing, the variables whose previous value
+snapping reads, and each edge's event masks, snap candidates, guard,
+staged updates, destination, emitted events and re-anchored witnesses.
+Guards and updates never read another automaton's variables, so each
+part taking its own first enabled edge, or else being frozen, is the
+transition the product's egress order (joint switches first) picks.
+No engine reads a product's egress list.  Evolution is one test per
+product state.  Two engines run the plan: the generic `tick`
+interprets it, and a specialising engine prints it as straight-line
+Python (`codegen` prints it as C).  They produce bit-identical traces;
+the specialised engine writes its own trace rows, formatting a value
+the state holds constant once per switch, not on every tick.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, TextIO
 
-from .expr import AffineExpr, Constraint, Rational
+from .expr import AffineExpr, Comparison, Constraint, Rational
 from .model import EventExpr, HybridAutomaton
 from .odesolve import WitnessFunction, WitnessKind, resolve_c1
 from .shagen import Sha, generate_sha
@@ -148,6 +148,7 @@ class Swa:
     delta_f: float = field(init=False, repr=False, compare=False)
     _by_name: dict = field(init=False, repr=False, compare=False)
     _hash: int | None = field(init=False, repr=False, compare=False, default=None)
+    _plan: SwitchPlan | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta_f", float(self.delta))
@@ -290,41 +291,111 @@ def initial_exec_state(swa: Swa) -> ExecState:
 # --- one reaction -------------------------------------------------------------
 
 
-def _event_enabled(event: EventExpr, visible: frozenset[str]) -> bool:
-    for e in event.present:
-        if e not in visible:
-            return False
-    for e in event.absent:
-        if e in visible:
-            return False
-    return True
+@dataclass(frozen=True)
+class EdgePlan:
+    """One edge of a location, as a switch tick tests and takes it."""
+
+    present: int  # event mask that must be visible
+    absent: int  # event mask that must be silent
+    snaps: tuple[tuple[str, tuple[Comparison, ...]], ...]  # each variable's non-strict comparisons
+    guard: Constraint
+    updates: tuple[tuple[str, AffineExpr], ...]  # staged: every one reads the snapped values
+    dst: int  # destination location index
+    emits: int  # event mask
+    refresh: tuple[tuple[str, WitnessFunction], ...]  # the destination's witnesses, re-anchored
+
+    @property
+    def exclusive(self) -> bool:  # the guard must check that at most one variable snapped
+        return len(self.snaps) > 1
 
 
-def _candidate(group: Constraint, var: str, cur: float, prev: float) -> float | None:
-    """Snap value for one variable against one guard group, if any.
+@dataclass(frozen=True)
+class LocationPlan:
+    """What one automaton does on a switch tick while it is in one location."""
 
-    Scanning the group's comparisons on this variable in order: holding
-    ones need nothing, strict ones are never snapped onto, and the first
-    failing non-strict one yields its bound when the trajectory crossed
-    it between the previous and the current tick (otherwise no snap can
-    help, so the scan stops).
+    name: str
+    invariant: Constraint  # with `triggers` silent: the part may be frozen
+    triggers: int
+    witnesses: tuple[tuple[str, WitnessFunction], ...]
+    prev: tuple[tuple[str, WitnessFunction], ...]  # previous-tick values that snapping reads
+    edges: tuple[EdgePlan, ...]  # declaration order
+
+
+@dataclass(frozen=True)
+class SwitchPlan:
+    """The location plans of a network's parts, and how they index its states.
+
+    A product state's index is mixed-radix over its parts' location
+    indices, row-major in composition order: ``digits[j]`` holds state
+    j's location indices and ``strides`` their weights.  Bit i of every
+    event mask is ``events[i]``.
     """
-    for comp in group.conjuncts:
-        if comp.variable != var:
-            continue
-        if comp.holds(cur):
-            continue
-        if comp.op in ("<", ">"):
-            continue
-        b = comp.bound_f
-        if (prev <= b <= cur) or (cur <= b <= prev):
-            return b
-        return None
-    return None
+
+    events: tuple[str, ...]
+    parts: tuple[tuple[LocationPlan, ...], ...]
+    strides: tuple[int, ...]
+    digits: tuple[tuple[int, ...], ...]
+    index: Mapping[str, int]  # product state name -> index
+
+    def mask(self, names: Iterable[str]) -> int:
+        return sum({1 << self.events.index(e) for e in names})
+
+
+def switch_plan(swa: Swa) -> SwitchPlan:
+    """The switch plan of an automaton or a network, built from its parts.
+
+    Only non-strict comparisons can snap, so only their variables need a
+    previous-tick value.  Every jump re-anchors the destination's
+    witnesses and every freeze the location's own, at the values it
+    leaves the tick with.  The plan is memoised on `swa`: a cache keyed
+    by an equal but distinct Swa would compare every state on each tick.
+    """
+    if swa._plan is None:
+        object.__setattr__(swa, "_plan", _build_plan(swa))
+    return swa._plan
+
+
+def _build_plan(swa: Swa) -> SwitchPlan:
+    parts = swa.parts or (swa,)
+    sizes = [len(part.states) for part in parts]
+    strides = tuple(math.prod(sizes[p + 1:]) for p in range(len(parts)))
+    digits = tuple(
+        tuple(j // stride % n for n, stride in zip(sizes, strides)) for j in range(len(swa.states))
+    )
+    if math.prod(sizes) != len(swa.states) or any(
+        s.name != "".join(part.states[d].name for part, d in zip(parts, ds))
+        for s, ds in zip(swa.states, digits)
+    ):
+        raise ValueError(f"the states of {swa.name} are not the row-major product of its parts")
+    plan = SwitchPlan(swa.events(), (), strides, digits,
+                      {s.name: j for j, s in enumerate(swa.states)})
+    return replace(plan, parts=tuple(_location_plans(part, plan.mask) for part in parts))
+
+
+def _location_plans(part: Swa, mask: Callable[[Iterable[str]], int]) -> tuple[LocationPlan, ...]:
+    index = {s.name: j for j, s in enumerate(part.states)}
+    plans = []
+    for s in part.states:
+        edges = []
+        for tr in s.egress:
+            (guard,) = tr.guard_groups  # a lowered automaton: one group, which may snap
+            snaps: dict[str, tuple[Comparison, ...]] = {}
+            for c in guard.conjuncts:
+                if c.op not in ("<", ">"):
+                    snaps[c.variable] = snaps.get(c.variable, ()) + (c,)
+            edges.append(EdgePlan(
+                mask(tr.event.present), mask(tr.event.absent), tuple(snaps.items()), guard, tr.updates,
+                index[tr.dst], mask(tr.emits), part.state(tr.dst).witnesses,
+            ))
+        prev = _dedup(var for e in edges for var, _ in e.snaps)
+        plans.append(LocationPlan(
+            s.name, s.self_transition.guard, mask(s.self_transition.absent), s.witnesses,
+            tuple((var, s.witness_for(var)) for var in prev), tuple(edges),
+        ))
+    return tuple(plans)
 
 
 def _eval_update(expr: AffineExpr, valuation: Mapping[str, float]) -> float:
-    # mirrored case for case by the emitted C, keep the shapes in sync
     if expr.a == 0:
         return expr.b_f
     val = valuation[expr.variable]
@@ -337,6 +408,35 @@ def _eval_update(expr: AffineExpr, valuation: Mapping[str, float]) -> float:
     if expr.b == 0:
         return term
     return term + expr.b_f
+
+
+def _take_edge(loc: LocationPlan, v: dict[str, float], st: ExecState, vis: int,
+               delta_f: float) -> EdgePlan | None:
+    """Take `loc`'s first enabled edge, patching the values `v` in place."""
+    prev = {
+        var: w.value_at_tick(resolve_c1(w, st.i[var]), st.k - 1, delta_f) if st.k >= 1 else v[var]
+        for var, w in loc.prev
+    }
+    for e in loc.edges:
+        if vis & e.present != e.present or vis & e.absent:
+            continue
+        snapped = {}
+        for var, comps in e.snaps:
+            # the first failing bound, if the value crossed it since the last tick
+            cur, before = v[var], prev[var]
+            b = next((c.bound_f for c in comps if not c.holds(cur)), None)
+            if b is not None and (before <= b <= cur or cur <= b <= before):
+                snapped[var] = b
+        if len(snapped) > 1:
+            continue
+        patched = {**v, **snapped} if snapped else v
+        if not e.guard.holds(patched):
+            continue
+        staged = [(var, _eval_update(expr, patched)) for var, expr in e.updates]
+        v.update(snapped)
+        v.update(staged)
+        return e
+    return None
 
 
 def tick(
@@ -361,63 +461,26 @@ def tick(
             var: w.value_at_tick(resolve_c1(w, st.i[var]), k_new, delta_f)
             for var, w in state.witnesses
         }
-        nxt = ExecState(
-            location=st.location,
-            v=new_v,
-            i=st.i,
-            k=k_new,
-            prev_location=st.location,
-            pending_pre=inputs,
-        )
-        return nxt, frozenset()
+        return ExecState(st.location, new_v, st.i, k_new, st.location, inputs), frozenset()
 
-    prev_vals = {
-        var: (
-            w.value_at_tick(resolve_c1(w, st.i[var]), st.k - 1, delta_f)
-            if st.k >= 1
-            else committed[var]
-        )
-        for var, w in state.witnesses
-    }
-    for tr in state.egress:
-        if not _event_enabled(tr.event, visible):
-            continue
-        patched = dict(committed)
-        feasible = True
-        for group, sat in zip(tr.guard_groups, tr.saturable):
-            if not sat:
-                continue
-            snaps: dict[str, float] = {}
-            for var in group.variables():
-                c = _candidate(group, var, committed[var], prev_vals[var])
-                if c is not None:
-                    snaps[var] = c
-            if len(snaps) > 1:
-                feasible = False
-                break
-            patched.update(snaps)
-        if not feasible:
-            continue
-        if not all(g.holds(patched) for g in tr.guard_groups):
-            continue
-        post = patched
-        if tr.updates:
-            staged = [(var, _eval_update(expr, patched)) for var, expr in tr.updates]
-            post = dict(patched)
-            for var, val in staged:
-                post[var] = val
-        emitted = frozenset(tr.emits)
-        nxt = ExecState(
-            location=tr.dst,
-            v=post,
-            i=post,
-            k=0,
-            prev_location=st.location,
-            pending_pre=inputs | emitted,
-        )
-        return nxt, emitted
-
-    raise UnreachableState(swa.name, st.location, committed, st.k, visible)
+    # Each part takes its first enabled edge, or must be able to evolve
+    # and is frozen.  Every part re-enters a location, so the new entry
+    # values are all the post values.
+    plan = switch_plan(swa)
+    vis = plan.mask(visible.intersection(plan.events))
+    post = dict(committed)
+    index = emits = 0
+    for locations, stride, d in zip(plan.parts, plan.strides, plan.digits[plan.index[st.location]]):
+        loc = locations[d]
+        edge = _take_edge(loc, post, st, vis, delta_f)
+        if edge is not None:
+            d = edge.dst
+            emits |= edge.emits
+        elif vis & loc.triggers or not loc.invariant.holds(committed):
+            raise UnreachableState(swa.name, st.location, committed, st.k, visible)
+        index += d * stride
+    emitted = frozenset(e for i, e in enumerate(plan.events) if emits >> i & 1)
+    return ExecState(swa.states[index].name, post, post, 0, st.location, inputs | emitted), emitted
 
 
 # --- parallel composition -----------------------------------------------------
@@ -696,16 +759,37 @@ def run(
 # --- specialising engine ------------------------------------------------------
 
 
-def _py_comparison(var_expr: str, op: str, bound: float) -> str:
-    return f"{var_expr} {op} {bound!r}"
+def _py_num(q: Rational) -> str:
+    return repr(float(q))
 
 
-def _py_constraint(c: Constraint, name_of: Callable[[str], str]) -> str:
-    if not c.conjuncts:
-        return "True"
-    return " and ".join(
-        _py_comparison(name_of(cmp.variable), cmp.op, cmp.bound_f) for cmp in c.conjuncts
-    )
+def constraint_text(c: Constraint, name_of: Callable[[str], str], num: Callable[[Rational], str],
+                    conj: str = " and ", true: str = "True") -> str:
+    """`c` as source text: its comparisons joined by `conj`, `true` when it has none."""
+    return conj.join(f"{name_of(x.variable)} {x.op} {num(x.bound)}" for x in c.conjuncts) or true
+
+
+def affine_text(expr: AffineExpr, name_of: Callable[[str], str], num: Callable[[Rational], str]) -> str:
+    """`expr` as source text, in the float shape `_eval_update` computes."""
+    if expr.a == 0:
+        return num(expr.b)
+    val = name_of(expr.variable)
+    if expr.a == 1:
+        term = val
+    elif expr.a == -1:
+        term = f"-{val}"
+    else:
+        term = f"{num(expr.a)} * {val}"
+    if expr.b == 0:
+        return term
+    return f"{term} + {num(expr.b)}"
+
+
+def c1_text(w: WitnessFunction, value: str, num: Callable[[Rational], str]) -> str:
+    """The entry constant of witness `w` entered at `value`, as `resolve_c1` computes it."""
+    if w.kind is WitnessKind.EXPONENTIAL and w.x_eq_f != 0.0:
+        return f"{value} - {num(w.x_eq)}"
+    return value
 
 
 def _py_witness(w: WitnessFunction, c1: str, k: str, delta_f: float) -> str:
@@ -719,37 +803,11 @@ def _py_witness(w: WitnessFunction, c1: str, k: str, delta_f: float) -> str:
     return f"{w.x_eq_f!r} + {c1} * _exp({w.a_f * delta_f!r} * {k})"
 
 
-def _py_c1(w: WitnessFunction, post: str) -> str:
-    if w.kind is WitnessKind.EXPONENTIAL and w.x_eq_f != 0.0:
-        return f"{post} - {w.x_eq_f!r}"
-    return post
-
-
-def _py_update(expr: AffineExpr, name_of: Callable[[str], str]) -> str:
-    # mirrors _eval_update case for case
-    if expr.a == 0:
-        return repr(expr.b_f)
-    val = name_of(expr.variable)
-    if expr.a == 1:
-        term = val
-    elif expr.a == -1:
-        term = f"-{val}"
-    else:
-        term = f"{expr.a_f!r} * {val}"
-    if expr.b == 0:
-        return term
-    return f"{term} + {expr.b_f!r}"
-
-
-def _py_can_evolve(state: SwaState, mask: Callable[[Iterable[str]], int]) -> list[str]:
+def _py_can_evolve(invariant: Constraint, triggers: int) -> list[str]:
     """Conditions for an evolution step: trigger silence, then the invariant."""
-    conds = []
-    absent_mask = mask(state.self_transition.absent)
-    if absent_mask:
-        conds.append(f"(_vis & {absent_mask}) == 0")
-    inv = _py_constraint(state.self_transition.guard, lambda v: f"v_{v}")
-    if inv != "True":
-        conds.append(inv)
+    conds = [f"(_vis & {triggers}) == 0"] if triggers else []
+    if invariant.conjuncts:
+        conds.append(constraint_text(invariant, lambda v: f"v_{v}", _py_num))
     return conds
 
 
@@ -762,46 +820,19 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     """Generate the specialised tick loop for an automaton or a network.
 
     Evolution is one test per product state (trigger silence and the
-    conjoined invariant), followed by every witness step.  Switching is
-    decided per part, in code linear in the parts: each part takes the
-    first enabled edge of its own location; a part with none must be
-    able to evolve and is frozen; at least one part must jump.  Guards
-    and updates never read another automaton's variables, so this is
-    the transition the product's egress order (joint switches first,
-    then one side with the rest frozen) would pick.
+    conjoined invariant), followed by every witness step.  A switch tick
+    is printed from the `switch_plan`, part by part: each part takes the
+    first enabled edge of its location ``_l<p>``, or must be able to
+    evolve and is frozen, or the run is stuck.  The product state is
+    then recombined from the ``_l<p>``.
 
     With ``trace`` every branch writes its row with one %-format.  The
     time field is integer arithmetic when `decimal_delta` allows it.  A
     variable its state holds constant is printed from the string
     ``f_<var>``, formatted at set-up and after every switch.
     """
-    parts = swa.parts or (swa,)
-    events = swa.events()
-    bit = {e: 1 << idx for idx, e in enumerate(events)}
+    plan = switch_plan(swa)
     init = dict(swa.init_values)
-
-    def mask(names: Iterable[str]) -> int:
-        m = 0
-        for n in names:
-            m |= bit[n]
-        return m
-
-    # a product state's index is mixed-radix over its parts' location
-    # indices, row-major in composition order
-    strides: list[int] = []
-    size = 1
-    for part in reversed(parts):
-        strides.insert(0, size)
-        size *= len(part.states)
-    digits = [
-        [j // stride % len(part.states) for part, stride in zip(parts, strides)]
-        for j in range(len(swa.states))
-    ]
-    if size != len(swa.states) or any(
-        s.name != "".join(part.states[d].name for part, d in zip(parts, ds))
-        for s, ds in zip(swa.states, digits)
-    ):
-        raise ValueError(f"the states of {swa.name} are not the row-major product of its parts")
     tail = "," if swa.variables else ""
     us = ", ".join(f"u_{var}" for var in swa.variables)
     stuck = f"_mk_stuck(_loc, ({us}{tail}), _k, _vis, _t)"
@@ -844,9 +875,9 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         if dec is not None and dec[1]:
             emit(f"    _suf = _SUFFIXES({dec[1]})")
         if swa.inputs:
-            emit(f"    _ins = _MaskNames({tuple((e, bit[e]) for e in swa.inputs)!r})")
+            emit(f"    _ins = _MaskNames({tuple((e, plan.mask((e,))) for e in swa.inputs)!r})")
         if swa.outputs:
-            emit(f"    _outs = _MaskNames({tuple((e, bit[e]) for e in swa.outputs)!r})")
+            emit(f"    _outs = _MaskNames({tuple((e, plan.mask((e,))) for e in swa.outputs)!r})")
     for var, wit in swa.state(swa.initial_state).witnesses:
         x0 = float(init[var])
         emit(f"    v_{var} = {x0!r}")
@@ -855,10 +886,10 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         emit(f"    c1_{var} = {resolve_c1(wit, x0)!r}")
         if var in held:
             emit(f"    f_{var} = {_fmt(x0)!r}")
-    start = [st.name for st in swa.states].index(swa.initial_state)
+    start = plan.index[swa.initial_state]
     emit(f"    _loc = {start}")
     emit(f"    _prev = {start}")
-    for p, d in enumerate(digits[start]):
+    for p, d in enumerate(plan.digits[start]):
         emit(f"    _l{p} = {d}")
     emit("    _k = 0")
     emit("    _pend = 0")
@@ -873,7 +904,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("        _emit = 0")
 
     for idx, s in enumerate(swa.states):
-        conds = [f"_loc == {idx}", *_py_can_evolve(s, mask)]
+        selft = s.self_transition
+        conds = [f"_loc == {idx}", *_py_can_evolve(selft.guard, plan.mask(selft.absent))]
         emit(f"        {'if' if idx == 0 else 'elif'} {' and '.join(conds)}:  # {s.name}")
         emit("            _k += 1")
         for var, wit in s.witnesses:
@@ -883,19 +915,18 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         if trace:
             emit(f"            {write_row(s)}")
 
-    # Switching.  Some part cannot evolve, so it either jumps or the
-    # network is stuck: at least one part jumps.  u_* keep the committed
-    # values until every part has decided.
+    # Switching.  u_* keep the committed values until every part has
+    # decided, for the stuck report.
     emit("        else:")
-    for p, part in enumerate(parts):
-        for line in _py_part_switch(part, p, mask, stuck, swa.delta_f):
+    for p, locations in enumerate(plan.parts):
+        for line in _py_switch(locations, p, stuck, swa.delta_f):
             emit(f"            {line}")
     for var in swa.variables:
         emit(f"            u_{var} = v_{var}")
     emit("            _k = 0")
     emit("            _prev = _loc")
     index = " + ".join(
-        f"_l{p} * {stride}" if stride != 1 else f"_l{p}" for p, stride in enumerate(strides)
+        f"_l{p} * {stride}" if stride != 1 else f"_l{p}" for p, stride in enumerate(plan.strides)
     )
     emit(f"            _loc = {index}")
     if trace:
@@ -915,109 +946,70 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     return "\n".join(w) + "\n"
 
 
-def _py_part_switch(
-    part: Swa, p: int, mask: Callable[[Iterable[str]], int], stuck: str, delta_f: float
-) -> list[str]:
-    """Switch-tick code for one part, whose location index is `_l<p>`.
+def _py_switch(locations: tuple[LocationPlan, ...], p: int, stuck: str, delta_f: float) -> list[str]:
+    """Switch-tick code for part p, whose location index is `_l<p>`.
 
-    The part's first enabled edge patches its `v_*` in place and moves
-    `_l<p>`; without one, the part must be able to evolve and restarts
-    its witnesses from the held values, or the network is stuck.
+    The first enabled edge patches the part's `v_*` in place and moves
+    `_l<p>`; `_f` records that one was taken.
     """
-    loc_idx = {s.name: idx for idx, s in enumerate(part.states)}
     w: list[str] = []
     emit = w.append
 
-    def reenter(state: SwaState, indent: str) -> None:
-        for var, wit in state.witnesses:
+    def reenter(witnesses: tuple[tuple[str, WitnessFunction], ...], indent: str) -> None:
+        for var, wit in witnesses:
             emit(f"{indent}i_{var} = v_{var}")
-            emit(f"{indent}c1_{var} = {_py_c1(wit, f'v_{var}')}")
+            emit(f"{indent}c1_{var} = {c1_text(wit, f'v_{var}', _py_num)}")
 
-    for idx, s in enumerate(part.states):
-        emit(f"{'if' if idx == 0 else 'elif'} _l{p} == {idx}:  # {s.name}")
-        # previous-tick values, needed for crossing detection
-        prev_needed = _dedup(
-            var
-            for tr in s.egress
-            for group, sat in zip(tr.guard_groups, tr.saturable)
-            if sat
-            for var in group.variables()
-        )
-        for var in prev_needed:
-            prev_expr = _py_witness(s.witness_for(var), f"c1_{var}", "(_k - 1)", delta_f)
+    for idx, loc in enumerate(locations):
+        emit(f"{'if' if idx == 0 else 'elif'} _l{p} == {idx}:  # {loc.name}")
+        for var, wit in loc.prev:
+            prev_expr = _py_witness(wit, f"c1_{var}", "(_k - 1)", delta_f)
             emit(f"    p_{var} = ({prev_expr}) if _k >= 1 else v_{var}")
-        if s.egress:
+        if loc.edges:
             emit("    _f = False")
-        for n, tr in enumerate(s.egress):
+        for n, e in enumerate(loc.edges):
             lit = ["not _f"] if n else []
-            pm = mask(tr.event.present)
-            am = mask(tr.event.absent)
-            if pm:
-                lit.append(f"(_vis & {pm}) == {pm}")
-            if am:
-                lit.append(f"(_vis & {am}) == 0")
-            label = str(tr.event) if not tr.event.is_trivial() else "true"
-            emit(f"    # -> {tr.dst} on {label}")
-            emit(f"    if {' and '.join(lit) if lit else 'True'}:")
-            snap_vars: list[str] = []
-            guard_terms: list[str] = []
-            alt_terms: list[str] = []
-            for group, sat in zip(tr.guard_groups, tr.saturable):
-                gvars = group.variables() if sat else ()
-                for var in gvars:
-                    nonstrict = [
-                        c
-                        for c in group.conjuncts
-                        if c.variable == var and c.op not in ("<", ">")
-                    ]
-                    if not nonstrict:
-                        continue
-                    snap_vars.append(var)
-                    emit(f"        s_{var} = v_{var}")
-                    branch = "if"
-                    for c in nonstrict:
-                        emit(f"        {branch} not (v_{var} {c.op} {c.bound_f!r}):")
-                        b = repr(c.bound_f)
-                        emit(
-                            f"            if (p_{var} <= {b} and {b} <= v_{var})"
-                            f" or (v_{var} <= {b} and {b} <= p_{var}):"
-                        )
-                        emit(f"                s_{var} = {b}")
-                        branch = "elif"
-                if len([v for v in gvars if v in snap_vars]) > 1:
-                    alt_terms.append(
-                        "("
-                        + " + ".join(f"(s_{v} != v_{v})" for v in gvars if v in snap_vars)
-                        + ") <= 1"
-                    )
-                name_of = lambda v: f"s_{v}" if v in snap_vars else f"v_{v}"
-                term = _py_constraint(group, name_of)
-                if term != "True":
-                    guard_terms.append(term)
-            cond = " and ".join(alt_terms + guard_terms) if (alt_terms or guard_terms) else "True"
-            emit(f"        if {cond}:")
-            for var in snap_vars:
+            if e.present:
+                lit.append(f"(_vis & {e.present}) == {e.present}")
+            if e.absent:
+                lit.append(f"(_vis & {e.absent}) == 0")
+            emit(f"    if {' and '.join(lit) or 'True'}:")
+            for var, comps in e.snaps:
+                emit(f"        s_{var} = v_{var}")
+                for i, c in enumerate(comps):
+                    b = _py_num(c.bound)
+                    emit(f"        {'elif' if i else 'if'} not (v_{var} {c.op} {b}):")
+                    emit(f"            if (p_{var} <= {b} and {b} <= v_{var})"
+                         f" or (v_{var} <= {b} and {b} <= p_{var}):")
+                    emit(f"                s_{var} = {b}")
+            snapped = [var for var, _ in e.snaps]
+            conds = [f"({' + '.join(f'(s_{v} != v_{v})' for v in snapped)}) <= 1"] if e.exclusive else []
+            if e.guard.conjuncts:
+                conds.append(constraint_text(
+                    e.guard, lambda v: f"s_{v}" if v in snapped else f"v_{v}", _py_num))
+            emit(f"        if {' and '.join(conds) or 'True'}:")
+            for var in snapped:
                 emit(f"            v_{var} = s_{var}")
-            for j, (var, expr) in enumerate(tr.updates):
-                emit(f"            t_{j} = {_py_update(expr, lambda v: f'v_{v}')}")
-            for j, (var, _) in enumerate(tr.updates):
+            for j, (var, expr) in enumerate(e.updates):
+                emit(f"            t_{j} = {affine_text(expr, lambda v: f'v_{v}', _py_num)}")
+            for j, (var, _) in enumerate(e.updates):
                 emit(f"            v_{var} = t_{j}")
-            reenter(part.state(tr.dst), "            ")
-            emit(f"            _l{p} = {loc_idx[tr.dst]}")
-            if tr.emits:
-                emit(f"            _emit |= {mask(tr.emits)}")
+            reenter(e.refresh, "            ")
+            emit(f"            _l{p} = {e.dst}")
+            if e.emits:
+                emit(f"            _emit |= {e.emits}")
             emit("            _f = True")
         # no enabled edge: the part is frozen for this tick if it can evolve
         indent = "    "
-        if s.egress:
+        if loc.edges:
             emit("    if not _f:")
             indent = "        "
-        conds = _py_can_evolve(s, mask)
+        conds = _py_can_evolve(loc.invariant, loc.triggers)
         if conds:
             emit(f"{indent}if not ({' and '.join(conds)}):")
             emit(f"{indent}    raise {stuck}")
-        reenter(s, indent)
-        if not conds and not s.witnesses:
+        reenter(loc.witnesses, indent)
+        if not conds and not loc.witnesses:
             emit(f"{indent}pass")
     return w
 

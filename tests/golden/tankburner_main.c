@@ -3,11 +3,11 @@
 #include <string.h>
 
 enum states { t1b1, t1b2, t2b1, t2b2, t3b1, t3b2, t4b1, t4b2 };
-enum states tankburnerR(enum states cstate, enum states pstate);
+enum states tankburnerR(enum states cstate);
 extern long k;
 extern int stuck;
-extern double x;
-extern double c;
+extern double x, x_u;
+extern double c, c_u;
 extern int ON, ON_out;
 extern int OFF, OFF_out;
 
@@ -89,18 +89,15 @@ int main(int argc, char **argv) {
     if (argc > 2) stim_path = argv[2];
     if (stim_path) load_stimulus(stim_path);
     enum states cstate = t1b1;
-    enum states pstate = t1b1;
     long si = 0;
     snprintf(x_txt, sizeof x_txt, "%.15g", x);
     printf("tick,time,location,x,c,inputs,outputs\n");
     for (long t = 0; t < ticks; t++) {
-        enum states next = tankburnerR(cstate, pstate);
-        pstate = cstate;
-        cstate = next;
+        cstate = tankburnerR(cstate);
         if (stuck) {
             fprintf(stderr, "stuck at tick %ld in state %s: no evolution step and no enabled transition (k = %ld)\n", t, statename[cstate], k);
-            fprintf(stderr, "  x = %.17g\n", x);
-            fprintf(stderr, "  c = %.17g\n", c);
+            fprintf(stderr, "  x = %.17g\n", x_u);
+            fprintf(stderr, "  c = %.17g\n", c_u);
             if (ON) fprintf(stderr, "  visible: ON\n");
             if (OFF) fprintf(stderr, "  visible: OFF\n");
             exit(3);

@@ -1,21 +1,22 @@
 """Independent reference implementations used to cross-check the package.
 
 The oracles recompute their answers from first principles (numerical
-integration, dense sampling, direct transcription of the product loops),
-reusing only the package's plain data types and single-automaton
-stepping primitives.
+integration, dense sampling, direct transcription of the product loops,
+a scan of the product's egress list), reusing only the package's plain
+data types, witnesses and update arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from syncha.model import HybridAutomaton
+from syncha.expr import Constraint
+from syncha.model import EventExpr, HybridAutomaton
 from syncha.odesolve import resolve_c1
-from syncha.swa import ExecState, Swa, initial_exec_state
-from syncha.swa import _candidate, _eval_update, _event_enabled
+from syncha.swa import ExecState, Swa, UnreachableState, format_trace_row, initial_exec_state
+from syncha.swa import trace_header, _eval_update
 
 # --- numerical integration ----------------------------------------------------
 
@@ -167,6 +168,39 @@ class CosimRow:
     emitted: frozenset[str]
 
 
+def _event_enabled(event: EventExpr, visible: frozenset[str]) -> bool:
+    for e in event.present:
+        if e not in visible:
+            return False
+    for e in event.absent:
+        if e in visible:
+            return False
+    return True
+
+
+def _candidate(group: Constraint, var: str, cur: float, prev: float) -> float | None:
+    """Snap value for one variable against one guard group, if any.
+
+    Scanning the group's comparisons on this variable in order: holding
+    ones need nothing, strict ones are never snapped onto, and the first
+    failing non-strict one yields its bound when the trajectory crossed
+    it between the previous and the current tick (otherwise no snap can
+    help, so the scan stops).
+    """
+    for comp in group.conjuncts:
+        if comp.variable != var:
+            continue
+        if comp.holds(cur):
+            continue
+        if comp.op in ("<", ">"):
+            continue
+        b = comp.bound_f
+        if (prev <= b <= cur) or (cur <= b <= prev):
+            return b
+        return None
+    return None
+
+
 def _first_jump(swa: Swa, st: ExecState, visible: frozenset[str]):
     """First enabled egress of one component, or None.
 
@@ -299,6 +333,44 @@ def cosimulate(
         extra = (frozenset(supplied) & known) if supplied else frozenset()
         pend = extra | emitted
     return rows
+
+
+# --- the product, stepped through its egress list -----------------------------
+
+
+def product_tick(swa: Swa, st: ExecState, inputs: frozenset[str] = frozenset()):
+    """One reaction of a product as its egress list defines it: evolve when
+    every part can, else take the first enabled product transition."""
+    visible = st.pending_pre
+    if _can_evolve(swa, st, visible):
+        return replace(_evolved(swa, st), pending_pre=inputs), frozenset()
+    jump = _first_jump(swa, st, visible)
+    if jump is None:
+        raise UnreachableState(swa.name, st.location, st.v, st.k, visible)
+    nxt, emitted = jump
+    return replace(nxt, pending_pre=inputs | emitted), emitted
+
+
+def product_run(swa: Swa, ticks: int, stimulus=None, out=None) -> ExecState:
+    """`swa.run` on `product_tick`: the same trace rows and stuck report."""
+    stimulus = stimulus or {}
+    known = frozenset(swa.events())
+    st = initial_exec_state(swa)
+    if out is not None:
+        out.write(trace_header(swa) + "\n")
+    for t in range(ticks):
+        inputs = frozenset(stimulus.get(t, ())) & known
+        prev = st
+        try:
+            st, emitted = product_tick(swa, prev, inputs)
+        except UnreachableState as exc:
+            exc.tick = t
+            raise
+        if out is not None:
+            observed = st.v if st.k == 0 else prev.v
+            values = (observed[var] for var in swa.variables)
+            out.write(format_trace_row(swa, t, st.location, values, prev.pending_pre, emitted) + "\n")
+    return st
 
 
 # --- trace handling ------------------------------------------------------------

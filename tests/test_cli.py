@@ -277,17 +277,3 @@ class TestCompile:
         assert "automaton 'much' has 65 events" in err
         assert out == ""
         assert not outdir.exists() or list(outdir.glob("*.c")) == []
-
-
-class TestBench:
-    def test_reports_throughput_and_sizes(self, capsys, models_dir):
-        code, out, err = invoke(
-            capsys,
-            "bench", str(models_dir / "thermostat.pha"), "--ticks", "2000",
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("thermo: 2000 ticks in ")
-        assert "ticks/s" in lines[0]
-        assert lines[1].startswith("C source: ")
-        assert lines[2].startswith("C binary: ")

@@ -18,7 +18,7 @@ from syncha.codegen import (
 from syncha.model import load_model, parse_model
 from syncha.swa import UnreachableState, compile_automaton, compose_all, constant_in, simulate
 
-from oracles import fuzz_network
+from oracles import fuzz_network, product_run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -237,9 +237,14 @@ def product_of(net, delta=Fraction(1, 100)):
 
 
 @needs_cc
-@pytest.mark.parametrize("model", ["thermostat", "watertank", "traingate"])
+@pytest.mark.parametrize("model", ["thermostat", "watertank", "traingate", "fuzz42"])
 def test_bundled_products_compile_strictly(models_dir, tmp_path, model):
-    unit = emit_c(product_of(load_model(models_dir / f"{model}.pha")))
+    """Each bundled product, and a fuzzed network whose parts hold values."""
+    if model == "fuzz42":
+        net = parse_model(fuzz_network(42))
+    else:
+        net = load_model(models_dir / f"{model}.pha")
+    unit = emit_c(product_of(net))
     auto_path, main_path = write_unit(unit, tmp_path)
     cmd = [find_cc(), "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", "-O2",
            str(auto_path), str(main_path), "-lm", "-o", str(tmp_path / unit.name)]
@@ -249,7 +254,7 @@ def test_bundled_products_compile_strictly(models_dir, tmp_path, model):
 
 @needs_cc
 @pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 8), Fraction(1, 3)])
-@pytest.mark.parametrize("seed", [42, 157])
+@pytest.mark.parametrize("seed", [42, 157, 36, 6])
 def test_fuzzed_networks_with_held_values_match_the_generic_engine(tmp_path, seed, delta):
     """Decimal, scaled-decimal and %.15g time fields; rows that print held values."""
     product = product_of(parse_model(fuzz_network(seed)), delta)
@@ -260,14 +265,18 @@ def test_fuzzed_networks_with_held_values_match_the_generic_engine(tmp_path, see
     unit = emit_c(product)
     assert "rowkind" in unit.driver_source
     proc = binary_trace(unit, tmp_path, ["400", str(csv)])
-    buf = io.StringIO()
+    buf, oracle = io.StringIO(), io.StringIO()
     try:
         simulate(product, 400, stimulus, out=buf, engine="generic")
     except UnreachableState:
         assert proc.returncode == 3
+        with pytest.raises(UnreachableState):
+            product_run(product, 400, stimulus, out=oracle)
     else:
         assert proc.returncode == 0
+        product_run(product, 400, stimulus, out=oracle)
     assert proc.stdout == buf.getvalue()
+    assert oracle.getvalue() == buf.getvalue()
 
 
 def interpreter_trace_prefix_of_stuck(swa):

@@ -10,7 +10,6 @@ from syncha.model import (
     load_model,
     parse_model,
     validate_references,
-    variable_owners,
 )
 
 
@@ -196,9 +195,6 @@ automaton other
         diags = exc_info.value.diagnostics
         assert [d.code for d in diags] == ["UNKNOWN_VARIABLE", "UNKNOWN_LOCATION"]
         assert diags[0].line < diags[1].line
-
-    def test_variable_owners(self, watertank_net):
-        assert variable_owners(watertank_net) == {"x": "tank", "c": "burner"}
 
 
 class TestSerialization:

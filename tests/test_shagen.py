@@ -10,7 +10,6 @@ from syncha.odesolve import Monotonicity, WitnessKind, solve_ode
 from syncha.shagen import (
     _variable_dwell,
     generate_sha,
-    initial_c1,
     sha_to_ir,
 )
 
@@ -79,12 +78,6 @@ class TestWatertankAnalysis:
         assert sha.analysis("b1").nsteps == 2500
         assert sha.analysis("b2").worst_case_time == pytest.approx(15.0)
         assert sha.analysis("b2").nsteps == 1500
-
-    def test_initial_c1(self, tank_sha):
-        sha, _ = tank_sha
-        assert initial_c1(sha, "t1", "x") == 20.0
-        assert initial_c1(sha, "t2", "x") == -130.0
-        assert initial_c1(sha, "t4", "x") == 20.0
 
 
 class TestOtherModels:

@@ -1,11 +1,14 @@
 import io
 import math
+import re
+import subprocess
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncha.codegen import build_binary, emit_c, find_cc
 from syncha.expr import AffineExpr
 from syncha.model import load_model, parse_model
 from syncha.swa import (
@@ -28,7 +31,7 @@ from syncha.swa import (
     trace_header,
 )
 from syncha.shagen import generate_sha
-from oracles import fuzz_network, parse_trace
+from oracles import fuzz_network, parse_trace, product_run
 
 DELTA = Fraction(1, 100)
 
@@ -168,6 +171,33 @@ class TestSaturation:
         assert [r.location for r in rows] == ["rising"] * 5 + ["capped"] * 3
         assert "50," in text and "51.5" not in text
 
+    def test_strict_bounds_are_never_snapped_onto(self):
+        # x falls from 6 past both 5 and 3 in one tick; only x == 5 may snap,
+        # and 5 > 3 then holds, so the edge fires with x = 5
+        swa = comp(parse_model("""
+network plunge
+
+automaton fall
+  var x init 6
+
+  initial location down
+    invariant x >= 5
+    flow x' = -35
+
+  location landed
+    invariant x == 5
+    flow x' = 0
+
+  edge down -> landed guard x > 3 && x == 5
+"""), "fall", delta=Fraction(1, 10))
+        traces = [trace_text(swa, 4, engine=engine) for engine in ("generic", "compiled")]
+        oracle = io.StringIO()
+        product_run(swa, 4, out=oracle)
+        assert traces[0] == traces[1] == oracle.getvalue()
+        assert traces[0].splitlines()[1:] == [
+            "0,0,down,6,,", "1,0.1,landed,5,,", "2,0.2,landed,5,,", "3,0.3,landed,5,,"
+        ]
+
     def test_self_loop_reanchors_the_witness(self, fixtures_dir):
         net = load_model(fixtures_dir / "selfloop.pha")
         swa = comp(net, "saw", delta=Fraction(1))
@@ -303,6 +333,9 @@ class TestEngines:
         generic = trace_text(swa, ticks, engine="generic")
         compiled = trace_text(swa, ticks, engine="compiled")
         assert generic == compiled
+        oracle = io.StringIO()
+        product_run(swa, ticks, out=oracle)
+        assert oracle.getvalue() == generic
 
     def test_engines_agree_on_final_configuration(self, watertank_swa):
         a = run(watertank_swa, 4321)
@@ -501,10 +534,16 @@ def network_product(net):
 
 
 def outcome(swa, ticks, stimulus, engine, traced=True):
-    """The trace and the final state, or the stuck report's fields."""
+    """The trace and the final state, or the stuck report's fields.
+
+    The engine "oracle" is the product stepped through its egress list.
+    """
     buf = io.StringIO() if traced else None
     try:
-        final = simulate(swa, ticks, stimulus, out=buf, engine=engine)
+        if engine == "oracle":
+            final = product_run(swa, ticks, stimulus, out=buf)
+        else:
+            final = simulate(swa, ticks, stimulus, out=buf, engine=engine)
     except UnreachableState as exc:
         final = (exc.automaton, exc.tick, exc.state, exc.valuation, exc.k, exc.visible)
     return (buf.getvalue() if traced else None), final
@@ -523,10 +562,11 @@ class TestNetworkRunner:
         product = network_product(parse_model(fuzz_network(seed)))
         stimulus = {t: frozenset({"GO"}) for t in gos}
         generic = outcome(product, ticks, stimulus, "generic")
+        assert outcome(product, ticks, stimulus, "oracle") == generic
         assert outcome(product, ticks, stimulus, "compiled") == generic
         assert outcome(product, ticks, stimulus, "compiled", traced=False)[1] == generic[1]
 
-    def test_stuck_part_reports_committed_values(self, fixtures_dir):
+    def test_stuck_part_reports_committed_values(self, fixtures_dir, tmp_path):
         product = network_product(load_model(fixtures_dir / "stucknet.pha"))
         stimulus = {5: frozenset({"GO"})}
         reports = []
@@ -540,6 +580,18 @@ class TestNetworkRunner:
         assert (tick_, state, k, visible) == (6, "gocreep", 6, frozenset({"GO"}))
         # the mover's edge is enabled and would set x to 7
         assert valuation == {"x": pytest.approx(0.06), "y": pytest.approx(0.06)}
+
+        if find_cc() is None:
+            pytest.skip("no C compiler on PATH; the Python engines agree")
+        csv = tmp_path / "go.csv"
+        csv.write_text("5,GO\n")
+        binary = build_binary(emit_c(product), tmp_path)
+        proc = subprocess.run([str(binary), "10", str(csv)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert "stuck at tick 6 in state gocreep" in proc.stderr
+        assert "(k = 6)" in proc.stderr
+        printed = re.findall(r"^  (\w+) = (\S+)$", proc.stderr, re.M)
+        assert {var: float(text) for var, text in printed} == valuation
 
     def test_runner_source_grows_linearly_with_the_parts(self):
         sizes = {n: len(_runner_source(network_product(timer_chain(n)), False)) for n in range(2, 7)}
