@@ -39,14 +39,27 @@ interprets it, and a specialising engine prints it as straight-line
 Python (`codegen` prints it as C).  They produce bit-identical traces;
 the specialised engine writes its own trace rows, formatting a value
 the state holds constant once per switch, not on every tick.
+
+Without a trace, the specialised engine fast-forwards evolve stretches.
+Evolve ticks emit nothing and every value is its witness at the step
+index, so once a stretch has reached step `_JUMP_AFTER` the runner asks
+`evolve_horizon`, once per part, for the first step at which the
+part's invariant fails, and jumps straight to the tick before it.  The
+jump stops early at the last tick of the run and at the next stimulus
+tick, after which the runner asks again.  `evolve_horizon` confirms
+its answer with the engines' own float expression; its docstring
+argues why no earlier step can fail.  Traced runs and the generic
+engine step tick by tick.  A stuck run raises `UnreachableState`,
+whose text is the C driver's report.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, TextIO
 
 from .expr import AffineExpr, Comparison, Constraint, Rational
@@ -56,7 +69,13 @@ from .shagen import Sha, generate_sha
 
 
 class UnreachableState(Exception):
-    """The configuration can neither evolve nor take any transition."""
+    """The configuration can neither evolve nor take any transition.
+
+    ``visible`` lists the visible events in the automaton's declaration
+    order.  The text is the C driver's report, line for line: the tick,
+    the state and the step index, each committed value as ``%.17g``,
+    then one line per visible event.
+    """
 
     def __init__(
         self,
@@ -64,27 +83,25 @@ class UnreachableState(Exception):
         state: str,
         valuation: Mapping[str, float],
         k: int,
-        visible: frozenset[str],
+        visible: Iterable[str],
         tick: int | None = None,
     ):
         self.automaton = automaton
         self.state = state
         self.valuation = dict(valuation)
         self.k = k
-        self.visible = visible
+        self.shown = tuple(visible)
+        self.visible = frozenset(self.shown)
         self.tick = tick
         super().__init__()
 
     def __str__(self) -> str:
         at = f" at tick {self.tick}" if self.tick is not None else ""
-        values = ", ".join(f"{v} = {x!r}" for v, x in self.valuation.items()) or "none"
-        events = ", ".join(sorted(self.visible)) or "none"
-        return (
-            f"automaton {self.automaton!r} is stuck{at} in state {self.state!r}: "
-            f"the invariant fails or a trigger is visible, and no outgoing "
-            f"transition is enabled (values: {values}; step index k = {self.k}; "
-            f"visible events: {events})"
-        )
+        lines = [f"stuck{at} in state {self.state}: no evolution step and no enabled "
+                 f"transition (k = {self.k})"]
+        lines += [f"  {v} = %.17g" % x for v, x in self.valuation.items()]
+        lines += [f"  visible: {e}" for e in self.shown]
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -149,10 +166,12 @@ class Swa:
     _by_name: dict = field(init=False, repr=False, compare=False)
     _hash: int | None = field(init=False, repr=False, compare=False, default=None)
     _plan: SwitchPlan | None = field(init=False, repr=False, compare=False, default=None)
+    _runners: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta_f", float(self.delta))
         object.__setattr__(self, "_by_name", {s.name: s for s in self.states})
+        object.__setattr__(self, "_runners", {})
 
     def __hash__(self) -> int:
         # Structural hashing walks every state and transition, so it is
@@ -320,6 +339,26 @@ class LocationPlan:
     prev: tuple[tuple[str, WitnessFunction], ...]  # previous-tick values that snapping reads
     edges: tuple[EdgePlan, ...]  # declaration order
 
+    @cached_property
+    def bounded(self) -> tuple[tuple[str, WitnessFunction, tuple, tuple, tuple], ...]:
+        """Each variable the invariant mentions, with its witness and its comparisons.
+
+        The comparisons are ``(test, bound)`` pairs: all of them, those a
+        rising value can come to fail, and those a falling value can.
+        """
+        flows = dict(self.witnesses)
+        bounded = []
+        for var in self.invariant.variables():
+            comps = [(c.op, (_HOLDS[c.op], c.bound_f)) for c in self.invariant.conjuncts if c.variable == var]
+            bounded.append((
+                var,
+                flows[var],
+                tuple(test for _, test in comps),
+                tuple(test for op, test in comps if op in ("<", "<=", "==")),
+                tuple(test for op, test in comps if op in (">", ">=", "==")),
+            ))
+        return tuple(bounded)
+
 
 @dataclass(frozen=True)
 class SwitchPlan:
@@ -393,6 +432,108 @@ def _location_plans(part: Swa, mask: Callable[[Iterable[str]], int]) -> tuple[Lo
             tuple((var, s.witness_for(var)) for var in prev), tuple(edges),
         ))
     return tuple(plans)
+
+
+# An exponential witness is only trusted while its exponent a*delta*k stays
+# within +-700, where exp gives a normal, finite double, and while the
+# exponent grows by at least 2**-30 per step.  No run reaches step 2**50.
+_EXP_ARG = 700.0
+_EXP_MIN_RATE = 2.0**-30
+_FAR = 2**50
+_HOLDS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
+
+
+def evolve_horizon(loc: LocationPlan, c1: Mapping[str, float], k: int, delta_f: float) -> float:
+    """The first step K >= k at which `loc`'s invariant fails on its witnesses.
+
+    The witnesses are entered with the constants `c1` and evaluated as
+    every engine evaluates them (`WitnessFunction.value_at_tick`).  Only
+    ask from k >= 1: step 0 holds the raw entry value, not the witness
+    at 0.  Returns math.inf when no step fails, and k when the answer
+    cannot be confirmed (the caller then steps).  An exponential
+    vouches only for the steps whose exponent stays within +-700; if
+    none of those fails, the answer is the first step past them.
+    Trigger events are the caller's concern.
+
+    Why the answer is exact.  Write F(j) for the float value at step j.
+    Rounding is monotone, so j -> fl(r*j) is monotone for a rate r, and
+    so is fl(c1 + fl(r*j)): a linear F is monotone in j.  An exponential
+    F is fl(x_eq + fl(c1 * exp(fl(r*j)))), a monotone function of the
+    computed exp.  Consecutive exponents differ by at least |r|/2 >=
+    2**-31 below step 2**50, while libm's exp is within 2**-40 relative
+    of e**x whenever that is a normal double (glibc's is within one
+    ulp); so the computed exp, and with it F, is monotone in j too.  A
+    comparison of a monotone F with a bound, true at step k, therefore
+    fails from some step on or never.  That step is found by bisection
+    on the float test itself, starting from the exact crossing (a
+    division for a linear witness, a logarithm for an exponential), so
+    no step before the answer can fail.  Values creeping along a bound
+    take more bisection steps, not a different argument.  An exponent
+    that grows too slowly, or has left +-700, gets no answer (k).
+    """
+    first = math.inf
+    for var, w, every, rising, falling in loc.bounded:
+        first = _first_failure(w, every, rising, falling, c1[var], k, delta_f, first)
+        if first == k:
+            break
+    return first
+
+
+def _first_failure(w: WitnessFunction, every: tuple, rising: tuple, falling: tuple, c1: float,
+                   k: int, delta_f: float, limit: float) -> float:
+    """`evolve_horizon` for one variable, or `limit` if that comes first.
+
+    `every`, `rising` and `falling` are `LocationPlan.bounded`'s tests.
+    """
+    if w.kind is WitnessKind.EXPONENTIAL:
+        rate = w.a_f * delta_f
+        end = min(_FAR, int(_EXP_ARG / abs(rate))) if abs(rate) >= _EXP_MIN_RATE else 0
+        if k > end:
+            return k
+        after = end + 1  # nothing is claimed past `end`
+        up, still = (rate > 0) == (c1 > 0), c1 == 0
+    else:
+        rate = w.b_f * delta_f
+        end, after = _FAR, math.inf
+        up, still = rate > 0, rate == 0
+    value = w.value_at_tick
+    x = value(c1, k, delta_f)
+    for holds, b in every:
+        if not holds(x, b):
+            return k
+    # F is monotone on [k, end], so only the comparisons it moves toward can fail
+    tests = rising if up else falling
+    if still or not tests:
+        return min(after, limit)
+    m = math.inf  # the exact crossing: a division, or a logarithm for an exponential
+    for _, b in tests:
+        if w.kind is WitnessKind.LINEAR:
+            m = min(m, (b - c1) / rate)
+        elif (q := (b - w.x_eq_f) / c1) > 0:
+            m = min(m, math.log(q) / rate)
+
+    def fails(j: int) -> bool:
+        x = value(c1, j, delta_f)
+        for holds, b in tests:
+            if not holds(x, b):
+                return True
+        return False
+
+    near = int(m) if k < m < end else k
+    lo, hi = k, min(end + 1, limit)  # F(lo) passes; F fails from hi on, or hi is not needed
+    for j in (near, near + 1):
+        if lo < j < hi:
+            if fails(j):
+                hi = j
+            else:
+                lo = j
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi if hi <= end else after
 
 
 def _eval_update(expr: AffineExpr, valuation: Mapping[str, float]) -> float:
@@ -477,7 +618,8 @@ def tick(
             d = edge.dst
             emits |= edge.emits
         elif vis & loc.triggers or not loc.invariant.holds(committed):
-            raise UnreachableState(swa.name, st.location, committed, st.k, visible)
+            shown = (e for e in plan.events if e in visible)
+            raise UnreachableState(swa.name, st.location, committed, st.k, shown)
         index += d * stride
     emitted = frozenset(e for i, e in enumerate(plan.events) if emits >> i & 1)
     return ExecState(swa.states[index].name, post, post, 0, st.location, inputs | emitted), emitted
@@ -897,6 +1039,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("    _si = 0")
     emit("    _next = _STT[0] if _nst else -1")
     emit("    _t = 0")
+    if not trace:
+        emit(f"    _ask = {_JUMP_AFTER}")
     emit("    while _t < _TICKS:")
     for var in swa.variables:
         emit(f"        v_{var} = u_{var}")
@@ -924,6 +1068,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     for var in swa.variables:
         emit(f"            u_{var} = v_{var}")
     emit("            _k = 0")
+    if not trace:
+        emit(f"            _ask = {_JUMP_AFTER}")
     emit("            _prev = _loc")
     index = " + ".join(
         f"_l{p} * {stride}" if stride != 1 else f"_l{p}" for p, stride in enumerate(plan.strides)
@@ -933,6 +1079,11 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         for var in held:
             emit(f"            f_{var} = '%.15g' % v_{var}")
         emit(f"            {write_row(None)}")
+    else:
+        locs = "".join(f"_l{p}," for p in range(len(plan.parts)))
+        c1s = ", ".join(f"c1_{var}" for var in swa.variables)
+        emit("        if _k == _ask:")
+        emit(f"            _t, _k, _ask, ({us}{tail}) = _JUMP(_t, _k, _next, _TICKS, ({locs}), ({c1s}{tail}))")
 
     emit("        if _t == _next:")
     emit("            _pend = _STM[_si] | _emit")
@@ -1026,10 +1177,69 @@ class _MaskNames(dict):
         return text
 
 
+class _Jump:
+    """The no-trace runner's fast-forward across the rest of an evolve stretch.
+
+    Called on an evolve tick t that has just reached step k, it skips d
+    more evolve ticks at once: every step before the parts' first
+    failing one (`evolve_horizon`) passes, and none of the ticks t ..
+    t+d-1 is a stimulus tick, so ticks t+1 .. t+d see no event, would
+    all have evolved and emit nothing.  It lands on the last tick of
+    the run, on the next stimulus tick, or on the tick before the
+    evolve test fails, whichever comes first, and returns the new tick,
+    step, the step to ask again at, and every value at that step.
+    A stimulus tick that cuts the jump short does not end the stretch,
+    so the runner asks again `_JUMP_AFTER` steps later.
+    """
+
+    def __init__(self, swa: Swa):
+        self.parts = switch_plan(swa).parts
+        self.variables = swa.variables
+        self.delta_f = swa.delta_f
+
+    def __call__(self, t: int, k: int, nxt: int, ticks: int, locs: tuple[int, ...],
+                 c1s: tuple[float, ...]):
+        c1 = dict(zip(self.variables, c1s))
+        here = [locations[d] for locations, d in zip(self.parts, locs)]
+        fail = math.inf
+        for loc in here:
+            fail = min(fail, evolve_horizon(loc, c1, k, self.delta_f))
+        last = ticks - 1 if nxt < 0 else min(nxt, ticks - 1)
+        d = min(fail - k, last - t)
+        k += d
+        u = {}
+        for loc in here:
+            for var, w in loc.witnesses:
+                u[var] = w.value_at_tick(c1[var], k, self.delta_f)
+        ask = k + _JUMP_AFTER if t + d == nxt else _JUMP_AFTER
+        return t + d, k, ask, tuple(map(u.__getitem__, self.variables))
+
+
+# The no-trace runner asks `_Jump` once an evolve stretch reaches this
+# step.  A call costs about as much as stepping 20 to 40 evolve ticks,
+# so no stretch costs much more than twice what stepping it would, and
+# shorter stretches pay one comparison per tick.
+_JUMP_AFTER = 32
+
+
+def _runner(swa: Swa, trace: bool):
+    """The built runner, memoised on `swa`.
+
+    `_build_runner`'s cache compares an equal but distinct product field
+    by field; with the memo that happens at most once per product.
+    """
+    fn = swa._runners.get(trace)
+    if fn is None:
+        fn = swa._runners[trace] = _build_runner(swa, trace)
+    return fn
+
+
 @lru_cache(maxsize=64)
 def _build_runner(swa: Swa, trace: bool):
     source = _runner_source(swa, trace)
     namespace = {"_EXP": math.exp, "_MaskNames": _MaskNames, "_SUFFIXES": time_suffixes}
+    if not trace:
+        namespace["_JUMP"] = _Jump(swa)
     exec(compile(source, f"<swa:{swa.name}>", "exec"), namespace)
     return namespace["_swarun"]
 
@@ -1044,10 +1254,11 @@ def run_compiled(
     events = swa.events()
     bit = {e: 1 << idx for idx, e in enumerate(events)}
     known = set(events)
+    # a tick whose events are all unknown is no stimulus tick: nothing becomes visible
     stim_items = sorted(
-        (t, sum(bit[e] for e in set(evs) & known))
+        (t, mask)
         for t, evs in (stimulus or {}).items()
-        if t >= 0
+        if t >= 0 and (mask := sum(bit[e] for e in set(evs) & known))
     )
     stt = [t for t, _ in stim_items]
     stm = [m for _, m in stim_items]
@@ -1057,10 +1268,10 @@ def run_compiled(
 
     def mk_stuck(loc, values, k, vis, t):
         valuation = dict(zip(swa.variables, values))
-        visible = frozenset(e for e in events if vis & bit[e])
+        visible = (e for e in events if vis & bit[e])
         return UnreachableState(swa.name, loc_names[loc], valuation, k, visible, tick=t)
 
-    fn = _build_runner(swa, out is not None)
+    fn = _runner(swa, out is not None)
     write = out.write if out is not None else None
     loc, k, us, is_, pend, prev = fn(ticks, stt, stm, write, mk_stuck)
     # after an evolution tick the previous state equals the current one;

@@ -200,10 +200,13 @@ class TestComposeAndSimulate:
                 "--ticks", "10", "--stimulus", str(stim), "--engine", engine,
             )
             assert code == 3
-            messages.append(err.splitlines()[-1])
-        assert messages[0] == messages[1]
-        assert "stuck at tick 6 in state 'gocreep'" in messages[1]
-        assert "x = 0.06, y = 0.06" in messages[1]
+            messages.append(err[err.index("stuck at "):])
+        assert messages[0] == messages[1] == (
+            "stuck at tick 6 in state gocreep: no evolution step and no enabled transition (k = 6)\n"
+            "  x = 0.059999999999999998\n"
+            "  y = 0.059999999999999998\n"
+            "  visible: GO\n"
+        )
 
 
 class TestCompile:

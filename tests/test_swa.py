@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncha.cli import main
 from syncha.codegen import build_binary, emit_c, find_cc
 from syncha.expr import AffineExpr
 from syncha.model import load_model, parse_model
@@ -311,6 +312,68 @@ class TestUnreachable:
         assert compiled.value.valuation == generic.value.valuation
 
 
+STUCK_HEAD = "stuck at tick {} in state {}: no evolution step and no enabled transition (k = {})"
+
+# fixture, ticks, stimulus, the report every engine prints
+STUCK_CASES = {
+    "stucknet": ("stucknet.pha", 10, {5: "GO"}, [
+        STUCK_HEAD.format(6, "gocreep", 6),
+        "  x = 0.059999999999999998",
+        "  y = 0.059999999999999998",
+        "  visible: GO",
+    ]),
+    # the no-trace runner jumps from step 32 to the last tick before the stuck one
+    "stucklate": ("stucklate.pha", 1000, {}, [
+        STUCK_HEAD.format(501, "gocreep", 501),
+        "  x = 5.0099999999999998",
+        "  y = 5.0099999999999998",
+    ]),
+    # the jump stops at the stimulus tick, and GO is visible on the stuck tick
+    "stucklate-go": ("stucklate.pha", 1000, {500: "GO"}, [
+        STUCK_HEAD.format(501, "gocreep", 501),
+        "  x = 5.0099999999999998",
+        "  y = 5.0099999999999998",
+        "  visible: GO",
+    ]),
+    # the mover's switch at tick 301 re-anchors the frozen wedge at y = 3.01
+    "stucklate-reanchored": ("stucklate.pha", 1000, {300: "GO"}, [
+        STUCK_HEAD.format(502, "donecreep", 200),
+        "  x = 7",
+        "  y = 5.0099999999999998",
+    ]),
+}
+
+
+class TestStuckReport:
+    """Every engine, the C driver and the CLI print one stuck report."""
+
+    @pytest.mark.parametrize("case", sorted(STUCK_CASES))
+    def test_every_engine_prints_the_same_report(self, case, fixtures_dir, tmp_path, capsys):
+        model, ticks, stim, lines = STUCK_CASES[case]
+        want = "\n".join(lines)
+        product = network_product(load_model(fixtures_dir / model))
+        stimulus = {t: frozenset({e}) for t, e in stim.items()}
+        for engine, out in (("generic", None), ("compiled", io.StringIO()), ("compiled", None)):
+            with pytest.raises(UnreachableState) as exc_info:
+                simulate(product, ticks, stimulus, out=out, engine=engine)
+            assert str(exc_info.value) == want, engine
+
+        csv = tmp_path / "stim.csv"
+        csv.write_text("".join(f"{t},{e}\n" for t, e in stim.items()))
+        for engine in ("generic", "compiled"):
+            code = main(["compose-and-simulate", str(fixtures_dir / model), "--ticks", str(ticks),
+                         "--stimulus", str(csv), "--engine", engine, "--out", str(tmp_path / "t.csv")])
+            *warnings, report = capsys.readouterr().err.split("stuck at ")
+            assert (code, "stuck at " + report) == (3, want + "\n")
+            assert all(line.startswith("warning: ") for line in "".join(warnings).splitlines())
+
+        if find_cc() is None:
+            pytest.skip("no C compiler on PATH; the Python engines and the CLI agree")
+        binary = build_binary(emit_c(product), tmp_path)
+        proc = subprocess.run([str(binary), str(ticks), str(csv)], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (3, want + "\n")
+
+
 class TestEngines:
     def test_zero_ticks_writes_header_only(self, watertank_swa):
         for engine in ("generic", "compiled"):
@@ -611,6 +674,23 @@ class TestNetworkRunner:
 
         monkeypatch.setattr(SwaState, "__hash__", counting_hash)
         simulate(product, 5)
+        assert calls == []
+
+    def test_repeat_run_on_an_equal_copy_compares_no_states(self, monkeypatch):
+        product = network_product(timer_chain(4))
+        copy = network_product(timer_chain(4))
+        assert copy == product and copy is not product
+        simulate(product, 5)
+        simulate(copy, 5)  # may compare the copy with the product once
+        calls = []
+        real_eq = SwaState.__eq__
+
+        def counting_eq(self, other):
+            calls.append(self.name)
+            return real_eq(self, other)
+
+        monkeypatch.setattr(SwaState, "__eq__", counting_eq)
+        simulate(copy, 5)
         assert calls == []
 
     def test_parts_survive_renaming(self, burner_swa, pingpong_swas):
