@@ -6,7 +6,7 @@ produce traces.
 
 Exit codes: 0 on success, 1 when a model fails validation, 2 for bad
 input (unreadable files, parse errors, unusable flags), 3 when a run
-gets stuck with no enabled reaction.
+gets stuck with no enabled reaction or a value overflows the float range.
 """
 
 from __future__ import annotations
@@ -207,6 +207,9 @@ def _run_trace(swa: Swa, args) -> int:
         simulate(swa, args.ticks, stimulus, out, engine=args.engine)
     except UnreachableState as exc:
         print(exc, file=sys.stderr)
+        return EXIT_STUCK
+    except OverflowError as exc:  # a witness left the double range, where C's exp gives inf
+        print(f"error: automaton {swa.name}: a value overflowed the float range ({exc})", file=sys.stderr)
         return EXIT_STUCK
     finally:
         if args.out:

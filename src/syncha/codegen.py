@@ -4,8 +4,8 @@ Each automaton becomes two translation units:
 
 * ``<name>.c`` holds the state globals, one witness function per
   location of each part and variable, and the reaction function that
-  advances a single tick: one evolve case per product state, then the
-  parts' switch code printed from `swa.switch_plan`,
+  advances a single tick, printed part by part from `swa.switch_plan`:
+  each part's evolve test and witness step, then its switch code,
 * ``<name>_main.c`` holds a driver that loads an optional stimulus
   table, calls the reaction in a loop and prints the same trace format
   as the Python engines.
@@ -39,7 +39,6 @@ from .swa import (
     Swa,
     affine_text,
     c1_text,
-    constant_in,
     constraint_text,
     decimal_delta,
     switch_plan,
@@ -162,15 +161,16 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
 def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str, int]) -> str:
     """Globals, one witness function per part location and variable, and the reaction.
 
-    The reaction has one evolve case per product state.  A switch tick
-    then runs one `switch` per part on its location index, printed from
-    the `switch_plan`, and recombines the product state.  A lone
-    automaton's switch code sits in its evolve case instead.
+    Everything is printed from the `switch_plan`, part by part, on the
+    location index of each part, read from the product state.  The
+    reaction evolves when every part's evolve test holds, one
+    conditional expression per part; one `switch` per part then steps
+    its witnesses.  Otherwise one `switch` per part runs its switch
+    code, and the product state is recombined.
     """
     plan = switch_plan(swa)
     cv = lambda v: names.of("var", v)
     cs = lambda s: names.of("state", s)
-    lone = len(plan.parts) == 1
 
     w: list[str] = []
     emit = w.append
@@ -181,13 +181,12 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
     emit(f"double d = {c_num(swa.delta)};")
     emit("long k = 0;")
     emit("int stuck = 0;")
-    initial = swa.state(swa.initial_state)
+    initial = dict(pair for loc in plan.at(plan.index[swa.initial_state]) for pair in loc.witnesses)
     for v, x0q in swa.init_values:
         x0 = float(x0q)
         emit(f"double {cv(v)} = {c_float(x0)};")
         emit(f"double {cv(v)}_u = {c_float(x0)};")
-        c1 = resolve_c1(initial.witness_for(v), x0)
-        emit(f"double C1_{cv(v)} = {c_float(c1)};")
+        emit(f"double C1_{cv(v)} = {c_float(resolve_c1(initial[v], x0))};")
     for e in swa.events():
         emit(f"int {names.of('event', e)} = 0;")
         emit(f"int {names.of('event', e)}_out = 0;")
@@ -209,6 +208,21 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
         events = [("!" if absent >> i & 1 else "") + names.of("event", e)
                   for i, e in enumerate(plan.events) if (present | absent) >> i & 1]
         return " && ".join(events + [c for c in conds if c != "1"]) or "1"
+
+    def value(digit: str, d: int) -> str:
+        """Location index d as `digit` reads it: the state's enum constant if that is the state."""
+        return cs(swa.states[d].name) if digit == "cstate" else str(d)
+
+    def choice(digit: str, exprs: list[str]) -> str:
+        """``exprs[digit]`` as a chain of conditional expressions, or the one expression they all are."""
+        if len(set(exprs)) == 1:
+            return exprs[0]
+        *first, last = exprs
+        chain = "".join(f"{digit} == {value(digit, d)} ? {e} : " for d, e in enumerate(first))
+        return f"({chain}{last})"
+
+    def evolve_test(loc: LocationPlan) -> str:
+        return test(_c_constraint(loc.invariant, cv), absent=loc.triggers)
 
     def fresh(base: str, taken: set[str]) -> str:
         while base in taken:
@@ -254,13 +268,13 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
                 put(f"    {cv(v)} = {tn};")
             for v, wit in e.refresh:
                 put(f"    C1_{cv(v)} = {c1_text(wit, cv(v), c_num)};")
-            put(f"    {lv} = {cs(swa.states[e.dst].name) if lone else e.dst};")
+            put(f"    {lv} = {e.dst};")
             for n, ev in enumerate(plan.events):
                 if e.emits >> n & 1:
                     put(f"    {names.of('event', ev)}_out = 1;")
             put("}")
         # no enabled edge: frozen if the part can evolve, else stuck
-        evolve = test(_c_constraint(loc.invariant, cv), absent=loc.triggers)
+        evolve = evolve_test(loc)
         frozen = [f"if (!({evolve})) {{", "    stuck = 1;", "    return cstate;", "}"] if evolve != "1" else []
         frozen += [f"C1_{cv(v)} = {c1_text(wit, cv(v), c_num)};" for v, wit in loc.witnesses]
         if loc.edges and frozen:
@@ -270,44 +284,40 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
     emit(f"enum states {reaction}(enum states cstate) {{")
     for v in swa.variables:
         emit(f"    {cv(v)} = {cv(v)}_u;")
-    emit("    switch (cstate) {")
-    for j, s in enumerate(swa.states):
-        emit(f"    case {cs(s.name)}: {{")
-        selft = s.self_transition
-        emit(f"        if ({test(_c_constraint(selft.guard, cv), absent=plan.mask(selft.absent))}) {{")
-        emit("            k = k + 1;")
-        for p, d in enumerate(plan.digits[j]):
-            loc = plan.parts[p][d]
-            for v, wit in loc.witnesses:
-                emit(f"            {cv(v)}_u = {call(p, loc, v, wit, 'k')};")
-        emit("            return cstate;")
-        emit("        }")
-        if lone:
-            w += [f"        {line}" for line in switch_code(0, plan.parts[0][j], "cstate")]
-        emit("        break;")
-        emit("    }")
+    # each part's location is read from the product state; its next one is kept in l<p>
+    digits, lvs = [], []
+    for p, (locations, stride) in enumerate(zip(plan.parts, plan.strides)):
+        digit = "cstate" if stride == 1 else f"cstate / {stride}"
+        digits.append(digit + (f" % {len(locations)}" if p else ""))
+        lvs.append(fresh(f"l{p}", names.used))
+        emit(f"    int {lvs[p]} = {digits[p]};")
+    tests = [choice(digit, list(map(evolve_test, locations))) for digit, locations in zip(digits, plan.parts)]
+    evolve = "\n        && ".join(t for t in tests if t != "1") or "1"
+    emit(f"    if ({evolve}) {{")
+    emit("        k = k + 1;")
+    for p, (digit, locations) in enumerate(zip(digits, plan.parts)):
+        steps = [" ".join(f"{cv(v)}_u = {call(p, loc, v, wit, 'k')};" for v, wit in loc.witnesses
+                          if wit.kind is not WitnessKind.CONSTANT) for loc in locations]
+        if any(steps):
+            emit(f"        switch ({digit}) {{")
+            w += [f"        case {value(digit, d)}: {step} break;" for d, step in enumerate(steps) if step]
+            w += ["        default: break;"] * (not all(steps))  # every enum value is handled
+            emit("        }")
+    emit("        return cstate;")
     emit("    }")
-    if not lone:
-        lvs = [fresh(f"l{p}", names.used) for p in range(len(plan.parts))]
-        for p, (locations, stride) in enumerate(zip(plan.parts, plan.strides)):
-            digit = "cstate" if stride == 1 else f"cstate / {stride}"
-            emit(f"    int {lvs[p]} = {digit}{f' % {len(locations)}' if p else ''};")
-        for p, locations in enumerate(plan.parts):
-            emit(f"    switch ({lvs[p]}) {{")
-            for d, loc in enumerate(locations):
-                emit(f"    case {d}: {{  /* {loc.name} */")
-                w += [f"        {line}" for line in switch_code(p, loc, lvs[p])]
-                emit("        break;")
-                emit("    }")
+    for p, (digit, lv, locations) in enumerate(zip(digits, lvs, plan.parts)):
+        emit(f"    switch ({digit}) {{")
+        for d, loc in enumerate(locations):
+            emit(f"    case {value(digit, d)}: {{  /* {loc.name} */")
+            w += [f"        {line}" for line in switch_code(p, loc, lv)]
+            emit("        break;")
             emit("    }")
+        emit("    }")
     for v in swa.variables:
         emit(f"    {cv(v)}_u = {cv(v)};")
     emit("    k = 0;")
-    if lone:
-        emit("    return cstate;")
-    else:
-        index = " + ".join(lv if st == 1 else f"{lv} * {st}" for lv, st in zip(lvs, plan.strides))
-        emit(f"    return (enum states)({index});")
+    index = " + ".join(lv if st == 1 else f"{lv} * {st}" for lv, st in zip(lvs, plan.strides))
+    emit(f"    return (enum states)({index});")
     emit("}")
     return "\n".join(w) + "\n"
 
@@ -343,7 +353,8 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     cs = lambda s: names.of("state", s)
     events = swa.events()
     name_width = sum(len(e) for e in events) + len(events) + 8
-    held_sets = [tuple(v for v in swa.variables if v in constant_in(s)) for s in swa.states]
+    plan = switch_plan(swa)
+    held_sets = [tuple(v for v in swa.variables if v in plan.held(j)) for j in range(len(swa.states))]
     kinds = list(dict.fromkeys(held_sets))
     held = [v for v in swa.variables if any(v in hs for hs in kinds)]
 
@@ -482,22 +493,16 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         emit("        }")
     emit(f"        char ins[{name_width}];")
     emit(f"        char outs[{name_width}];")
-    emit("        int off = 0;")
-    for e in swa.inputs:
-        emit(f"        if ({ce(e)}) {{")
-        emit("            if (off) ins[off++] = ';';")
-        emit(f'            memcpy(ins + off, "{e}", {len(e)});')
-        emit(f"            off += {len(e)};")
-        emit("        }")
-    emit("        ins[off] = '\\0';")
-    emit("        off = 0;")
-    for e in swa.outputs:
-        emit(f"        if ({ce(e)}_out) {{")
-        emit("            if (off) outs[off++] = ';';")
-        emit(f'            memcpy(outs + off, "{e}", {len(e)});')
-        emit(f"            off += {len(e)};")
-        emit("        }")
-    emit("        outs[off] = '\\0';")
+    emit("        int off;")
+    for buf, shown, flag in (("ins", swa.inputs, ""), ("outs", swa.outputs, "_out")):
+        emit("        off = 0;")
+        for e in shown:
+            emit(f"        if ({ce(e)}{flag}) {{")
+            emit(f"            if (off) {buf}[off++] = ';';")
+            emit(f'            memcpy({buf} + off, "{e}", {len(e)});')
+            emit(f"            off += {len(e)};")
+            emit("        }")
+        emit(f"        {buf}[off] = '\\0';")
     time_lines, time_fmt, time_args = _c_time_field(swa)
     for line in time_lines:
         emit(f"        {line}")

@@ -15,6 +15,7 @@ comparisons, and nonlinear terms are not representable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -22,7 +23,8 @@ from typing import Iterable, Mapping, Union
 Rational = Fraction
 Endpoint = Union[Fraction, float]  # floats are only ever +-inf here
 
-COMPARISON_OPS = ("<", "<=", ">", ">=", "==")
+COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
+COMPARISON_OPS = tuple(COMPARE)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -142,6 +144,12 @@ def interval_intersect(a: Interval, b: Interval) -> Interval:
     return Interval(lo, hi, lo_c, hi_c)
 
 
+def _compare(op: str, value, bound) -> bool:
+    if op not in COMPARE:
+        raise ValueError(f"unknown comparison operator {op!r}")
+    return COMPARE[op](value, bound)
+
+
 @dataclass(frozen=True)
 class Comparison:
     """A single atom ``variable op bound`` with a rational bound."""
@@ -155,34 +163,10 @@ class Comparison:
         object.__setattr__(self, "bound_f", float(self.bound))
 
     def holds(self, value: float) -> bool:
-        b = self.bound_f
-        op = self.op
-        if op == "<":
-            return value < b
-        if op == "<=":
-            return value <= b
-        if op == ">":
-            return value > b
-        if op == ">=":
-            return value >= b
-        if op == "==":
-            return value == b
-        raise ValueError(f"unknown comparison operator {op!r}")
+        return _compare(self.op, value, self.bound_f)
 
     def holds_exact(self, value: Rational) -> bool:
-        b = self.bound
-        op = self.op
-        if op == "<":
-            return value < b
-        if op == "<=":
-            return value <= b
-        if op == ">":
-            return value > b
-        if op == ">=":
-            return value >= b
-        if op == "==":
-            return value == b
-        raise ValueError(f"unknown comparison operator {op!r}")
+        return _compare(self.op, value, self.bound)
 
     def to_interval(self) -> Interval:
         b = self.bound

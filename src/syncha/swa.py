@@ -26,15 +26,19 @@ frozen for that tick (its values re-enter as fresh initial values), so
 a product tick never interleaves a half-step with a jump.  The product
 records the automata it was built from as its ``parts``.
 
-`switch_plan` states the switch tick once, for each location of each
-part: the test for freezing, the variables whose previous value
-snapping reads, and each edge's event masks, snap candidates, guard,
-staged updates, destination, emitted events and re-anchored witnesses.
-Guards and updates never read another automaton's variables, so each
-part taking its own first enabled edge, or else being frozen, is the
-transition the product's egress order (joint switches first) picks.
-No engine reads a product's egress list.  Evolution is one test per
-product state.  Two engines run the plan: the generic `tick`
+`switch_plan` states the tick rule once, for each location of each
+part: its evolve test (trigger silence and the invariant, which is
+also the test for freezing), its witnesses, the variables whose
+previous value snapping reads, and each edge's event masks, snap
+candidates, guard, staged updates, destination, emitted events and
+re-anchored witnesses.  A product state evolves exactly when every
+part's location passes its evolve test; that is the conjunction
+`compose` builds.  Guards and updates never read another automaton's
+variables, so each part taking its own first enabled edge, or else
+being frozen, is the transition the product's egress order (joint
+switches first) picks.  No engine reads a product state's evolve
+test, witnesses or egress list; `compose` still builds them, for the
+product oracle.  Two engines run the plan: the generic `tick`
 interprets it, and a specialising engine prints it as straight-line
 Python (`codegen` prints it as C).  They produce bit-identical traces;
 the specialised engine writes its own trace rows, formatting a value
@@ -56,13 +60,12 @@ whose text is the C driver's report.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Mapping, TextIO
 
-from .expr import AffineExpr, Comparison, Constraint, Rational
+from .expr import COMPARE, AffineExpr, Comparison, Constraint, Rational
 from .model import EventExpr, HybridAutomaton
 from .odesolve import WitnessFunction, WitnessKind, resolve_c1
 from .shagen import Sha, generate_sha
@@ -208,7 +211,6 @@ class ExecState:
     v: Mapping[str, float]
     i: Mapping[str, float]
     k: int
-    prev_location: str
     pending_pre: frozenset[str] = frozenset()
 
 
@@ -297,14 +299,7 @@ def compile_automaton(ha: HybridAutomaton, delta: Fraction) -> tuple[Swa, list[s
 
 def initial_exec_state(swa: Swa) -> ExecState:
     v = {var: float(val) for var, val in swa.init_values}
-    return ExecState(
-        location=swa.initial_state,
-        v=v,
-        i=v,
-        k=0,
-        prev_location=swa.initial_state,
-        pending_pre=frozenset(),
-    )
+    return ExecState(location=swa.initial_state, v=v, i=v, k=0)
 
 
 # --- one reaction -------------------------------------------------------------
@@ -330,10 +325,10 @@ class EdgePlan:
 
 @dataclass(frozen=True)
 class LocationPlan:
-    """What one automaton does on a switch tick while it is in one location."""
+    """What one automaton does on a tick while it is in one location."""
 
     name: str
-    invariant: Constraint  # with `triggers` silent: the part may be frozen
+    invariant: Constraint  # with `triggers` silent: the part may evolve, or be frozen
     triggers: int
     witnesses: tuple[tuple[str, WitnessFunction], ...]
     prev: tuple[tuple[str, WitnessFunction], ...]  # previous-tick values that snapping reads
@@ -349,7 +344,7 @@ class LocationPlan:
         flows = dict(self.witnesses)
         bounded = []
         for var in self.invariant.variables():
-            comps = [(c.op, (_HOLDS[c.op], c.bound_f)) for c in self.invariant.conjuncts if c.variable == var]
+            comps = [(c.op, (COMPARE[c.op], c.bound_f)) for c in self.invariant.conjuncts if c.variable == var]
             bounded.append((
                 var,
                 flows[var],
@@ -375,14 +370,30 @@ class SwitchPlan:
     strides: tuple[int, ...]
     digits: tuple[tuple[int, ...], ...]
     index: Mapping[str, int]  # product state name -> index
+    at: Callable[[int], tuple[LocationPlan, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:  # product state index -> its parts' locations, memoised
+        parts, digits = self.parts, self.digits  # not self: a cycle would outlive the last reference
+        at = lambda j: tuple(map(tuple.__getitem__, parts, digits[j]))
+        object.__setattr__(self, "at", lru_cache(maxsize=None)(at))
 
     def mask(self, names: Iterable[str]) -> int:
         return sum({1 << self.events.index(e) for e in names})
 
+    def name(self, j: int) -> str:
+        """Product state j's name: its parts' location names joined."""
+        return "".join(loc.name for loc in self.at(j))
+
+    def held(self, j: int) -> set[str]:
+        """The variables product state j holds constant: the union of its parts'."""
+        return set().union(*map(constant_in, self.at(j)))
+
 
 def switch_plan(swa: Swa) -> SwitchPlan:
-    """The switch plan of an automaton or a network, built from its parts.
+    """The plan of an automaton or a network, built from its parts.
 
+    A product state evolves when every part's location has its triggers
+    silent and its invariant holding; each part's witnesses then step.
     Only non-strict comparisons can snap, so only their variables need a
     previous-tick value.  Every jump re-anchors the destination's
     witnesses and every freeze the location's own, at the values it
@@ -440,7 +451,6 @@ def _location_plans(part: Swa, mask: Callable[[Iterable[str]], int]) -> tuple[Lo
 _EXP_ARG = 700.0
 _EXP_MIN_RATE = 2.0**-30
 _FAR = 2**50
-_HOLDS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
 
 def evolve_horizon(loc: LocationPlan, c1: Mapping[str, float], k: int, delta_f: float) -> float:
@@ -580,6 +590,18 @@ def _take_edge(loc: LocationPlan, v: dict[str, float], st: ExecState, vis: int,
     return None
 
 
+def _can_evolve(loc: LocationPlan, v: Mapping[str, float], vis: int) -> bool:
+    """Whether `loc`'s triggers are silent in the event mask `vis` and its invariant holds at `v`."""
+    if vis & loc.triggers:
+        return False
+    for var, _, every, _, _ in loc.bounded:
+        x = v[var]
+        for holds, b in every:
+            if not holds(x, b):
+                return False
+    return True
+
+
 def tick(
     swa: Swa, st: ExecState, inputs: frozenset[str] = frozenset()
 ) -> tuple[ExecState, frozenset[str]]:
@@ -590,39 +612,41 @@ def tick(
     the events emitted during this tick.  Raises UnreachableState when
     the configuration is stuck.
     """
-    state = swa.state(st.location)
+    plan = switch_plan(swa)
+    j = plan.index[st.location]
+    here = plan.at(j)
     committed = st.v
     visible = st.pending_pre
+    vis = plan.mask(visible.intersection(plan.events)) if visible else 0
     delta_f = swa.delta_f
 
-    selft = state.self_transition
-    if visible.isdisjoint(selft.absent) and selft.guard.holds(committed):
+    for loc in here:
+        if not _can_evolve(loc, committed, vis):
+            break
+    else:
         k_new = st.k + 1
         new_v = {
             var: w.value_at_tick(resolve_c1(w, st.i[var]), k_new, delta_f)
-            for var, w in state.witnesses
+            for loc in here for var, w in loc.witnesses
         }
-        return ExecState(st.location, new_v, st.i, k_new, st.location, inputs), frozenset()
+        return ExecState(st.location, new_v, st.i, k_new, inputs), frozenset()
 
     # Each part takes its first enabled edge, or must be able to evolve
     # and is frozen.  Every part re-enters a location, so the new entry
     # values are all the post values.
-    plan = switch_plan(swa)
-    vis = plan.mask(visible.intersection(plan.events))
     post = dict(committed)
     index = emits = 0
-    for locations, stride, d in zip(plan.parts, plan.strides, plan.digits[plan.index[st.location]]):
-        loc = locations[d]
+    for loc, stride, d in zip(here, plan.strides, plan.digits[j]):
         edge = _take_edge(loc, post, st, vis, delta_f)
         if edge is not None:
             d = edge.dst
             emits |= edge.emits
-        elif vis & loc.triggers or not loc.invariant.holds(committed):
+        elif not _can_evolve(loc, committed, vis):
             shown = (e for e in plan.events if e in visible)
             raise UnreachableState(swa.name, st.location, committed, st.k, shown)
         index += d * stride
     emitted = frozenset(e for i, e in enumerate(plan.events) if emits >> i & 1)
-    return ExecState(swa.states[index].name, post, post, 0, st.location, inputs | emitted), emitted
+    return ExecState(swa.states[index].name, post, post, 0, inputs | emitted), emitted
 
 
 # --- parallel composition -----------------------------------------------------
@@ -806,21 +830,11 @@ def time_field(t: int, delta: Fraction) -> str:
     return f"{whole}{time_suffixes(j)[frac]}"
 
 
-def format_trace_row(
-    swa: Swa,
-    t: int,
-    location: str,
-    values: Iterable[float],
-    visible: frozenset[str],
-    emitted: frozenset[str],
-) -> str:
+def format_trace_row(swa: Swa, t: int, location: str, values: Iterable[float],
+                     visible: frozenset[str], emitted: frozenset[str]) -> str:
     ins = ";".join(e for e in swa.inputs if e in visible)
     outs = ";".join(e for e in swa.outputs if e in emitted)
-    parts = [str(t), time_field(t, swa.delta), location]
-    parts.extend(_fmt(v) for v in values)
-    parts.append(ins)
-    parts.append(outs)
-    return ",".join(parts)
+    return ",".join([str(t), time_field(t, swa.delta), location, *map(_fmt, values), ins, outs])
 
 
 def parse_stimulus(text: str, source: str = "<stimulus>") -> dict[int, frozenset[str]]:
@@ -891,10 +905,7 @@ def run(
         if out is not None:
             observed = st.v if st.k == 0 else prev.v
             values = (observed[var] for var in swa.variables)
-            out.write(
-                format_trace_row(swa, t, st.location, values, prev.pending_pre, emitted)
-                + "\n"
-            )
+            out.write(format_trace_row(swa, t, st.location, values, prev.pending_pre, emitted) + "\n")
     return st
 
 
@@ -945,100 +956,95 @@ def _py_witness(w: WitnessFunction, c1: str, k: str, delta_f: float) -> str:
     return f"{w.x_eq_f!r} + {c1} * _exp({w.a_f * delta_f!r} * {k})"
 
 
-def _py_can_evolve(invariant: Constraint, triggers: int) -> list[str]:
-    """Conditions for an evolution step: trigger silence, then the invariant."""
-    conds = [f"(_vis & {triggers}) == 0"] if triggers else []
-    if invariant.conjuncts:
-        conds.append(constraint_text(invariant, lambda v: f"v_{v}", _py_num))
-    return conds
+def _py_can_evolve(loc: LocationPlan) -> str:
+    """`loc`'s evolve test: trigger silence, then the invariant; "" when it always holds."""
+    silent = f"(_vis & {loc.triggers}) == 0" if loc.triggers else ""
+    invariant = constraint_text(loc.invariant, lambda v: f"v_{v}", _py_num, true="")
+    return " and ".join(filter(None, (silent, invariant)))
 
 
-def constant_in(state: SwaState) -> set[str]:
+def constant_in(state: SwaState | LocationPlan) -> set[str]:
     """The variables `state` holds constant: a trace formats them once per switch."""
     return {var for var, wit in state.witnesses if wit.kind is WitnessKind.CONSTANT}
+
+
+def _py_time(swa: Swa) -> tuple[str, list[str]]:
+    """The %-conversion and the arguments of row ``_t``'s time field."""
+    dec = decimal_delta(swa.delta)
+    if dec is None:
+        return "%.15g", [f"_t * {swa.delta_f!r}"]
+    m, j = dec
+    scaled = "_t" if m == 1 else f"_t * {m}"
+    if j == 0:
+        return "%d", [scaled]
+    return "%d%s", [f"{scaled} // {10**j}", f"_suf[{scaled} % {10**j}]"]
+
+
+def _row_format(time_fmt: str, variables: tuple[str, ...], ins: bool, outs: bool, name: str,
+                held: Iterable[str]) -> str:
+    """The %-format of a trace row in state `name`; `held` variables come as strings."""
+    fmt = ["%d", time_fmt, name, *("%s" if var in held else "%.15g" for var in variables)]
+    return ",".join(fmt + ["%s" * ins, "%s" * outs]) + "\n"
 
 
 def _runner_source(swa: Swa, trace: bool) -> str:
     """Generate the specialised tick loop for an automaton or a network.
 
-    Evolution is one test per product state (trigger silence and the
-    conjoined invariant), followed by every witness step.  A switch tick
-    is printed from the `switch_plan`, part by part: each part takes the
-    first enabled edge of its location ``_l<p>``, or must be able to
-    evolve and is frozen, or the run is stuck.  The product state is
-    then recombined from the ``_l<p>``.
+    Everything is printed from the `switch_plan`, part by part, on the
+    location index ``_l<p>`` of each part.  The evolve test is one
+    expression per part (trigger silence and the invariant of its
+    location); when all of them hold, each part's witnesses step.  On a
+    switch tick each part takes the first enabled edge of its location,
+    or must be able to evolve and is frozen, or the run is stuck.  The
+    product state ``_loc`` is then recombined from the ``_l<p>``.
 
-    With ``trace`` every branch writes its row with one %-format.  The
+    With ``trace`` every tick writes its row with one %-format.  The
     time field is integer arithmetic when `decimal_delta` allows it.  A
-    variable its state holds constant is printed from the string
-    ``f_<var>``, formatted at set-up and after every switch.
+    variable some location holds constant is printed from ``r_<var>``:
+    a string formatted at set-up and after every switch, which each
+    evolve tick in a location that moves the variable replaces by its
+    value.  An evolve row takes the format ``_row`` of its product state,
+    looked up at every switch with ``_ROWS``, which memoises it.
     """
     plan = switch_plan(swa)
     init = dict(swa.init_values)
     tail = "," if swa.variables else ""
     us = ", ".join(f"u_{var}" for var in swa.variables)
     stuck = f"_mk_stuck(_loc, ({us}{tail}), _k, _vis, _t)"
-
     held = tuple(
-        var for var in swa.variables if any(var in constant_in(s) for s in swa.states)
+        var for var in swa.variables if any(var in constant_in(loc) for locs in plan.parts for loc in locs)
     ) if trace else ()
 
-    dec = decimal_delta(swa.delta)
-    if dec is None:
-        time_fmt, time_args = "%.15g", [f"_t * {swa.delta_f!r}"]
-    else:
-        m, j = dec
-        scaled = "_t" if m == 1 else f"_t * {m}"
-        if j == 0:
-            time_fmt, time_args = "%d", [scaled]
-        else:
-            time_fmt, time_args = "%d%s", [f"{scaled} // {10**j}", f"_suf[{scaled} % {10**j}]"]
+    time_fmt, time_args = _py_time(swa)
+    switch_row = repr(_row_format(time_fmt, swa.variables, bool(swa.inputs), bool(swa.outputs), "%s", held))
 
-    def write_row(state: SwaState | None) -> str:
-        """The statement writing `state`'s evolve row, or the switch row if None."""
-        fixed = constant_in(state) if state else held
-        fmt = ["%d", time_fmt, state.name if state else "%s"]
-        args = ["_t", *time_args] + ([] if state else ["_names[_loc]"])
-        for var in swa.variables:
-            fmt.append("%s" if var in fixed else "%.15g")
-            args.append(f"f_{var}" if var in fixed else f"v_{var}")
-        ins = bool(swa.inputs)
-        outs = bool(swa.outputs) and state is None  # an evolve tick emits nothing
-        fmt += ["%s" if ins else "", "%s" if outs else ""]
-        args += ["_ins[_vis]"] * ins + ["_outs[_emit]"] * outs
-        return f"_write({','.join(fmt) + chr(10)!r} % ({', '.join(args)}))"
+    def write_row(switch: bool) -> str:
+        """The statement writing the tick's row."""
+        args = ["_t", *time_args] + (["_NAMES(_loc)"] if switch else [])
+        args += [f"r_{var}" if var in held else f"v_{var}" for var in swa.variables]
+        args += ["_INS(_vis)"] * bool(swa.inputs) + ["_OUTS(_emit)"] * bool(swa.outputs and switch)
+        return f"_write({switch_row if switch else '_row'} % ({', '.join(args)}))"
 
     w = []  # source lines
     emit = w.append
     emit("def _swarun(_TICKS, _STT, _STM, _write, _mk_stuck):")
     emit("    _exp = _EXP")
-    if trace:
-        emit(f"    _names = {tuple(s.name for s in swa.states)!r}")
-        if dec is not None and dec[1]:
-            emit(f"    _suf = _SUFFIXES({dec[1]})")
-        if swa.inputs:
-            emit(f"    _ins = _MaskNames({tuple((e, plan.mask((e,))) for e in swa.inputs)!r})")
-        if swa.outputs:
-            emit(f"    _outs = _MaskNames({tuple((e, plan.mask((e,))) for e in swa.outputs)!r})")
-    for var, wit in swa.state(swa.initial_state).witnesses:
-        x0 = float(init[var])
-        emit(f"    v_{var} = {x0!r}")
-        emit(f"    u_{var} = {x0!r}")
-        emit(f"    i_{var} = {x0!r}")
-        emit(f"    c1_{var} = {resolve_c1(wit, x0)!r}")
-        if var in held:
-            emit(f"    f_{var} = {_fmt(x0)!r}")
     start = plan.index[swa.initial_state]
+    for loc in plan.at(start):
+        for var, wit in loc.witnesses:
+            x0 = float(init[var])
+            emit(f"    v_{var} = u_{var} = i_{var} = {x0!r}")
+            emit(f"    c1_{var} = {resolve_c1(wit, x0)!r}")
+            if var in held:
+                emit(f"    r_{var} = {_fmt(x0)!r}")
     emit(f"    _loc = {start}")
-    emit(f"    _prev = {start}")
+    if trace:
+        emit("    _row = _ROWS(_loc)")
     for p, d in enumerate(plan.digits[start]):
         emit(f"    _l{p} = {d}")
-    emit("    _k = 0")
-    emit("    _pend = 0")
+    emit("    _k = _pend = _si = _t = 0")
     emit("    _nst = len(_STT)")
-    emit("    _si = 0")
     emit("    _next = _STT[0] if _nst else -1")
-    emit("    _t = 0")
     if not trace:
         emit(f"    _ask = {_JUMP_AFTER}")
     emit("    while _t < _TICKS:")
@@ -1047,17 +1053,14 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("        _vis = _pend")
     emit("        _emit = 0")
 
-    for idx, s in enumerate(swa.states):
-        selft = s.self_transition
-        conds = [f"_loc == {idx}", *_py_can_evolve(selft.guard, plan.mask(selft.absent))]
-        emit(f"        {'if' if idx == 0 else 'elif'} {' and '.join(conds)}:  # {s.name}")
-        emit("            _k += 1")
-        for var, wit in s.witnesses:
-            if wit.kind is WitnessKind.CONSTANT:
-                continue  # value stays at c1, no assignment needed
-            emit(f"            u_{var} = {_py_witness(wit, f'c1_{var}', '_k', swa.delta_f)}")
-        if trace:
-            emit(f"            {write_row(s)}")
+    tests = [test for p, locations in enumerate(plan.parts) if (test := _py_evolve_test(locations, p))]
+    emit(f"        if {' and '.join(tests) or 'True'}:")
+    emit("            _k += 1")
+    for p, locations in enumerate(plan.parts):
+        for line in _py_step(locations, p, held, swa.delta_f):
+            emit(f"            {line}")
+    if trace:
+        emit(f"            {write_row(False)}")
 
     # Switching.  u_* keep the committed values until every part has
     # decided, for the stuck report.
@@ -1070,15 +1073,15 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("            _k = 0")
     if not trace:
         emit(f"            _ask = {_JUMP_AFTER}")
-    emit("            _prev = _loc")
     index = " + ".join(
         f"_l{p} * {stride}" if stride != 1 else f"_l{p}" for p, stride in enumerate(plan.strides)
     )
     emit(f"            _loc = {index}")
     if trace:
+        emit("            _row = _ROWS(_loc)")
         for var in held:
-            emit(f"            f_{var} = '%.15g' % v_{var}")
-        emit(f"            {write_row(None)}")
+            emit(f"            r_{var} = '%.15g' % v_{var}")
+        emit(f"            {write_row(True)}")
     else:
         locs = "".join(f"_l{p}," for p in range(len(plan.parts)))
         c1s = ", ".join(f"c1_{var}" for var in swa.variables)
@@ -1093,8 +1096,29 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("            _pend = _emit")
     emit("        _t += 1")
     is_ = ", ".join(f"i_{var}" for var in swa.variables)
-    emit(f"    return (_loc, _k, ({us}{tail}), ({is_}{tail}), _pend, _prev)")
+    emit(f"    return (_loc, _k, ({us}{tail}), ({is_}{tail}), _pend)")
     return "\n".join(w) + "\n"
+
+
+def _py_evolve_test(locations: tuple[LocationPlan, ...], p: int) -> str:
+    """Part p's evolve test on its location index ``_l<p>``, "" when it always holds."""
+    tests = [_py_can_evolve(loc) or "True" for loc in locations]
+    if len(set(tests)) == 1:
+        return "" if tests[0] == "True" else f"({tests[0]})"
+    *first, last = tests
+    return "(" + "".join(f"{test} if _l{p} == {d} else " for d, test in enumerate(first)) + last + ")"
+
+
+def _py_step(locations: tuple[LocationPlan, ...], p: int, held: tuple, delta_f: float) -> list[str]:
+    """Part p's evolution step: its moving witnesses at the new ``_k``, and their row arguments."""
+    w: list[str] = []
+    for d, loc in enumerate(locations):
+        moving = [(var, wit) for var, wit in loc.witnesses if wit.kind is not WitnessKind.CONSTANT]
+        if moving:
+            w.append(f"{'elif' if w else 'if'} _l{p} == {d}:  # {loc.name}")
+            w += [f"    u_{var} = {_py_witness(wit, f'c1_{var}', '_k', delta_f)}" for var, wit in moving]
+            w += [f"    r_{var} = v_{var}" for var, _ in moving if var in held]
+    return w
 
 
 def _py_switch(locations: tuple[LocationPlan, ...], p: int, stuck: str, delta_f: float) -> list[str]:
@@ -1155,26 +1179,14 @@ def _py_switch(locations: tuple[LocationPlan, ...], p: int, stuck: str, delta_f:
         if loc.edges:
             emit("    if not _f:")
             indent = "        "
-        conds = _py_can_evolve(loc.invariant, loc.triggers)
-        if conds:
-            emit(f"{indent}if not ({' and '.join(conds)}):")
+        evolve = _py_can_evolve(loc)
+        if evolve:
+            emit(f"{indent}if not ({evolve}):")
             emit(f"{indent}    raise {stuck}")
         reenter(loc.witnesses, indent)
-        if not conds and not loc.witnesses:
+        if not evolve and not loc.witnesses:
             emit(f"{indent}pass")
     return w
-
-
-class _MaskNames(dict):
-    """Event mask -> the `;`-joined names of the given events it holds, filled in on a miss."""
-
-    def __init__(self, named: tuple[tuple[str, int], ...]):
-        super().__init__()
-        self.named = named
-
-    def __missing__(self, m: int) -> str:
-        text = self[m] = ";".join(e for e, b in self.named if m & b)
-        return text
 
 
 class _Jump:
@@ -1237,8 +1249,14 @@ def _runner(swa: Swa, trace: bool):
 @lru_cache(maxsize=64)
 def _build_runner(swa: Swa, trace: bool):
     source = _runner_source(swa, trace)
-    namespace = {"_EXP": math.exp, "_MaskNames": _MaskNames, "_SUFFIXES": time_suffixes}
-    if not trace:
+    namespace = {"_EXP": math.exp, "_suf": time_suffixes((decimal_delta(swa.delta) or (0, 0))[1])}
+    if trace:  # texts by product state and by event mask, each built once; none refers to `swa`
+        plan, memo = switch_plan(swa), lru_cache(maxsize=None)
+        evolve_row = partial(_row_format, _py_time(swa)[0], swa.variables, bool(swa.inputs), False)
+        names = lambda events: memo(lambda m: ";".join(e for e in events if m & plan.mask((e,))))
+        namespace.update(_ROWS=memo(lambda j: evolve_row(plan.name(j), plan.held(j))),
+                         _NAMES=memo(plan.name), _INS=names(swa.inputs), _OUTS=names(swa.outputs))
+    else:
         namespace["_JUMP"] = _Jump(swa)
     exec(compile(source, f"<swa:{swa.name}>", "exec"), namespace)
     return namespace["_swarun"]
@@ -1262,30 +1280,20 @@ def run_compiled(
     )
     stt = [t for t, _ in stim_items]
     stm = [m for _, m in stim_items]
-    loc_names = tuple(s.name for s in swa.states)
     if out is not None:
         out.write(trace_header(swa) + "\n")
 
     def mk_stuck(loc, values, k, vis, t):
         valuation = dict(zip(swa.variables, values))
         visible = (e for e in events if vis & bit[e])
-        return UnreachableState(swa.name, loc_names[loc], valuation, k, visible, tick=t)
+        return UnreachableState(swa.name, swa.states[loc].name, valuation, k, visible, tick=t)
 
     fn = _runner(swa, out is not None)
     write = out.write if out is not None else None
-    loc, k, us, is_, pend, prev = fn(ticks, stt, stm, write, mk_stuck)
-    # after an evolution tick the previous state equals the current one;
-    # the loop only tracks it across switches, so patch it up here
-    if k != 0:
-        prev = loc
-    return ExecState(
-        location=loc_names[loc],
-        v=dict(zip(swa.variables, us)),
-        i=dict(zip(swa.variables, is_)),
-        k=k,
-        prev_location=loc_names[prev],
-        pending_pre=frozenset(e for e in events if pend & bit[e]),
-    )
+    loc, k, us, is_, pend = fn(ticks, stt, stm, write, mk_stuck)
+    values = lambda xs: dict(zip(swa.variables, xs))
+    pending = frozenset(e for e in events if pend & bit[e])
+    return ExecState(swa.states[loc].name, values(us), values(is_), k, pending)
 
 
 ENGINES = ("auto", "generic", "compiled")

@@ -1,12 +1,14 @@
 """Static well-formedness verification of a hybrid automaton.
 
-Three criteria gate compilation:
+Four criteria gate compilation:
 
 1. every invariant and edge guard is a conjunction of single-variable
    comparisons against rational constants,
 2. every flow has a closed-form solution in the supported affine class,
 3. every flow is monotone within the location's invariant bounds (its
-   slope must not change sign there).
+   slope must not change sign there),
+4. the initial location's ``boundary`` annotations contain the declared
+   initial values, since the dwell analysis starts from the boundary.
 
 Unlike a fail-fast gate, the checker accumulates every violation so a
 report lists all of them at once.  The verdict is PASS exactly when the
@@ -24,6 +26,7 @@ from .expr import (
     LinearForm,
     NonlinearExpr,
     constraint_to_interval,
+    format_number,
 )
 from .model import Diagnostic, HybridAutomaton
 from .odesolve import Monotonicity, UnsupportedOde, classify_monotonicity, solve_ode
@@ -31,11 +34,12 @@ from .odesolve import Monotonicity, UnsupportedOde, classify_monotonicity, solve
 NON_CVX_CONSTRAINT = "NON_CVX_CONSTRAINT"
 NO_CLOSED_FORM = "NO_CLOSED_FORM"
 NON_MONOTONE = "NON_MONOTONE"
+INIT_OUTSIDE_BOUNDARY = "INIT_OUTSIDE_BOUNDARY"
 
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # NON_CVX_CONSTRAINT | NO_CLOSED_FORM | NON_MONOTONE
+    kind: str  # NON_CVX_CONSTRAINT | NO_CLOSED_FORM | NON_MONOTONE | INIT_OUTSIDE_BOUNDARY
     where: str  # location or edge description
     detail: str
     line: int = 0
@@ -102,8 +106,9 @@ def check_wha(ha: HybridAutomaton) -> WhaReport:
     """Verify all well-formedness criteria, reporting every violation.
 
     Violations are ordered by location declaration order (the location's
-    invariant first, then its flows in order), with edge guard violations
-    after all locations, in edge declaration order.
+    invariant first, then its flows in order, then its boundaries), with
+    edge guard violations after all locations, in edge declaration order.
+    A boundary is reported at its location's line.
     """
     violations: list[Violation] = []
 
@@ -147,6 +152,12 @@ def check_wha(ha: HybridAutomaton) -> WhaReport:
                         flow.line,
                     )
                 )
+        for var, value in loc.init or ():
+            entry = loc.boundary_for(var)
+            if entry is not None and not entry.contains(value):
+                violations.append(Violation(
+                    INIT_OUTSIDE_BOUNDARY, f"boundary of {var} in {loc.name}",
+                    f"{entry} does not contain the initial value {format_number(value)}", loc.line))
 
     for e in ha.edges:
         violations.extend(

@@ -26,83 +26,23 @@ double b2_ode_2(double d, double k, double C1) { return C1 + 1*d*k; }
 enum states tankburnerR(enum states cstate) {
     x = x_u;
     c = c_u;
-    switch (cstate) {
-    case t1b1: {
-        if (!ON && !OFF && x == 20 && c >= 0 && c <= 25) {
-            k = k + 1;
-            x_u = t1_ode_1(C1_x);
-            c_u = b1_ode_2(d, k, C1_c);
-            return cstate;
-        }
-        break;
-    }
-    case t1b2: {
-        if (!ON && !OFF && x == 20 && c >= 0 && c <= 15) {
-            k = k + 1;
-            x_u = t1_ode_1(C1_x);
-            c_u = b2_ode_2(d, k, C1_c);
-            return cstate;
-        }
-        break;
-    }
-    case t2b1: {
-        if (!ON && !OFF && x >= 20 && x <= 100 && c >= 0 && c <= 25) {
-            k = k + 1;
-            x_u = t2_ode_1(d, k, C1_x);
-            c_u = b1_ode_2(d, k, C1_c);
-            return cstate;
-        }
-        break;
-    }
-    case t2b2: {
-        if (!ON && !OFF && x >= 20 && x <= 100 && c >= 0 && c <= 15) {
-            k = k + 1;
-            x_u = t2_ode_1(d, k, C1_x);
-            c_u = b2_ode_2(d, k, C1_c);
-            return cstate;
-        }
-        break;
-    }
-    case t3b1: {
-        if (!ON && !OFF && x == 100 && c >= 0 && c <= 25) {
-            k = k + 1;
-            x_u = t3_ode_1(C1_x);
-            c_u = b1_ode_2(d, k, C1_c);
-            return cstate;
-        }
-        break;
-    }
-    case t3b2: {
-        if (!ON && !OFF && x == 100 && c >= 0 && c <= 15) {
-            k = k + 1;
-            x_u = t3_ode_1(C1_x);
-            c_u = b2_ode_2(d, k, C1_c);
-            return cstate;
-        }
-        break;
-    }
-    case t4b1: {
-        if (!ON && !OFF && x >= 20 && x <= 100 && c >= 0 && c <= 25) {
-            k = k + 1;
-            x_u = t4_ode_1(d, k, C1_x);
-            c_u = b1_ode_2(d, k, C1_c);
-            return cstate;
-        }
-        break;
-    }
-    case t4b2: {
-        if (!ON && !OFF && x >= 20 && x <= 100 && c >= 0 && c <= 15) {
-            k = k + 1;
-            x_u = t4_ode_1(d, k, C1_x);
-            c_u = b2_ode_2(d, k, C1_c);
-            return cstate;
-        }
-        break;
-    }
-    }
     int l0 = cstate / 2;
     int l1 = cstate % 2;
-    switch (l0) {
+    if ((cstate / 2 == 0 ? !ON && !OFF && x == 20 : cstate / 2 == 1 ? !ON && !OFF && x >= 20 && x <= 100 : cstate / 2 == 2 ? !ON && !OFF && x == 100 : !ON && !OFF && x >= 20 && x <= 100)
+        && (cstate % 2 == 0 ? c >= 0 && c <= 25 : c >= 0 && c <= 15)) {
+        k = k + 1;
+        switch (cstate / 2) {
+        case 1: x_u = t2_ode_1(d, k, C1_x); break;
+        case 3: x_u = t4_ode_1(d, k, C1_x); break;
+        default: break;
+        }
+        switch (cstate % 2) {
+        case 0: c_u = b1_ode_2(d, k, C1_c); break;
+        case 1: c_u = b2_ode_2(d, k, C1_c); break;
+        }
+        return cstate;
+    }
+    switch (cstate / 2) {
     case 0: {  /* t1 */
         double x_prev = (k >= 1) ? t1_ode_1(C1_x) : x;
         double x_c0 = x;
@@ -192,7 +132,7 @@ enum states tankburnerR(enum states cstate) {
         break;
     }
     }
-    switch (l1) {
+    switch (cstate % 2) {
     case 0: {  /* b1 */
         double c_prev = (k >= 1) ? b1_ode_2(d, k - 1, C1_c) : c;
         double c_c0 = c;

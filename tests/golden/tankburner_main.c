@@ -107,7 +107,8 @@ int main(int argc, char **argv) {
         }
         char ins[15];
         char outs[15];
-        int off = 0;
+        int off;
+        off = 0;
         ins[off] = '\0';
         off = 0;
         if (ON_out) {

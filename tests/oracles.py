@@ -245,7 +245,6 @@ def _first_jump(swa: Swa, st: ExecState, visible: frozenset[str]):
             v=post,
             i=post,
             k=0,
-            prev_location=st.location,
             pending_pre=frozenset(),
         )
         return nxt, frozenset(tr.emits)
@@ -269,7 +268,6 @@ def _evolved(swa: Swa, st: ExecState) -> ExecState:
         v=new_v,
         i=st.i,
         k=k_new,
-        prev_location=st.location,
         pending_pre=frozenset(),
     )
 
@@ -280,7 +278,6 @@ def _frozen(st: ExecState) -> ExecState:
         v=st.v,
         i=st.v,
         k=0,
-        prev_location=st.location,
         pending_pre=frozenset(),
     )
 

@@ -34,6 +34,12 @@ class TestCheck:
         assert code == 1
         assert "NO_CLOSED_FORM" in err
 
+    def test_initial_value_outside_its_boundary_fails(self, capsys, fixtures_dir):
+        code, out, err = invoke(capsys, "check", str(fixtures_dir / "boundaryprobe.pha"))
+        assert code == 1
+        assert "probe: FAIL (1 violation)" in out
+        assert "INIT_OUTSIDE_BOUNDARY (line 10): boundary of x in up" in err
+
     def test_syntax_error_reports_position(self, capsys, fixtures_dir):
         code, out, err = invoke(capsys, "check", str(fixtures_dir / "disjunct.pha"))
         assert code == 2
@@ -118,6 +124,17 @@ class TestSimulate:
         )
         assert code == 3
         assert "stuck at tick 6" in err
+
+    @pytest.mark.parametrize("engine", ["generic", "compiled"])
+    def test_overflow_is_a_one_line_error(self, capsys, fixtures_dir, tmp_path, engine):
+        # exp overflows a double near tick 70,978; C writes inf from there on
+        code, out, err = invoke(
+            capsys, "simulate", str(fixtures_dir / "blowup.pha"), "--ticks", "80000",
+            "--engine", engine, "--out", str(tmp_path / "trace.csv"),
+        )
+        assert code == 3
+        errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+        assert errors == ["error: automaton blow: a value overflowed the float range (math range error)"]
 
     def test_failing_model_exits_1(self, capsys, fixtures_dir):
         code, out, err = invoke(

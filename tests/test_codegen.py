@@ -237,13 +237,18 @@ def product_of(net, delta=Fraction(1, 100)):
 
 
 @needs_cc
-@pytest.mark.parametrize("model", ["thermostat", "watertank", "traingate", "fuzz42"])
-def test_bundled_products_compile_strictly(models_dir, tmp_path, model):
-    """Each bundled product, and a fuzzed network whose parts hold values."""
+@pytest.mark.parametrize("model", ["thermostat", "watertank", "traingate", "fuzz42", "satramp", "stucklate"])
+def test_bundled_products_compile_strictly(models_dir, fixtures_dir, tmp_path, model):
+    """Each bundled product, and a fuzzed network whose parts hold values.
+
+    In `satramp` and `stucklate` the product state is one part's location
+    index, and that part has a location whose witnesses do not move.
+    """
     if model == "fuzz42":
         net = parse_model(fuzz_network(42))
     else:
-        net = load_model(models_dir / f"{model}.pha")
+        net = load_model((models_dir if model in ("thermostat", "watertank", "traingate") else fixtures_dir)
+                         / f"{model}.pha")
     unit = emit_c(product_of(net))
     auto_path, main_path = write_unit(unit, tmp_path)
     cmd = [find_cc(), "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", "-O2",

@@ -46,7 +46,7 @@ def final(product, ticks, stimulus, engine, traced):
         st_ = simulate(product, ticks, stimulus, out=io.StringIO() if traced else None, engine=engine)
     except UnreachableState as exc:
         return ("stuck", str(exc), exc.tick, exc.state, bits(exc.valuation), exc.k, exc.visible)
-    return (st_.location, bits(st_.v), bits(st_.i), st_.k, st_.prev_location, st_.pending_pre)
+    return (st_.location, bits(st_.v), bits(st_.i), st_.k, st_.pending_pre)
 
 
 def assert_engines_agree(product, ticks, stimulus=None):

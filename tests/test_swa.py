@@ -1,7 +1,9 @@
+import gc
 import io
 import math
 import re
 import subprocess
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from syncha.model import load_model, parse_model
 from syncha.swa import (
     SwaState,
     UnreachableState,
+    _build_runner,
     _eval_update,
     _runner_source,
     build_swa,
@@ -405,7 +408,6 @@ class TestEngines:
         b = run_compiled(watertank_swa, 4321)
         assert (a.location, a.k, a.v, a.i) == (b.location, b.k, b.v, b.i)
         assert a.pending_pre == b.pending_pre
-        assert a.prev_location == b.prev_location
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -693,12 +695,62 @@ class TestNetworkRunner:
         simulate(copy, 5)
         assert calls == []
 
+    def test_a_dropped_product_is_freed_at_once(self):
+        # a product kept alive by a reference cycle waits for the cycle collector
+        product = network_product(timer_chain(3))
+        for engine, out in (("generic", None), ("compiled", None), ("compiled", io.StringIO())):
+            simulate(product, 50, out=out, engine=engine)
+        _build_runner.cache_clear()
+        ref = weakref.ref(product)
+        gc.disable()
+        try:
+            del product
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_parts_survive_renaming(self, burner_swa, pingpong_swas):
         left, right = pingpong_swas
         plant = compose_all([burner_swa, compose(left, right)], name="plant")
         assert plant.parts == (burner_swa, left, right)
         assert burner_swa.parts == ()
         assert trace_text(plant, 200, engine="compiled") == trace_text(plant, 200, engine="generic")
+
+
+needs_cc = pytest.mark.skipif(find_cc() is None, reason="no C compiler on PATH")
+
+
+class TestChainScaling:
+    """Every engine is printed part by part, so code per automaton stays flat as a chain grows."""
+
+    TICKS = 400  # timer 7 first finishes near tick 220
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        return {n: network_product(timer_chain(n)) for n in (4, 8)}
+
+    @pytest.mark.parametrize("printed", ["runner", "traced runner", "C reaction"])
+    def test_code_per_automaton_grows_less_than_half(self, chains, printed):
+        size = {
+            "runner": lambda p: _runner_source(p, False),
+            "traced runner": lambda p: _runner_source(p, True),
+            "C reaction": lambda p: emit_c(p).automaton_source,
+        }[printed]
+        per = {n: len(size(p)) / n for n, p in chains.items()}
+        assert per[8] < 1.5 * per[4], per
+
+    @needs_cc
+    def test_eight_timers_agree_with_the_product_oracle(self, chains, tmp_path):
+        product = chains[8]
+        oracle = io.StringIO()
+        product_run(product, self.TICKS, out=oracle)
+        want = oracle.getvalue()
+        assert ",E7\n" in want  # the last timer has finished
+        for engine in ("generic", "compiled"):
+            assert trace_text(product, self.TICKS, engine=engine) == want, engine
+        binary = build_binary(emit_c(product), tmp_path)
+        proc = subprocess.run([str(binary), str(self.TICKS)], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, want)
 
 
 HELDNET_STIMULUS = {1: frozenset({"NOISE"}), 4: frozenset({"GO"}), 9: frozenset({"GO", "NOISE"})}

@@ -4,6 +4,7 @@ from fractions import Fraction
 from syncha.expr import Comparison, Constraint
 from syncha.model import load_model, parse_model
 from syncha.whacheck import (
+    INIT_OUTSIDE_BOUNDARY,
     NO_CLOSED_FORM,
     NON_CVX_CONSTRAINT,
     NON_MONOTONE,
@@ -124,3 +125,15 @@ class TestCheckWha:
         diags = report.to_diagnostics()
         assert [d.code for d in diags] == [NON_MONOTONE, NO_CLOSED_FORM]
         assert all(d.line > 0 for d in diags)
+
+    def test_initial_value_outside_the_initial_boundary(self, fixtures_dir):
+        # the dwell analysis would start `up` at x = 5 and claim 500 steps;
+        # the run enters at x = 0 and first reaches `done` at tick 1001
+        report = check_wha(load_model(fixtures_dir / "boundaryprobe.pha").automaton("probe"))
+        (v,) = report.violations
+        assert (v.kind, v.where, v.line) == (INIT_OUTSIDE_BOUNDARY, "boundary of x in up", 10)
+        assert v.detail == "[5, 5] does not contain the initial value 0"
+
+    def test_initial_value_inside_the_boundary_passes(self, fixtures_dir):
+        text = (fixtures_dir / "boundaryprobe.pha").read_text().replace("[5, 5]", "[0, 5]")
+        assert check_wha(parse_model(text).automaton("probe")).passed
