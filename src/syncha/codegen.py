@@ -16,13 +16,15 @@ binary and the Python engines compute identical doubles and identical
 ``%.15g`` trace rows on the same libm.  Guards, updates and entry
 constants are printed by the same functions as the Python runner's.
 
-The driver formats a float only where the value is unknown.  Each row is
-one ``printf``.  Its time field is integer arithmetic on the tick index
-when `swa.decimal_delta` gives the tick length as a short decimal.  A
-variable that some state holds constant has a string ``<var>_txt``,
-formatted before the loop and after every switch tick (``k == 0`` after
-the reaction); the states that hold the same set of variables share a
-row format, chosen through ``rowkind``, that prints those strings.
+The driver writes each row into one line buffer, sized from the
+network, and sends it with one ``fwrite``.  The tick and the time field
+come from an integer writer (the time field is integer arithmetic on the
+tick index when `swa.decimal_delta` gives the tick length as a short
+decimal), names are copied, and each variable goes through ``put_g``: a
+direct-mapped cache of 4096 slots per variable, ``<var>_g``, keyed on the
+bits of the double.  A miss formats the value with ``%.15g`` into its
+slot, so a value the trace repeats, such as one a state holds constant,
+is formatted once while it keeps its slot.
 """
 
 from __future__ import annotations
@@ -53,11 +55,12 @@ _C_KEYWORDS = frozenset(
 
 # Everything the templates themselves use, so model names never shadow it.
 _RESERVED = _C_KEYWORDS | frozenset(
-    """main exp fabs printf fprintf snprintf fputs fopen fclose fgets memcpy
-    strtol strtod strcmp strncmp strcpy strlen qsort atol atoi exit malloc
-    realloc free stdin stdout stderr errno d k cstate stuck states
-    statename t si off ticks argc argv ins outs mask stim_ticks
-    stim_masks stim_n stim_cap stim_path load_stimulus INFINITY NAN rowkind tf tp""".split()
+    """main exp fabs printf fprintf snprintf fputs fwrite fopen fclose fgets
+    memcpy strtol strtod strcmp strncmp strcpy strlen strchr strspn strcspn
+    qsort atol atoi exit malloc realloc free size_t stdin stdout stderr errno
+    d k cstate stuck states statename t si ticks argc argv mask stim stim_n
+    stim_cap stim_path load_stimulus by_tick slot buf o put put_l put_g put_e
+    INFINITY NAN""".split()
 )
 
 
@@ -147,7 +150,7 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
     for s in swa.states:
         names.claim("state", s.name, lambda n: {n})
     for v in swa.variables:
-        names.claim("var", v, lambda n: {n, f"{n}_u", f"C1_{n}", f"{n}_txt"})
+        names.claim("var", v, lambda n: {n, f"{n}_u", f"C1_{n}", f"{n}_g"})
     for e in swa.events():
         names.claim("event", e, lambda n: {n, f"{n}_out"})
 
@@ -322,29 +325,27 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
     return "\n".join(w) + "\n"
 
 
-def _c_time_field(swa: Swa) -> tuple[list[str], str, str]:
-    """Statements, printf conversion and arguments for the time field of row t.
+def _c_time_field(swa: Swa) -> list[str]:
+    """Statements that write the time field of row t.
 
     With `decimal_delta` the field is integer arithmetic on t*m: the
-    quotient by 10**j, then the remainder with its trailing zeros
-    stripped.  A precision of 0 prints nothing of a zero remainder.
+    quotient by 10**j, then the remainder plus 10**j, whose leading 1
+    becomes the point, with trailing zeros and a bare point stripped.
     """
     dec = decimal_delta(swa.delta)
     if dec is None:
-        return [], "%.15g", f"t * {c_float(swa.delta_f)}"
+        return [f'o += snprintf(o, 24, "%.15g", t * {c_float(swa.delta_f)});']
     m, j = dec
     scaled = "t" if m == 1 else f"t * {m}"
     if j == 0:
-        return [], "%ld", scaled
-    lines = [
-        f"long tf = {scaled} % {10**j};",
-        f"int tp = {j};",
-        "while (tp && tf % 10 == 0) {",
-        "    tf /= 10;",
-        "    tp--;",
-        "}",
+        return [f"put_l({scaled});"]
+    return [
+        f"put_l({scaled} / {10**j});",
+        f"put_l({scaled} % {10**j} + {10**j});",
+        f"o[-{j + 1}] = '.';",
+        "while (o[-1] == '0') o--;",
+        "if (o[-1] == '.') o--;",
     ]
-    return lines, "%ld%s%.*ld", f'{scaled} / {10**j}, tp ? "." : "", tp, tf'
 
 
 def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions) -> str:
@@ -352,11 +353,11 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     ce = lambda e: names.of("event", e)
     cs = lambda s: names.of("state", s)
     events = swa.events()
-    name_width = sum(len(e) for e in events) + len(events) + 8
-    plan = switch_plan(swa)
-    held_sets = [tuple(v for v in swa.variables if v in plan.held(j)) for j in range(len(swa.states))]
-    kinds = list(dict.fromkeys(held_sets))
-    held = [v for v in swa.variables if any(v in hs for hs in kinds)]
+    # the longest row: a 19-digit tick and a time field of at most 23 characters,
+    # the location, at most 22 characters per value, every event name, each field's
+    # separator and the newline
+    width = (48 + max(len(s.name) for s in swa.states) + 24 * len(swa.variables)
+             + sum(len(e) + 1 for e in (*swa.inputs, *swa.outputs)))
 
     w: list[str] = []
     emit = w.append
@@ -378,18 +379,51 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         + ", ".join(f'"{s.name}"' for s in swa.states)
         + " };"
     )
-    if len(kinds) > 1:
-        emit(
-            "static const int rowkind[] = { "
-            + ", ".join(str(kinds.index(hs)) for hs in held_sets)
-            + " };"
-        )
-    for v in held:
-        emit(f"static char {cv(v)}_txt[32];")
+    emit("static struct { long t; unsigned long long m; } *stim;")
+    emit("static long stim_n, stim_cap;")
     emit("")
-    emit("static long *stim_ticks = 0;")
-    emit("static unsigned long long *stim_masks = 0;")
-    emit("static long stim_n = 0, stim_cap = 0;")
+    emit(f"static char buf[{width}], *o;")
+    emit("")
+    emit("static void put(const char *s, size_t n) {")
+    emit("    memcpy(o, s, n);")
+    emit("    o += n;")
+    emit("}")
+    emit("")
+    emit("static void put_l(long v) {")
+    emit("    char s[20], *e = s + 20;")
+    emit("    do *--e = '0' + v % 10; while (v /= 10);")
+    emit("    put(e, s + 20 - e);")
+    emit("}")
+    emit("")
+    if swa.variables:
+        emit("/* one slot of a variable's text cache: the bits of a double and its %.15g */")
+        emit("typedef struct { unsigned long long b; char n, s[23]; } slot;")
+        emit(f"static slot {', '.join(f'{cv(v)}_g[4096]' for v in swa.variables)};")
+        emit("")
+        emit("static void put_g(double v, slot *c) {")
+        emit("    unsigned long long b;")
+        emit("    memcpy(&b, &v, sizeof b);")
+        emit("    c += b * 0x9E3779B97F4A7C15ULL >> 52; /* 4096 slots */")
+        emit("    if (!c->n || c->b != b) {")
+        emit("        c->b = b;")
+        emit('        c->n = snprintf(c->s, sizeof c->s, "%.15g", v);')
+        emit("    }")
+        emit("    *o++ = ',';")
+        emit("    put(c->s, c->n);")
+        emit("}")
+        emit("")
+    if swa.inputs or swa.outputs:
+        emit("static void put_e(int on, const char *s) {")
+        emit("    if (on) {")
+        emit("        if (o[-1] != ',') *o++ = ';';")
+        emit("        put(s, strlen(s));")
+        emit("    }")
+        emit("}")
+        emit("")
+    emit("static int by_tick(const void *a, const void *b) {")
+    emit("    long x = *(const long *)a, y = *(const long *)b;")
+    emit("    return (x > y) - (x < y);")
+    emit("}")
     emit("")
     emit("static void load_stimulus(const char *path) {")
     emit('    FILE *fp = fopen(path, "r");')
@@ -398,15 +432,12 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("        exit(2);")
     emit("    }")
     emit("    char line[8192];")
-    emit("    int row = 0;")
-    emit("    while (fgets(line, sizeof line, fp)) {")
-    emit("        row++;")
-    emit("        char *p = line;")
-    emit("        while (*p == ' ' || *p == '\\t') p++;")
-    emit("        if (*p == '\\n' || *p == '\\r' || *p == '\\0' || *p == '#') continue;")
-    emit("        char *end = 0;")
-    emit("        long tick = strtol(p, &end, 10);")
-    emit("        if (end == p) {")
+    emit("    for (int row = 1; fgets(line, sizeof line, fp); row++) {")
+    emit('        char *p = line + strspn(line, " \\t"), *q;')
+    emit('        if (strchr("#\\r\\n", *p)) continue;')
+    emit("        long tick = strtol(p, &q, 10);")
+    emit('        q += strspn(q, " \\t");')
+    emit('        if (q == p || !strchr(",\\r\\n", *q)) {')
     emit("            if (row == 1) continue; /* header line */")
     emit('            fprintf(stderr, "%s:%d: expected a tick number\\n", path, row);')
     emit("            exit(2);")
@@ -415,46 +446,26 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit('            fprintf(stderr, "%s:%d: negative tick\\n", path, row);')
     emit("            exit(2);")
     emit("        }")
-    emit("        unsigned long long mask = 0;")
-    emit("        p = end;")
-    emit("        if (*p == ',') p++;")
-    emit("        while (*p && *p != '\\n' && *p != '\\r') {")
-    emit("            char *q = p;")
-    emit("            while (*q && *q != ';' && *q != '\\n' && *q != '\\r') q++;")
+    emit("        unsigned long long m = 0;")
+    emit('        for (p = q + (*q == \',\'); !strchr("\\r\\n", *p); p = q + (*q == \';\')) {')
+    emit('            p += strspn(p, " \\t");')
+    emit('            q = p + strcspn(p, ";\\r\\n");')
     emit("            long n = q - p;")
-    emit("            while (n > 0 && *p == ' ') { p++; n--; }")
-    emit("            while (n > 0 && p[n - 1] == ' ') n--;")
+    emit('            while (n && strchr(" \\t", p[n - 1])) n--;')
     for idx, e in enumerate(events):
-        emit(
-            f'            if (n == {len(e)} && strncmp(p, "{e}", {len(e)}) == 0)'
-            f" mask |= {1 << idx}ULL;"
-        )
-    emit("            p = (*q == ';') ? q + 1 : q;")
+        emit(f'            if (n == {len(e)} && !strncmp(p, "{e}", {len(e)})) m |= {1 << idx}ULL;')
     emit("        }")
     emit("        if (stim_n == stim_cap) {")
     emit("            stim_cap = stim_cap ? stim_cap * 2 : 64;")
-    emit("            stim_ticks = realloc(stim_ticks, stim_cap * sizeof *stim_ticks);")
-    emit("            stim_masks = realloc(stim_masks, stim_cap * sizeof *stim_masks);")
-    emit("            if (!stim_ticks || !stim_masks) exit(2);")
+    emit("            stim = realloc(stim, stim_cap * sizeof *stim);")
+    emit("            if (!stim) exit(2);")
     emit("        }")
-    emit("        stim_ticks[stim_n] = tick;")
-    emit("        stim_masks[stim_n] = mask;")
-    emit("        stim_n++;")
+    emit("        stim[stim_n].t = tick;")
+    emit("        stim[stim_n++].m = m;")
     emit("    }")
     emit("    fclose(fp);")
-    emit("    /* insertion sort by tick; equal ticks merge during lookup */")
-    emit("    for (long i = 1; i < stim_n; i++) {")
-    emit("        long tick = stim_ticks[i];")
-    emit("        unsigned long long mask = stim_masks[i];")
-    emit("        long j = i - 1;")
-    emit("        while (j >= 0 && stim_ticks[j] > tick) {")
-    emit("            stim_ticks[j + 1] = stim_ticks[j];")
-    emit("            stim_masks[j + 1] = stim_masks[j];")
-    emit("            j--;")
-    emit("        }")
-    emit("        stim_ticks[j + 1] = tick;")
-    emit("        stim_masks[j + 1] = mask;")
-    emit("    }")
+    emit("    /* equal ticks merge during lookup */")
+    emit("    if (stim_n) qsort(stim, stim_n, sizeof *stim, by_tick);")
     emit("}")
     emit("")
     emit("int main(int argc, char **argv) {")
@@ -468,10 +479,8 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("    if (stim_path) load_stimulus(stim_path);")
     emit(f"    enum states cstate = {cs(swa.initial_state)};")
     emit("    long si = 0;")
-    for v in held:
-        emit(f'    snprintf({cv(v)}_txt, sizeof {cv(v)}_txt, "%.15g", {cv(v)});')
     header = ",".join(["tick", "time", "location", *swa.variables, "inputs", "outputs"])
-    emit(f'    printf("{header}\\n");')
+    emit(f'    fputs("{header}\\n", stdout);')
     emit("    for (long t = 0; t < ticks; t++) {")
     emit(f"        cstate = {reaction}(cstate);")
     emit("        if (stuck) {")
@@ -486,48 +495,23 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         emit(f'            if ({ce(e)}) fprintf(stderr, "  visible: {e}\\n");')
     emit("            exit(3);")
     emit("        }")
-    if held:
-        emit("        if (k == 0) {")
-        for v in held:
-            emit(f'            snprintf({cv(v)}_txt, sizeof {cv(v)}_txt, "%.15g", {cv(v)});')
-        emit("        }")
-    emit(f"        char ins[{name_width}];")
-    emit(f"        char outs[{name_width}];")
-    emit("        int off;")
-    for buf, shown, flag in (("ins", swa.inputs, ""), ("outs", swa.outputs, "_out")):
-        emit("        off = 0;")
-        for e in shown:
-            emit(f"        if ({ce(e)}{flag}) {{")
-            emit(f"            if (off) {buf}[off++] = ';';")
-            emit(f'            memcpy({buf} + off, "{e}", {len(e)});')
-            emit(f"            off += {len(e)};")
-            emit("        }")
-        emit(f"        {buf}[off] = '\\0';")
-    time_lines, time_fmt, time_args = _c_time_field(swa)
-    for line in time_lines:
+    emit("        o = buf;")
+    emit("        put_l(t);")
+    emit("        *o++ = ',';")
+    for line in _c_time_field(swa):
         emit(f"        {line}")
-
-    def row(hs: tuple[str, ...]) -> str:
-        fmt = "".join(",%s" if v in hs else ",%.15g" for v in swa.variables)
-        args = "".join(f", {cv(v)}_txt" if v in hs else f", {cv(v)}" for v in swa.variables)
-        return (
-            f'printf("%ld,{time_fmt},%s{fmt},%s,%s\\n",'
-            f" t, {time_args}, statename[cstate]{args}, ins, outs);"
-        )
-
-    if len(kinds) == 1:
-        emit(f"        {row(kinds[0])}")
-    else:
-        emit("        switch (rowkind[cstate]) {")
-        for i, hs in enumerate(kinds):
-            emit(f"        case {i}: {row(hs)} break;")
-        emit("        }")
+    emit("        *o++ = ',';")
+    emit("        put(statename[cstate], strlen(statename[cstate]));")
+    for v in swa.variables:
+        emit(f"        put_g({cv(v)}, {cv(v)}_g);")
+    for shown, flag in ((swa.inputs, ""), (swa.outputs, "_out")):
+        emit("        *o++ = ',';")
+        for e in shown:
+            emit(f'        put_e({ce(e)}{flag}, "{e}");')
+    emit("        *o++ = '\\n';")
+    emit("        fwrite(buf, 1, o - buf, stdout);")
     emit("        unsigned long long mask = 0;")
-    emit("        while (si < stim_n && stim_ticks[si] < t) si++;")
-    emit("        while (si < stim_n && stim_ticks[si] == t) {")
-    emit("            mask |= stim_masks[si];")
-    emit("            si++;")
-    emit("        }")
+    emit("        while (si < stim_n && stim[si].t <= t) mask |= stim[si++].m;")
     for idx, e in enumerate(events):
         emit(f"        {ce(e)} = ((mask >> {idx}) & 1) || {ce(e)}_out;")
         emit(f"        {ce(e)}_out = 0;")

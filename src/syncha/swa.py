@@ -1259,7 +1259,7 @@ def _build_runner(swa: Swa, trace: bool):
     else:
         namespace["_JUMP"] = _Jump(swa)
     exec(compile(source, f"<swa:{swa.name}>", "exec"), namespace)
-    return namespace["_swarun"]
+    return namespace.pop("_swarun")  # the runner's globals must not hold it: no reference cycle
 
 
 def run_compiled(

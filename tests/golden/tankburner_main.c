@@ -12,12 +12,49 @@ extern int ON, ON_out;
 extern int OFF, OFF_out;
 
 static const char *statename[] = { "t1b1", "t1b2", "t2b1", "t2b2", "t3b1", "t3b2", "t4b1", "t4b2" };
-static const int rowkind[] = { 0, 0, 1, 1, 0, 0, 1, 1 };
-static char x_txt[32];
+static struct { long t; unsigned long long m; } *stim;
+static long stim_n, stim_cap;
 
-static long *stim_ticks = 0;
-static unsigned long long *stim_masks = 0;
-static long stim_n = 0, stim_cap = 0;
+static char buf[107], *o;
+
+static void put(const char *s, size_t n) {
+    memcpy(o, s, n);
+    o += n;
+}
+
+static void put_l(long v) {
+    char s[20], *e = s + 20;
+    do *--e = '0' + v % 10; while (v /= 10);
+    put(e, s + 20 - e);
+}
+
+/* one slot of a variable's text cache: the bits of a double and its %.15g */
+typedef struct { unsigned long long b; char n, s[23]; } slot;
+static slot x_g[4096], c_g[4096];
+
+static void put_g(double v, slot *c) {
+    unsigned long long b;
+    memcpy(&b, &v, sizeof b);
+    c += b * 0x9E3779B97F4A7C15ULL >> 52; /* 4096 slots */
+    if (!c->n || c->b != b) {
+        c->b = b;
+        c->n = snprintf(c->s, sizeof c->s, "%.15g", v);
+    }
+    *o++ = ',';
+    put(c->s, c->n);
+}
+
+static void put_e(int on, const char *s) {
+    if (on) {
+        if (o[-1] != ',') *o++ = ';';
+        put(s, strlen(s));
+    }
+}
+
+static int by_tick(const void *a, const void *b) {
+    long x = *(const long *)a, y = *(const long *)b;
+    return (x > y) - (x < y);
+}
 
 static void load_stimulus(const char *path) {
     FILE *fp = fopen(path, "r");
@@ -26,15 +63,12 @@ static void load_stimulus(const char *path) {
         exit(2);
     }
     char line[8192];
-    int row = 0;
-    while (fgets(line, sizeof line, fp)) {
-        row++;
-        char *p = line;
-        while (*p == ' ' || *p == '\t') p++;
-        if (*p == '\n' || *p == '\r' || *p == '\0' || *p == '#') continue;
-        char *end = 0;
-        long tick = strtol(p, &end, 10);
-        if (end == p) {
+    for (int row = 1; fgets(line, sizeof line, fp); row++) {
+        char *p = line + strspn(line, " \t"), *q;
+        if (strchr("#\r\n", *p)) continue;
+        long tick = strtol(p, &q, 10);
+        q += strspn(q, " \t");
+        if (q == p || !strchr(",\r\n", *q)) {
             if (row == 1) continue; /* header line */
             fprintf(stderr, "%s:%d: expected a tick number\n", path, row);
             exit(2);
@@ -43,43 +77,26 @@ static void load_stimulus(const char *path) {
             fprintf(stderr, "%s:%d: negative tick\n", path, row);
             exit(2);
         }
-        unsigned long long mask = 0;
-        p = end;
-        if (*p == ',') p++;
-        while (*p && *p != '\n' && *p != '\r') {
-            char *q = p;
-            while (*q && *q != ';' && *q != '\n' && *q != '\r') q++;
+        unsigned long long m = 0;
+        for (p = q + (*q == ','); !strchr("\r\n", *p); p = q + (*q == ';')) {
+            p += strspn(p, " \t");
+            q = p + strcspn(p, ";\r\n");
             long n = q - p;
-            while (n > 0 && *p == ' ') { p++; n--; }
-            while (n > 0 && p[n - 1] == ' ') n--;
-            if (n == 2 && strncmp(p, "ON", 2) == 0) mask |= 1ULL;
-            if (n == 3 && strncmp(p, "OFF", 3) == 0) mask |= 2ULL;
-            p = (*q == ';') ? q + 1 : q;
+            while (n && strchr(" \t", p[n - 1])) n--;
+            if (n == 2 && !strncmp(p, "ON", 2)) m |= 1ULL;
+            if (n == 3 && !strncmp(p, "OFF", 3)) m |= 2ULL;
         }
         if (stim_n == stim_cap) {
             stim_cap = stim_cap ? stim_cap * 2 : 64;
-            stim_ticks = realloc(stim_ticks, stim_cap * sizeof *stim_ticks);
-            stim_masks = realloc(stim_masks, stim_cap * sizeof *stim_masks);
-            if (!stim_ticks || !stim_masks) exit(2);
+            stim = realloc(stim, stim_cap * sizeof *stim);
+            if (!stim) exit(2);
         }
-        stim_ticks[stim_n] = tick;
-        stim_masks[stim_n] = mask;
-        stim_n++;
+        stim[stim_n].t = tick;
+        stim[stim_n++].m = m;
     }
     fclose(fp);
-    /* insertion sort by tick; equal ticks merge during lookup */
-    for (long i = 1; i < stim_n; i++) {
-        long tick = stim_ticks[i];
-        unsigned long long mask = stim_masks[i];
-        long j = i - 1;
-        while (j >= 0 && stim_ticks[j] > tick) {
-            stim_ticks[j + 1] = stim_ticks[j];
-            stim_masks[j + 1] = stim_masks[j];
-            j--;
-        }
-        stim_ticks[j + 1] = tick;
-        stim_masks[j + 1] = mask;
-    }
+    /* equal ticks merge during lookup */
+    if (stim_n) qsort(stim, stim_n, sizeof *stim, by_tick);
 }
 
 int main(int argc, char **argv) {
@@ -90,8 +107,7 @@ int main(int argc, char **argv) {
     if (stim_path) load_stimulus(stim_path);
     enum states cstate = t1b1;
     long si = 0;
-    snprintf(x_txt, sizeof x_txt, "%.15g", x);
-    printf("tick,time,location,x,c,inputs,outputs\n");
+    fputs("tick,time,location,x,c,inputs,outputs\n", stdout);
     for (long t = 0; t < ticks; t++) {
         cstate = tankburnerR(cstate);
         if (stuck) {
@@ -102,42 +118,26 @@ int main(int argc, char **argv) {
             if (OFF) fprintf(stderr, "  visible: OFF\n");
             exit(3);
         }
-        if (k == 0) {
-            snprintf(x_txt, sizeof x_txt, "%.15g", x);
-        }
-        char ins[15];
-        char outs[15];
-        int off;
-        off = 0;
-        ins[off] = '\0';
-        off = 0;
-        if (ON_out) {
-            if (off) outs[off++] = ';';
-            memcpy(outs + off, "ON", 2);
-            off += 2;
-        }
-        if (OFF_out) {
-            if (off) outs[off++] = ';';
-            memcpy(outs + off, "OFF", 3);
-            off += 3;
-        }
-        outs[off] = '\0';
-        long tf = t % 100;
-        int tp = 2;
-        while (tp && tf % 10 == 0) {
-            tf /= 10;
-            tp--;
-        }
-        switch (rowkind[cstate]) {
-        case 0: printf("%ld,%ld%s%.*ld,%s,%s,%.15g,%s,%s\n", t, t / 100, tp ? "." : "", tp, tf, statename[cstate], x_txt, c, ins, outs); break;
-        case 1: printf("%ld,%ld%s%.*ld,%s,%.15g,%.15g,%s,%s\n", t, t / 100, tp ? "." : "", tp, tf, statename[cstate], x, c, ins, outs); break;
-        }
+        o = buf;
+        put_l(t);
+        *o++ = ',';
+        put_l(t / 100);
+        put_l(t % 100 + 100);
+        o[-3] = '.';
+        while (o[-1] == '0') o--;
+        if (o[-1] == '.') o--;
+        *o++ = ',';
+        put(statename[cstate], strlen(statename[cstate]));
+        put_g(x, x_g);
+        put_g(c, c_g);
+        *o++ = ',';
+        *o++ = ',';
+        put_e(ON_out, "ON");
+        put_e(OFF_out, "OFF");
+        *o++ = '\n';
+        fwrite(buf, 1, o - buf, stdout);
         unsigned long long mask = 0;
-        while (si < stim_n && stim_ticks[si] < t) si++;
-        while (si < stim_n && stim_ticks[si] == t) {
-            mask |= stim_masks[si];
-            si++;
-        }
+        while (si < stim_n && stim[si].t <= t) mask |= stim[si++].m;
         ON = ((mask >> 0) & 1) || ON_out;
         ON_out = 0;
         OFF = ((mask >> 1) & 1) || OFF_out;

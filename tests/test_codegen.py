@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import subprocess
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,14 @@ from syncha.codegen import (
     write_unit,
 )
 from syncha.model import load_model, parse_model
-from syncha.swa import UnreachableState, compile_automaton, compose_all, constant_in, simulate
+from syncha.swa import (
+    UnreachableState,
+    compile_automaton,
+    compose_all,
+    constant_in,
+    parse_stimulus,
+    simulate,
+)
 
 from oracles import fuzz_network, product_run
 
@@ -30,7 +38,9 @@ network clash
 automaton sim
   var d init 0
   var k init 1
-  input int
+  var buf init 2
+  var o init 3
+  input int put_g
   output while
 
   initial location switch
@@ -132,6 +142,11 @@ automaton solo
         assert "double d_ = 0.0;" in src
         assert "double k_ = 1.0;" in src
         assert "int while_ = 0;" in src
+        # and so do the driver's line buffer, its cursor and its writers
+        assert "double buf_ = 2.0;" in src
+        assert "double o_ = 3.0;" in src
+        assert "int put_g_ = 0;" in src
+        assert "put_g(buf_, buf__g);" in unit.driver_source
 
     def test_baked_run_parameters(self, tank_swa):
         unit = emit_c(tank_swa, CodegenOptions(ticks=123, stimulus_path="events.csv"))
@@ -268,7 +283,7 @@ def test_fuzzed_networks_with_held_values_match_the_generic_engine(tmp_path, see
     csv = tmp_path / "go.csv"
     csv.write_text("".join(f"{t},GO\n" for t in stimulus))
     unit = emit_c(product)
-    assert "rowkind" in unit.driver_source
+    assert len({frozenset(constant_in(s)) for s in product.states}) > 1  # states hold different sets
     proc = binary_trace(unit, tmp_path, ["400", str(csv)])
     buf, oracle = io.StringIO(), io.StringIO()
     try:
@@ -282,6 +297,107 @@ def test_fuzzed_networks_with_held_values_match_the_generic_engine(tmp_path, see
         product_run(product, 400, stimulus, out=oracle)
     assert proc.stdout == buf.getvalue()
     assert oracle.getvalue() == buf.getvalue()
+
+
+STIMULUS_ROWS = """tick,events
+# a comment, then a blank line
+
+9, GO
+4,NOISE
+9,NOISE ;  BOGUS
+ 2 , GO ; NOISE
+"""
+
+
+@needs_cc
+def test_c_stimulus_parser_agrees_with_parse_stimulus(fixtures_dir, tmp_path):
+    """Header, comment, blank line, rows out of order, a tick on two rows, spaces, an unknown name."""
+    product = product_of(load_model(fixtures_dir / "heldnet.pha"))
+    stimulus = parse_stimulus(STIMULUS_ROWS)
+    assert stimulus[9] == {"GO", "NOISE", "BOGUS"}
+    good = tmp_path / "good.csv"
+    good.write_text(STIMULUS_ROWS)
+    binary = build_binary(emit_c(product), tmp_path)
+    proc = subprocess.run([str(binary), "16", str(good)], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, interpreter_trace(product, 16, stimulus))
+    assert ",GO;NOISE,BUMPED" in proc.stdout  # the two rows of tick 9 merged
+    for bad in ("-1,GO", "soon,GO", "7x,GO"):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"tick,events\n3,GO\n{bad}\n")
+        with pytest.raises(ValueError, match=":3:"):
+            parse_stimulus(path.read_text())
+        proc = subprocess.run([str(binary), "16", str(path)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, bad
+        assert f"{path}:3:" in proc.stderr
+
+
+WIDE_ROWS = f"""
+network widerow
+
+automaton wide
+  var z init -0.{"0" * 299}1234567890123456789
+  input ALPHA_IS_A_LONG_EVENT BRAVO_IS_LONGER_STILL
+  output CHARLIE_EMITTED_HERE DELTA_EMITTED_TOO
+
+  initial location waiting
+    invariant z <= 0
+    flow z' = 0.001 * z
+
+  location the_longest_location_name_of_this_network
+    invariant z <= 0
+    flow z' = 0.001 * z
+
+  edge waiting -> the_longest_location_name_of_this_network on ALPHA_IS_A_LONG_EVENT emit CHARLIE_EMITTED_HERE DELTA_EMITTED_TOO
+
+automaton ramp
+  var x init 0
+  var y init 1
+
+  initial location up
+    invariant x >= 0 && y >= 1
+    flow x' = 1.7
+    flow y' = 0.0005 * y
+"""
+
+
+@pytest.fixture(scope="module")
+def sanitizing_cc(tmp_path_factory):
+    """The C compiler, if it can build with AddressSanitizer and UBSan."""
+    src = tmp_path_factory.mktemp("probe") / "probe.c"
+    src.write_text("int main(void) { return 0; }\n")
+    cmd = [find_cc(), "-fsanitize=address,undefined", str(src), "-o", str(src.with_suffix(""))]
+    if subprocess.run(cmd, capture_output=True).returncode != 0:
+        pytest.skip("the C compiler cannot build with -fsanitize=address,undefined")
+    return find_cc()
+
+
+@needs_cc
+def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path):
+    """The widest row a network writes, and ramps with more distinct values than cache slots.
+
+    Row 4 shows the longest location name, every event, values whose %.15g
+    is longest (negative, exponent form) and a %.15g time field (delta 1/3).
+    x and y never repeat, so their 6000 values collide in 4096 slots.
+    """
+    product = product_of(parse_model(WIDE_ROWS), Fraction(1, 3))
+    csv = tmp_path / "all.csv"
+    csv.write_text("3,ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL\n")
+    auto_path, main_path = write_unit(emit_c(product), tmp_path)
+    binary = tmp_path / "wide"
+    cmd = [sanitizing_cc, "-std=c99", "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+           str(auto_path), str(main_path), "-lm", "-o", str(binary)]
+    build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
+    env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=0"}  # the stimulus table lives until exit
+    proc = subprocess.run([str(binary), "6000", str(csv)], capture_output=True, text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == interpreter_trace(product, 6000, {3: frozenset({"ALPHA_IS_A_LONG_EVENT",
+                                                                           "BRAVO_IS_LONGER_STILL"})})
+    rows = [row.split(",") for row in proc.stdout.splitlines()[1:]]
+    assert rows[4][2] == max((s.name for s in product.states), key=len)
+    assert rows[4][6:] == ["ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL", "CHARLIE_EMITTED_HERE;DELTA_EMITTED_TOO"]
+    assert len(rows[4][3]) == 22  # -1.23621507852519e-300
+    assert min(len({row[i] for row in rows}) for i in (4, 5)) > 4096
 
 
 def interpreter_trace_prefix_of_stuck(swa):

@@ -30,6 +30,7 @@ from syncha.swa import (
     run,
     run_compiled,
     simulate,
+    switch_plan,
     tick,
     time_field,
     trace_header,
@@ -701,11 +702,11 @@ class TestNetworkRunner:
         for engine, out in (("generic", None), ("compiled", None), ("compiled", io.StringIO())):
             simulate(product, 50, out=out, engine=engine)
         _build_runner.cache_clear()
-        ref = weakref.ref(product)
+        refs = weakref.ref(product), weakref.ref(switch_plan(product))
         gc.disable()
         try:
             del product
-            assert ref() is None
+            assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
 
