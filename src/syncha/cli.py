@@ -18,7 +18,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .codegen import CodegenOptions, emit_c, write_unit
 from .model import HybridAutomaton, ModelError, Network, load_model
 from .shagen import IllFormedAutomaton, Sha, generate_sha, sha_to_ir
 from .swa import (
@@ -170,6 +169,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from .codegen import CodegenOptions, emit_c, write_unit  # only this command emits C
+
     net = load_model(args.model)
     automata = _select(net, args.automaton)
     shas = _analysed(automata, args.delta)

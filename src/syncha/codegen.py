@@ -16,15 +16,20 @@ binary and the Python engines compute identical doubles and identical
 ``%.15g`` trace rows on the same libm.  Guards, updates and entry
 constants are printed by the same functions as the Python runner's.
 
-The driver writes each row into one line buffer, sized from the
-network, and sends it with one ``fwrite``.  The tick and the time field
-come from an integer writer (the time field is integer arithmetic on the
-tick index when `swa.decimal_delta` gives the tick length as a short
-decimal), names are copied, and each variable goes through ``put_g``: a
-direct-mapped cache of 4096 slots per variable, ``<var>_g``, keyed on the
-bits of the double.  A miss formats the value with ``%.15g`` into its
-slot, so a value the trace repeats, such as one a state holds constant,
-is formatted once while it keeps its slot.
+The reaction takes and returns the product state as its mixed-radix
+index over the parts' locations; neither unit has code per product
+state.  The driver appends each row to one buffer and writes it with
+one ``fwrite`` once it holds more than 64 KB, before a stuck report and
+at the end of the run.  The tick and the time field come from an
+integer writer (the time field is integer arithmetic on the tick index
+when `swa.decimal_delta` gives the tick length as a short decimal).  The
+location field is each part's location name, copied from one table per
+part at the same index digit the reaction reads.  Each variable goes
+through ``put_g``: a direct-mapped cache of 16,384 slots per variable,
+``<var>_g``, keyed on the bits of the double (so 0 and -0 stay apart).
+A miss formats the value with ``%.15g`` into its slot, so a value the
+trace repeats, such as one a state holds constant or one a periodic
+orbit comes back to, is formatted once while it keeps its slot.
 """
 
 from __future__ import annotations
@@ -58,9 +63,9 @@ _RESERVED = _C_KEYWORDS | frozenset(
     """main exp fabs printf fprintf snprintf fputs fwrite fopen fclose fgets
     memcpy strtol strtod strcmp strncmp strcpy strlen strchr strspn strcspn
     qsort atol atoi exit malloc realloc free size_t stdin stdout stderr errno
-    d k cstate stuck states statename t si ticks argc argv mask stim stim_n
-    stim_cap stim_path load_stimulus by_tick slot buf o put put_l put_g put_e
-    INFINITY NAN""".split()
+    d k cstate stuck t si ticks argc argv mask stim stim_n stim_cap stim_path
+    load_stimulus by_tick slot buf o flush put put_s put_l put_g put_e INFINITY
+    NAN""".split()
 )
 
 
@@ -126,7 +131,6 @@ class CUnit:
     automaton_source: str
     driver_source: str
     reaction_symbol: str
-    state_names: tuple[str, ...]  # enum constants, declaration order
 
     def file_names(self) -> tuple[str, str]:
         return (f"{self.name}.c", f"{self.name}_main.c")
@@ -147,39 +151,43 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
             names.claim(
                 f"loc{p}", s.name, lambda n: {f"{n}_ode_{var_index[v]}" for v in part.variables}
             )
-    for s in swa.states:
-        names.claim("state", s.name, lambda n: {n})
     for v in swa.variables:
         names.claim("var", v, lambda n: {n, f"{n}_u", f"C1_{n}", f"{n}_g"})
     for e in swa.events():
         names.claim("event", e, lambda n: {n, f"{n}_out"})
+    for p in range(len(swa.parts or (swa,))):
+        names.claim("table", f"loc{p}", lambda n: {n})
 
     reaction = f"{auto}R"
-    state_names = tuple(names.of("state", s.name) for s in swa.states)
     automaton_source = _emit_automaton(swa, names, reaction, var_index)
     driver_source = _emit_driver(swa, names, reaction, options)
-    return CUnit(auto, automaton_source, driver_source, reaction, state_names)
+    return CUnit(auto, automaton_source, driver_source, reaction)
+
+
+def _digits(swa: Swa) -> list[str]:
+    """Each part's location index, as C reads it from the product index ``cstate``."""
+    plan = switch_plan(swa)
+    return [("cstate" if stride == 1 else f"cstate / {stride}") + (f" % {len(locations)}" if p else "")
+            for p, (locations, stride) in enumerate(zip(plan.parts, plan.strides))]
 
 
 def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str, int]) -> str:
     """Globals, one witness function per part location and variable, and the reaction.
 
     Everything is printed from the `switch_plan`, part by part, on the
-    location index of each part, read from the product state.  The
+    location index of each part, read from the mixed-radix product
+    index that the reaction takes and returns.  The
     reaction evolves when every part's evolve test holds, one
     conditional expression per part; one `switch` per part then steps
     its witnesses.  Otherwise one `switch` per part runs its switch
-    code, and the product state is recombined.
+    code, and the product index is recombined.
     """
     plan = switch_plan(swa)
     cv = lambda v: names.of("var", v)
-    cs = lambda s: names.of("state", s)
 
     w: list[str] = []
     emit = w.append
     emit("#include <math.h>")
-    emit("")
-    emit(f"enum states {{ {', '.join(cs(s.name) for s in swa.states)} }};")
     emit("")
     emit(f"double d = {c_num(swa.delta)};")
     emit("long k = 0;")
@@ -212,16 +220,12 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
                   for i, e in enumerate(plan.events) if (present | absent) >> i & 1]
         return " && ".join(events + [c for c in conds if c != "1"]) or "1"
 
-    def value(digit: str, d: int) -> str:
-        """Location index d as `digit` reads it: the state's enum constant if that is the state."""
-        return cs(swa.states[d].name) if digit == "cstate" else str(d)
-
-    def choice(digit: str, exprs: list[str]) -> str:
-        """``exprs[digit]`` as a chain of conditional expressions, or the one expression they all are."""
+    def choice(lv: str, exprs: list[str]) -> str:
+        """``exprs[lv]`` as a chain of conditional expressions, or the one expression they all are."""
         if len(set(exprs)) == 1:
             return exprs[0]
         *first, last = exprs
-        chain = "".join(f"{digit} == {value(digit, d)} ? {e} : " for d, e in enumerate(first))
+        chain = "".join(f"{lv} == {d} ? {e} : " for d, e in enumerate(first))
         return f"({chain}{last})"
 
     def evolve_test(loc: LocationPlan) -> str:
@@ -284,34 +288,31 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
             return out + ["else {", *(f"    {line}" for line in frozen), "}"]
         return out + frozen
 
-    emit(f"enum states {reaction}(enum states cstate) {{")
+    emit(f"int {reaction}(int cstate) {{")
     for v in swa.variables:
         emit(f"    {cv(v)} = {cv(v)}_u;")
-    # each part's location is read from the product state; its next one is kept in l<p>
-    digits, lvs = [], []
-    for p, (locations, stride) in enumerate(zip(plan.parts, plan.strides)):
-        digit = "cstate" if stride == 1 else f"cstate / {stride}"
-        digits.append(digit + (f" % {len(locations)}" if p else ""))
+    # each part's location index, read once from the product index; its switch code sets the next one
+    lvs = []
+    for p, digit in enumerate(_digits(swa)):
         lvs.append(fresh(f"l{p}", names.used))
-        emit(f"    int {lvs[p]} = {digits[p]};")
-    tests = [choice(digit, list(map(evolve_test, locations))) for digit, locations in zip(digits, plan.parts)]
+        emit(f"    int {lvs[p]} = {digit};")
+    tests = [choice(lv, list(map(evolve_test, locations))) for lv, locations in zip(lvs, plan.parts)]
     evolve = "\n        && ".join(t for t in tests if t != "1") or "1"
     emit(f"    if ({evolve}) {{")
     emit("        k = k + 1;")
-    for p, (digit, locations) in enumerate(zip(digits, plan.parts)):
+    for p, (lv, locations) in enumerate(zip(lvs, plan.parts)):
         steps = [" ".join(f"{cv(v)}_u = {call(p, loc, v, wit, 'k')};" for v, wit in loc.witnesses
                           if wit.kind is not WitnessKind.CONSTANT) for loc in locations]
         if any(steps):
-            emit(f"        switch ({digit}) {{")
-            w += [f"        case {value(digit, d)}: {step} break;" for d, step in enumerate(steps) if step]
-            w += ["        default: break;"] * (not all(steps))  # every enum value is handled
+            emit(f"        switch ({lv}) {{")
+            w += [f"        case {d}: {step} break;" for d, step in enumerate(steps) if step]
             emit("        }")
     emit("        return cstate;")
     emit("    }")
-    for p, (digit, lv, locations) in enumerate(zip(digits, lvs, plan.parts)):
-        emit(f"    switch ({digit}) {{")
+    for p, (lv, locations) in enumerate(zip(lvs, plan.parts)):
+        emit(f"    switch ({lv}) {{")
         for d, loc in enumerate(locations):
-            emit(f"    case {value(digit, d)}: {{  /* {loc.name} */")
+            emit(f"    case {d}: {{  /* {loc.name} */")
             w += [f"        {line}" for line in switch_code(p, loc, lv)]
             emit("        break;")
             emit("    }")
@@ -320,7 +321,7 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
         emit(f"    {cv(v)}_u = {cv(v)};")
     emit("    k = 0;")
     index = " + ".join(lv if st == 1 else f"{lv} * {st}" for lv, st in zip(lvs, plan.strides))
-    emit(f"    return (enum states)({index});")
+    emit(f"    return {index};")
     emit("}")
     return "\n".join(w) + "\n"
 
@@ -351,13 +352,15 @@ def _c_time_field(swa: Swa) -> list[str]:
 def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions) -> str:
     cv = lambda v: names.of("var", v)
     ce = lambda e: names.of("event", e)
-    cs = lambda s: names.of("state", s)
+    plan = switch_plan(swa)
     events = swa.events()
+    # each part's location name, read from its own table
+    locs = [f"{names.of('table', f'loc{p}')}[{digit}]" for p, digit in enumerate(_digits(swa))]
     # the longest row: a 19-digit tick and a time field of at most 23 characters,
     # the location, at most 22 characters per value, every event name, each field's
     # separator and the newline
-    width = (48 + max(len(s.name) for s in swa.states) + 24 * len(swa.variables)
-             + sum(len(e) + 1 for e in (*swa.inputs, *swa.outputs)))
+    width = (48 + sum(max(len(loc.name) for loc in locations) for locations in plan.parts)
+             + 24 * len(swa.variables) + sum(len(e) + 1 for e in (*swa.inputs, *swa.outputs)))
 
     w: list[str] = []
     emit = w.append
@@ -365,8 +368,7 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("#include <stdlib.h>")
     emit("#include <string.h>")
     emit("")
-    emit(f"enum states {{ {', '.join(cs(s.name) for s in swa.states)} }};")
-    emit(f"enum states {reaction}(enum states cstate);")
+    emit(f"int {reaction}(int cstate);")
     emit("extern long k;")
     emit("extern int stuck;")
     for v in swa.variables:
@@ -374,19 +376,26 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     for e in events:
         emit(f"extern int {ce(e)}, {ce(e)}_out;")
     emit("")
-    emit(
-        "static const char *statename[] = { "
-        + ", ".join(f'"{s.name}"' for s in swa.states)
-        + " };"
-    )
+    for p, locations in enumerate(plan.parts):
+        table = ", ".join(f'"{loc.name}"' for loc in locations)
+        emit(f"static const char *{names.of('table', f'loc{p}')}[] = {{ {table} }};")
     emit("static struct { long t; unsigned long long m; } *stim;")
     emit("static long stim_n, stim_cap;")
     emit("")
-    emit(f"static char buf[{width}], *o;")
+    emit(f"static char buf[65536 + {width}], *o = buf;")
+    emit("")
+    emit("static void flush(void) {")
+    emit("    fwrite(buf, 1, o - buf, stdout);")
+    emit("    o = buf;")
+    emit("}")
     emit("")
     emit("static void put(const char *s, size_t n) {")
     emit("    memcpy(o, s, n);")
     emit("    o += n;")
+    emit("}")
+    emit("")
+    emit("static void put_s(const char *s) {")
+    emit("    put(s, strlen(s));")
     emit("}")
     emit("")
     emit("static void put_l(long v) {")
@@ -398,12 +407,12 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     if swa.variables:
         emit("/* one slot of a variable's text cache: the bits of a double and its %.15g */")
         emit("typedef struct { unsigned long long b; char n, s[23]; } slot;")
-        emit(f"static slot {', '.join(f'{cv(v)}_g[4096]' for v in swa.variables)};")
+        emit(f"static slot {', '.join(f'{cv(v)}_g[16384]' for v in swa.variables)};")
         emit("")
         emit("static void put_g(double v, slot *c) {")
         emit("    unsigned long long b;")
         emit("    memcpy(&b, &v, sizeof b);")
-        emit("    c += b * 0x9E3779B97F4A7C15ULL >> 52; /* 4096 slots */")
+        emit("    c += b * 0x9E3779B97F4A7C15ULL >> 50; /* 16384 slots */")
         emit("    if (!c->n || c->b != b) {")
         emit("        c->b = b;")
         emit('        c->n = snprintf(c->s, sizeof c->s, "%.15g", v);')
@@ -416,7 +425,7 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         emit("static void put_e(int on, const char *s) {")
         emit("    if (on) {")
         emit("        if (o[-1] != ',') *o++ = ';';")
-        emit("        put(s, strlen(s));")
+        emit("        put_s(s);")
         emit("    }")
         emit("}")
         emit("")
@@ -477,17 +486,18 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("    if (argc > 1) ticks = atol(argv[1]);")
     emit("    if (argc > 2) stim_path = argv[2];")
     emit("    if (stim_path) load_stimulus(stim_path);")
-    emit(f"    enum states cstate = {cs(swa.initial_state)};")
+    emit(f"    int cstate = {plan.index[swa.initial_state]};")
     emit("    long si = 0;")
     header = ",".join(["tick", "time", "location", *swa.variables, "inputs", "outputs"])
     emit(f'    fputs("{header}\\n", stdout);')
     emit("    for (long t = 0; t < ticks; t++) {")
     emit(f"        cstate = {reaction}(cstate);")
     emit("        if (stuck) {")
+    emit("            flush();")
     emit(
-        '            fprintf(stderr, "stuck at tick %ld in state %s:'
+        f'            fprintf(stderr, "stuck at tick %ld in state {"%s" * len(locs)}:'
         ' no evolution step and no enabled transition (k = %ld)\\n",'
-        " t, statename[cstate], k);"
+        f" t, {', '.join(locs)}, k);"
     )
     for v in swa.variables:
         emit(f'            fprintf(stderr, "  {v} = %.17g\\n", {cv(v)}_u);')
@@ -495,13 +505,13 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         emit(f'            if ({ce(e)}) fprintf(stderr, "  visible: {e}\\n");')
     emit("            exit(3);")
     emit("        }")
-    emit("        o = buf;")
     emit("        put_l(t);")
     emit("        *o++ = ',';")
     for line in _c_time_field(swa):
         emit(f"        {line}")
     emit("        *o++ = ',';")
-    emit("        put(statename[cstate], strlen(statename[cstate]));")
+    for loc in locs:
+        emit(f"        put_s({loc});")
     for v in swa.variables:
         emit(f"        put_g({cv(v)}, {cv(v)}_g);")
     for shown, flag in ((swa.inputs, ""), (swa.outputs, "_out")):
@@ -509,13 +519,14 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         for e in shown:
             emit(f'        put_e({ce(e)}{flag}, "{e}");')
     emit("        *o++ = '\\n';")
-    emit("        fwrite(buf, 1, o - buf, stdout);")
+    emit("        if (o - buf > 65536) flush();")
     emit("        unsigned long long mask = 0;")
     emit("        while (si < stim_n && stim[si].t <= t) mask |= stim[si++].m;")
     for idx, e in enumerate(events):
         emit(f"        {ce(e)} = ((mask >> {idx}) & 1) || {ce(e)}_out;")
         emit(f"        {ce(e)}_out = 0;")
     emit("    }")
+    emit("    flush();")
     emit("    return 0;")
     emit("}")
     return "\n".join(w) + "\n"

@@ -1,7 +1,5 @@
 #include <math.h>
 
-enum states { t1b1, t1b2, t2b1, t2b2, t3b1, t3b2, t4b1, t4b2 };
-
 double d = 0.01;
 long k = 0;
 int stuck = 0;
@@ -23,26 +21,25 @@ double t4_ode_1(double d, double k, double C1) { return C1*exp(-0.075*d*k); }
 double b1_ode_2(double d, double k, double C1) { return C1 + 1*d*k; }
 double b2_ode_2(double d, double k, double C1) { return C1 + 1*d*k; }
 
-enum states tankburnerR(enum states cstate) {
+int tankburnerR(int cstate) {
     x = x_u;
     c = c_u;
     int l0 = cstate / 2;
     int l1 = cstate % 2;
-    if ((cstate / 2 == 0 ? !ON && !OFF && x == 20 : cstate / 2 == 1 ? !ON && !OFF && x >= 20 && x <= 100 : cstate / 2 == 2 ? !ON && !OFF && x == 100 : !ON && !OFF && x >= 20 && x <= 100)
-        && (cstate % 2 == 0 ? c >= 0 && c <= 25 : c >= 0 && c <= 15)) {
+    if ((l0 == 0 ? !ON && !OFF && x == 20 : l0 == 1 ? !ON && !OFF && x >= 20 && x <= 100 : l0 == 2 ? !ON && !OFF && x == 100 : !ON && !OFF && x >= 20 && x <= 100)
+        && (l1 == 0 ? c >= 0 && c <= 25 : c >= 0 && c <= 15)) {
         k = k + 1;
-        switch (cstate / 2) {
+        switch (l0) {
         case 1: x_u = t2_ode_1(d, k, C1_x); break;
         case 3: x_u = t4_ode_1(d, k, C1_x); break;
-        default: break;
         }
-        switch (cstate % 2) {
+        switch (l1) {
         case 0: c_u = b1_ode_2(d, k, C1_c); break;
         case 1: c_u = b2_ode_2(d, k, C1_c); break;
         }
         return cstate;
     }
-    switch (cstate / 2) {
+    switch (l0) {
     case 0: {  /* t1 */
         double x_prev = (k >= 1) ? t1_ode_1(C1_x) : x;
         double x_c0 = x;
@@ -132,7 +129,7 @@ enum states tankburnerR(enum states cstate) {
         break;
     }
     }
-    switch (cstate % 2) {
+    switch (l1) {
     case 0: {  /* b1 */
         double c_prev = (k >= 1) ? b1_ode_2(d, k - 1, C1_c) : c;
         double c_c0 = c;
@@ -187,5 +184,5 @@ enum states tankburnerR(enum states cstate) {
     x_u = x;
     c_u = c;
     k = 0;
-    return (enum states)(l0 * 2 + l1);
+    return l0 * 2 + l1;
 }

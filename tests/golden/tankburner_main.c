@@ -2,8 +2,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum states { t1b1, t1b2, t2b1, t2b2, t3b1, t3b2, t4b1, t4b2 };
-enum states tankburnerR(enum states cstate);
+int tankburnerR(int cstate);
 extern long k;
 extern int stuck;
 extern double x, x_u;
@@ -11,15 +10,25 @@ extern double c, c_u;
 extern int ON, ON_out;
 extern int OFF, OFF_out;
 
-static const char *statename[] = { "t1b1", "t1b2", "t2b1", "t2b2", "t3b1", "t3b2", "t4b1", "t4b2" };
+static const char *loc0[] = { "t1", "t2", "t3", "t4" };
+static const char *loc1[] = { "b1", "b2" };
 static struct { long t; unsigned long long m; } *stim;
 static long stim_n, stim_cap;
 
-static char buf[107], *o;
+static char buf[65536 + 107], *o = buf;
+
+static void flush(void) {
+    fwrite(buf, 1, o - buf, stdout);
+    o = buf;
+}
 
 static void put(const char *s, size_t n) {
     memcpy(o, s, n);
     o += n;
+}
+
+static void put_s(const char *s) {
+    put(s, strlen(s));
 }
 
 static void put_l(long v) {
@@ -30,12 +39,12 @@ static void put_l(long v) {
 
 /* one slot of a variable's text cache: the bits of a double and its %.15g */
 typedef struct { unsigned long long b; char n, s[23]; } slot;
-static slot x_g[4096], c_g[4096];
+static slot x_g[16384], c_g[16384];
 
 static void put_g(double v, slot *c) {
     unsigned long long b;
     memcpy(&b, &v, sizeof b);
-    c += b * 0x9E3779B97F4A7C15ULL >> 52; /* 4096 slots */
+    c += b * 0x9E3779B97F4A7C15ULL >> 50; /* 16384 slots */
     if (!c->n || c->b != b) {
         c->b = b;
         c->n = snprintf(c->s, sizeof c->s, "%.15g", v);
@@ -47,7 +56,7 @@ static void put_g(double v, slot *c) {
 static void put_e(int on, const char *s) {
     if (on) {
         if (o[-1] != ',') *o++ = ';';
-        put(s, strlen(s));
+        put_s(s);
     }
 }
 
@@ -105,20 +114,20 @@ int main(int argc, char **argv) {
     if (argc > 1) ticks = atol(argv[1]);
     if (argc > 2) stim_path = argv[2];
     if (stim_path) load_stimulus(stim_path);
-    enum states cstate = t1b1;
+    int cstate = 0;
     long si = 0;
     fputs("tick,time,location,x,c,inputs,outputs\n", stdout);
     for (long t = 0; t < ticks; t++) {
         cstate = tankburnerR(cstate);
         if (stuck) {
-            fprintf(stderr, "stuck at tick %ld in state %s: no evolution step and no enabled transition (k = %ld)\n", t, statename[cstate], k);
+            flush();
+            fprintf(stderr, "stuck at tick %ld in state %s%s: no evolution step and no enabled transition (k = %ld)\n", t, loc0[cstate / 2], loc1[cstate % 2], k);
             fprintf(stderr, "  x = %.17g\n", x_u);
             fprintf(stderr, "  c = %.17g\n", c_u);
             if (ON) fprintf(stderr, "  visible: ON\n");
             if (OFF) fprintf(stderr, "  visible: OFF\n");
             exit(3);
         }
-        o = buf;
         put_l(t);
         *o++ = ',';
         put_l(t / 100);
@@ -127,7 +136,8 @@ int main(int argc, char **argv) {
         while (o[-1] == '0') o--;
         if (o[-1] == '.') o--;
         *o++ = ',';
-        put(statename[cstate], strlen(statename[cstate]));
+        put_s(loc0[cstate / 2]);
+        put_s(loc1[cstate % 2]);
         put_g(x, x_g);
         put_g(c, c_g);
         *o++ = ',';
@@ -135,7 +145,7 @@ int main(int argc, char **argv) {
         put_e(ON_out, "ON");
         put_e(OFF_out, "OFF");
         *o++ = '\n';
-        fwrite(buf, 1, o - buf, stdout);
+        if (o - buf > 65536) flush();
         unsigned long long mask = 0;
         while (si < stim_n && stim[si].t <= t) mask |= stim[si++].m;
         ON = ((mask >> 0) & 1) || ON_out;
@@ -143,5 +153,6 @@ int main(int argc, char **argv) {
         OFF = ((mask >> 1) & 1) || OFF_out;
         OFF_out = 0;
     }
+    flush();
     return 0;
 }

@@ -89,7 +89,6 @@ class TestGolden:
         unit = emit_c(watertank_swa)
         assert unit.name == "tankburner"
         assert unit.reaction_symbol == "tankburnerR"
-        assert unit.state_names[0] == "t1b1"
         assert unit.file_names() == ("tankburner.c", "tankburner_main.c")
 
     def test_emission_is_deterministic(self, models_dir):
@@ -125,12 +124,15 @@ automaton solo
         )
         unit = emit_c(swa)
         assert unit.automaton_source.count("case ") == 1
-        assert "switch (cstate)" in unit.automaton_source
+        assert "switch (l0)" in unit.automaton_source
 
-    def test_driver_keeps_original_location_names(self):
-        unit = emit_c(swa_of(CLASH, "sim", delta=Fraction(1)))
-        assert '"switch", "exp"' in unit.driver_source
-        assert "case switch_:" in unit.automaton_source
+    @needs_cc
+    def test_driver_keeps_original_location_names(self, tmp_path):
+        swa = swa_of(CLASH, "sim", delta=Fraction(1))
+        proc = binary_trace(emit_c(swa), tmp_path, ["4"])
+        assert proc.returncode == 0
+        assert [row.split(",")[2] for row in proc.stdout.splitlines()[1:]] == ["switch", "switch", "exp", "exp"]
+        assert proc.stdout == interpreter_trace(swa, 4)
 
     def test_reserved_identifiers_are_renamed(self):
         unit = emit_c(swa_of(CLASH, "sim", delta=Fraction(1)))
@@ -245,6 +247,44 @@ class TestDifferential:
         assert proc.returncode == 3
         assert "stuck at tick 6" in proc.stderr
         assert proc.stdout == interpreter_trace_prefix_of_stuck(swa)
+
+    def test_stuck_after_a_flush_keeps_every_row(self, fixtures_dir, tmp_path):
+        """The report comes after every row, though the rows fill more than two 64 KB blocks."""
+        product = product_of(load_model(fixtures_dir / "stuckfar.pha"))
+        csv = tmp_path / "go.csv"
+        csv.write_text("2000,GO\n")
+        proc = binary_trace(emit_c(product), tmp_path, ["6000", str(csv)])
+        for engine in ("generic", "compiled"):
+            buf = io.StringIO()
+            with pytest.raises(UnreachableState) as exc_info:
+                simulate(product, 6000, {2000: frozenset({"GO"})}, out=buf, engine=engine)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (3, buf.getvalue(), f"{exc_info.value}\n"), engine
+        assert len(proc.stdout) > 2 * 65536
+        assert proc.stderr.startswith("stuck at tick 5002 in state donecreep:")
+
+    def test_signed_zero_keeps_its_sign(self, tmp_path):
+        """x flips between 0 and -0, which compare equal but print differently."""
+        swa = swa_of(SIGNED_ZERO, "flip")
+        proc = binary_trace(emit_c(swa), tmp_path, ["40"])
+        assert proc.returncode == 0
+        assert proc.stdout == interpreter_trace(swa, 40)
+        assert {row.split(",")[3] for row in proc.stdout.splitlines()[1:]} == {"0", "-0"}
+
+
+SIGNED_ZERO = """
+network signedzero
+
+automaton flip
+  var x init 0
+  var c init 0
+
+  initial location run
+    invariant c >= 0 && c <= 0.03
+    flow x' = 0
+    flow c' = 1
+
+  edge run -> run guard c == 0.03 do x' := -x, c' := 0
+"""
 
 
 def product_of(net, delta=Fraction(1, 100)):
@@ -377,7 +417,8 @@ def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path)
 
     Row 4 shows the longest location name, every event, values whose %.15g
     is longest (negative, exponent form) and a %.15g time field (delta 1/3).
-    x and y never repeat, so their 6000 values collide in 4096 slots.
+    x and y never repeat, so their 20,000 values collide in 16,384 slots,
+    and the rows cross the driver's 64 KB block many times.
     """
     product = product_of(parse_model(WIDE_ROWS), Fraction(1, 3))
     csv = tmp_path / "all.csv"
@@ -389,15 +430,16 @@ def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path)
     build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert build.returncode == 0, build.stderr
     env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=0"}  # the stimulus table lives until exit
-    proc = subprocess.run([str(binary), "6000", str(csv)], capture_output=True, text=True, timeout=120, env=env)
+    proc = subprocess.run([str(binary), "20000", str(csv)], capture_output=True, text=True, timeout=120, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == interpreter_trace(product, 6000, {3: frozenset({"ALPHA_IS_A_LONG_EVENT",
+    assert len(proc.stdout) > 10 * 65536
+    assert proc.stdout == interpreter_trace(product, 20000, {3: frozenset({"ALPHA_IS_A_LONG_EVENT",
                                                                            "BRAVO_IS_LONGER_STILL"})})
     rows = [row.split(",") for row in proc.stdout.splitlines()[1:]]
     assert rows[4][2] == max((s.name for s in product.states), key=len)
     assert rows[4][6:] == ["ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL", "CHARLIE_EMITTED_HERE;DELTA_EMITTED_TOO"]
     assert len(rows[4][3]) == 22  # -1.23621507852519e-300
-    assert min(len({row[i] for row in rows}) for i in (4, 5)) > 4096
+    assert min(len({row[i] for row in rows}) for i in (4, 5)) > 16384
 
 
 def interpreter_trace_prefix_of_stuck(swa):
