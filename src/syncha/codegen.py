@@ -17,8 +17,9 @@ binary and the Python engines compute identical doubles and identical
 constants are printed by the same functions as the Python runner's.
 
 The reaction takes and returns the product state as its mixed-radix
-index over the parts' locations; neither unit has code per product
-state.  The driver appends each row to one buffer and writes it with
+index over the parts' locations, a C ``int``, so `emit_c` refuses a
+network of more than ``INT_MAX`` product states; neither unit has code
+per product state.  The driver appends each row to one buffer and writes it with
 one ``fwrite`` once it holds more than 64 KB, before a stuck report and
 at the end of the run.  The tick and the time field come from an
 integer writer (the time field is integer arithmetic on the tick index
@@ -67,6 +68,8 @@ _RESERVED = _C_KEYWORDS | frozenset(
     load_stimulus by_tick slot buf o flush put put_s put_l put_g put_e INFINITY
     NAN""".split()
 )
+
+INT_MAX = 2**31 - 1  # the reaction's state index is a C int
 
 
 class _Names:
@@ -143,6 +146,11 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
             f"automaton {swa.name!r} has {len(swa.events())} events, more than the C "
             "driver's limit of 64 (it packs events into a 64-bit stimulus mask)"
         )
+    if len(swa.states) > INT_MAX:
+        raise ValueError(
+            f"automaton {swa.name!r} has {len(swa.states)} product states, more than the C "
+            f"reaction's int state index can hold ({INT_MAX})"
+        )
     names = _Names()
     auto = names.claim("auto", swa.name, lambda n: {n, f"{n}R"})
     var_index = {v: i + 1 for i, v in enumerate(swa.variables)}
@@ -192,7 +200,7 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
     emit(f"double d = {c_num(swa.delta)};")
     emit("long k = 0;")
     emit("int stuck = 0;")
-    initial = dict(pair for loc in plan.at(plan.index[swa.initial_state]) for pair in loc.witnesses)
+    initial = dict(pair for loc in plan.at(plan.start) for pair in loc.witnesses)
     for v, x0q in swa.init_values:
         x0 = float(x0q)
         emit(f"double {cv(v)} = {c_float(x0)};")
@@ -486,7 +494,7 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("    if (argc > 1) ticks = atol(argv[1]);")
     emit("    if (argc > 2) stim_path = argv[2];")
     emit("    if (stim_path) load_stimulus(stim_path);")
-    emit(f"    int cstate = {plan.index[swa.initial_state]};")
+    emit(f"    int cstate = {plan.start};")
     emit("    long si = 0;")
     header = ",".join(["tick", "time", "location", *swa.variables, "inputs", "outputs"])
     emit(f'    fputs("{header}\\n", stdout);')

@@ -20,11 +20,14 @@ advances one reaction:
 Events travel with one tick of latency: everything emitted or supplied
 at tick t is visible during tick t+1 and never during tick t itself.
 
-`compose` builds the synchronous product of two executable automata.
-While one side switches and the other evolves, the evolving side is
-frozen for that tick (its values re-enter as fresh initial values), so
-a product tick never interleaves a half-step with a jump.  The product
-records the automata it was built from as its ``parts``.
+`compose_all` makes a network of executable automata: it checks them
+against each other and records them as its ``parts``, in O(total
+locations).  Its states, the synchronous product, are a lazy sequence:
+`product_state` builds one from a pair, and state j folds it over the
+parts' locations at j's mixed-radix digits.  While one side switches
+and the other evolves, the evolving side is frozen for that tick (its
+values re-enter as fresh initial values), so a product tick never
+interleaves a half-step with a jump.
 
 `switch_plan` states the tick rule once, for each location of each
 part: its evolve test (trigger silence and the invariant, which is
@@ -33,16 +36,16 @@ previous value snapping reads, and each edge's event masks, snap
 candidates, guard, staged updates, destination, emitted events and
 re-anchored witnesses.  A product state evolves exactly when every
 part's location passes its evolve test; that is the conjunction
-`compose` builds.  Guards and updates never read another automaton's
-variables, so each part taking its own first enabled edge, or else
-being frozen, is the transition the product's egress order (joint
-switches first) picks.  No engine reads a product state's evolve
-test, witnesses or egress list; `compose` still builds them, for the
-product oracle.  Two engines run the plan: the generic `tick`
-interprets it, and a specialising engine prints it as straight-line
-Python (`codegen` prints it as C).  They produce bit-identical traces;
-the specialised engine writes its own trace rows, formatting a value
-the state holds constant once per switch, not on every tick.
+`product_state` builds.  Guards and updates never read another
+automaton's variables, so each part taking its own first enabled edge,
+or else being frozen, is the transition the product's egress order
+(joint switches first) picks.  No engine builds or reads a product
+state; only the product oracle in the tests does.  Two engines run the
+plan: the generic `tick` interprets it, and a specialising engine
+prints it as straight-line Python (`codegen` prints it as C).  They
+produce bit-identical traces; the specialised engine writes its own
+trace rows, formatting a value the state holds constant once per
+switch, not on every tick.
 
 Without a trace, the specialised engine fast-forwards evolve stretches.
 Evolve ticks emit nothing and every value is its witness at the step
@@ -60,9 +63,10 @@ whose text is the C driver's report.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable, Iterable, Mapping, TextIO
 
 from .expr import COMPARE, AffineExpr, Comparison, Constraint, Rational
@@ -151,9 +155,10 @@ class SwaState:
 class Swa:
     """An executable tick-synchronous automaton.
 
-    A product records the automata it was built from, in composition
-    order, as ``parts``; its states are their row-major product.  A
-    lowered automaton has no parts and is its own single part.
+    A network records the automata it was built from, in composition
+    order, as ``parts``; its states are their row-major product, a
+    `ProductStates` that builds each one when it is read.  A lowered
+    automaton has no parts and is its own single part.
     """
 
     name: str
@@ -161,19 +166,18 @@ class Swa:
     init_values: tuple[tuple[str, Rational], ...]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    states: tuple[SwaState, ...]
+    states: Sequence[SwaState]
     initial_state: str
     delta: Fraction
     parts: tuple[Swa, ...] = field(default=(), repr=False)
     delta_f: float = field(init=False, repr=False, compare=False)
-    _by_name: dict = field(init=False, repr=False, compare=False)
+    _by_name: dict | None = field(init=False, repr=False, compare=False, default=None)
     _hash: int | None = field(init=False, repr=False, compare=False, default=None)
     _plan: SwitchPlan | None = field(init=False, repr=False, compare=False, default=None)
     _runners: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta_f", float(self.delta))
-        object.__setattr__(self, "_by_name", {s.name: s for s in self.states})
         object.__setattr__(self, "_runners", {})
 
     def __hash__(self) -> int:
@@ -188,7 +192,12 @@ class Swa:
         return self._hash
 
     def state(self, name: str) -> SwaState:
+        """The state called `name`; a network builds it when it is first asked for."""
+        if self._by_name is None:
+            object.__setattr__(self, "_by_name", {} if self.parts else {s.name: s for s in self.states})
         try:
+            if name not in self._by_name and self.parts:
+                self._by_name[name] = self.states[switch_plan(self).index[name]]
             return self._by_name[name]
         except KeyError:
             raise KeyError(f"automaton {self.name} has no state {name!r}") from None
@@ -355,34 +364,56 @@ class LocationPlan:
         return tuple(bounded)
 
 
+class _StateIndex(dict):
+    """Product state name -> index: the names `SwitchPlan.name` gave, and others once parsed over the parts."""
+
+    def __init__(self, names: list[list[str]], strides: tuple[int, ...]):
+        super().__init__()
+        self.names, self.strides = names, strides
+
+    def __missing__(self, name: str) -> int:
+        digits = parse_name(self.names, name)
+        if digits is None:
+            raise KeyError(f"no product state {name!r}")
+        self[name] = j = sum(map(int.__mul__, digits, self.strides))
+        return j
+
+
 @dataclass(frozen=True)
 class SwitchPlan:
     """The location plans of a network's parts, and how they index its states.
 
     A product state's index is mixed-radix over its parts' location
-    indices, row-major in composition order: ``digits[j]`` holds state
-    j's location indices and ``strides`` their weights.  Bit i of every
-    event mask is ``events[i]``.
+    indices, row-major in composition order, with weights ``strides``;
+    ``start`` is the initial state's.  `at` gives state j's locations and
+    `name` its name, both memoised; `name` also records j in ``index``.
+    Bit i of every event mask is ``events[i]``.
     """
 
     events: tuple[str, ...]
     parts: tuple[tuple[LocationPlan, ...], ...]
     strides: tuple[int, ...]
-    digits: tuple[tuple[int, ...], ...]
-    index: Mapping[str, int]  # product state name -> index
+    start: int
+    index: _StateIndex = field(init=False, repr=False, compare=False)
     at: Callable[[int], tuple[LocationPlan, ...]] = field(init=False, repr=False, compare=False)
+    name: Callable[[int], str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:  # product state index -> its parts' locations, memoised
-        parts, digits = self.parts, self.digits  # not self: a cycle would outlive the last reference
-        at = lambda j: tuple(map(tuple.__getitem__, parts, digits[j]))
-        object.__setattr__(self, "at", lru_cache(maxsize=None)(at))
+    def __post_init__(self) -> None:
+        parts, strides = self.parts, self.strides  # not self: a cycle would outlive the last reference
+        index = _StateIndex([[loc.name for loc in locs] for locs in parts], strides)
+        at = lru_cache(maxsize=None)(
+            lambda j: tuple(locs[j // stride % len(locs)] for locs, stride in zip(parts, strides)))
+
+        def name(j: int) -> str:
+            text = "".join(loc.name for loc in at(j))
+            index[text] = j
+            return text
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "name", lru_cache(maxsize=None)(name))
 
     def mask(self, names: Iterable[str]) -> int:
         return sum({1 << self.events.index(e) for e in names})
-
-    def name(self, j: int) -> str:
-        """Product state j's name: its parts' location names joined."""
-        return "".join(loc.name for loc in self.at(j))
 
     def held(self, j: int) -> set[str]:
         """The variables product state j holds constant: the union of its parts'."""
@@ -409,16 +440,9 @@ def _build_plan(swa: Swa) -> SwitchPlan:
     parts = swa.parts or (swa,)
     sizes = [len(part.states) for part in parts]
     strides = tuple(math.prod(sizes[p + 1:]) for p in range(len(parts)))
-    digits = tuple(
-        tuple(j // stride % n for n, stride in zip(sizes, strides)) for j in range(len(swa.states))
-    )
-    if math.prod(sizes) != len(swa.states) or any(
-        s.name != "".join(part.states[d].name for part, d in zip(parts, ds))
-        for s, ds in zip(swa.states, digits)
-    ):
-        raise ValueError(f"the states of {swa.name} are not the row-major product of its parts")
-    plan = SwitchPlan(swa.events(), (), strides, digits,
-                      {s.name: j for j, s in enumerate(swa.states)})
+    start = sum(stride * [s.name for s in part.states].index(part.initial_state)
+                for part, stride in zip(parts, strides))
+    plan = SwitchPlan(swa.events(), (), strides, start)
     return replace(plan, parts=tuple(_location_plans(part, plan.mask) for part in parts))
 
 
@@ -635,33 +659,29 @@ def tick(
     # and is frozen.  Every part re-enters a location, so the new entry
     # values are all the post values.
     post = dict(committed)
-    index = emits = 0
-    for loc, stride, d in zip(here, plan.strides, plan.digits[j]):
+    index, emits = j, 0
+    for loc, locations, stride in zip(here, plan.parts, plan.strides):
         edge = _take_edge(loc, post, st, vis, delta_f)
         if edge is not None:
-            d = edge.dst
+            index += (edge.dst - j // stride % len(locations)) * stride
             emits |= edge.emits
         elif not _can_evolve(loc, committed, vis):
             shown = (e for e in plan.events if e in visible)
             raise UnreachableState(swa.name, st.location, committed, st.k, shown)
-        index += d * stride
     emitted = frozenset(e for i, e in enumerate(plan.events) if emits >> i & 1)
-    return ExecState(swa.states[index].name, post, post, 0, inputs | emitted), emitted
+    return ExecState(plan.name(index), post, post, 0, inputs | emitted), emitted
 
 
 # --- parallel composition -----------------------------------------------------
 
 
-def _min_nsteps(n1: int | None, n2: int | None) -> int | None:
-    if n1 is None:
-        return n2
-    if n2 is None:
-        return n1
-    return min(n1, n2)
+def _frozen(s: SwaState) -> SwaTransition:
+    """A side staying in `s` while the other switches: its invariant, checked as-is, and its triggers silent."""
+    return SwaTransition(s.name, EventExpr((), s.self_transition.absent), (s.self_transition.guard,), (False,))
 
 
-def compose(a: Swa, b: Swa, name: str | None = None) -> Swa:
-    """Synchronous product of two executable automata.
+def product_state(s1: SwaState, s2: SwaState) -> SwaState:
+    """The product of two states, one of each side.
 
     Product transitions are scanned joint switches first (both sides
     take an edge on the same tick), then left-side switches (the right
@@ -669,118 +689,156 @@ def compose(a: Swa, b: Swa, name: str | None = None) -> Swa:
     side contributes its invariant as a non-snapping guard group plus
     the silence of all its trigger events.
     """
-    if a.delta != b.delta:
-        raise ValueError(
-            f"cannot compose {a.name} (delta {a.delta}) with {b.name} (delta {b.delta})"
+    pairs = [(e1, e2) for e1 in s1.egress for e2 in s2.egress]
+    pairs += [(e1, _frozen(s2)) for e1 in s1.egress] + [(_frozen(s1), e2) for e2 in s2.egress]
+    egress = tuple(
+        SwaTransition(
+            e1.dst + e2.dst,
+            EventExpr(_dedup(e1.event.present + e2.event.present), _dedup(e1.event.absent + e2.event.absent)),
+            e1.guard_groups + e2.guard_groups, e1.saturable + e2.saturable, e1.updates + e2.updates,
+            e1.emits + e2.emits,
         )
-    overlap = set(a.variables) & set(b.variables)
-    if overlap:
-        raise ValueError(f"variable names collide in product: {sorted(overlap)}")
-    out_overlap = set(a.outputs) & set(b.outputs)
-    if out_overlap:
-        raise ValueError(f"both sides emit {sorted(out_overlap)}")
-    outputs = _dedup(a.outputs + b.outputs)
-    inputs = tuple(e for e in _dedup(a.inputs + b.inputs) if e not in outputs)
+        for e1, e2 in pairs
+    )
+    self_t = SelfTransition(s1.self_transition.guard.conjoin(s2.self_transition.guard),
+                            _dedup(s1.self_transition.absent + s2.self_transition.absent))
+    nsteps = min((n for n in (s1.nsteps, s2.nsteps) if n is not None), default=None)
+    return SwaState(s1.name + s2.name, self_t, s1.witnesses + s2.witnesses, egress, nsteps)
 
-    states = []
-    for s1 in a.states:
-        for s2 in b.states:
-            self_t = SelfTransition(
-                guard=s1.self_transition.guard.conjoin(s2.self_transition.guard),
-                absent=_dedup(s1.self_transition.absent + s2.self_transition.absent),
-            )
-            egress: list[SwaTransition] = []
-            for e1 in s1.egress:
-                for e2 in s2.egress:
-                    egress.append(
-                        SwaTransition(
-                            dst=e1.dst + e2.dst,
-                            event=EventExpr(
-                                _dedup(e1.event.present + e2.event.present),
-                                _dedup(e1.event.absent + e2.event.absent),
-                            ),
-                            guard_groups=e1.guard_groups + e2.guard_groups,
-                            saturable=e1.saturable + e2.saturable,
-                            updates=e1.updates + e2.updates,
-                            emits=e1.emits + e2.emits,
-                        )
-                    )
-            for e1 in s1.egress:
-                egress.append(
-                    SwaTransition(
-                        dst=e1.dst + s2.name,
-                        event=EventExpr(
-                            e1.event.present,
-                            _dedup(e1.event.absent + s2.self_transition.absent),
-                        ),
-                        guard_groups=e1.guard_groups + (s2.self_transition.guard,),
-                        saturable=e1.saturable + (False,),
-                        updates=e1.updates,
-                        emits=e1.emits,
-                    )
-                )
-            for e2 in s2.egress:
-                egress.append(
-                    SwaTransition(
-                        dst=s1.name + e2.dst,
-                        event=EventExpr(
-                            e2.event.present,
-                            _dedup(s1.self_transition.absent + e2.event.absent),
-                        ),
-                        guard_groups=(s1.self_transition.guard,) + e2.guard_groups,
-                        saturable=(False,) + e2.saturable,
-                        updates=e2.updates,
-                        emits=e2.emits,
-                    )
-                )
-            states.append(
-                SwaState(
-                    name=s1.name + s2.name,
-                    self_transition=self_t,
-                    witnesses=s1.witnesses + s2.witnesses,
-                    egress=tuple(egress),
-                    nsteps=_min_nsteps(s1.nsteps, s2.nsteps),
-                )
-            )
-    names = [s.name for s in states]
-    if len(set(names)) != len(names):
+
+@dataclass(frozen=True, repr=False)
+class ProductStates(Sequence):
+    """A network's states, row-major over its parts, each built when it is read.
+
+    State j folds `product_state` from the left over its parts'
+    locations at j's mixed-radix digits, which gives the state that
+    composing the parts pairwise from the left would.  Equality goes by
+    the parts, which are all the sequence holds; concatenation and
+    slices give tuples.
+    """
+
+    parts: tuple[Swa, ...]
+
+    def __len__(self) -> int:
+        return math.prod(len(part.states) for part in self.parts)
+
+    def __getitem__(self, j):
+        js = range(len(self))[j]
+        return tuple(map(self._state, js)) if isinstance(js, range) else self._state(js)
+
+    def __add__(self, other) -> tuple[SwaState, ...]:
+        return tuple(self) + tuple(other)
+
+    def _state(self, j: int) -> SwaState:
+        states = []
+        for part in reversed(self.parts):
+            j, d = divmod(j, len(part.states))
+            states.append(part.states[d])
+        return reduce(product_state, reversed(states))
+
+
+def parse_name(names: Sequence[Sequence[str]], text: str) -> list[int] | None:
+    """For each list in `names`, the index of the name that `text` joins, or None if none does.
+
+    The first parse found is returned; `compose_all` admits only name
+    lists whose joins are unique.
+    """
+    dead: set[tuple[int, int]] = set()  # (list, position) pairs from which no parse ends
+
+    def parse(p: int, at: int) -> list[int] | None:
+        if p == len(names):
+            return [] if at == len(text) else None
+        if (p, at) not in dead:
+            for d, name in enumerate(names[p]):
+                if text.startswith(name, at) and (rest := parse(p + 1, at + len(name))) is not None:
+                    return [d, *rest]
+            dead.add((p, at))
+        return None
+
+    return parse(0, 0)
+
+
+def names_unambiguous(names: Sequence[Sequence[str]]) -> bool:
+    """Whether joining one name of each list, in order, never gives one text twice.
+
+    That is the unambiguity of the automaton that reads the lists' names
+    in turn, decided on its square: two runs that read the same text
+    (Weber and Seidl, "On the degree of ambiguity of finite automata",
+    TCS 1991), stepped a name at a time.  The runs part where they first
+    take different names, one a prefix of the other.  From there the run
+    behind reads next, or on a tie the one with fewer lists read.  A state
+    is the lists each run has read and `rest`, the letters the run behind
+    has yet to read to draw level, a suffix of the other's last name, so
+    there are O(total name letters x lists) states and no joined name.
+    """
+    k = len(names)
+    if any(len(set(ns)) < len(ns) for ns in names):
+        return False
+    todo = [(p, p, a[len(b):])
+            for p, ns in enumerate(names, 1) for a in ns for b in ns if a != b and a.startswith(b)]
+    seen = set(todo)
+    while todo:
+        ahead, behind, rest = todo.pop()
+        if not rest:
+            if ahead == behind == k:
+                return False  # two runs took different names and read one text
+            ahead, behind = max(ahead, behind), min(ahead, behind)
+        for name in names[behind] if behind < k else ():
+            if rest.startswith(name):
+                nxt = (ahead, behind + 1, rest[len(name):])
+            elif name.startswith(rest):
+                nxt = (behind + 1, ahead, name[len(rest):])
+            else:
+                continue
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return True
+
+
+def compose_all(swas: Iterable[Swa], name: str | None = None) -> Swa:
+    """The network of `swas`, built without a product state: in time that grows with the parts' locations.
+
+    The automata must share delta and own disjoint variables and
+    outputs, and joining one location name per part must never give
+    one name twice.  A network among `swas` contributes its parts, so
+    ``parts`` is flat, and the states are the left fold of
+    `product_state` over them (`ProductStates`).
+    """
+    items = list(swas)
+    if not items:
+        raise ValueError("nothing to compose")
+    first, *rest = items
+    if not rest:
+        return first if name in (None, first.name) else replace(first, name=name)
+    label, variables, inputs, outputs = first.name, first.variables, first.inputs, first.outputs
+    for b in rest:
+        if b.delta != first.delta:
+            raise ValueError(f"cannot compose {label} (delta {first.delta}) with {b.name} (delta {b.delta})")
+        overlap = set(variables) & set(b.variables)
+        if overlap:
+            raise ValueError(f"variable names collide in product: {sorted(overlap)}")
+        out_overlap = set(outputs) & set(b.outputs)
+        if out_overlap:
+            raise ValueError(f"both sides emit {sorted(out_overlap)}")
+        label, variables = label + b.name, variables + b.variables
+        outputs = _dedup(outputs + b.outputs)
+        inputs = tuple(e for e in _dedup(inputs + b.inputs) if e not in outputs)
+    parts = tuple(part for swa in items for part in swa.parts or (swa,))
+    if not names_unambiguous([[s.name for s in part.states] for part in parts]):
         raise ValueError(
             "product state names collide; rename locations so that pairwise "
             "concatenations stay unique"
         )
-    return Swa(
-        name=name or (a.name + b.name),
-        variables=a.variables + b.variables,
-        init_values=a.init_values + b.init_values,
-        inputs=inputs,
-        outputs=outputs,
-        states=tuple(states),
-        initial_state=a.initial_state + b.initial_state,
-        delta=a.delta,
-        parts=(a.parts or (a,)) + (b.parts or (b,)),
-    )
+    init_values = tuple(pair for swa in items for pair in swa.init_values)
+    initial = "".join(swa.initial_state for swa in items)
+    return Swa(name or label, variables, init_values, inputs, outputs, ProductStates(parts), initial,
+               first.delta, parts)
 
 
-def compose_all(swas: Iterable[Swa], name: str | None = None) -> Swa:
-    items = list(swas)
-    if not items:
-        raise ValueError("nothing to compose")
-    product = items[0]
-    for nxt in items[1:]:
-        product = compose(product, nxt)
-    if name is not None and name != product.name:
-        product = Swa(
-            name=name,
-            variables=product.variables,
-            init_values=product.init_values,
-            inputs=product.inputs,
-            outputs=product.outputs,
-            states=product.states,
-            initial_state=product.initial_state,
-            delta=product.delta,
-            parts=product.parts,
-        )
-    return product
+def compose(a: Swa, b: Swa, name: str | None = None) -> Swa:
+    """The network of `a` and `b`: `compose_all` of the pair."""
+    return compose_all((a, b), name)
 
 
 # --- traces and stimulus ------------------------------------------------------
@@ -1029,7 +1087,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit = w.append
     emit("def _swarun(_TICKS, _STT, _STM, _write, _mk_stuck):")
     emit("    _exp = _EXP")
-    start = plan.index[swa.initial_state]
+    start = plan.start
     for loc in plan.at(start):
         for var, wit in loc.witnesses:
             x0 = float(init[var])
@@ -1040,8 +1098,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit(f"    _loc = {start}")
     if trace:
         emit("    _row = _ROWS(_loc)")
-    for p, d in enumerate(plan.digits[start]):
-        emit(f"    _l{p} = {d}")
+    for p, (locations, stride) in enumerate(zip(plan.parts, plan.strides)):
+        emit(f"    _l{p} = {start // stride % len(locations)}")
     emit("    _k = _pend = _si = _t = 0")
     emit("    _nst = len(_STT)")
     emit("    _next = _STT[0] if _nst else -1")
@@ -1255,7 +1313,7 @@ def _build_runner(swa: Swa, trace: bool):
         evolve_row = partial(_row_format, _py_time(swa)[0], swa.variables, bool(swa.inputs), False)
         names = lambda events: memo(lambda m: ";".join(e for e in events if m & plan.mask((e,))))
         namespace.update(_ROWS=memo(lambda j: evolve_row(plan.name(j), plan.held(j))),
-                         _NAMES=memo(plan.name), _INS=names(swa.inputs), _OUTS=names(swa.outputs))
+                         _NAMES=plan.name, _INS=names(swa.inputs), _OUTS=names(swa.outputs))
     else:
         namespace["_JUMP"] = _Jump(swa)
     exec(compile(source, f"<swa:{swa.name}>", "exec"), namespace)
@@ -1283,17 +1341,19 @@ def run_compiled(
     if out is not None:
         out.write(trace_header(swa) + "\n")
 
+    name = switch_plan(swa).name
+
     def mk_stuck(loc, values, k, vis, t):
         valuation = dict(zip(swa.variables, values))
         visible = (e for e in events if vis & bit[e])
-        return UnreachableState(swa.name, swa.states[loc].name, valuation, k, visible, tick=t)
+        return UnreachableState(swa.name, name(loc), valuation, k, visible, tick=t)
 
     fn = _runner(swa, out is not None)
     write = out.write if out is not None else None
     loc, k, us, is_, pend = fn(ticks, stt, stm, write, mk_stuck)
     values = lambda xs: dict(zip(swa.variables, xs))
     pending = frozenset(e for e in events if pend & bit[e])
-    return ExecState(swa.states[loc].name, values(us), values(is_), k, pending)
+    return ExecState(name(loc), values(us), values(is_), k, pending)
 
 
 ENGINES = ("auto", "generic", "compiled")

@@ -572,3 +572,29 @@ def fuzz_network(seed: int) -> str:
             edges += [own[k] for k in rng.permutation(len(own))]
         lines += ["  " + e for e in edges] + [""]
     return "\n".join(lines)
+
+
+def timer_chain_source(n: int) -> str:
+    """n two-location timers; each starts when the previous one finishes.
+
+    The product has 2**n states.  Timer 0 restarts every 0.5 s; timer i
+    runs for 0.2 s after timer i-1 finishes.
+    """
+    lines = ["network chain", ""]
+    for i in range(n):
+        x = f"x{i}"
+        lines += [f"automaton t{i}", f"  var {x} init 0"]
+        if i:
+            lines.append(f"  input E{i - 1}")
+        lines += [f"  output E{i}", "", f"  initial location a{i}"]
+        if i:
+            lines += [f"    invariant {x} >= 0 && {x} <= 0", f"    flow {x}' = 0", ""]
+        else:
+            lines += [f"    invariant {x} >= 0 && {x} <= 0.3", f"    flow {x}' = 1", ""]
+        lines += [f"  location b{i}", f"    invariant {x} >= 0 && {x} <= 0.2", f"    flow {x}' = 1", ""]
+        if i:
+            lines.append(f"  edge a{i} -> b{i} on E{i - 1}")
+        else:
+            lines.append(f"  edge a{i} -> b{i} guard {x} == 0.3 do {x}' := 0")
+        lines += [f"  edge b{i} -> a{i} guard {x} == 0.2 do {x}' := 0 emit E{i}", ""]
+    return "\n".join(lines)

@@ -26,7 +26,7 @@ from syncha.swa import (
     simulate,
 )
 
-from oracles import fuzz_network, product_run
+from oracles import fuzz_network, product_run, timer_chain_source
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -173,6 +173,14 @@ automaton much
         )
         with pytest.raises(ValueError, match="64"):
             emit_c(swa)
+
+    def test_state_index_overflow_is_a_one_line_error(self):
+        """31 two-location timers have 2**31 product states, one more than a C int holds."""
+        chain = product_of(parse_model(timer_chain_source(31)))
+        with pytest.raises(ValueError, match=r"has 2147483648 product states") as exc_info:
+            emit_c(chain)
+        assert "\n" not in str(exc_info.value)
+        emit_c(product_of(parse_model(timer_chain_source(30))))  # 2**30 states fit
 
 
 class TestNumericLiterals:

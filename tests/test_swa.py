@@ -1,10 +1,16 @@
 import gc
 import io
+import itertools
 import math
+import os
 import re
 import subprocess
+import sys
+import time
 import weakref
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +21,7 @@ from syncha.codegen import build_binary, emit_c, find_cc
 from syncha.expr import AffineExpr
 from syncha.model import load_model, parse_model
 from syncha.swa import (
+    ProductStates,
     SwaState,
     UnreachableState,
     _build_runner,
@@ -26,6 +33,8 @@ from syncha.swa import (
     compose_all,
     decimal_delta,
     initial_exec_state,
+    names_unambiguous,
+    parse_name,
     parse_stimulus,
     run,
     run_compiled,
@@ -36,7 +45,7 @@ from syncha.swa import (
     trace_header,
 )
 from syncha.shagen import generate_sha
-from oracles import fuzz_network, parse_trace, product_run
+from oracles import fuzz_network, parse_trace, product_run, product_tick, timer_chain_source
 
 DELTA = Fraction(1, 100)
 
@@ -537,6 +546,18 @@ automaton second
         with pytest.raises(ValueError, match="state names collide"):
             compose(first, second)
 
+    @settings(max_examples=300, deadline=None)
+    @given(names=st.lists(st.lists(st.text("ab", max_size=3), min_size=1, max_size=3),
+                          min_size=2, max_size=4))
+    def test_name_check_agrees_with_enumeration(self, names):
+        joined = ["".join(choice) for choice in itertools.product(*names)]
+        unique = len(set(joined)) == len(joined)
+        assert names_unambiguous(names) == unique
+        if unique:
+            for digits, text in zip(itertools.product(*map(range, map(len, names))), joined):
+                assert parse_name(names, text) == list(digits)
+        assert parse_name(names, "ba" * 7) is None
+
     def test_compose_all_nests_left(self, burner_swa, pingpong_swas):
         left, right = pingpong_swas
         triple = compose_all([burner_swa, left, right], name="plant")
@@ -574,25 +595,7 @@ class TestComposedTraceShape:
 
 
 def timer_chain(n):
-    """n two-location timers; each starts when the previous one finishes."""
-    lines = ["network chain", ""]
-    for i in range(n):
-        x = f"x{i}"
-        lines += [f"automaton t{i}", f"  var {x} init 0"]
-        if i:
-            lines.append(f"  input E{i - 1}")
-        lines += [f"  output E{i}", "", f"  initial location a{i}"]
-        if i:
-            lines += [f"    invariant {x} >= 0 && {x} <= 0", f"    flow {x}' = 0", ""]
-        else:
-            lines += [f"    invariant {x} >= 0 && {x} <= 0.3", f"    flow {x}' = 1", ""]
-        lines += [f"  location b{i}", f"    invariant {x} >= 0 && {x} <= 0.2", f"    flow {x}' = 1", ""]
-        if i:
-            lines.append(f"  edge a{i} -> b{i} on E{i - 1}")
-        else:
-            lines.append(f"  edge a{i} -> b{i} guard {x} == 0.3 do {x}' := 0")
-        lines += [f"  edge b{i} -> a{i} guard {x} == 0.2 do {x}' := 0 emit E{i}", ""]
-    return parse_model("\n".join(lines))
+    return parse_model(timer_chain_source(n))
 
 
 def network_product(net):
@@ -742,7 +745,6 @@ class TestChainScaling:
         per = {n: len(size(p)) / n for n, p in chains.items()}
         assert per[8] < growth * per[4], per
 
-    @needs_cc
     def test_eight_timers_agree_with_the_product_oracle(self, chains, tmp_path):
         product = chains[8]
         oracle = io.StringIO()
@@ -751,9 +753,95 @@ class TestChainScaling:
         assert ",E7\n" in want  # the last timer has finished
         for engine in ("generic", "compiled"):
             assert trace_text(product, self.TICKS, engine=engine) == want, engine
+        if find_cc() is None:
+            pytest.skip("no C compiler on PATH; the Python engines agree with the oracle")
         binary = build_binary(emit_c(product), tmp_path)
         proc = subprocess.run([str(binary), str(self.TICKS)], capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, want)
+
+
+class TestNetworkScale:
+    """A network is its parts: building and running one never builds a product state."""
+
+    TICKS = 10_000  # timer 23 first finishes near tick 520
+
+    @pytest.fixture(scope="class")
+    def chain_models(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("chains")
+        for n in (6, 16, 24):
+            (d / f"chain{n}.pha").write_text(timer_chain_source(n))
+        return d
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_long_chains_run_from_the_cli_in_under_two_seconds(self, chain_models, tmp_path, n):
+        traces = {}
+        for engine in ("auto", "generic"):
+            out = tmp_path / f"{engine}.csv"
+            start = time.perf_counter()
+            code = main(["compose-and-simulate", str(chain_models / f"chain{n}.pha"),
+                         "--ticks", str(self.TICKS), "--engine", engine, "--out", str(out)])
+            elapsed = time.perf_counter() - start
+            assert code == 0
+            if engine == "auto":
+                assert elapsed < 2.0
+            traces[engine] = out.read_text()
+        assert traces["auto"] == traces["generic"]
+        assert traces["auto"].count("\n") == self.TICKS + 1
+        assert f",E{n - 1}\n" in traces["auto"]  # the last timer has finished
+        if n == 16 and find_cc() is not None:
+            product = network_product(timer_chain(n))
+            binary = build_binary(emit_c(product), tmp_path)
+            proc = subprocess.run([str(binary), str(self.TICKS)], capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout) == (0, traces["auto"])
+
+    def test_a_chain_of_24_composes_in_under_10_ms(self):
+        chain = timer_chain(24)
+        swas = [comp(chain, ha.name) for ha in chain.automata]
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            net = compose_all(swas)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.010
+        assert len(net.states) == 2**24
+
+    @pytest.mark.parametrize("model", ["watertank", "chain6"])
+    def test_no_run_path_builds_a_product_state(self, models_dir, chain_models, tmp_path, monkeypatch,
+                                                model):
+        def refuse(states, j):
+            raise AssertionError(f"product state {j} was built")
+
+        monkeypatch.setattr(ProductStates, "_state", refuse)
+        path = models_dir / "watertank.pha" if model == "watertank" else chain_models / f"{model}.pha"
+        out = tmp_path / "trace.csv"
+        assert main(["compose-and-simulate", str(path), "--ticks", "3000", "--out", str(out)]) == 0
+        product = network_product(load_model(path))
+        traced = [trace_text(product, 3000, engine=engine) for engine in ("generic", "compiled")]
+        assert traced == [out.read_text()] * 2
+        finals = [simulate(product, 3000, engine=engine) for engine in ("generic", "compiled")]
+        assert finals[0] == finals[1]
+        emit_c(product)
+        with pytest.raises(AssertionError, match="was built"):
+            product.states[1]
+
+    def test_tick_parses_a_state_name_no_run_has_given(self, tank_swa, burner_swa):
+        st = product_run(compose(tank_swa, burner_swa), 2510)
+        assert st.location == "t2b2"
+        fresh = compose(tank_swa, burner_swa)  # its plan has named no state yet
+        assert tick(fresh, st) == product_tick(fresh, st)
+        with pytest.raises(KeyError, match="t9b1"):
+            tick(fresh, replace(st, location="t9b1"))
+
+    def test_scale_probe_prints_a_row_per_chain(self):
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        cmd = [sys.executable, str(root / "scripts" / "scale_probe.py"), "4"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        header, row = proc.stdout.splitlines()
+        assert header.split()[:3] == ["n", "product", "states"]
+        assert row.split()[:2] == ["4", "16"]
 
 
 HELDNET_STIMULUS = {1: frozenset({"NOISE"}), 4: frozenset({"GO"}), 9: frozenset({"GO", "NOISE"})}
