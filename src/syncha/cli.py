@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--engine",
             choices=ENGINES,
-            default="auto",
-            help="interpreter choice (default auto)",
+            default="compiled",
+            help="interpreter choice (default compiled)",
         )
 
     sp = sub.add_parser("simulate", help="run one automaton and print its trace")

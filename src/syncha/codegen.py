@@ -2,10 +2,10 @@
 
 Each automaton becomes two translation units:
 
-* ``<name>.c`` holds the state globals, one witness function per
-  location of each part and variable, and the reaction function that
-  advances a single tick, printed part by part from `swa.switch_plan`:
-  each part's evolve test and witness step, then its switch code,
+* ``<name>.c`` holds the state globals, among them one location index
+  per part, and the reaction function that advances a single tick,
+  printed part by part from `swa.switch_plan`: each part's evolve test
+  and witness step, then its switch code,
 * ``<name>_main.c`` holds a driver that loads an optional stimulus
   table, calls the reaction in a loop and prints the same trace format
   as the Python engines.
@@ -13,19 +13,18 @@ Each automaton becomes two translation units:
 Every arithmetic expression is emitted with exactly the operation shape
 the interpreter uses (same association, same special cases), so the C
 binary and the Python engines compute identical doubles and identical
-``%.15g`` trace rows on the same libm.  Guards, updates and entry
-constants are printed by the same functions as the Python runner's.
+``%.15g`` trace rows on the same libm.  Witnesses, guards, updates and
+entry constants are printed by the same functions as the Python runner's.
 
-The reaction takes and returns the product state as its mixed-radix
-index over the parts' locations, a C ``int``, so `emit_c` refuses a
-network of more than ``INT_MAX`` product states; neither unit has code
-per product state.  The driver appends each row to one buffer and writes it with
+Each part's location index is a global ``int``, so neither unit has code
+or data per product state, and a network of any number of product
+states compiles.  The driver appends each row to one buffer and writes it with
 one ``fwrite`` once it holds more than 64 KB, before a stuck report and
 at the end of the run.  The tick and the time field come from an
 integer writer (the time field is integer arithmetic on the tick index
 when `swa.decimal_delta` gives the tick length as a short decimal).  The
 location field is each part's location name, copied from one table per
-part at the same index digit the reaction reads.  Each variable goes
+part at the part's location index.  Each variable goes
 through ``put_g``: a direct-mapped cache of 16,384 slots per variable,
 ``<var>_g``, keyed on the bits of the double (so 0 and -0 stay apart).
 A miss formats the value with ``%.15g`` into its slot, so a value the
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .expr import Constraint, Rational, format_number
-from .odesolve import WitnessFunction, WitnessKind, resolve_c1
+from .odesolve import WitnessKind, resolve_c1
 from .swa import (
     LocationPlan,
     Swa,
@@ -50,6 +49,7 @@ from .swa import (
     constraint_text,
     decimal_delta,
     switch_plan,
+    witness_text,
 )
 
 _C_KEYWORDS = frozenset(
@@ -64,12 +64,10 @@ _RESERVED = _C_KEYWORDS | frozenset(
     """main exp fabs printf fprintf snprintf fputs fwrite fopen fclose fgets
     memcpy strtol strtod strcmp strncmp strcpy strlen strchr strspn strcspn
     qsort atol atoi exit malloc realloc free size_t stdin stdout stderr errno
-    d k cstate stuck t si ticks argc argv mask stim stim_n stim_cap stim_path
+    k stuck t si ticks argc argv mask stim stim_n stim_cap stim_path
     load_stimulus by_tick slot buf o flush put put_s put_l put_g put_e INFINITY
     NAN""".split()
 )
-
-INT_MAX = 2**31 - 1  # the reaction's state index is a C int
 
 
 class _Names:
@@ -110,16 +108,6 @@ def _c_constraint(c: Constraint, name_of) -> str:
     return constraint_text(c, name_of, c_num, " && ", "1")
 
 
-def _c_witness_body(w: WitnessFunction) -> str:
-    if w.kind is WitnessKind.CONSTANT:
-        return "return C1;"
-    if w.kind is WitnessKind.LINEAR:
-        return f"return C1 + {c_num(w.b)}*d*k;"
-    if w.x_eq_f == 0.0:
-        return f"return C1*exp({c_num(w.a)}*d*k);"
-    return f"return {c_num(w.x_eq)} + C1*exp({c_num(w.a)}*d*k);"
-
-
 @dataclass(frozen=True)
 class CodegenOptions:
     ticks: int = 10000  # driver default, argv[1] overrides
@@ -146,61 +134,51 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
             f"automaton {swa.name!r} has {len(swa.events())} events, more than the C "
             "driver's limit of 64 (it packs events into a 64-bit stimulus mask)"
         )
-    if len(swa.states) > INT_MAX:
-        raise ValueError(
-            f"automaton {swa.name!r} has {len(swa.states)} product states, more than the C "
-            f"reaction's int state index can hold ({INT_MAX})"
-        )
     names = _Names()
     auto = names.claim("auto", swa.name, lambda n: {n, f"{n}R"})
-    var_index = {v: i + 1 for i, v in enumerate(swa.variables)}
-    for p, part in enumerate(swa.parts or (swa,)):
-        for s in part.states:
-            names.claim(
-                f"loc{p}", s.name, lambda n: {f"{n}_ode_{var_index[v]}" for v in part.variables}
-            )
+    parts = range(len(swa.parts or (swa,)))
+    for p in parts:  # part p's location index, and the next one while its switch code runs
+        names.claim("part", f"l{p}", lambda n: {n, f"{n}_n"})
     for v in swa.variables:
         names.claim("var", v, lambda n: {n, f"{n}_u", f"C1_{n}", f"{n}_g"})
     for e in swa.events():
         names.claim("event", e, lambda n: {n, f"{n}_out"})
-    for p in range(len(swa.parts or (swa,))):
+    for p in parts:
         names.claim("table", f"loc{p}", lambda n: {n})
 
     reaction = f"{auto}R"
-    automaton_source = _emit_automaton(swa, names, reaction, var_index)
+    automaton_source = _emit_automaton(swa, names, reaction)
     driver_source = _emit_driver(swa, names, reaction, options)
     return CUnit(auto, automaton_source, driver_source, reaction)
 
 
-def _digits(swa: Swa) -> list[str]:
-    """Each part's location index, as C reads it from the product index ``cstate``."""
-    plan = switch_plan(swa)
-    return [("cstate" if stride == 1 else f"cstate / {stride}") + (f" % {len(locations)}" if p else "")
-            for p, (locations, stride) in enumerate(zip(plan.parts, plan.strides))]
-
-
-def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str, int]) -> str:
-    """Globals, one witness function per part location and variable, and the reaction.
+def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
+    """Globals and the reaction.
 
     Everything is printed from the `switch_plan`, part by part, on the
-    location index of each part, read from the mixed-radix product
-    index that the reaction takes and returns.  The
-    reaction evolves when every part's evolve test holds, one
-    conditional expression per part; one `switch` per part then steps
-    its witnesses.  Otherwise one `switch` per part runs its switch
-    code, and the product index is recombined.
+    global location index of each part.  The reaction evolves when every
+    part's evolve test holds, one conditional expression per part; one
+    `switch` per part then steps its witnesses.  Otherwise one `switch`
+    per part runs its switch code, which sets the part's next location
+    index; the indices move only once every part has decided, so a stuck
+    report names the locations the tick started in.
     """
     plan = switch_plan(swa)
     cv = lambda v: names.of("var", v)
+    lvs = [names.of("part", f"l{p}") for p in range(len(plan.parts))]
+    start = [[loc.name for loc in locations].index(part.initial_state)
+             for part, locations in zip(swa.parts or (swa,), plan.parts)]
+    witness = lambda wit, v, k: witness_text(wit, f"C1_{cv(v)}", k, swa.delta_f, "exp")
 
     w: list[str] = []
     emit = w.append
     emit("#include <math.h>")
     emit("")
-    emit(f"double d = {c_num(swa.delta)};")
     emit("long k = 0;")
     emit("int stuck = 0;")
-    initial = dict(pair for loc in plan.at(plan.start) for pair in loc.witnesses)
+    for lv, d in zip(lvs, start):
+        emit(f"int {lv} = {d};")
+    initial = dict(pair for locations, d in zip(plan.parts, start) for pair in locations[d].witnesses)
     for v, x0q in swa.init_values:
         x0 = float(x0q)
         emit(f"double {cv(v)} = {c_float(x0)};")
@@ -210,17 +188,6 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
         emit(f"int {names.of('event', e)} = 0;")
         emit(f"int {names.of('event', e)}_out = 0;")
     emit("")
-    for p, locations in enumerate(plan.parts):
-        for loc in locations:
-            for v, wit in loc.witnesses:
-                args = "double C1" if wit.kind is WitnessKind.CONSTANT else "double d, double k, double C1"
-                emit(f"double {names.of(f'loc{p}', loc.name)}_ode_{var_index[v]}({args}) "
-                     f"{{ {_c_witness_body(wit)} }}")
-    emit("")
-
-    def call(p: int, loc: LocationPlan, v: str, wit: WitnessFunction, k: str) -> str:
-        args = f"C1_{cv(v)}" if wit.kind is WitnessKind.CONSTANT else f"d, {k}, C1_{cv(v)}"
-        return f"{names.of(f'loc{p}', loc.name)}_ode_{var_index[v]}({args})"
 
     def test(*conds: str, present: int = 0, absent: int = 0) -> str:
         """The event tests, then `conds`, joined; "1" when there are none."""
@@ -245,15 +212,15 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
         taken.add(base)
         return base
 
-    def switch_code(p: int, loc: LocationPlan, lv: str) -> list[str]:
-        """Part p's switch tick in `loc`; `lv` holds its location index."""
+    def switch_code(loc: LocationPlan, next_lv: str) -> list[str]:
+        """A part's switch tick in `loc`; `next_lv` receives its next location index."""
         taken = set(names.used)
         out: list[str] = []
         put = out.append
         prev = {}
         for v, wit in loc.prev:
             prev[v] = fresh(f"{cv(v)}_prev", taken)
-            put(f"double {prev[v]} = (k >= 1) ? {call(p, loc, v, wit, 'k - 1')} : {cv(v)};")
+            put(f"double {prev[v]} = (k >= 1) ? {witness(wit, v, '(k - 1)')} : {cv(v)};")
         # snap candidates: the first failing non-strict bound, if crossed
         cands = []
         for i, e in enumerate(loc.edges):
@@ -283,53 +250,49 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str, var_index: dict[str,
                 put(f"    {cv(v)} = {tn};")
             for v, wit in e.refresh:
                 put(f"    C1_{cv(v)} = {c1_text(wit, cv(v), c_num)};")
-            put(f"    {lv} = {e.dst};")
+            put(f"    {next_lv} = {e.dst};")
             for n, ev in enumerate(plan.events):
                 if e.emits >> n & 1:
                     put(f"    {names.of('event', ev)}_out = 1;")
             put("}")
         # no enabled edge: frozen if the part can evolve, else stuck
         evolve = evolve_test(loc)
-        frozen = [f"if (!({evolve})) {{", "    stuck = 1;", "    return cstate;", "}"] if evolve != "1" else []
+        frozen = [f"if (!({evolve})) {{", "    stuck = 1;", "    return;", "}"] if evolve != "1" else []
         frozen += [f"C1_{cv(v)} = {c1_text(wit, cv(v), c_num)};" for v, wit in loc.witnesses]
         if loc.edges and frozen:
             return out + ["else {", *(f"    {line}" for line in frozen), "}"]
         return out + frozen
 
-    emit(f"int {reaction}(int cstate) {{")
+    emit(f"void {reaction}(void) {{")
     for v in swa.variables:
         emit(f"    {cv(v)} = {cv(v)}_u;")
-    # each part's location index, read once from the product index; its switch code sets the next one
-    lvs = []
-    for p, digit in enumerate(_digits(swa)):
-        lvs.append(fresh(f"l{p}", names.used))
-        emit(f"    int {lvs[p]} = {digit};")
     tests = [choice(lv, list(map(evolve_test, locations))) for lv, locations in zip(lvs, plan.parts)]
     evolve = "\n        && ".join(t for t in tests if t != "1") or "1"
     emit(f"    if ({evolve}) {{")
     emit("        k = k + 1;")
-    for p, (lv, locations) in enumerate(zip(lvs, plan.parts)):
-        steps = [" ".join(f"{cv(v)}_u = {call(p, loc, v, wit, 'k')};" for v, wit in loc.witnesses
+    for lv, locations in zip(lvs, plan.parts):
+        steps = [" ".join(f"{cv(v)}_u = {witness(wit, v, 'k')};" for v, wit in loc.witnesses
                           if wit.kind is not WitnessKind.CONSTANT) for loc in locations]
         if any(steps):
             emit(f"        switch ({lv}) {{")
             w += [f"        case {d}: {step} break;" for d, step in enumerate(steps) if step]
             emit("        }")
-    emit("        return cstate;")
+    emit("        return;")
     emit("    }")
-    for p, (lv, locations) in enumerate(zip(lvs, plan.parts)):
+    for lv, locations in zip(lvs, plan.parts):
+        emit(f"    int {lv}_n = {lv};")
         emit(f"    switch ({lv}) {{")
         for d, loc in enumerate(locations):
             emit(f"    case {d}: {{  /* {loc.name} */")
-            w += [f"        {line}" for line in switch_code(p, loc, lv)]
+            w += [f"        {line}" for line in switch_code(loc, f"{lv}_n")]
             emit("        break;")
             emit("    }")
         emit("    }")
     for v in swa.variables:
         emit(f"    {cv(v)}_u = {cv(v)};")
     emit("    k = 0;")
-    index = " + ".join(lv if st == 1 else f"{lv} * {st}" for lv, st in zip(lvs, plan.strides))
-    emit(f"    return {index};")
+    for lv in lvs:
+        emit(f"    {lv} = {lv}_n;")
     emit("}")
     return "\n".join(w) + "\n"
 
@@ -363,7 +326,8 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     plan = switch_plan(swa)
     events = swa.events()
     # each part's location name, read from its own table
-    locs = [f"{names.of('table', f'loc{p}')}[{digit}]" for p, digit in enumerate(_digits(swa))]
+    lvs = [names.of("part", f"l{p}") for p in range(len(plan.parts))]
+    locs = [f"{names.of('table', f'loc{p}')}[{lv}]" for p, lv in enumerate(lvs)]
     # the longest row: a 19-digit tick and a time field of at most 23 characters,
     # the location, at most 22 characters per value, every event name, each field's
     # separator and the newline
@@ -376,9 +340,9 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("#include <stdlib.h>")
     emit("#include <string.h>")
     emit("")
-    emit(f"int {reaction}(int cstate);")
+    emit(f"void {reaction}(void);")
     emit("extern long k;")
-    emit("extern int stuck;")
+    emit(f"extern int stuck, {', '.join(lvs)};")
     for v in swa.variables:
         emit(f"extern double {cv(v)}, {cv(v)}_u;")
     for e in events:
@@ -494,12 +458,11 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("    if (argc > 1) ticks = atol(argv[1]);")
     emit("    if (argc > 2) stim_path = argv[2];")
     emit("    if (stim_path) load_stimulus(stim_path);")
-    emit(f"    int cstate = {plan.start};")
     emit("    long si = 0;")
     header = ",".join(["tick", "time", "location", *swa.variables, "inputs", "outputs"])
     emit(f'    fputs("{header}\\n", stdout);')
     emit("    for (long t = 0; t < ticks; t++) {")
-    emit(f"        cstate = {reaction}(cstate);")
+    emit(f"        {reaction}();")
     emit("        if (stuck) {")
     emit("            flush();")
     emit(

@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Rational = Fraction
 Endpoint = Union[Fraction, float]  # floats are only ever +-inf here
@@ -183,7 +183,7 @@ class Comparison:
         raise ValueError(f"unknown comparison operator {self.op!r}")
 
     def __str__(self) -> str:
-        return f"{self.variable} {self.op} {_fmt_rational(self.bound)}"
+        return f"{self.variable} {self.op} {format_number(self.bound)}"
 
 
 @dataclass(frozen=True)
@@ -348,9 +348,9 @@ class LinearForm:
             elif c == -1:
                 parts.append(f"-{v}")
             else:
-                parts.append(f"{_fmt_rational(c)} * {v}")
+                parts.append(f"{format_number(c)} * {v}")
         if self.const != 0 or not parts:
-            parts.append(_fmt_rational(self.const))
+            parts.append(format_number(self.const))
         out = parts[0]
         for p in parts[1:]:
             if p.startswith("-"):
@@ -418,7 +418,7 @@ def lin_div(a: ExprForm, b: ExprForm, text: str) -> ExprForm:
     return LinearForm(tuple((v, c / k) for v, c in a.coeffs), a.const / k)
 
 
-def _fmt_rational(q: Rational) -> str:
+def format_number(q: Rational) -> str:
     """Render a rational the way the model format writes numbers.
 
     Denominators of the form 2^a * 5^b print as exact decimals; anything
@@ -443,22 +443,3 @@ def _fmt_rational(q: Rational) -> str:
         digits = str(abs(scaled)).rjust(shift + 1, "0")
         return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
     return f"{q.numerator}/{q.denominator}"
-
-
-def format_number(q: Rational) -> str:
-    return _fmt_rational(q)
-
-
-def parse_decimal(text: str) -> Rational:
-    """Exact rational value of a decimal literal like ``0.075`` or ``150``."""
-    return Fraction(text)
-
-
-def rational_grid(lo: Rational, hi: Rational, count: int) -> Iterable[Rational]:
-    """Evenly spaced rationals covering [lo, hi], endpoints included."""
-    if count < 2:
-        yield lo
-        return
-    span = hi - lo
-    for k in range(count):
-        yield lo + span * k / (count - 1)

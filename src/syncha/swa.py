@@ -1003,15 +1003,20 @@ def c1_text(w: WitnessFunction, value: str, num: Callable[[Rational], str]) -> s
     return value
 
 
-def _py_witness(w: WitnessFunction, c1: str, k: str, delta_f: float) -> str:
-    """Python expression with the same float shape as value_at_tick."""
+def witness_text(w: WitnessFunction, c1: str, k: str, delta_f: float, exp: str = "_exp") -> str:
+    """`w` at step `k` from the entry constant `c1`, in the float shape of `value_at_tick`.
+
+    The text reads alike in Python and, with ``exp="exp"``, in C.  `k` is
+    multiplied by the rate per tick, a literal, so pass a difference such
+    as ``(k - 1)`` in brackets.
+    """
     if w.kind is WitnessKind.CONSTANT:
         return c1
     if w.kind is WitnessKind.LINEAR:
         return f"{c1} + {w.b_f * delta_f!r} * {k}"
     if w.x_eq_f == 0.0:
-        return f"{c1} * _exp({w.a_f * delta_f!r} * {k})"
-    return f"{w.x_eq_f!r} + {c1} * _exp({w.a_f * delta_f!r} * {k})"
+        return f"{c1} * {exp}({w.a_f * delta_f!r} * {k})"
+    return f"{w.x_eq_f!r} + {c1} * {exp}({w.a_f * delta_f!r} * {k})"
 
 
 def _py_can_evolve(loc: LocationPlan) -> str:
@@ -1174,7 +1179,7 @@ def _py_step(locations: tuple[LocationPlan, ...], p: int, held: tuple, delta_f: 
         moving = [(var, wit) for var, wit in loc.witnesses if wit.kind is not WitnessKind.CONSTANT]
         if moving:
             w.append(f"{'elif' if w else 'if'} _l{p} == {d}:  # {loc.name}")
-            w += [f"    u_{var} = {_py_witness(wit, f'c1_{var}', '_k', delta_f)}" for var, wit in moving]
+            w += [f"    u_{var} = {witness_text(wit, f'c1_{var}', '_k', delta_f)}" for var, wit in moving]
             w += [f"    r_{var} = v_{var}" for var, _ in moving if var in held]
     return w
 
@@ -1196,7 +1201,7 @@ def _py_switch(locations: tuple[LocationPlan, ...], p: int, stuck: str, delta_f:
     for idx, loc in enumerate(locations):
         emit(f"{'if' if idx == 0 else 'elif'} _l{p} == {idx}:  # {loc.name}")
         for var, wit in loc.prev:
-            prev_expr = _py_witness(wit, f"c1_{var}", "(_k - 1)", delta_f)
+            prev_expr = witness_text(wit, f"c1_{var}", "(_k - 1)", delta_f)
             emit(f"    p_{var} = ({prev_expr}) if _k >= 1 else v_{var}")
         if loc.edges:
             emit("    _f = False")
@@ -1356,7 +1361,7 @@ def run_compiled(
     return ExecState(name(loc), values(us), values(is_), k, pending)
 
 
-ENGINES = ("auto", "generic", "compiled")
+ENGINES = ("generic", "compiled")
 
 
 def simulate(
@@ -1364,10 +1369,10 @@ def simulate(
     ticks: int,
     stimulus: Mapping[int, frozenset[str]] | None = None,
     out: TextIO | None = None,
-    engine: str = "auto",
+    engine: str = "compiled",
 ) -> ExecState:
-    """Run `ticks` reactions with the selected engine ('auto' specialises)."""
-    if engine not in ENGINES:
+    """Run `ticks` reactions with the selected engine ("auto" is an old name of "compiled")."""
+    if engine not in ENGINES and engine != "auto":
         raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     if engine == "generic":
         return run(swa, ticks, stimulus, out)

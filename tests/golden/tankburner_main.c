@@ -2,9 +2,9 @@
 #include <stdlib.h>
 #include <string.h>
 
-int tankburnerR(int cstate);
+void tankburnerR(void);
 extern long k;
-extern int stuck;
+extern int stuck, l0, l1;
 extern double x, x_u;
 extern double c, c_u;
 extern int ON, ON_out;
@@ -114,14 +114,13 @@ int main(int argc, char **argv) {
     if (argc > 1) ticks = atol(argv[1]);
     if (argc > 2) stim_path = argv[2];
     if (stim_path) load_stimulus(stim_path);
-    int cstate = 0;
     long si = 0;
     fputs("tick,time,location,x,c,inputs,outputs\n", stdout);
     for (long t = 0; t < ticks; t++) {
-        cstate = tankburnerR(cstate);
+        tankburnerR();
         if (stuck) {
             flush();
-            fprintf(stderr, "stuck at tick %ld in state %s%s: no evolution step and no enabled transition (k = %ld)\n", t, loc0[cstate / 2], loc1[cstate % 2], k);
+            fprintf(stderr, "stuck at tick %ld in state %s%s: no evolution step and no enabled transition (k = %ld)\n", t, loc0[l0], loc1[l1], k);
             fprintf(stderr, "  x = %.17g\n", x_u);
             fprintf(stderr, "  c = %.17g\n", c_u);
             if (ON) fprintf(stderr, "  visible: ON\n");
@@ -136,8 +135,8 @@ int main(int argc, char **argv) {
         while (o[-1] == '0') o--;
         if (o[-1] == '.') o--;
         *o++ = ',';
-        put_s(loc0[cstate / 2]);
-        put_s(loc1[cstate % 2]);
+        put_s(loc0[l0]);
+        put_s(loc1[l1]);
         put_g(x, x_g);
         put_g(c, c_g);
         *o++ = ',';

@@ -66,7 +66,7 @@ def criterion(number: int, title: str):
     print(f"criterion {number} ({title}): PASS{suffix}", flush=True)
 
 
-def trace_of(swa, ticks, stimulus=None, engine="auto"):
+def trace_of(swa, ticks, stimulus=None, engine="compiled"):
     buf = io.StringIO()
     simulate(swa, ticks, stimulus=stimulus, out=buf, engine=engine)
     return buf.getvalue()

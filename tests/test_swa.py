@@ -21,6 +21,7 @@ from syncha.codegen import build_binary, emit_c, find_cc
 from syncha.expr import AffineExpr
 from syncha.model import load_model, parse_model
 from syncha.swa import (
+    ENGINES,
     ProductStates,
     SwaState,
     UnreachableState,
@@ -50,7 +51,7 @@ from oracles import fuzz_network, parse_trace, product_run, product_tick, timer_
 DELTA = Fraction(1, 100)
 
 
-def trace_text(swa, ticks, stimulus=None, engine="auto"):
+def trace_text(swa, ticks, stimulus=None, engine="compiled"):
     buf = io.StringIO()
     simulate(swa, ticks, stimulus=stimulus, out=buf, engine=engine)
     return buf.getvalue()
@@ -396,6 +397,11 @@ class TestEngines:
     def test_unknown_engine_rejected(self, watertank_swa):
         with pytest.raises(ValueError, match="unknown engine"):
             simulate(watertank_swa, 1, engine="warp")
+
+    def test_auto_is_an_old_name_of_compiled(self, watertank_swa):
+        """Only "generic" and "compiled" are offered; "auto" still runs the compiled engine."""
+        assert ENGINES == ("generic", "compiled")
+        assert trace_text(watertank_swa, 300, engine="auto") == trace_text(watertank_swa, 300)
 
     @pytest.mark.parametrize("model,ticks", [
         ("watertank", 5000),
@@ -775,24 +781,24 @@ class TestNetworkScale:
     @pytest.mark.parametrize("n", [16, 24])
     def test_long_chains_run_from_the_cli_in_under_two_seconds(self, chain_models, tmp_path, n):
         traces = {}
-        for engine in ("auto", "generic"):
+        for engine in ("compiled", "generic"):
             out = tmp_path / f"{engine}.csv"
             start = time.perf_counter()
             code = main(["compose-and-simulate", str(chain_models / f"chain{n}.pha"),
                          "--ticks", str(self.TICKS), "--engine", engine, "--out", str(out)])
             elapsed = time.perf_counter() - start
             assert code == 0
-            if engine == "auto":
+            if engine == "compiled":
                 assert elapsed < 2.0
             traces[engine] = out.read_text()
-        assert traces["auto"] == traces["generic"]
-        assert traces["auto"].count("\n") == self.TICKS + 1
-        assert f",E{n - 1}\n" in traces["auto"]  # the last timer has finished
+        assert traces["compiled"] == traces["generic"]
+        assert traces["compiled"].count("\n") == self.TICKS + 1
+        assert f",E{n - 1}\n" in traces["compiled"]  # the last timer has finished
         if n == 16 and find_cc() is not None:
             product = network_product(timer_chain(n))
             binary = build_binary(emit_c(product), tmp_path)
             proc = subprocess.run([str(binary), str(self.TICKS)], capture_output=True, text=True, timeout=120)
-            assert (proc.returncode, proc.stdout) == (0, traces["auto"])
+            assert (proc.returncode, proc.stdout) == (0, traces["compiled"])
 
     def test_a_chain_of_24_composes_in_under_10_ms(self):
         chain = timer_chain(24)
