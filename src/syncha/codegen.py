@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import shutil
 import subprocess
-from dataclasses import dataclass
 from pathlib import Path
 
-from .expr import Constraint, Rational, format_number
+from .expr import Constraint, Rational, Record, format_number
 from .odesolve import WitnessKind, resolve_c1
 from .swa import (
     LocationPlan,
@@ -108,20 +107,26 @@ def _c_constraint(c: Constraint, name_of) -> str:
     return constraint_text(c, name_of, c_num, " && ", "1")
 
 
-@dataclass(frozen=True)
-class CodegenOptions:
-    ticks: int = 10000  # driver default, argv[1] overrides
-    stimulus_path: str | None = None  # baked stimulus file, argv[2] overrides
+class CodegenOptions(Record):
+    __slots__ = ("ticks", "stimulus_path")
+
+    def __init__(
+        self, ticks: int = 10000,  # driver default, argv[1] overrides
+        stimulus_path: str | None = None,  # baked stimulus file, argv[2] overrides
+    ) -> None:
+        self._set(ticks, stimulus_path)
 
 
-@dataclass(frozen=True)
-class CUnit:
+class CUnit(Record):
     """The two generated translation units for one automaton."""
 
-    name: str  # sanitized base name: <name>.c plus <name>_main.c
-    automaton_source: str
-    driver_source: str
-    reaction_symbol: str
+    __slots__ = ("name", "automaton_source", "driver_source", "reaction_symbol")
+
+    def __init__(
+        self, name: str,  # sanitized base name: <name>.c plus <name>_main.c
+        automaton_source: str, driver_source: str, reaction_symbol: str,
+    ) -> None:
+        self._set(name, automaton_source, driver_source, reaction_symbol)
 
     def file_names(self) -> tuple[str, str]:
         return (f"{self.name}.c", f"{self.name}_main.c")

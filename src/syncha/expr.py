@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -41,12 +40,54 @@ class MissingVariable(KeyError):
         return f"valuation does not bind variable {self.variable!r}"
 
 
+class Record:
+    """An immutable value, compared, hashed and shown by its constructor's parameters.
+
+    ``__slots__`` lists the parameters, then any fields derived from them;
+    ``__init__`` passes `_set` their values in that order.  Equality and
+    hashing skip ``_uncompared``.  Unlike a frozen dataclass, no methods
+    are compiled for each class."""
+
+    __slots__ = ("__weakref__",)
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._key = operator.attrgetter(*(f for f in cls._fields if f not in cls._uncompared))
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+    def _set(self, *values) -> None:
+        for put, value in zip(self._setters, values):
+            put(self, value)
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor too
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def replace(self, **changes):
+        """A copy with `changes` made, built by the constructor, so derived fields follow."""
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
 def _is_inf(x: Endpoint) -> bool:
     return isinstance(x, float) and math.isinf(x)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A possibly unbounded real interval with independent endpoint closure.
 
     Construction normalises away every degenerate shape, so two intervals
@@ -55,34 +96,28 @@ class Interval:
     infinite endpoints are always open.
     """
 
-    lo: Endpoint = NEG_INF
-    hi: Endpoint = POS_INF
-    lo_closed: bool = False
-    hi_closed: bool = False
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self) -> None:
-        lo, hi = self.lo, self.hi
-        lo_c, hi_c = self.lo_closed, self.hi_closed
+    def __init__(
+        self, lo: Endpoint = NEG_INF, hi: Endpoint = POS_INF, lo_closed: bool = False, hi_closed: bool = False,
+    ) -> None:
         if _is_inf(lo):
-            lo_c = False
+            lo_closed = False
         if _is_inf(hi):
-            hi_c = False
+            hi_closed = False
         empty = (
             lo > hi
-            or (lo == hi and not (lo_c and hi_c))
+            or (lo == hi and not (lo_closed and hi_closed))
             or (isinstance(lo, float) and lo == POS_INF)
             or (isinstance(hi, float) and hi == NEG_INF)
         )
         if empty:
-            lo, hi, lo_c, hi_c = Fraction(0), Fraction(0), False, False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "lo_closed", lo_c)
-        object.__setattr__(self, "hi_closed", hi_c)
+            lo, hi, lo_closed, hi_closed = Fraction(0), Fraction(0), False, False
+        self._set(lo, hi, lo_closed, hi_closed)
 
     @classmethod
     def empty(cls) -> "Interval":
-        return cls(Fraction(0), Fraction(0), False, False)
+        return _EMPTY
 
     @classmethod
     def full(cls) -> "Interval":
@@ -102,7 +137,7 @@ class Interval:
 
     @property
     def is_empty(self) -> bool:
-        return self == Interval.empty()
+        return self == _EMPTY
 
     def contains(self, x) -> bool:
         """Membership for a real number (float or Fraction)."""
@@ -123,6 +158,9 @@ class Interval:
         lo = "-inf" if _is_inf(self.lo) else str(self.lo)
         hi = "inf" if _is_inf(self.hi) else str(self.hi)
         return f"{lb}{lo}, {hi}{rb}"
+
+
+_EMPTY = Interval(Fraction(0), Fraction(0), False, False)
 
 
 def interval_intersect(a: Interval, b: Interval) -> Interval:
@@ -150,17 +188,13 @@ def _compare(op: str, value, bound) -> bool:
     return COMPARE[op](value, bound)
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Record):
     """A single atom ``variable op bound`` with a rational bound."""
 
-    variable: str
-    op: str
-    bound: Rational
-    bound_f: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("variable", "op", "bound", "bound_f")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bound_f", float(self.bound))
+    def __init__(self, variable: str, op: str, bound: Rational) -> None:
+        self._set(variable, op, bound, float(bound))
 
     def holds(self, value: float) -> bool:
         return _compare(self.op, value, self.bound_f)
@@ -186,21 +220,20 @@ class Comparison:
         return f"{self.variable} {self.op} {format_number(self.bound)}"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """A finite conjunction of comparisons.  The empty conjunction is TRUE."""
 
-    conjuncts: tuple[Comparison, ...] = ()
+    __slots__ = ("conjuncts",)
+
+    def __init__(self, conjuncts: tuple[Comparison, ...] = ()) -> None:
+        self._set(conjuncts)
 
     @classmethod
     def true(cls) -> "Constraint":
         return cls(())
 
     def variables(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for c in self.conjuncts:
-            seen.setdefault(c.variable, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(c.variable for c in self.conjuncts))
 
     def holds(self, valuation: Mapping[str, float]) -> bool:
         for c in self.conjuncts:
@@ -233,19 +266,13 @@ def constraint_to_interval(constraint: Constraint, variable: str) -> Interval:
     return acc
 
 
-@dataclass(frozen=True)
-class AffineExpr:
+class AffineExpr(Record):
     """The function x -> a*x + b over a single named variable."""
 
-    a: Rational
-    b: Rational
-    variable: str
-    a_f: float = field(init=False, repr=False, compare=False)
-    b_f: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "variable", "a_f", "b_f")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a_f", float(self.a))
-        object.__setattr__(self, "b_f", float(self.b))
+    def __init__(self, a: Rational, b: Rational, variable: str) -> None:
+        self._set(a, b, variable, float(a), float(b))
 
     def evaluate(self, value: float) -> float:
         return self.a_f * value + self.b_f
@@ -290,16 +317,13 @@ def sign_region(expr: AffineExpr, positive: bool) -> Interval:
 # parser rejecting the model outright.
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """sum(coeff_i * var_i) + const, with all-rational coefficients."""
 
-    coeffs: tuple[tuple[str, Rational], ...] = ()
-    const: Rational = Fraction(0)
+    __slots__ = ("coeffs", "const")
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(sorted(((v, c) for v, c in self.coeffs if c != 0)))
-        object.__setattr__(self, "coeffs", cleaned)
+    def __init__(self, coeffs: tuple[tuple[str, Rational], ...] = (), const: Rational = Fraction(0)) -> None:
+        self._set(tuple(sorted(((v, c) for v, c in coeffs if c != 0))), const)
 
     @classmethod
     def constant(cls, value: Rational) -> "LinearForm":
@@ -360,11 +384,13 @@ class LinearForm:
         return out
 
 
-@dataclass(frozen=True)
-class NonlinearExpr:
+class NonlinearExpr(Record):
     """A parsed expression outside the affine class, kept only as source text."""
 
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self._set(text)
 
     def variables(self) -> tuple[str, ...]:
         return ()

@@ -29,7 +29,6 @@ defaults to the invariant's projection onto that variable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -43,6 +42,7 @@ from .expr import (
     NEG_INF,
     POS_INF,
     Rational,
+    Record,
     constraint_to_interval,
     format_number,
     lin_add,
@@ -79,32 +79,34 @@ class ModelSemanticsError(ModelError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One machine-readable finding about a model."""
 
-    code: str
-    message: str
-    line: int = 0
+    __slots__ = ("code", "message", "line")
+
+    def __init__(self, code: str, message: str, line: int = 0) -> None:
+        self._set(code, message, line)
 
     def __str__(self) -> str:
         where = f" (line {self.line})" if self.line else ""
         return f"{self.code}{where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Flow:
-    variable: str
-    rhs: FlowRhs
-    line: int = field(default=0, compare=False)
+class Flow(Record):
+    __slots__ = ("variable", "rhs", "line")
+    _uncompared = ("line",)
+
+    def __init__(self, variable: str, rhs: FlowRhs, line: int = 0) -> None:
+        self._set(variable, rhs, line)
 
 
-@dataclass(frozen=True)
-class EventExpr:
+class EventExpr(Record):
     """Conjunction of event literals: all of `present` and none of `absent`."""
 
-    present: tuple[str, ...] = ()
-    absent: tuple[str, ...] = ()
+    __slots__ = ("present", "absent")
+
+    def __init__(self, present: tuple[str, ...] = (), absent: tuple[str, ...] = ()) -> None:
+        self._set(present, absent)
 
     def is_trivial(self) -> bool:
         return not self.present and not self.absent
@@ -114,26 +116,22 @@ class EventExpr:
         return " && ".join(lits) if lits else "true"
 
 
-@dataclass(frozen=True)
-class Location:
-    name: str
-    invariant: Constraint = Constraint.true()
-    flows: tuple[Flow, ...] = ()
-    boundary: tuple[tuple[str, Interval], ...] = ()
-    init: tuple[tuple[str, Rational], ...] | None = None
-    line: int = field(default=0, compare=False)
+class Location(Record):
+    __slots__ = ("name", "invariant", "flows", "boundary", "init", "line")
+    _uncompared = ("line",)
+
+    def __init__(
+        self, name: str, invariant: Constraint = Constraint.true(), flows: tuple[Flow, ...] = (),
+        boundary: tuple[tuple[str, Interval], ...] = (),
+        init: tuple[tuple[str, Rational], ...] | None = None, line: int = 0,
+    ) -> None:
+        self._set(name, invariant, flows, boundary, init, line)
 
     def flow_for(self, variable: str) -> Flow | None:
-        for f in self.flows:
-            if f.variable == variable:
-                return f
-        return None
+        return next((f for f in self.flows if f.variable == variable), None)
 
     def boundary_for(self, variable: str) -> Interval | None:
-        for v, iv in self.boundary:
-            if v == variable:
-                return iv
-        return None
+        return next((iv for v, iv in self.boundary if v == variable), None)
 
     def entry_interval(self, variable: str) -> Interval:
         """Annotated entry boundary, defaulting to the invariant projection."""
@@ -143,28 +141,28 @@ class Location:
         return constraint_to_interval(self.invariant, variable)
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: str
-    dst: str
-    event: EventExpr = EventExpr()
-    guard: Constraint = Constraint.true()
-    updates: tuple[tuple[str, AffineExpr], ...] = ()
-    emits: tuple[str, ...] = ()
-    line: int = field(default=0, compare=False)
+class Edge(Record):
+    __slots__ = ("src", "dst", "event", "guard", "updates", "emits", "line")
+    _uncompared = ("line",)
+
+    def __init__(
+        self, src: str, dst: str, event: EventExpr = EventExpr(), guard: Constraint = Constraint.true(),
+        updates: tuple[tuple[str, AffineExpr], ...] = (), emits: tuple[str, ...] = (), line: int = 0,
+    ) -> None:
+        self._set(src, dst, event, guard, updates, emits, line)
 
 
-@dataclass(frozen=True)
-class HybridAutomaton:
-    name: str
-    variables: tuple[str, ...]
-    init_values: tuple[tuple[str, Rational], ...]
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    locations: tuple[Location, ...]
-    edges: tuple[Edge, ...]
-    initial_location: str
-    line: int = field(default=0, compare=False)
+class HybridAutomaton(Record):
+    __slots__ = ("name", "variables", "init_values", "inputs", "outputs", "locations", "edges",
+                 "initial_location", "line")
+    _uncompared = ("line",)
+
+    def __init__(
+        self, name: str, variables: tuple[str, ...], init_values: tuple[tuple[str, Rational], ...],
+        inputs: tuple[str, ...], outputs: tuple[str, ...], locations: tuple[Location, ...],
+        edges: tuple[Edge, ...], initial_location: str, line: int = 0,
+    ) -> None:
+        self._set(name, variables, init_values, inputs, outputs, locations, edges, initial_location, line)
 
     def location(self, name: str) -> Location:
         for loc in self.locations:
@@ -181,17 +179,14 @@ class HybridAutomaton:
         Intra-tick evolution requires all of these to be silent, matching
         the generated reaction's `!E1 && !E2 && ...` prefix.
         """
-        seen: dict[str, None] = {}
-        for e in self.edges:
-            for ev in e.event.present:
-                seen.setdefault(ev, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(ev for e in self.edges for ev in e.event.present))
 
 
-@dataclass(frozen=True)
-class Network:
-    name: str
-    automata: tuple[HybridAutomaton, ...]
+class Network(Record):
+    __slots__ = ("name", "automata")
+
+    def __init__(self, name: str, automata: tuple[HybridAutomaton, ...]) -> None:
+        self._set(name, automata)
 
     def automaton(self, name: str) -> HybridAutomaton:
         for a in self.automata:
@@ -213,13 +208,15 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # name | number | op
-    text: str
-    line: int
-    col: int
-    end: int  # character offset past the token within the line
+class _Token(Record):
+    __slots__ = ("kind", "text", "line", "col", "end")
+
+    def __init__(
+        self, kind: str,  # name | number | op
+        text: str, line: int, col: int,
+        end: int,  # character offset past the token within the line
+    ) -> None:
+        self._set(kind, text, line, col, end)
 
 
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:

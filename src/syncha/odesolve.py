@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expr import (
@@ -26,6 +25,7 @@ from .expr import (
     LinearForm,
     NonlinearExpr,
     Rational,
+    Record,
     interval_intersect,
     sign_region,
 )
@@ -63,8 +63,7 @@ class _Unreachable:
 UNREACHABLE = _Unreachable()
 
 
-@dataclass(frozen=True)
-class WitnessFunction:
+class WitnessFunction(Record):
     """Closed-form solution of one affine flow, with C1 left symbolic.
 
     ``a`` and ``b`` are the flow coefficients (x' = a*x + b).  For the
@@ -72,19 +71,13 @@ class WitnessFunction:
     otherwise.
     """
 
-    kind: WitnessKind
-    variable: str
-    a: Rational = Fraction(0)
-    b: Rational = Fraction(0)
-    x_eq: Rational | None = None
-    a_f: float = field(init=False, repr=False, compare=False)
-    b_f: float = field(init=False, repr=False, compare=False)
-    x_eq_f: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "variable", "a", "b", "x_eq", "a_f", "b_f", "x_eq_f")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a_f", float(self.a))
-        object.__setattr__(self, "b_f", float(self.b))
-        object.__setattr__(self, "x_eq_f", float(self.x_eq) if self.x_eq is not None else 0.0)
+    def __init__(
+        self, kind: WitnessKind, variable: str, a: Rational = Fraction(0), b: Rational = Fraction(0),
+        x_eq: Rational | None = None,
+    ) -> None:
+        self._set(kind, variable, a, b, x_eq, float(a), float(b), float(x_eq) if x_eq is not None else 0.0)
 
     def value_at(self, c1: float, t: float) -> float:
         """Value at continuous time t (analysis use)."""

@@ -16,10 +16,9 @@ alone, so the analysis attaches a fairness warning instead of failing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .expr import AffineExpr, Interval, constraint_to_interval
+from .expr import AffineExpr, Interval, Record, constraint_to_interval
 from .model import HybridAutomaton, Location
 from .odesolve import (
     UNREACHABLE,
@@ -40,26 +39,30 @@ class IllFormedAutomaton(ValueError):
         super().__init__(f"automaton is not well formed:\n{report}")
 
 
-@dataclass(frozen=True)
-class VariableDwell:
+class VariableDwell(Record):
     """Worst-case travel time for one variable in one location."""
 
-    variable: str
-    witness: WitnessFunction
-    direction: Monotonicity
-    entry_value: float  # least favourable admissible entry value
-    exit_bound: float  # invariant bound the flow moves toward
-    dwell: float  # seconds, may be +inf
+    __slots__ = ("variable", "witness", "direction", "entry_value", "exit_bound", "dwell")
+
+    def __init__(
+        self, variable: str, witness: WitnessFunction, direction: Monotonicity,
+        entry_value: float,  # least favourable admissible entry value
+        exit_bound: float,  # invariant bound the flow moves toward
+        dwell: float,  # seconds, may be +inf
+    ) -> None:
+        self._set(variable, witness, direction, entry_value, exit_bound, dwell)
 
 
-@dataclass(frozen=True)
-class LocationAnalysis:
-    location: str
-    witnesses: tuple[tuple[str, WitnessFunction], ...]
-    dwells: tuple[VariableDwell, ...]
-    worst_case_time: float  # seconds, may be +inf
-    nsteps: int | None  # None when unbounded
-    fairness_warning: bool
+class LocationAnalysis(Record):
+    __slots__ = ("location", "witnesses", "dwells", "worst_case_time", "nsteps", "fairness_warning")
+
+    def __init__(
+        self, location: str, witnesses: tuple[tuple[str, WitnessFunction], ...],
+        dwells: tuple[VariableDwell, ...], worst_case_time: float,  # seconds, may be +inf
+        nsteps: int | None,  # None when unbounded
+        fairness_warning: bool,
+    ) -> None:
+        self._set(location, witnesses, dwells, worst_case_time, nsteps, fairness_warning)
 
     def witness_for(self, variable: str) -> WitnessFunction:
         for name, w in self.witnesses:
@@ -68,17 +71,13 @@ class LocationAnalysis:
         raise KeyError(f"location {self.location} has no witness for {variable!r}")
 
 
-@dataclass(frozen=True)
-class Sha:
+class Sha(Record):
     """A hybrid automaton paired with its per-location dwell analysis."""
 
-    base: HybridAutomaton
-    delta: Fraction
-    analyses: tuple[LocationAnalysis, ...]
-    delta_f: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "delta", "analyses", "delta_f")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta_f", float(self.delta))
+    def __init__(self, base: HybridAutomaton, delta: Fraction, analyses: tuple[LocationAnalysis, ...]) -> None:
+        self._set(base, delta, analyses, float(delta))
 
     def analysis(self, location: str) -> LocationAnalysis:
         for a in self.analyses:

@@ -66,10 +66,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Mapping, TextIO
 
-from .expr import COMPARE, AffineExpr, Comparison, Constraint, Rational
+from .expr import COMPARE, AffineExpr, Comparison, Constraint, Rational, Record
 from .model import EventExpr, HybridAutomaton
 from .odesolve import WitnessFunction, WitnessKind, resolve_c1
 from .shagen import Sha, generate_sha
@@ -111,16 +111,19 @@ class UnreachableState(Exception):
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class SelfTransition:
+class SelfTransition(Record):
     """Condition for taking one evolution step and staying put."""
 
-    guard: Constraint  # the state's invariant (conjoined across products)
-    absent: tuple[str, ...]  # every trigger event must be silent
+    __slots__ = ("guard", "absent")
+
+    def __init__(
+        self, guard: Constraint,  # the state's invariant (conjoined across products)
+        absent: tuple[str, ...],  # every trigger event must be silent
+    ) -> None:
+        self._set(guard, absent)
 
 
-@dataclass(frozen=True)
-class SwaTransition:
+class SwaTransition(Record):
     """One egress transition.
 
     The guard is kept as ordered groups, one per constituent automaton.
@@ -128,21 +131,24 @@ class SwaTransition:
     groups marked saturable (a frozen side's invariant is checked as-is).
     """
 
-    dst: str
-    event: EventExpr
-    guard_groups: tuple[Constraint, ...]
-    saturable: tuple[bool, ...]
-    updates: tuple[tuple[str, AffineExpr], ...] = ()
-    emits: tuple[str, ...] = ()
+    __slots__ = ("dst", "event", "guard_groups", "saturable", "updates", "emits")
+
+    def __init__(
+        self, dst: str, event: EventExpr, guard_groups: tuple[Constraint, ...], saturable: tuple[bool, ...],
+        updates: tuple[tuple[str, AffineExpr], ...] = (), emits: tuple[str, ...] = (),
+    ) -> None:
+        self._set(dst, event, guard_groups, saturable, updates, emits)
 
 
-@dataclass(frozen=True)
-class SwaState:
-    name: str
-    self_transition: SelfTransition
-    witnesses: tuple[tuple[str, WitnessFunction], ...]
-    egress: tuple[SwaTransition, ...]
-    nsteps: int | None  # bound on consecutive evolution steps, None if unbounded
+class SwaState(Record):
+    __slots__ = ("name", "self_transition", "witnesses", "egress", "nsteps")
+
+    def __init__(
+        self, name: str, self_transition: SelfTransition, witnesses: tuple[tuple[str, WitnessFunction], ...],
+        egress: tuple[SwaTransition, ...],
+        nsteps: int | None,  # bound on consecutive evolution steps, None if unbounded
+    ) -> None:
+        self._set(name, self_transition, witnesses, egress, nsteps)
 
     def witness_for(self, variable: str) -> WitnessFunction:
         for var, w in self.witnesses:
@@ -159,6 +165,9 @@ class Swa:
     order, as ``parts``; its states are their row-major product, a
     `ProductStates` that builds each one when it is read.  A lowered
     automaton has no parts and is its own single part.
+
+    The one dataclass among syncha's records: ``perfbench/selftest.py``
+    calls ``dataclasses.replace`` on a network.
     """
 
     name: str
@@ -206,8 +215,7 @@ class Swa:
         return _dedup(self.inputs + self.outputs)
 
 
-@dataclass(frozen=True)
-class ExecState:
+class ExecState(Record):
     """A runtime configuration between two ticks.
 
     ``v`` holds the values the next tick will commit (for a step index k
@@ -216,11 +224,13 @@ class ExecState:
     the next tick.
     """
 
-    location: str
-    v: Mapping[str, float]
-    i: Mapping[str, float]
-    k: int
-    pending_pre: frozenset[str] = frozenset()
+    __slots__ = ("location", "v", "i", "k", "pending_pre")
+
+    def __init__(
+        self, location: str, v: Mapping[str, float], i: Mapping[str, float], k: int,
+        pending_pre: frozenset[str] = frozenset(),
+    ) -> None:
+        self._set(location, v, i, k, pending_pre)
 
 
 def _dedup(items: Iterable[str]) -> tuple[str, ...]:
@@ -314,54 +324,53 @@ def initial_exec_state(swa: Swa) -> ExecState:
 # --- one reaction -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgePlan:
+class EdgePlan(Record):
     """One edge of a location, as a switch tick tests and takes it."""
 
-    present: int  # event mask that must be visible
-    absent: int  # event mask that must be silent
-    snaps: tuple[tuple[str, tuple[Comparison, ...]], ...]  # each variable's non-strict comparisons
-    guard: Constraint
-    updates: tuple[tuple[str, AffineExpr], ...]  # staged: every one reads the snapped values
-    dst: int  # destination location index
-    emits: int  # event mask
-    refresh: tuple[tuple[str, WitnessFunction], ...]  # the destination's witnesses, re-anchored
+    __slots__ = ("present", "absent", "snaps", "guard", "updates", "dst", "emits", "refresh")
+
+    def __init__(
+        self, present: int,  # event mask that must be visible
+        absent: int,  # event mask that must be silent
+        snaps: tuple[tuple[str, tuple[Comparison, ...]], ...],  # each variable's non-strict comparisons
+        guard: Constraint,
+        updates: tuple[tuple[str, AffineExpr], ...],  # staged: every one reads the snapped values
+        dst: int,  # destination location index
+        emits: int,  # event mask
+        refresh: tuple[tuple[str, WitnessFunction], ...],  # the destination's witnesses, re-anchored
+    ) -> None:
+        self._set(present, absent, snaps, guard, updates, dst, emits, refresh)
 
     @property
     def exclusive(self) -> bool:  # the guard must check that at most one variable snapped
         return len(self.snaps) > 1
 
 
-@dataclass(frozen=True)
-class LocationPlan:
-    """What one automaton does on a tick while it is in one location."""
+class LocationPlan(Record):
+    """What one automaton does on a tick while it is in one location.
 
-    name: str
-    invariant: Constraint  # with `triggers` silent: the part may evolve, or be frozen
-    triggers: int
-    witnesses: tuple[tuple[str, WitnessFunction], ...]
-    prev: tuple[tuple[str, WitnessFunction], ...]  # previous-tick values that snapping reads
-    edges: tuple[EdgePlan, ...]  # declaration order
+    ``bounded`` lists each variable the invariant mentions, with its
+    witness and its comparisons.  The comparisons are ``(test, bound)``
+    pairs: all of them, those a rising value can come to fail, and
+    those a falling value can.
+    """
 
-    @cached_property
-    def bounded(self) -> tuple[tuple[str, WitnessFunction, tuple, tuple, tuple], ...]:
-        """Each variable the invariant mentions, with its witness and its comparisons.
+    __slots__ = ("name", "invariant", "triggers", "witnesses", "prev", "edges", "bounded")
 
-        The comparisons are ``(test, bound)`` pairs: all of them, those a
-        rising value can come to fail, and those a falling value can.
-        """
-        flows = dict(self.witnesses)
-        bounded = []
-        for var in self.invariant.variables():
-            comps = [(c.op, (COMPARE[c.op], c.bound_f)) for c in self.invariant.conjuncts if c.variable == var]
-            bounded.append((
-                var,
-                flows[var],
-                tuple(test for _, test in comps),
-                tuple(test for op, test in comps if op in ("<", "<=", "==")),
-                tuple(test for op, test in comps if op in (">", ">=", "==")),
-            ))
-        return tuple(bounded)
+    def __init__(
+        self, name: str,
+        invariant: Constraint,  # with `triggers` silent: the part may evolve, or be frozen
+        triggers: int, witnesses: tuple[tuple[str, WitnessFunction], ...],
+        prev: tuple[tuple[str, WitnessFunction], ...],  # previous-tick values that snapping reads
+        edges: tuple[EdgePlan, ...],  # declaration order
+    ) -> None:
+        flows, bounded = dict(witnesses), []
+        for var in invariant.variables():
+            comps = [(c.op, (COMPARE[c.op], c.bound_f)) for c in invariant.conjuncts if c.variable == var]
+            bounded.append((var, flows[var], tuple(test for _, test in comps),
+                            tuple(test for op, test in comps if op in ("<", "<=", "==")),
+                            tuple(test for op, test in comps if op in (">", ">=", "=="))))
+        self._set(name, invariant, triggers, witnesses, prev, edges, tuple(bounded))
 
 
 class _StateIndex(dict):
@@ -379,8 +388,7 @@ class _StateIndex(dict):
         return j
 
 
-@dataclass(frozen=True)
-class SwitchPlan:
+class SwitchPlan(Record):
     """The location plans of a network's parts, and how they index its states.
 
     A product state's index is mixed-radix over its parts' location
@@ -390,16 +398,13 @@ class SwitchPlan:
     Bit i of every event mask is ``events[i]``.
     """
 
-    events: tuple[str, ...]
-    parts: tuple[tuple[LocationPlan, ...], ...]
-    strides: tuple[int, ...]
-    start: int
-    index: _StateIndex = field(init=False, repr=False, compare=False)
-    at: Callable[[int], tuple[LocationPlan, ...]] = field(init=False, repr=False, compare=False)
-    name: Callable[[int], str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("events", "parts", "strides", "start", "index", "at", "name")
 
-    def __post_init__(self) -> None:
-        parts, strides = self.parts, self.strides  # not self: a cycle would outlive the last reference
+    def __init__(
+        self, events: tuple[str, ...], parts: tuple[tuple[LocationPlan, ...], ...], strides: tuple[int, ...],
+        start: int,
+    ) -> None:
+        # The closures below hold the fields, not self: a cycle would outlive the last reference.
         index = _StateIndex([[loc.name for loc in locs] for locs in parts], strides)
         at = lru_cache(maxsize=None)(
             lambda j: tuple(locs[j // stride % len(locs)] for locs, stride in zip(parts, strides)))
@@ -408,9 +413,7 @@ class SwitchPlan:
             text = "".join(loc.name for loc in at(j))
             index[text] = j
             return text
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "at", at)
-        object.__setattr__(self, "name", lru_cache(maxsize=None)(name))
+        self._set(events, parts, strides, start, index, at, lru_cache(maxsize=None)(name))
 
     def mask(self, names: Iterable[str]) -> int:
         return sum({1 << self.events.index(e) for e in names})
@@ -443,7 +446,7 @@ def _build_plan(swa: Swa) -> SwitchPlan:
     start = sum(stride * [s.name for s in part.states].index(part.initial_state)
                 for part, stride in zip(parts, strides))
     plan = SwitchPlan(swa.events(), (), strides, start)
-    return replace(plan, parts=tuple(_location_plans(part, plan.mask) for part in parts))
+    return plan.replace(parts=tuple(_location_plans(part, plan.mask) for part in parts))
 
 
 def _location_plans(part: Swa, mask: Callable[[Iterable[str]], int]) -> tuple[LocationPlan, ...]:
@@ -706,8 +709,7 @@ def product_state(s1: SwaState, s2: SwaState) -> SwaState:
     return SwaState(s1.name + s2.name, self_t, s1.witnesses + s2.witnesses, egress, nsteps)
 
 
-@dataclass(frozen=True, repr=False)
-class ProductStates(Sequence):
+class ProductStates(Record, Sequence):
     """A network's states, row-major over its parts, each built when it is read.
 
     State j folds `product_state` from the left over its parts'
@@ -717,7 +719,11 @@ class ProductStates(Sequence):
     slices give tuples.
     """
 
-    parts: tuple[Swa, ...]
+    __slots__ = ("parts",)
+    __repr__ = object.__repr__
+
+    def __init__(self, parts: tuple[Swa, ...]) -> None:
+        self._set(parts)
 
     def __len__(self) -> int:
         return math.prod(len(part.states) for part in self.parts)

@@ -17,7 +17,6 @@ violation list is empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
@@ -25,6 +24,7 @@ from .expr import (
     Constraint,
     LinearForm,
     NonlinearExpr,
+    Record,
     constraint_to_interval,
     format_number,
 )
@@ -37,21 +37,25 @@ NON_MONOTONE = "NON_MONOTONE"
 INIT_OUTSIDE_BOUNDARY = "INIT_OUTSIDE_BOUNDARY"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # NON_CVX_CONSTRAINT | NO_CLOSED_FORM | NON_MONOTONE | INIT_OUTSIDE_BOUNDARY
-    where: str  # location or edge description
-    detail: str
-    line: int = 0
+class Violation(Record):
+    __slots__ = ("kind", "where", "detail", "line")
+
+    def __init__(
+        self, kind: str,  # NON_CVX_CONSTRAINT | NO_CLOSED_FORM | NON_MONOTONE | INIT_OUTSIDE_BOUNDARY
+        where: str,  # location or edge description
+        detail: str, line: int = 0,
+    ) -> None:
+        self._set(kind, where, detail, line)
 
     def __str__(self) -> str:
         return f"{self.kind} at {self.where}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class WhaReport:
-    automaton: str
-    violations: tuple[Violation, ...]
+class WhaReport(Record):
+    __slots__ = ("automaton", "violations")
+
+    def __init__(self, automaton: str, violations: tuple[Violation, ...]) -> None:
+        self._set(automaton, violations)
 
     @property
     def verdict(self) -> str:

@@ -8,7 +8,7 @@ data types, witnesses and update arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -340,12 +340,12 @@ def product_tick(swa: Swa, st: ExecState, inputs: frozenset[str] = frozenset()):
     every part can, else take the first enabled product transition."""
     visible = st.pending_pre
     if _can_evolve(swa, st, visible):
-        return replace(_evolved(swa, st), pending_pre=inputs), frozenset()
+        return _evolved(swa, st).replace(pending_pre=inputs), frozenset()
     jump = _first_jump(swa, st, visible)
     if jump is None:
         raise UnreachableState(swa.name, st.location, st.v, st.k, visible)
     nxt, emitted = jump
-    return replace(nxt, pending_pre=inputs | emitted), emitted
+    return nxt.replace(pending_pre=inputs | emitted), emitted
 
 
 def product_run(swa: Swa, ticks: int, stimulus=None, out=None) -> ExecState:

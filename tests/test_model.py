@@ -162,11 +162,9 @@ class TestValidation:
         assert "DUPLICATE_VARIABLE" in codes
 
     def test_missing_init_on_hand_built_automaton(self, watertank_net):
-        from dataclasses import replace
-
         tank = watertank_net.automaton("tank")
-        bare = replace(tank, init_values=())
-        net = replace(watertank_net, automata=(bare,))
+        bare = tank.replace(init_values=())
+        net = watertank_net.replace(automata=(bare,))
         codes = [d.code for d in validate_references(net)]
         assert codes == ["MISSING_INIT"]
 

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -836,7 +835,7 @@ class TestNetworkScale:
         fresh = compose(tank_swa, burner_swa)  # its plan has named no state yet
         assert tick(fresh, st) == product_tick(fresh, st)
         with pytest.raises(KeyError, match="t9b1"):
-            tick(fresh, replace(st, location="t9b1"))
+            tick(fresh, st.replace(location="t9b1"))
 
     def test_scale_probe_prints_a_row_per_chain(self):
         root = Path(__file__).resolve().parent.parent

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 from syncha.expr import Comparison, Constraint
@@ -80,10 +79,8 @@ class TestCheckWha:
     def test_bad_operator_is_a_constraint_violation(self, watertank_net):
         tank = watertank_net.automaton("tank")
         loc = tank.locations[0]
-        mangled = replace(
-            loc, invariant=Constraint((Comparison("x", "!=", Fraction(20)),))
-        )
-        bad = replace(tank, locations=(mangled,) + tank.locations[1:])
+        mangled = loc.replace(invariant=Constraint((Comparison("x", "!=", Fraction(20)),)))
+        bad = tank.replace(locations=(mangled,) + tank.locations[1:])
         report = check_wha(bad)
         assert [v.kind for v in report.violations] == [NON_CVX_CONSTRAINT]
         assert report.violations[0].where == "invariant of t1"
@@ -92,8 +89,8 @@ class TestCheckWha:
     def test_irrational_bound_is_a_constraint_violation(self, watertank_net):
         tank = watertank_net.automaton("tank")
         edge = tank.edges[1]
-        mangled = replace(edge, guard=Constraint((Comparison("x", "==", 100.0),)))
-        bad = replace(tank, edges=tank.edges[:1] + (mangled,) + tank.edges[2:])
+        mangled = edge.replace(guard=Constraint((Comparison("x", "==", 100.0),)))
+        bad = tank.replace(edges=tank.edges[:1] + (mangled,) + tank.edges[2:])
         report = check_wha(bad)
         (v,) = report.violations
         assert v.kind == NON_CVX_CONSTRAINT
@@ -105,8 +102,8 @@ class TestCheckWha:
         net = parse_model(text)
         auto = net.automaton("pair")
         edge = auto.edges[0]
-        mangled = replace(edge, guard=Constraint((Comparison("", "==", Fraction(1)),)))
-        report = check_wha(replace(auto, edges=(mangled,)))
+        mangled = edge.replace(guard=Constraint((Comparison("", "==", Fraction(1)),)))
+        report = check_wha(auto.replace(edges=(mangled,)))
         kinds = [v.kind for v in report.violations]
         assert kinds == [NON_MONOTONE, NO_CLOSED_FORM, NON_CVX_CONSTRAINT]
         assert report.violations[-1].detail == "comparison has no variable"
