@@ -46,8 +46,8 @@ class VariableDwell(Record):
 
     def __init__(
         self, variable: str, witness: WitnessFunction, direction: Monotonicity,
-        entry_value: float,  # least favourable admissible entry value
-        exit_bound: float,  # invariant bound the flow moves toward
+        entry_value: float | None,  # least favourable admissible entry value, None if there is none
+        exit_bound: float | None,  # invariant bound the flow moves toward, None if it moves toward none
         dwell: float,  # seconds, may be +inf
     ) -> None:
         self._set(variable, witness, direction, entry_value, exit_bound, dwell)
@@ -107,11 +107,11 @@ def _variable_dwell(
     elif direction is Monotonicity.DECREASING:
         entry_value, exit_bound = float(entry.hi), float(bounds.lo)
     else:
-        entry_value = float(entry.lo) if not entry.is_empty else math.nan
-        return VariableDwell(variable, witness, direction, entry_value, math.nan, math.inf)
+        entry_value = float(entry.lo) if not entry.is_empty else None
+        return VariableDwell(variable, witness, direction, entry_value, None, math.inf)
     if entry.is_empty:
         # no admissible entry value: the location cannot be entered at all
-        return VariableDwell(variable, witness, direction, math.nan, exit_bound, 0.0)
+        return VariableDwell(variable, witness, direction, None, exit_bound, 0.0)
     t = time_to_reach(witness, entry_value, exit_bound)
     if t is UNREACHABLE:
         t = math.inf
@@ -202,9 +202,9 @@ def sha_to_ir(sha: Sha) -> dict:
     }
 
 
-def _json_float(x: float):
+def _json_float(x: float | None):
+    if x is None or math.isnan(x):
+        return None
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return None
     return x

@@ -47,26 +47,29 @@ produce bit-identical traces; the specialised engine writes its own
 trace rows, formatting a value the state holds constant once per
 switch, not on every tick.
 
-Without a trace, the specialised engine fast-forwards evolve stretches.
-Evolve ticks emit nothing and every value is its witness at the step
-index, so once a stretch has reached step `_JUMP_AFTER` the runner asks
+The specialised engine fast-forwards evolve stretches.  Evolve ticks
+emit nothing and every value is its witness at the step index, so once
+a stretch has reached step `_JUMP_AFTER` the runner asks
 `evolve_horizon`, once per part, for the first step at which the
 part's invariant fails, and jumps straight to the tick before it.  The
 jump stops early at the last tick of the run and at the next stimulus
 tick, after which the runner asks again.  `evolve_horizon` confirms
 its answer with the engines' own float expression; its docstring
-argues why no earlier step can fail.  Traced runs and the generic
-engine step tick by tick.  A stuck run raises `UnreachableState`,
-whose text is the C driver's report.
+argues why no earlier step can fail.  A traced run writes the rows it
+jumps over in batches, from value texts it formats once per run.  The
+generic engine steps tick by tick.  A stuck run raises
+`UnreachableState`, whose text is the C driver's report.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, TextIO
 
 from .expr import COMPARE, AffineExpr, Comparison, Constraint, Rational, Record
@@ -234,10 +237,7 @@ class ExecState(Record):
 
 
 def _dedup(items: Iterable[str]) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for x in items:
-        seen.setdefault(x, None)
-    return tuple(seen)
+    return tuple(dict.fromkeys(items))
 
 
 # --- lowering -----------------------------------------------------------------
@@ -1065,9 +1065,11 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     location); when all of them hold, each part's witnesses step.  On a
     switch tick each part takes the first enabled edge of its location,
     or must be able to evolve and is frozen, or the run is stuck.  The
-    product state ``_loc`` is then recombined from the ``_l<p>``.
+    product state ``_loc`` is then recombined from the ``_l<p>``.  When
+    ``_k`` reaches ``_ask``, the runner calls ``_JUMP`` (a `_Jump`).
 
-    With ``trace`` every tick writes its row with one %-format.  The
+    With ``trace`` every tick it steps writes its row with one %-format,
+    and ``_JUMP`` gets the run's `_Batch` to write the rows it skips.  The
     time field is integer arithmetic when `decimal_delta` allows it.  A
     variable some location holds constant is printed from ``r_<var>``:
     a string formatted at set-up and after every switch, which each
@@ -1114,8 +1116,9 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("    _k = _pend = _si = _t = 0")
     emit("    _nst = len(_STT)")
     emit("    _next = _STT[0] if _nst else -1")
-    if not trace:
-        emit(f"    _ask = {_JUMP_AFTER}")
+    emit(f"    _ask = {_JUMP_AFTER}")
+    if trace:
+        emit("    _batch = _BATCH(_write)")
     emit("    while _t < _TICKS:")
     for var in swa.variables:
         emit(f"        v_{var} = u_{var}")
@@ -1140,8 +1143,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     for var in swa.variables:
         emit(f"            u_{var} = v_{var}")
     emit("            _k = 0")
-    if not trace:
-        emit(f"            _ask = {_JUMP_AFTER}")
+    emit(f"            _ask = {_JUMP_AFTER}")
     index = " + ".join(
         f"_l{p} * {stride}" if stride != 1 else f"_l{p}" for p, stride in enumerate(plan.strides)
     )
@@ -1151,11 +1153,11 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         for var in held:
             emit(f"            r_{var} = '%.15g' % v_{var}")
         emit(f"            {write_row(True)}")
-    else:
-        locs = "".join(f"_l{p}," for p in range(len(plan.parts)))
-        c1s = ", ".join(f"c1_{var}" for var in swa.variables)
-        emit("        if _k == _ask:")
-        emit(f"            _t, _k, _ask, ({us}{tail}) = _JUMP(_t, _k, _next, _TICKS, ({locs}), ({c1s}{tail}))")
+    locs = "".join(f"_l{p}," for p in range(len(plan.parts)))
+    c1s = ", ".join(f"c1_{var}" for var in swa.variables)
+    batch = ", _batch" if trace else ""
+    emit("        if _k == _ask:")
+    emit(f"            _t, _k, _ask, ({us}{tail}) = _JUMP(_t, _k, _next, _TICKS, ({locs}), ({c1s}{tail}){batch})")
 
     emit("        if _t == _next:")
     emit("            _pend = _STM[_si] | _emit")
@@ -1259,7 +1261,7 @@ def _py_switch(locations: tuple[LocationPlan, ...], p: int, stuck: str, delta_f:
 
 
 class _Jump:
-    """The no-trace runner's fast-forward across the rest of an evolve stretch.
+    """The runners' fast-forward across the rest of an evolve stretch.
 
     Called on an evolve tick t that has just reached step k, it skips d
     more evolve ticks at once: every step before the parts' first
@@ -1271,36 +1273,103 @@ class _Jump:
     step, the step to ask again at, and every value at that step.
     A stimulus tick that cuts the jump short does not end the stretch,
     so the runner asks again `_JUMP_AFTER` steps later.
+
+    A traced run passes its `_Batch`, and `write` writes the rows of
+    the ticks skipped.
     """
 
     def __init__(self, swa: Swa):
-        self.parts = switch_plan(swa).parts
-        self.variables = swa.variables
-        self.delta_f = swa.delta_f
+        plan, variables = switch_plan(swa), swa.variables
+        self.parts, self.strides, self.variables, self.delta_f = plan.parts, plan.strides, variables, swa.delta_f
+        self.dec = decimal_delta(swa.delta)
+        time_fmt, name = "%.15g" if self.dec is None else "%d%s", plan.name
+        self.format = lru_cache(maxsize=None)(
+            lambda j: _row_format(time_fmt, variables, False, False, name(j), variables))
 
     def __call__(self, t: int, k: int, nxt: int, ticks: int, locs: tuple[int, ...],
-                 c1s: tuple[float, ...]):
+                 c1s: tuple[float, ...], batch: _Batch | None = None):
         c1 = dict(zip(self.variables, c1s))
         here = [locations[d] for locations, d in zip(self.parts, locs)]
-        fail = math.inf
-        for loc in here:
-            fail = min(fail, evolve_horizon(loc, c1, k, self.delta_f))
+        fail = min(evolve_horizon(loc, c1, k, self.delta_f) for loc in here)
         last = ticks - 1 if nxt < 0 else min(nxt, ticks - 1)
         d = min(fail - k, last - t)
+        if batch is not None and d > 0:
+            self.write(batch, locs, here, c1, t, k, d)
         k += d
-        u = {}
-        for loc in here:
-            for var, w in loc.witnesses:
-                u[var] = w.value_at_tick(c1[var], k, self.delta_f)
+        u = {var: w.value_at_tick(c1[var], k, self.delta_f) for loc in here for var, w in loc.witnesses}
         ask = k + _JUMP_AFTER if t + d == nxt else _JUMP_AFTER
         return t + d, k, ask, tuple(map(u.__getitem__, self.variables))
 
+    def write(self, batch: _Batch, locs: tuple[int, ...], here: list[LocationPlan], c1: dict[str, float],
+              t: int, k: int, d: int) -> None:
+        """Write the rows of ticks t+1 .. t+d, in blocks of `_BLOCK` rows.
 
-# The no-trace runner asks `_Jump` once an evolve stretch reaches this
-# step.  A call costs about as much as stepping 20 to 40 evolve ticks,
-# so no stretch costs much more than twice what stepping it would, and
-# shorter stretches pay one comparison per tick.
+        Tick t+i shows the state's name, every value at step k+i-1 (a
+        constant's held text) and no inputs or outputs, all as strings.
+        """
+        fmt = self.format(sum(map(int.__mul__, locs, self.strides)))
+        # the key carries the sign: 0.0 == -0.0, but a witness entered at -0.0 prints "-0"
+        witnesses = {var: (w, (var, n, c1[var], math.copysign(1.0, c1[var])))
+                     for n, loc in zip(locs, here) for var, w in loc.witnesses}
+        for lo in range(0, d, _BLOCK):
+            n = min(_BLOCK, d - lo)
+            ticks = range(t + 1 + lo, t + 1 + lo + n)
+            if self.dec is None:
+                times = (map(self.delta_f.__rmul__, ticks),)
+            else:  # the integer part and the fraction's suffix, as `time_field` writes them
+                (m, e), p = self.dec, 10**self.dec[1]
+                scaled = range(ticks.start * m, ticks.stop * m, m)
+                times = map(p.__rfloordiv__, scaled), map(time_suffixes(e).__getitem__, map(p.__rmod__, scaled))
+            columns = [repeat(_fmt(key[2]), n) if w.kind is WitnessKind.CONSTANT
+                       else self.texts(batch, w, key, k + lo, k + lo + n)
+                       for w, key in map(witnesses.__getitem__, self.variables)]
+            batch.write("".join(map(fmt.__mod__, zip(ticks, *times, *columns))))
+
+    def texts(self, batch: _Batch, w: WitnessFunction, key: tuple, lo: int, hi: int) -> list[str]:
+        """`_fmt` of `w`'s values at steps lo .. hi-1 from the entry constant key[2].
+
+        They come from the run's memo, which holds, by key, the first step
+        it holds and the texts from there on.  A periodic orbit re-enters
+        a stretch at the same constant and slices the list.
+        """
+        first, texts = batch.get(key, (lo, []))
+        end, c1 = first + len(texts), key[2]
+        if first <= lo and hi - end <= batch.room and c1 == c1:  # a NaN is no key
+            if end < hi:
+                texts += map("%.15g".__mod__, _witness_values(w, c1, range(end, hi), self.delta_f))
+                batch.room -= hi - end
+                batch[key] = first, texts
+            return texts[lo - first:hi - first]
+        return list(map("%.15g".__mod__, _witness_values(w, c1, range(lo, hi), self.delta_f)))
+
+
+def _witness_values(w: WitnessFunction, c1: float, steps: range, delta_f: float) -> Iterable[float]:
+    """``w.value_at_tick(c1, s, delta_f)`` for each s in `steps` of a moving `w`: the same doubles."""
+    if w.kind is WitnessKind.LINEAR:
+        return map(operator.add, repeat(c1), map(operator.mul, repeat(w.b_f * delta_f), steps))
+    grown = map(operator.mul, repeat(c1), map(math.exp, map(operator.mul, repeat(w.a_f * delta_f), steps)))
+    return grown if w.x_eq_f == 0.0 else map(operator.add, repeat(w.x_eq_f), grown)
+
+
+class _Batch(dict):
+    """A traced run's `write` and its own memo of value texts (`_Jump.texts`), with ``room`` for more."""
+
+    def __init__(self, write: Callable[[str], object]):
+        super().__init__()
+        self.write, self.room = write, _TEXTS_MAX
+
+
+# The runners ask `_Jump` once an evolve stretch reaches this step, and
+# shorter stretches pay one comparison per tick.  On a 2-CPU Xeon VM a
+# clock's stretch costs, jumped against stepped: without a trace, where
+# a call costs as much as stepping about 60 ticks, +87% at 49 steps and
+# even at about 100; with a trace, where a stepped tick costs 4 to 7
+# times as much, +25% at 49 steps and even at about 130.  At 16, the
+# bundled models' traced runs took 4% less, but stretches of 17 to 31
+# steps would jump at a loss.
 _JUMP_AFTER = 32
+_BLOCK = 1024  # rows per write of a traced jump
+_TEXTS_MAX = 1 << 16
 
 
 def _runner(swa: Swa, trace: bool):
@@ -1319,14 +1388,13 @@ def _runner(swa: Swa, trace: bool):
 def _build_runner(swa: Swa, trace: bool):
     source = _runner_source(swa, trace)
     namespace = {"_EXP": math.exp, "_suf": time_suffixes((decimal_delta(swa.delta) or (0, 0))[1])}
+    namespace["_JUMP"] = _Jump(swa)
     if trace:  # texts by product state and by event mask, each built once; none refers to `swa`
         plan, memo = switch_plan(swa), lru_cache(maxsize=None)
         evolve_row = partial(_row_format, _py_time(swa)[0], swa.variables, bool(swa.inputs), False)
         names = lambda events: memo(lambda m: ";".join(e for e in events if m & plan.mask((e,))))
-        namespace.update(_ROWS=memo(lambda j: evolve_row(plan.name(j), plan.held(j))),
+        namespace.update(_ROWS=memo(lambda j: evolve_row(plan.name(j), plan.held(j))), _BATCH=_Batch,
                          _NAMES=plan.name, _INS=names(swa.inputs), _OUTS=names(swa.outputs))
-    else:
-        namespace["_JUMP"] = _Jump(swa)
     exec(compile(source, f"<swa:{swa.name}>", "exec"), namespace)
     return namespace.pop("_swarun")  # the runner's globals must not hold it: no reference cycle
 

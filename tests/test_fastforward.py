@@ -1,17 +1,25 @@
-"""The no-trace runner's fast-forward across evolve stretches.
+"""The runners' fast-forward across evolve stretches.
 
-Without a trace, the specialised runner jumps an evolve stretch to the
-last tick on which it still evolves (`swa.evolve_horizon`, called
-through `swa._Jump`); the traced runner and the generic engine step
-tick by tick.  These tests compare the final states, bit for bit.
+The specialised runner jumps an evolve stretch to the last tick on
+which it still evolves (`swa.evolve_horizon`, called through
+`swa._Jump`); with a trace it writes the skipped rows in batches, from
+value texts memoised per run.  The generic engine steps tick by tick.
+These tests compare the final states bit for bit and the traces byte
+for byte.
 """
 
+import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from syncha import swa
@@ -41,30 +49,45 @@ def bits(values):
 
 
 def final(product, ticks, stimulus, engine, traced):
-    """The final state with its values as bit patterns, or the stuck report."""
+    """The final state with its values as bit patterns, or the stuck report, and the trace text."""
+    out = io.StringIO() if traced else None
     try:
-        st_ = simulate(product, ticks, stimulus, out=io.StringIO() if traced else None, engine=engine)
+        st_ = simulate(product, ticks, stimulus, out=out, engine=engine)
     except UnreachableState as exc:
-        return ("stuck", str(exc), exc.tick, exc.state, bits(exc.valuation), exc.k, exc.visible)
-    return (st_.location, bits(st_.v), bits(st_.i), st_.k, st_.pending_pre)
+        state = ("stuck", str(exc), exc.tick, exc.state, bits(exc.valuation), exc.k, exc.visible)
+    else:
+        state = (st_.location, bits(st_.v), bits(st_.i), st_.k, st_.pending_pre)
+    return state, out and out.getvalue()
 
 
 def assert_engines_agree(product, ticks, stimulus=None):
-    jumped = final(product, ticks, stimulus, "compiled", traced=False)
-    assert jumped == final(product, ticks, stimulus, "compiled", traced=True)
-    assert jumped == final(product, ticks, stimulus, "generic", traced=False)
+    jumped, _ = final(product, ticks, stimulus, "compiled", traced=False)
+    stepped, trace = final(product, ticks, stimulus, "generic", traced=True)
+    assert jumped == stepped
+    assert final(product, ticks, stimulus, "compiled", traced=True) == (jumped, trace)
     return jumped
+
+
+class Jumps:
+    """Every fast-forward call as (tick, step, tick landed on, step landed on), by trace mode."""
+
+    def __init__(self):
+        self.untraced, self.traced = [], []
+
+    def each(self):
+        """The calls of one trace mode, once both modes are checked to have made the same."""
+        assert self.untraced == self.traced
+        return self.untraced
 
 
 @pytest.fixture
 def jumps(monkeypatch):
-    """Every fast-forward call as (tick, step, tick landed on, step landed on)."""
-    calls = []
+    calls = Jumps()
     real = swa._Jump.__call__
 
-    def spy(self, t, k, nxt, ticks, locs, c1s):
-        result = real(self, t, k, nxt, ticks, locs, c1s)
-        calls.append((t, k, result[0], result[1]))
+    def spy(self, t, k, nxt, ticks, locs, c1s, batch=None):
+        result = real(self, t, k, nxt, ticks, locs, c1s, batch)
+        (calls.untraced if batch is None else calls.traced).append((t, k, result[0], result[1]))
         return result
 
     monkeypatch.setattr(swa._Jump, "__call__", spy)
@@ -147,13 +170,49 @@ automaton heat
 """
 
 
+SIGNS = """
+network signs
+automaton fade
+  var x init 0
+  var c init 0
+  initial location decay
+    invariant x >= 0 && c >= 0 && c <= 1
+    flow x' = -0.5 * x
+    flow c' = 1
+  edge decay -> decay guard c == 1 do c' := 0, x' := -x
+"""
+
+
+DRIFT = """
+network drift
+automaton drifter
+  var x init 0
+  var c init 0
+  initial location run
+    invariant c >= 0 && c <= 1
+    flow x' = 1
+    flow c' = 1
+  edge run -> run guard c == 1 do c' := 0
+"""
+
+
+class Digest:
+    """A trace sink that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+
 class TestTargeted:
     def test_integer_clock_lands_exactly_on_its_bound(self, jumps):
         # +1.0 a tick: x == 50 at step 50, the invariant fails at 51 and x snaps back to 50
         product = product_of(CLOCK)
         assert assert_engines_agree(product, 1000)[3] == 1000 % 52
-        assert jumps[0] == (31, 32, 50, 51)  # ticks 32..50 would test steps 32..50
-        assert all(k == 32 and k1 == 51 for _, k, _, k1 in jumps)
+        assert jumps.each()[0] == (31, 32, 50, 51)  # ticks 32..50 would test steps 32..50
+        assert all(k == 32 and k1 == 51 for _, k, _, k1 in jumps.each())
 
     @pytest.mark.parametrize("op, eq", [
         ("<=", "10.000001"),  # crosses 10 after about 3,200 ticks
@@ -163,14 +222,14 @@ class TestTargeted:
     def test_exponential_with_its_asymptote_just_past_a_bound(self, jumps, op, eq):
         product = product_of(CREEP.format(op=op, eq=eq))
         outcome = assert_engines_agree(product, 12_000)
-        assert jumps and jumps[0][:2] == (31, 32)
+        assert jumps.each() and jumps.each()[0][:2] == (31, 32)
         if op == "<=":
             assert outcome[0] == "rest"
 
     def test_run_ends_mid_stretch(self, jumps, thermostat_swa):
         outcome = assert_engines_agree(thermostat_swa, 150)
         assert outcome[:1] == ("cooling",) and outcome[3] == 150
-        assert jumps == [(31, 32, 149, 150)]
+        assert jumps.untraced == jumps.traced == [(31, 32, 149, 150)]
 
     def test_stimulus_inside_a_long_stretch(self, jumps):
         product = product_of(LATCH)
@@ -179,26 +238,61 @@ class TestTargeted:
         stimulus = {300: frozenset({"NOISE"}), 900: frozenset({"GO"})}
         outcome = assert_engines_agree(product, 2000, stimulus)
         assert (outcome[0], outcome[3]) == ("shut", 1098)
-        assert jumps == [(31, 32, 300, 301), (332, 333, 900, 901), (933, 32, 1999, 1098)]
+        assert jumps.untraced == jumps.traced == [(31, 32, 300, 301), (332, 333, 900, 901), (933, 32, 1999, 1098)]
 
     def test_location_left_only_by_a_trigger(self, jumps):
         product = product_of(LATCH)
         assert assert_engines_agree(product, 5000)[3] == 5000
-        assert jumps == [(31, 32, 4999, 5000)]
+        assert jumps.untraced == jumps.traced == [(31, 32, 4999, 5000)]
 
     def test_frozen_part_re_anchored_mid_trajectory(self, jumps):
         # every 0.4 s the pulse restarts and freezes the heater, whose
         # witness restarts from its held value, and the other way round
         product = product_of(PULSED)
         assert_engines_agree(product, 20_000)
-        assert len(jumps) > 100 and all(k == 32 for _, k, _, _ in jumps)
+        assert len(jumps.each()) > 100 and all(k == 32 for _, k, _, _ in jumps.each())
+
+    def test_signed_zero_entries_print_apart(self, jumps):
+        # x decays toward 0 from 0.0, and from -0.0 after every other switch: equal keys, other texts
+        product = product_of(SIGNS)
+        assert_engines_agree(product, 404)
+        assert jumps.each() == [(31, 32, 100, 101), (133, 32, 202, 101), (235, 32, 304, 101), (337, 32, 403, 98)]
+        rows = final(product, 404, None, "compiled", traced=True)[1].splitlines()[1:]
+        xs = [row.split(",")[3] for row in rows]
+        assert [set(xs[a:b]) for a, b in [(0, 101), (101, 203), (203, 305), (305, 404)]] == [{"0"}, {"-0"}] * 2
+
+    def test_a_nan_entry_constant_is_not_memoised(self):
+        # no run enters a NaN, but a NaN key never matches, so every stretch would add an entry
+        product = product_of(DRIFT)
+        out = io.StringIO()
+        batch = swa._Batch(out.write)
+        assert swa._Jump(product)(31, 32, -1, 100, (0,), (math.nan, 0.0), batch)[:2] == (99, 100)
+        rows = [row.split(",") for row in out.getvalue().splitlines()]
+        assert [row[0] for row in rows] == [str(t) for t in range(32, 100)]
+        assert {row[3] for row in rows} == {"nan"} and [row[4] for row in rows[:2]] == ["0.32", "0.33"]
+        assert [key[0] for key in batch] == ["c"]
+
+    def test_a_long_stretch_is_written_in_bounded_memory(self):
+        # 200,000 distinct texts: the memo stops storing at 2**16, and rows go out in blocks
+        product = product_of(LATCH)
+        stepped, jumped = Digest(), Digest()
+        simulate(product, 200_000, out=stepped, engine="generic")
+        simulate(product, 10, out=Digest())  # builds the runner outside the measurement
+        tracemalloc.start()
+        try:
+            simulate(product, 200_000, out=jumped)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert jumped.sha.digest() == stepped.sha.digest()
+        assert peak < 8 * 2**20, peak
 
     def test_stuck_after_a_jump(self, jumps, fixtures_dir):
         net = load_model(fixtures_dir / "stucklate.pha")
         product = compose_all(compile_automaton(a, Fraction(1, 100))[0] for a in net.automata)
         _, _, tick_, _, _, k, _ = assert_engines_agree(product, 1000)
         assert (tick_, k) == (501, 501)
-        assert jumps == [(31, 32, 500, 501)]
+        assert jumps.untraced == jumps.traced == [(31, 32, 500, 501)]
 
 
 def plan(kind, op, bound, a="0", b="0"):
@@ -265,3 +359,34 @@ class TestHorizon:
 
     def test_a_failing_step_k_is_returned(self):
         assert evolve_horizon(plan(WitnessKind.LINEAR, "<=", "0", b="1"), {"x": 0.0}, 3, 0.01) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from([WitnessKind.LINEAR, WitnessKind.EXPONENTIAL]),
+    rate=st.sampled_from(["-2", "-0.05", "0.3", "100"]),
+    eq=st.sampled_from(["0", "3", "10.000000001"]),
+    c1=st.floats(-1e6, 1e6, allow_nan=False),
+    lo=st.integers(0, 10**5),
+    delta=st.sampled_from(DELTAS),
+)
+def test_batched_values_are_value_at_tick(kind, rate, eq, c1, lo, delta):
+    """The batch writer's C loops give `value_at_tick`'s doubles, bit for bit."""
+    (_, w), = plan(kind, "<=", "0", a=rate, b=str(-Fraction(rate) * Fraction(eq))).witnesses
+    delta_f, steps = float(delta), range(lo, lo + 50)
+    assume(kind is WitnessKind.LINEAR or abs(float(rate) * delta_f * steps[-1]) < 700)  # exp overflows past it
+    want = [w.value_at_tick(c1, s, delta_f).hex() for s in steps]
+    assert [x.hex() for x in swa._witness_values(w, c1, steps, delta_f)] == want
+
+
+def test_trace_probe_prints_a_row_per_bundled_model():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, str(root / "scripts" / "trace_probe.py"), "--ticks", "2000", "--repeat", "1"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:2] == ["model", "traced"]
+    assert [row.split()[0] for row in rows] == ["thermostat", "traingate", "watertank"]
+    assert all(float(row.split()[-1].rstrip("%")) > 50 for row in rows), rows

@@ -190,7 +190,7 @@ automaton s
             bounds=Interval.closed(Fraction(0), Fraction(10)),
         )
         assert d.dwell == 0.0
-        assert math.isnan(d.entry_value)
+        assert d.entry_value is None
 
     def test_entry_pinned_at_equilibrium_stalls(self):
         net = parse_model(

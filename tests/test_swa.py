@@ -335,7 +335,7 @@ STUCK_CASES = {
         "  y = 0.059999999999999998",
         "  visible: GO",
     ]),
-    # the no-trace runner jumps from step 32 to the last tick before the stuck one
+    # the specialised runner jumps from step 32 to the last tick before the stuck one
     "stucklate": ("stucklate.pha", 1000, {}, [
         STUCK_HEAD.format(501, "gocreep", 501),
         "  x = 5.0099999999999998",
