@@ -4,9 +4,11 @@
 For each model in `src/syncha/models` it builds the network at
 delta = 1/100 s and runs the specialised engine for N ticks, with a
 trace written to the null device and without one, its runners built
-beforehand.  It prints the ticks per second of each (best of R runs)
-and the share of the trace rows written in batches by the fast-forward
-(`swa._Jump`) rather than by the runner stepping a tick.
+beforehand.  It prints the ticks per second of each (best of R runs),
+the fast-forward's jumps (`swa._Jump`) asked at step `_JUMP_AFTER` and
+those whose horizon came from the run's memo, and the share of the trace
+rows written in batches by the fast-forward rather than by the runner
+stepping a tick.
 
     PYTHONPATH=src python3 scripts/trace_probe.py --ticks 10000 --repeat 5
 """
@@ -26,13 +28,18 @@ MODELS = Path(swa.__file__).resolve().parent / "models"
 DELTA = Fraction(1, 100)
 
 
-def batched_rows(product: swa.Swa, ticks: int) -> int:
-    """The rows a traced run of `ticks` ticks writes in batches, counted by wrapping `_Jump.__call__`."""
-    real, rows = swa._Jump.__call__, [0]
+def jumps(product: swa.Swa, ticks: int) -> tuple[int, int, int]:
+    """A traced run's jumps asked at `_JUMP_AFTER`, jumps taken from the memo and rows written in batches.
 
-    def spy(self, t, k, nxt, ticks_, locs, c1s, batch=None):
-        result = real(self, t, k, nxt, ticks_, locs, c1s, batch)
-        rows[0] += result[0] - t if batch is not None else 0
+    They are counted by wrapping `_Jump.__call__`.
+    """
+    real, counts = swa._Jump.__call__, [0, 0, 0]
+
+    def spy(self, t, k, nxt, ticks_, key, memo, batch=None):
+        counts[0] += k == swa._JUMP_AFTER
+        counts[1] += key in memo
+        result = real(self, t, k, nxt, ticks_, key, memo, batch)
+        counts[2] += result[0] - t
         return result
 
     swa._Jump.__call__ = spy
@@ -41,7 +48,7 @@ def batched_rows(product: swa.Swa, ticks: int) -> int:
             simulate(product, ticks, out=out)
     finally:
         swa._Jump.__call__ = real
-    return rows[0]
+    return tuple(counts)
 
 
 def rate(product: swa.Swa, ticks: int, traced: bool, repeat: int) -> float:
@@ -61,12 +68,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--ticks", type=int, default=10_000, help="ticks per run")
     ap.add_argument("--repeat", type=int, default=5, help="runs per rate, the best counts")
     args = ap.parse_args(argv)
-    print(f"{'model':<12} {'traced ticks/s':>15} {'untraced ticks/s':>17} {'rows batched':>13}")
+    asked_at = f"jumps at {swa._JUMP_AFTER}"
+    print(f"{'model':<12} {'traced ticks/s':>15} {'untraced ticks/s':>17} {asked_at:>12} {'from memo':>10}"
+          f" {'rows batched':>13}")
     for path in sorted(MODELS.glob("*.pha")):
         product = compose_all(compile_automaton(ha, DELTA)[0] for ha in load_model(path).automata)
         traced, untraced = (rate(product, args.ticks, t, args.repeat) for t in (True, False))
-        share = batched_rows(product, args.ticks) / args.ticks
-        print(f"{path.stem:<12} {traced:>15,.0f} {untraced:>17,.0f} {share:>12.1%}")
+        asked, remembered, rows = jumps(product, args.ticks)
+        print(f"{path.stem:<12} {traced:>15,.0f} {untraced:>17,.0f} {asked:>12} {remembered:>10}"
+              f" {rows / args.ticks:>12.1%}")
     return 0
 
 

@@ -25,11 +25,13 @@ integer writer (the time field is integer arithmetic on the tick index
 when `swa.decimal_delta` gives the tick length as a short decimal).  The
 location field is each part's location name, copied from one table per
 part at the part's location index.  Each variable goes
-through ``put_g``: a direct-mapped cache of 16,384 slots per variable,
-``<var>_g``, keyed on the bits of the double (so 0 and -0 stay apart).
-A miss formats the value with ``%.15g`` into its slot, so a value the
-trace repeats, such as one a state holds constant or one a periodic
-orbit comes back to, is formatted once while it keeps its slot.
+through ``put_g``: a cache of 16,384 slots per variable, ``<var>_g``,
+in 8,192 sets of two, keyed on the bits of the double (so 0 and -0
+stay apart).  A set keeps its most recently used value first.  A miss
+formats the value with ``%.15g`` into the set's first slot and moves
+the first down, so a value the trace repeats, such as one a state
+holds constant or one a periodic orbit comes back to, is formatted
+once while it keeps its slot, even when another value shares its set.
 """
 
 from __future__ import annotations
@@ -382,17 +384,23 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("}")
     emit("")
     if swa.variables:
-        emit("/* one slot of a variable's text cache: the bits of a double and its %.15g */")
+        # a slot holds the bits of a double and its %.15g; a variable's
+        # 16,384 slots are 8,192 sets of two, the most recently used first
         emit("typedef struct { unsigned long long b; char n, s[23]; } slot;")
         emit(f"static slot {', '.join(f'{cv(v)}_g[16384]' for v in swa.variables)};")
         emit("")
         emit("static void put_g(double v, slot *c) {")
         emit("    unsigned long long b;")
         emit("    memcpy(&b, &v, sizeof b);")
-        emit("    c += b * 0x9E3779B97F4A7C15ULL >> 50; /* 16384 slots */")
+        emit("    c += b * 0x9E3779B97F4A7C15ULL >> 51 << 1;")
         emit("    if (!c->n || c->b != b) {")
-        emit("        c->b = b;")
-        emit('        c->n = snprintf(c->s, sizeof c->s, "%.15g", v);')
+        emit("        slot t = c[1];")
+        emit("        c[1] = *c;")
+        emit("        if (!t.n || t.b != b) {")
+        emit("            t.b = b;")
+        emit('            t.n = snprintf(t.s, sizeof t.s, "%.15g", v);')
+        emit("        }")
+        emit("        *c = t;")
         emit("    }")
         emit("    *o++ = ',';")
         emit("    put(c->s, c->n);")
@@ -424,7 +432,7 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("        long tick = strtol(p, &q, 10);")
     emit('        q += strspn(q, " \\t");')
     emit('        if (q == p || !strchr(",\\r\\n", *q)) {')
-    emit("            if (row == 1) continue; /* header line */")
+    emit("            if (row == 1) continue;")  # a header line
     emit('            fprintf(stderr, "%s:%d: expected a tick number\\n", path, row);')
     emit("            exit(2);")
     emit("        }")

@@ -137,7 +137,8 @@ class Interval(Record):
 
     @property
     def is_empty(self) -> bool:
-        return self == _EMPTY
+        # normalised: equal endpoints are either both closed or the canonical empty interval
+        return not self.lo_closed and self.lo == self.hi
 
     def contains(self, x) -> bool:
         """Membership for a real number (float or Fraction)."""
@@ -258,12 +259,11 @@ def constraint_to_interval(constraint: Constraint, variable: str) -> Interval:
     Conjuncts over other variables are ignored; contradictory conjuncts
     yield the canonical empty interval.
     """
-    acc = Interval.full()
+    acc = None
     for c in constraint.conjuncts:
-        if c.variable != variable:
-            continue
-        acc = interval_intersect(acc, c.to_interval())
-    return acc
+        if c.variable == variable:
+            acc = c.to_interval() if acc is None else interval_intersect(acc, c.to_interval())
+    return Interval.full() if acc is None else acc
 
 
 class AffineExpr(Record):

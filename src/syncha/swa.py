@@ -51,11 +51,13 @@ The specialised engine fast-forwards evolve stretches.  Evolve ticks
 emit nothing and every value is its witness at the step index, so once
 a stretch has reached step `_JUMP_AFTER` the runner asks
 `evolve_horizon`, once per part, for the first step at which the
-part's invariant fails, and jumps straight to the tick before it.  The
-jump stops early at the last tick of the run and at the next stimulus
-tick, after which the runner asks again.  `evolve_horizon` confirms
-its answer with the engines' own float expression; its docstring
-argues why no earlier step can fail.  A traced run writes the rows it
+part's invariant fails, and jumps straight to the tick before it.  A
+memo that lives for one run keeps that step for each product state
+and set of entry constants, and a stretch the memo knows jumps from
+step 1.  The jump stops early at the last tick of the run and at the
+next stimulus tick, after which the runner asks again.
+`evolve_horizon` confirms its answer with the engines' own float
+expression; its docstring argues why no earlier step can fail.  A traced run writes the rows it
 jumps over in batches, from value texts it formats once per run.  The
 generic engine steps tick by tick.  A stuck run raises
 `UnreachableState`, whose text is the C driver's report.
@@ -1066,7 +1068,9 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     switch tick each part takes the first enabled edge of its location,
     or must be able to evolve and is frozen, or the run is stuck.  The
     product state ``_loc`` is then recombined from the ``_l<p>``.  When
-    ``_k`` reaches ``_ask``, the runner calls ``_JUMP`` (a `_Jump`).
+    ``_k`` reaches ``_ask``, the runner calls ``_JUMP`` (a `_Jump`) with
+    the run's memo ``_hm``; a switch into a state and entry constants
+    the memo holds asks at step 1.
 
     With ``trace`` every tick it steps writes its row with one %-format,
     and ``_JUMP`` gets the run's `_Batch` to write the rows it skips.  The
@@ -1117,6 +1121,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("    _nst = len(_STT)")
     emit("    _next = _STT[0] if _nst else -1")
     emit(f"    _ask = {_JUMP_AFTER}")
+    emit("    _hm = {}")
     if trace:
         emit("    _batch = _BATCH(_write)")
     emit("    while _t < _TICKS:")
@@ -1143,21 +1148,20 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     for var in swa.variables:
         emit(f"            u_{var} = v_{var}")
     emit("            _k = 0")
-    emit(f"            _ask = {_JUMP_AFTER}")
     index = " + ".join(
         f"_l{p} * {stride}" if stride != 1 else f"_l{p}" for p, stride in enumerate(plan.strides)
     )
     emit(f"            _loc = {index}")
+    key = f"(_loc, {', '.join(f'c1_{var}' for var in swa.variables)})"
+    emit(f"            _ask = 1 if _hm and {key} in _hm else {_JUMP_AFTER}")
     if trace:
         emit("            _row = _ROWS(_loc)")
         for var in held:
             emit(f"            r_{var} = '%.15g' % v_{var}")
         emit(f"            {write_row(True)}")
-    locs = "".join(f"_l{p}," for p in range(len(plan.parts)))
-    c1s = ", ".join(f"c1_{var}" for var in swa.variables)
     batch = ", _batch" if trace else ""
     emit("        if _k == _ask:")
-    emit(f"            _t, _k, _ask, ({us}{tail}) = _JUMP(_t, _k, _next, _TICKS, ({locs}), ({c1s}{tail}){batch})")
+    emit(f"            _t, _k, _ask, ({us}{tail}) = _JUMP(_t, _k, _next, _TICKS, {key}, _hm{batch})")
 
     emit("        if _t == _next:")
     emit("            _pend = _STM[_si] | _emit")
@@ -1263,7 +1267,8 @@ def _py_switch(locations: tuple[LocationPlan, ...], p: int, stuck: str, delta_f:
 class _Jump:
     """The runners' fast-forward across the rest of an evolve stretch.
 
-    Called on an evolve tick t that has just reached step k, it skips d
+    Called on an evolve tick t that has just reached step k, in the
+    product state and with the entry constants of `key`, it skips d
     more evolve ticks at once: every step before the parts' first
     failing one (`evolve_horizon`) passes, and none of the ticks t ..
     t+d-1 is a stimulus tick, so ticks t+1 .. t+d see no event, would
@@ -1273,6 +1278,19 @@ class _Jump:
     step, the step to ask again at, and every value at that step.
     A stimulus tick that cuts the jump short does not end the stretch,
     so the runner asks again `_JUMP_AFTER` steps later.
+
+    The run's `memo` maps a key to the first failing step F found for
+    it, and the runner asks at step 1 of a stretch whose key it holds.
+    That answer is exact.  At steps >= 1 a witness value depends only
+    on the location, its c1 and the step.  Step 0 holds the raw entry
+    value, and two entries can round to the same c1, but step 0 is
+    always stepped: the earliest ask is at step 1.  The first visit
+    tested steps 1 .. k0-1 by stepping and k0 .. F-1 by
+    `evolve_horizon`, so every re-entry with an equal key passes steps
+    1 .. F-1, and F is the same answer.  0.0 == -0.0 as a key is safe:
+    linear values +-0 + r*k and exponential values x_eq + (+-0)*e**..
+    compare alike with every bound.  An entry is stored only when
+    F > k, never under a NaN, and at most `_HORIZONS_MAX` per run.
 
     A traced run passes its `_Batch`, and `write` writes the rows of
     the ticks skipped.
@@ -1286,31 +1304,35 @@ class _Jump:
         self.format = lru_cache(maxsize=None)(
             lambda j: _row_format(time_fmt, variables, False, False, name(j), variables))
 
-    def __call__(self, t: int, k: int, nxt: int, ticks: int, locs: tuple[int, ...],
-                 c1s: tuple[float, ...], batch: _Batch | None = None):
-        c1 = dict(zip(self.variables, c1s))
-        here = [locations[d] for locations, d in zip(self.parts, locs)]
-        fail = min(evolve_horizon(loc, c1, k, self.delta_f) for loc in here)
+    def __call__(self, t: int, k: int, nxt: int, ticks: int, key: tuple, memo: dict,
+                 batch: _Batch | None = None):
+        c1 = dict(zip(self.variables, key[1:]))
+        here = [locations[key[0] // s % len(locations)] for locations, s in zip(self.parts, self.strides)]
+        fail = memo.get(key)
+        if fail is None:
+            fail = min(evolve_horizon(loc, c1, k, self.delta_f) for loc in here)
+            if fail > k and len(memo) < _HORIZONS_MAX and not any(map(math.isnan, key)):
+                memo[key] = fail
         last = ticks - 1 if nxt < 0 else min(nxt, ticks - 1)
         d = min(fail - k, last - t)
         if batch is not None and d > 0:
-            self.write(batch, locs, here, c1, t, k, d)
+            self.write(batch, key[0], here, c1, t, k, d)
         k += d
         u = {var: w.value_at_tick(c1[var], k, self.delta_f) for loc in here for var, w in loc.witnesses}
         ask = k + _JUMP_AFTER if t + d == nxt else _JUMP_AFTER
         return t + d, k, ask, tuple(map(u.__getitem__, self.variables))
 
-    def write(self, batch: _Batch, locs: tuple[int, ...], here: list[LocationPlan], c1: dict[str, float],
+    def write(self, batch: _Batch, state: int, here: list[LocationPlan], c1: dict[str, float],
               t: int, k: int, d: int) -> None:
-        """Write the rows of ticks t+1 .. t+d, in blocks of `_BLOCK` rows.
+        """Write the rows of ticks t+1 .. t+d in product state `state`, in blocks of `_BLOCK` rows.
 
         Tick t+i shows the state's name, every value at step k+i-1 (a
         constant's held text) and no inputs or outputs, all as strings.
         """
-        fmt = self.format(sum(map(int.__mul__, locs, self.strides)))
+        fmt = self.format(state)
         # the key carries the sign: 0.0 == -0.0, but a witness entered at -0.0 prints "-0"
-        witnesses = {var: (w, (var, n, c1[var], math.copysign(1.0, c1[var])))
-                     for n, loc in zip(locs, here) for var, w in loc.witnesses}
+        witnesses = {var: (w, (var, loc.name, c1[var], math.copysign(1.0, c1[var])))
+                     for loc in here for var, w in loc.witnesses}
         for lo in range(0, d, _BLOCK):
             n = min(_BLOCK, d - lo)
             ticks = range(t + 1 + lo, t + 1 + lo + n)
@@ -1330,17 +1352,23 @@ class _Jump:
 
         They come from the run's memo, which holds, by key, the first step
         it holds and the texts from there on.  A periodic orbit re-enters
-        a stretch at the same constant and slices the list.
+        a stretch at the same constant and slices the list, which grows
+        at either end: a first visit is asked from step `_JUMP_AFTER`,
+        a re-entry from step 1.
         """
         first, texts = batch.get(key, (lo, []))
         end, c1 = first + len(texts), key[2]
-        if first <= lo and hi - end <= batch.room and c1 == c1:  # a NaN is no key
-            if end < hi:
-                texts += map("%.15g".__mod__, _witness_values(w, c1, range(end, hi), self.delta_f))
-                batch.room -= hi - end
-                batch[key] = first, texts
-            return texts[lo - first:hi - first]
-        return list(map("%.15g".__mod__, _witness_values(w, c1, range(lo, hi), self.delta_f)))
+        new = lambda a, b: list(map("%.15g".__mod__, _witness_values(w, c1, range(a, b), self.delta_f)))
+        grow = max(first - lo, 0) + max(hi - end, 0)
+        if grow > batch.room or c1 != c1:  # a NaN is no key
+            return new(lo, hi)
+        if grow:
+            texts[:0] = new(lo, first)
+            texts += new(end, hi)
+            batch.room -= grow
+            first = min(first, lo)
+            batch[key] = first, texts
+        return texts[lo - first:hi - first]
 
 
 def _witness_values(w: WitnessFunction, c1: float, steps: range, delta_f: float) -> Iterable[float]:
@@ -1359,17 +1387,19 @@ class _Batch(dict):
         self.write, self.room = write, _TEXTS_MAX
 
 
-# The runners ask `_Jump` once an evolve stretch reaches this step, and
-# shorter stretches pay one comparison per tick.  On a 2-CPU Xeon VM a
-# clock's stretch costs, jumped against stepped: without a trace, where
-# a call costs as much as stepping about 60 ticks, +87% at 49 steps and
-# even at about 100; with a trace, where a stepped tick costs 4 to 7
-# times as much, +25% at 49 steps and even at about 130.  At 16, the
-# bundled models' traced runs took 4% less, but stretches of 17 to 31
-# steps would jump at a loss.
+# The runners ask `_Jump` once a stretch they have not seen this run
+# reaches this step (a known one asks at step 1), and shorter stretches
+# pay one comparison per tick.  On a 2-CPU Xeon VM a clock's stretch
+# costs, jumped against stepped: without a trace, where a call costs as
+# much as stepping about 60 ticks, +87% at 49 steps and even at about
+# 100; with a trace, where a stepped tick costs 4 to 7 times as much,
+# +25% at 49 steps and even at about 130.  At 16, the bundled models'
+# traced runs took 4% less, but stretches of 17 to 31 steps would jump
+# at a loss.
 _JUMP_AFTER = 32
 _BLOCK = 1024  # rows per write of a traced jump
 _TEXTS_MAX = 1 << 16
+_HORIZONS_MAX = 1 << 12  # `_Jump`'s memo entries per run
 
 
 def _runner(swa: Swa, trace: bool):

@@ -8,7 +8,16 @@ Four criteria gate compilation:
 3. every flow is monotone within the location's invariant bounds (its
    slope must not change sign there),
 4. the initial location's ``boundary`` annotations contain the declared
-   initial values, since the dwell analysis starts from the boundary.
+   initial values, and every edge enters its destination inside the
+   boundaries that location declares, since the dwell analysis starts
+   from the boundary.
+
+An edge's entry image is the closure of its source invariant (the tick
+snaps a value leaving through a guard onto the guard's bound, which
+may lie on the invariant's open end) intersected with its guard,
+mapped through its update; a variable the edge does not update keeps
+its projection.  A frozen part re-entering its own location is not an
+edge and is not checked.
 
 Unlike a fail-fast gate, the checker accumulates every violation so a
 report lists all of them at once.  The verdict is PASS exactly when the
@@ -18,30 +27,35 @@ violation list is empty.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from .expr import (
     COMPARISON_OPS,
     Constraint,
+    Interval,
     LinearForm,
     NonlinearExpr,
     Record,
     constraint_to_interval,
     format_number,
+    interval_intersect,
 )
-from .model import Diagnostic, HybridAutomaton
+from .model import Diagnostic, Edge, HybridAutomaton, Location
 from .odesolve import Monotonicity, UnsupportedOde, classify_monotonicity, solve_ode
 
 NON_CVX_CONSTRAINT = "NON_CVX_CONSTRAINT"
 NO_CLOSED_FORM = "NO_CLOSED_FORM"
 NON_MONOTONE = "NON_MONOTONE"
 INIT_OUTSIDE_BOUNDARY = "INIT_OUTSIDE_BOUNDARY"
+ENTRY_OUTSIDE_BOUNDARY = "ENTRY_OUTSIDE_BOUNDARY"
 
 
 class Violation(Record):
     __slots__ = ("kind", "where", "detail", "line")
 
     def __init__(
-        self, kind: str,  # NON_CVX_CONSTRAINT | NO_CLOSED_FORM | NON_MONOTONE | INIT_OUTSIDE_BOUNDARY
+        self, kind: str,  # NON_CVX_CONSTRAINT | NO_CLOSED_FORM | NON_MONOTONE | *_OUTSIDE_BOUNDARY
         where: str,  # location or edge description
         detail: str, line: int = 0,
     ) -> None:
@@ -106,21 +120,57 @@ def _constraint_violations(c: Constraint, where: str, line: int) -> list[Violati
     return out
 
 
+def _entry_image(e: Edge, var: str, invariant: Callable[[str], Interval]) -> Interval:
+    """The values `var` can enter ``e.dst`` with (see the module docstring).
+
+    `invariant` projects the source location's invariant onto a variable.
+    """
+
+    def leaving(v: str) -> Interval:
+        inv = invariant(v)
+        closure = inv if inv.is_empty else Interval(inv.lo, inv.hi, True, True)
+        return interval_intersect(closure, constraint_to_interval(e.guard, v))
+
+    update = dict(e.updates).get(var)
+    if update is None:
+        return leaving(var)
+    if update.a == 0:
+        return Interval.point(update.b)
+    iv = leaving(update.variable)
+    if iv.is_empty:
+        return iv
+    lo, hi = update.a * iv.lo + update.b, update.a * iv.hi + update.b
+    if update.a > 0:
+        return Interval(lo, hi, iv.lo_closed, iv.hi_closed)
+    return Interval(hi, lo, iv.hi_closed, iv.lo_closed)
+
+
 def check_wha(ha: HybridAutomaton) -> WhaReport:
     """Verify all well-formedness criteria, reporting every violation.
 
     Violations are ordered by location declaration order (the location's
     invariant first, then its flows in order, then its boundaries), with
-    edge guard violations after all locations, in edge declaration order.
-    A boundary is reported at its location's line.
+    edge violations after all locations, in edge declaration order (each
+    edge's guard, then its entry into each boundary of its destination).
+    A boundary is reported at its location's line, an entry at its edge's.
     """
     violations: list[Violation] = []
+    malformed = set()  # locations whose invariant is outside the grammar
+    projections: dict[tuple[str, str], Interval] = {}
+
+    def projection(loc: Location, var: str) -> Interval:
+        """`loc`'s invariant projected onto `var`, computed once per check."""
+        if (loc.name, var) not in projections:
+            projections[loc.name, var] = constraint_to_interval(loc.invariant, var)
+        return projections[loc.name, var]
 
     for loc in ha.locations:
         inv_violations = _constraint_violations(
             loc.invariant, f"invariant of {loc.name}", loc.line
         )
         violations.extend(inv_violations)
+        if inv_violations:
+            malformed.add(loc.name)
         for flow in loc.flows:
             where = f"flow {flow.variable}' in {loc.name}"
             if isinstance(flow.rhs, NonlinearExpr):
@@ -144,7 +194,7 @@ def check_wha(ha: HybridAutomaton) -> WhaReport:
                 # meaningless; don't pile a bogus direction verdict on top
                 continue
             rhs = flow.rhs.as_affine(flow.variable)
-            bounds = constraint_to_interval(loc.invariant, flow.variable)
+            bounds = projection(loc, flow.variable)
             verdict = classify_monotonicity(rhs, bounds)
             if verdict is Monotonicity.NON_MONOTONE:
                 violations.append(
@@ -164,8 +214,15 @@ def check_wha(ha: HybridAutomaton) -> WhaReport:
                     f"{entry} does not contain the initial value {format_number(value)}", loc.line))
 
     for e in ha.edges:
-        violations.extend(
-            _constraint_violations(e.guard, f"guard of edge {e.src} -> {e.dst}", e.line)
-        )
+        guard_violations = _constraint_violations(e.guard, f"guard of edge {e.src} -> {e.dst}", e.line)
+        violations.extend(guard_violations)
+        if guard_violations or e.src in malformed:
+            continue
+        for var, boundary in ha.location(e.dst).boundary:
+            image = _entry_image(e, var, partial(projection, ha.location(e.src)))
+            if interval_intersect(image, boundary) != image:
+                violations.append(Violation(
+                    ENTRY_OUTSIDE_BOUNDARY, f"edge {e.src} -> {e.dst}",
+                    f"enters {var} in {image}, outside the boundary {boundary} of {e.dst}", e.line))
 
     return WhaReport(ha.name, tuple(violations))

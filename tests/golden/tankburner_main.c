@@ -37,17 +37,21 @@ static void put_l(long v) {
     put(e, s + 20 - e);
 }
 
-/* one slot of a variable's text cache: the bits of a double and its %.15g */
 typedef struct { unsigned long long b; char n, s[23]; } slot;
 static slot x_g[16384], c_g[16384];
 
 static void put_g(double v, slot *c) {
     unsigned long long b;
     memcpy(&b, &v, sizeof b);
-    c += b * 0x9E3779B97F4A7C15ULL >> 50; /* 16384 slots */
+    c += b * 0x9E3779B97F4A7C15ULL >> 51 << 1;
     if (!c->n || c->b != b) {
-        c->b = b;
-        c->n = snprintf(c->s, sizeof c->s, "%.15g", v);
+        slot t = c[1];
+        c[1] = *c;
+        if (!t.n || t.b != b) {
+            t.b = b;
+            t.n = snprintf(t.s, sizeof t.s, "%.15g", v);
+        }
+        *c = t;
     }
     *o++ = ',';
     put(c->s, c->n);
@@ -78,7 +82,7 @@ static void load_stimulus(const char *path) {
         long tick = strtol(p, &q, 10);
         q += strspn(q, " \t");
         if (q == p || !strchr(",\r\n", *q)) {
-            if (row == 1) continue; /* header line */
+            if (row == 1) continue;
             fprintf(stderr, "%s:%d: expected a tick number\n", path, row);
             exit(2);
         }

@@ -40,6 +40,12 @@ class TestCheck:
         assert "probe: FAIL (1 violation)" in out
         assert "INIT_OUTSIDE_BOUNDARY (line 10): boundary of x in up" in err
 
+    def test_edge_entering_outside_its_boundary_fails(self, capsys, fixtures_dir):
+        code, out, err = invoke(capsys, "check", str(fixtures_dir / "entryprobe.pha"))
+        assert code == 1
+        assert "probe: FAIL (1 violation)" in out
+        assert "ENTRY_OUTSIDE_BOUNDARY (line 24): edge start -> up: enters x in [0, 0]" in err
+
     def test_syntax_error_reports_position(self, capsys, fixtures_dir):
         code, out, err = invoke(capsys, "check", str(fixtures_dir / "disjunct.pha"))
         assert code == 2

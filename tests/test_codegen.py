@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import struct
 import subprocess
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,7 @@ from syncha.swa import (
     compile_automaton,
     compose_all,
     constant_in,
+    format_trace_row,
     parse_stimulus,
     simulate,
 )
@@ -422,16 +424,30 @@ def sanitizing_cc(tmp_path_factory):
     return find_cc()
 
 
+def cache_set(x):
+    """The set of `put_g`'s text cache that the double x falls in: 0 .. 8191."""
+    return int.from_bytes(struct.pack("<d", x), "little") * 0x9E3779B97F4A7C15 % 2**64 >> 51
+
+
 @needs_cc
-def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path):
+def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path, monkeypatch):
     """The widest row a network writes, and ramps with more distinct values than cache slots.
 
     Row 4 shows the longest location name, every event, values whose %.15g
     is longest (negative, exponent form) and a %.15g time field (delta 1/3).
-    x and y never repeat, so their 20,000 values collide in 16,384 slots,
-    and the rows cross the driver's 64 KB block many times.
+    x and y never repeat, so their 20,000 values collide in 8,192 sets of
+    two slots; each column puts at least two values in the last set, so
+    its second slot, the last of the array, is written and read.  The rows
+    cross the driver's 64 KB block many times.
     """
     product = product_of(parse_model(WIDE_ROWS), Fraction(1, 3))
+    shown = []  # the doubles of every row the generic engine writes
+
+    def format_row(swa, t, location, values, *events):
+        shown.append(values := tuple(values))
+        return format_trace_row(swa, t, location, values, *events)
+
+    monkeypatch.setattr("syncha.swa.format_trace_row", format_row)
     csv = tmp_path / "all.csv"
     csv.write_text("3,ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL\n")
     auto_path, main_path = write_unit(emit_c(product), tmp_path)
@@ -451,6 +467,7 @@ def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path)
     assert rows[4][6:] == ["ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL", "CHARLIE_EMITTED_HERE;DELTA_EMITTED_TOO"]
     assert len(rows[4][3]) == 22  # -1.23621507852519e-300
     assert min(len({row[i] for row in rows}) for i in (4, 5)) > 16384
+    assert [len({xs[i] for xs in shown if cache_set(xs[i]) == 8191}) for i in (1, 2)] == [2, 3]
 
 
 def interpreter_trace_prefix_of_stuck(swa):

@@ -2,8 +2,10 @@
 
 The specialised runner jumps an evolve stretch to the last tick on
 which it still evolves (`swa.evolve_horizon`, called through
-`swa._Jump`); with a trace it writes the skipped rows in batches, from
-value texts memoised per run.  The generic engine steps tick by tick.
+`swa._Jump`), and a stretch it has seen in the same run jumps from
+step 1 on the horizon it remembers; with a trace it writes the skipped
+rows in batches, from value texts memoised per run.  The generic engine
+steps tick by tick.
 These tests compare the final states bit for bit and the traces byte
 for byte.
 """
@@ -69,15 +71,24 @@ def assert_engines_agree(product, ticks, stimulus=None):
 
 
 class Jumps:
-    """Every fast-forward call as (tick, step, tick landed on, step landed on), by trace mode."""
+    """Every fast-forward call as (tick, step, tick landed on, step landed on), by trace mode.
+
+    ``keys`` holds each untraced call's key, ``memo`` the horizon memo of the last call and
+    ``batch`` the `_Batch` of the last traced call.
+    """
 
     def __init__(self):
-        self.untraced, self.traced = [], []
+        self.untraced, self.traced, self.keys, self.memo, self.batch = [], [], [], None, None
 
     def each(self):
         """The calls of one trace mode, once both modes are checked to have made the same."""
         assert self.untraced == self.traced
         return self.untraced
+
+    def asked_at(self):
+        """The step each untraced call would ask at: 32 on a key's first visit, 1 once it is stored."""
+        seen = set()
+        return [1 if key in seen or seen.add(key) else 32 for key in self.keys]
 
 
 @pytest.fixture
@@ -85,9 +96,14 @@ def jumps(monkeypatch):
     calls = Jumps()
     real = swa._Jump.__call__
 
-    def spy(self, t, k, nxt, ticks, locs, c1s, batch=None):
-        result = real(self, t, k, nxt, ticks, locs, c1s, batch)
+    def spy(self, t, k, nxt, ticks, key, memo, batch=None):
+        result = real(self, t, k, nxt, ticks, key, memo, batch)
         (calls.untraced if batch is None else calls.traced).append((t, k, result[0], result[1]))
+        if batch is None:
+            calls.keys.append(key)
+        calls.memo = memo
+        if batch is not None:
+            calls.batch = batch
         return result
 
     monkeypatch.setattr(swa._Jump, "__call__", spy)
@@ -211,8 +227,12 @@ class TestTargeted:
         # +1.0 a tick: x == 50 at step 50, the invariant fails at 51 and x snaps back to 50
         product = product_of(CLOCK)
         assert assert_engines_agree(product, 1000)[3] == 1000 % 52
-        assert jumps.each()[0] == (31, 32, 50, 51)  # ticks 32..50 would test steps 32..50
-        assert all(k == 32 and k1 == 51 for _, k, _, k1 in jumps.each())
+        # ticks 32..50 would test steps 32..50; every later stretch re-enters at 0.0 and jumps at step 1
+        assert jumps.each() == [(31, 32, 50, 51)] + [(52 * n, 1, 52 * n + 50, 51) for n in range(1, 19)] + [
+            (988, 1, 999, 12)]
+        # x's texts, first stored from step 32, grew back to step 1 when the stretch was re-entered
+        assert [(key[:3], first, len(texts)) for key, (first, texts) in jumps.batch.items()] == [
+            (("x", "run", 0.0), 1, 50)]
 
     @pytest.mark.parametrize("op, eq", [
         ("<=", "10.000001"),  # crosses 10 after about 3,200 ticks
@@ -250,13 +270,16 @@ class TestTargeted:
         # witness restarts from its held value, and the other way round
         product = product_of(PULSED)
         assert_engines_agree(product, 20_000)
-        assert len(jumps.each()) > 100 and all(k == 32 for _, k, _, _ in jumps.each())
+        # the heater's c1 differs on every entry, so no key repeats and every stretch asks at 32
+        assert len(jumps.each()) > 100
+        assert [k for _, k, _, _ in jumps.each()] == jumps.asked_at() == [32] * len(jumps.each())
 
     def test_signed_zero_entries_print_apart(self, jumps):
         # x decays toward 0 from 0.0, and from -0.0 after every other switch: equal keys, other texts
         product = product_of(SIGNS)
         assert_engines_agree(product, 404)
-        assert jumps.each() == [(31, 32, 100, 101), (133, 32, 202, 101), (235, 32, 304, 101), (337, 32, 403, 98)]
+        # -0.0 == 0.0 as a key: every stretch after the first jumps at step 1
+        assert jumps.each() == [(31, 32, 100, 101), (102, 1, 202, 101), (204, 1, 304, 101), (306, 1, 403, 98)]
         rows = final(product, 404, None, "compiled", traced=True)[1].splitlines()[1:]
         xs = [row.split(",")[3] for row in rows]
         assert [set(xs[a:b]) for a, b in [(0, 101), (101, 203), (203, 305), (305, 404)]] == [{"0"}, {"-0"}] * 2
@@ -266,11 +289,41 @@ class TestTargeted:
         product = product_of(DRIFT)
         out = io.StringIO()
         batch = swa._Batch(out.write)
-        assert swa._Jump(product)(31, 32, -1, 100, (0,), (math.nan, 0.0), batch)[:2] == (99, 100)
+        assert swa._Jump(product)(31, 32, -1, 100, (0, math.nan, 0.0), {}, batch)[:2] == (99, 100)
         rows = [row.split(",") for row in out.getvalue().splitlines()]
         assert [row[0] for row in rows] == [str(t) for t in range(32, 100)]
         assert {row[3] for row in rows} == {"nan"} and [row[4] for row in rows[:2]] == ["0.32", "0.33"]
         assert [key[0] for key in batch] == ["c"]
+
+    def test_signed_zero_entries_share_one_horizon(self, jumps):
+        product = product_of(SIGNS)
+        rows = final(product, 404, None, "compiled", traced=True)[1].splitlines()[1:]
+        assert jumps.memo == {(0, 0.0, 0.0): 101}
+        assert [rows[i].split(",")[3] for i in (50, 150, 250, 350)] == ["0", "-0", "0", "-0"]
+        simulate(product, 404)
+        assert jumps.memo == {(0, 0.0, 0.0): 101}
+        assert [math.copysign(1.0, key[1]) for key in jumps.keys] == [1.0, -1.0, 1.0, -1.0]
+
+    def test_a_nan_entry_constant_stores_no_horizon(self):
+        jump, memo = swa._Jump(product_of(DRIFT)), {}
+        assert jump(31, 32, -1, 100, (0, math.nan, 0.0), memo)[:2] == (99, 100)
+        assert jump(31, 32, -1, 100, (0, 0.0, 0.0), memo)[:2] == (99, 100)
+        assert memo == {(0, 0.0, 0.0): 101}  # c passes 1 at step 101 either way
+
+    def test_the_horizon_memo_is_bounded(self, jumps, monkeypatch):
+        # x grows without bound, so every stretch of DRIFT enters with a new key
+        monkeypatch.setattr(swa, "_HORIZONS_MAX", 5)
+        product = product_of(DRIFT)
+        assert_engines_agree(product, 2000)
+        assert len(jumps.each()) == 20 and len(set(jumps.keys)) == 20
+        assert len(jumps.memo) == 5 and [k for _, k, _, _ in jumps.each()] == [32] * 20
+
+    def test_the_horizon_memo_lives_for_one_run(self, jumps, thermostat_swa):
+        simulate(thermostat_swa, 5000)
+        first, jumps.untraced[:] = list(jumps.untraced), []
+        simulate(thermostat_swa, 5000)
+        assert jumps.untraced == first and first[0][:2] == (31, 32)
+        assert [k for _, k, _, _ in first] == jumps.asked_at()[:len(first)] and 1 in jumps.asked_at()
 
     def test_a_long_stretch_is_written_in_bounded_memory(self):
         # 200,000 distinct texts: the memo stops storing at 2**16, and rows go out in blocks

@@ -1,14 +1,18 @@
 from fractions import Fraction
 
+import pytest
+
 from syncha.expr import Comparison, Constraint
 from syncha.model import load_model, parse_model
 from syncha.whacheck import (
+    ENTRY_OUTSIDE_BOUNDARY,
     INIT_OUTSIDE_BOUNDARY,
     NO_CLOSED_FORM,
     NON_CVX_CONSTRAINT,
     NON_MONOTONE,
     check_wha,
 )
+from oracles import fuzz_model, fuzz_network
 
 TWO_BAD = """
 network twobad
@@ -134,3 +138,71 @@ class TestCheckWha:
     def test_initial_value_inside_the_boundary_passes(self, fixtures_dir):
         text = (fixtures_dir / "boundaryprobe.pha").read_text().replace("[5, 5]", "[0, 5]")
         assert check_wha(parse_model(text).automaton("probe")).passed
+
+    def test_edge_entering_outside_the_destination_boundary(self, fixtures_dir):
+        # the dwell analysis would bound `up` by 500 steps; the run enters
+        # `up` at x = 0 on tick 501 and first reaches `done` at tick 1503
+        report = check_wha(load_model(fixtures_dir / "entryprobe.pha").automaton("probe"))
+        (v,) = report.violations
+        assert (v.kind, v.where, v.line) == (ENTRY_OUTSIDE_BOUNDARY, "edge start -> up", 24)
+        assert v.detail == "enters x in [0, 0], outside the boundary [5, 5] of up"
+
+    def test_edge_entering_inside_the_destination_boundary_passes(self, fixtures_dir):
+        text = (fixtures_dir / "entryprobe.pha").read_text().replace("x' := 0", "x' := 5")
+        assert check_wha(parse_model(text).automaton("probe")).passed
+
+    @pytest.mark.parametrize("boundary, update, image", [
+        ("[20, 90]", "", "[20, 100]"),  # not updated: the source invariant's projection
+        ("[20, 100]", "do x' := 2 * x - 90", "[-50, 110]"),
+        ("[-110, -20]", "do x' := -x", None),
+        ("[-100, -20]", "do x' := -x - 10", "[-110, -30]"),
+    ])
+    def test_entry_image_is_the_invariant_mapped_through_the_update(self, boundary, update, image):
+        text = WATERTANK_T2_T4.format(boundary=boundary, update=update)
+        violations = check_wha(parse_model(text).automaton("tank")).violations
+        assert [v.detail for v in violations] == (
+            [] if image is None else [f"enters x in {image}, outside the boundary {boundary} of t4"])
+
+    def test_a_closed_guard_on_an_open_invariant_enters_at_the_bound(self):
+        # the tick snaps y onto 50 though `rising` never holds it there
+        text = SNAPPED.format(boundary="[49, 49]")
+        (v,) = check_wha(parse_model(text).automaton("ramp")).violations
+        assert v.detail == "enters y in [50, 50], outside the boundary [49, 49] of capped"
+        assert check_wha(parse_model(SNAPPED.format(boundary="[50, 50]")).automaton("ramp")).passed
+
+    def test_every_model_fixture_and_fuzzed_model_enters_inside_its_boundaries(self, models_dir, fixtures_dir):
+        paths = sorted(models_dir.glob("*.pha")) + sorted(fixtures_dir.glob("*.pha"))
+        texts = [path.read_text() for path in paths if path.stem not in ("disjunct", "entryprobe")]
+        texts += [fuzz_model(seed) for seed in range(50)] + [fuzz_network(seed) for seed in range(50)]
+        kinds = [v.kind for text in texts for ha in parse_model(text).automata for v in check_wha(ha).violations]
+        assert ENTRY_OUTSIDE_BOUNDARY not in kinds
+
+
+WATERTANK_T2_T4 = """
+network entries
+automaton tank
+  var x init 50
+  initial location t2
+    invariant x >= 20 && x <= 100
+    flow x' = 1
+    boundary x in [50, 50]
+  location t4
+    invariant x >= -200 && x <= 200
+    flow x' = 0
+    boundary x in {boundary}
+  edge t2 -> t4 {update}
+"""
+
+SNAPPED = """
+network snapped
+automaton ramp
+  var y init 0
+  initial location rising
+    invariant y < 50
+    flow y' = 10.3
+  location capped
+    invariant y == 50
+    flow y' = 0
+    boundary y in {boundary}
+  edge rising -> capped guard y == 50
+"""
