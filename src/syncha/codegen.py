@@ -10,11 +10,16 @@ Each automaton becomes two translation units:
   table, calls the reaction in a loop and prints the same trace format
   as the Python engines.
 
-Every arithmetic expression is emitted with exactly the operation shape
+The reaction is printed by the one printer of the tick rule in `swa`,
+which also prints the Python runner; only its `swa.Syntax` differs.
+Every arithmetic expression therefore has exactly the operation shape
 the interpreter uses (same association, same special cases), so the C
 binary and the Python engines compute identical doubles and identical
-``%.15g`` trace rows on the same libm.  Witnesses, guards, updates and
-entry constants are printed by the same functions as the Python runner's.
+``%.15g`` trace rows on the same libm.  The events are the bits of two
+``unsigned long long`` masks, as in the Python runner: ``vis`` holds
+the events visible during the tick and ``emit`` those it emits, and
+after each row the driver sets ``vis`` to the emitted events and the
+stimulus, and clears ``emit``.  So a network has at most 64 events.
 
 Each part's location index is a global ``int``, so neither unit has code
 or data per product state, and a network of any number of product
@@ -40,18 +45,9 @@ import shutil
 import subprocess
 from pathlib import Path
 
-from .expr import Constraint, Rational, Record, format_number
-from .odesolve import WitnessKind, resolve_c1
-from .swa import (
-    LocationPlan,
-    Swa,
-    affine_text,
-    c1_text,
-    constraint_text,
-    decimal_delta,
-    switch_plan,
-    witness_text,
-)
+from .expr import Rational, Record, format_number
+from .odesolve import resolve_c1
+from .swa import Swa, Syntax, decimal_delta, evolve_code, indent, step_code, switch_code, switch_plan
 
 _C_KEYWORDS = frozenset(
     """auto break case char const continue default do double else enum extern
@@ -65,7 +61,7 @@ _RESERVED = _C_KEYWORDS | frozenset(
     """main exp fabs printf fprintf snprintf fputs fwrite fopen fclose fgets
     memcpy strtol strtod strcmp strncmp strcpy strlen strchr strspn strcspn
     qsort atol atoi exit malloc realloc free size_t stdin stdout stderr errno
-    k stuck t si ticks argc argv mask stim stim_n stim_cap stim_path
+    k stuck vis emit t si ticks argc argv stim stim_n stim_cap stim_path
     load_stimulus by_tick slot buf o flush put put_s put_l put_g put_e INFINITY
     NAN""".split()
 )
@@ -105,8 +101,14 @@ def c_float(x: float) -> str:
     return repr(x)
 
 
-def _c_constraint(c: Constraint, name_of) -> str:
-    return constraint_text(c, name_of, c_num, " && ", "1")
+def c_string(text: str) -> str:
+    """`text` as a C string literal: its UTF-8 bytes, with quotes, backslashes and question marks
+    escaped (no trigraph can form) and every byte outside printable ASCII as an octal escape."""
+    out = []
+    for byte in text.encode("utf-8", "surrogateescape"):
+        char = chr(byte)
+        out.append("\\" + char if char in '"\\?' else char if 32 <= byte < 127 else f"\\{byte:03o}")
+    return '"' + "".join(out) + '"'
 
 
 class CodegenOptions(Record):
@@ -144,12 +146,10 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
     names = _Names()
     auto = names.claim("auto", swa.name, lambda n: {n, f"{n}R"})
     parts = range(len(swa.parts or (swa,)))
-    for p in parts:  # part p's location index, and the next one while its switch code runs
+    for p in parts:  # part p's location index and its next one: claimed first, they keep these names
         names.claim("part", f"l{p}", lambda n: {n, f"{n}_n"})
     for v in swa.variables:
         names.claim("var", v, lambda n: {n, f"{n}_u", f"C1_{n}", f"{n}_g"})
-    for e in swa.events():
-        names.claim("event", e, lambda n: {n, f"{n}_out"})
     for p in parts:
         names.claim("table", f"loc{p}", lambda n: {n})
 
@@ -159,147 +159,86 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
     return CUnit(auto, automaton_source, driver_source, reaction)
 
 
+def _c_block(n: int, cond: str | None, body: list[str]) -> list[str]:
+    return ["else {" if cond is None else f"{'else if' if n else 'if'} ({cond}) {{", *indent(body), "}"]
+
+
+def _c_dispatch(p: int, cases: list[tuple[int, str, list[str]]]) -> list[str]:
+    return [f"switch (l{p}) {{", *(line for d, name, body in cases for line in (
+        f"case {d}: {{  /* {name} */", *indent(body), "    break;", "}")), "}"]
+
+
+# The C reaction's spelling; `_emit_automaton` adds the namer of each unit.
+C = Syntax(" && ", " || ", "!", "1", "{test} ? {a} : ", _c_block, ";", "double ", c_num, None, _c_dispatch,
+           "l{}_n", ("stuck = 1;", "return;"))
+_C_GLOBALS = {"v": "{}", "u": "{}_u", "c1": "C1_{}"}  # a variable's value, next value and entry constant
+
+
 def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
     """Globals and the reaction.
 
-    Everything is printed from the `switch_plan`, part by part, on the
-    global location index of each part.  The reaction evolves when every
-    part's evolve test holds, one conditional expression per part; one
-    `switch` per part then steps its witnesses.  Otherwise one `switch`
-    per part runs its switch code, which sets the part's next location
-    index; the indices move only once every part has decided, so a stuck
-    report names the locations the tick started in.
+    The tick rule is printed from the `switch_plan` by the printers that
+    also print the Python runner (`swa.evolve_code`, `swa.step_code`,
+    `swa.switch_code`), spelt for C: each part's location index is the
+    global ``l<p>``, its switch code writes the next one to the local
+    ``l<p>_n``, and the indices move only once every part has decided,
+    so a stuck report names the locations the tick started in.  The
+    visible and emitted events are the bits of the masks ``vis`` and
+    ``emit``.
     """
     plan = switch_plan(swa)
     cv = lambda v: names.of("var", v)
-    lvs = [names.of("part", f"l{p}") for p in range(len(plan.parts))]
     start = [[loc.name for loc in locations].index(part.initial_state)
              for part, locations in zip(swa.parts or (swa,), plan.parts)]
-    witness = lambda wit, v, k: witness_text(wit, f"C1_{cv(v)}", k, swa.delta_f, "exp")
 
+    def scope():
+        """Per location: the globals, and fresh names for its locals."""
+        taken = set(names.used)
+
+        def name(role: str, var: str) -> str:
+            if role in _C_GLOBALS:
+                return _C_GLOBALS[role].format(cv(var))
+            local = f"{cv(var)}_{role}"
+            while local in taken:
+                local += "_"
+            taken.add(local)
+            return local
+        return name
+
+    sx = C.replace(scope=scope)
     w: list[str] = []
     emit = w.append
     emit("#include <math.h>")
     emit("")
     emit("long k = 0;")
     emit("int stuck = 0;")
-    for lv, d in zip(lvs, start):
-        emit(f"int {lv} = {d};")
+    emit("unsigned long long vis = 0, emit = 0;")
+    for p, d in enumerate(start):
+        emit(f"int l{p} = {d};")
     initial = dict(pair for locations, d in zip(plan.parts, start) for pair in locations[d].witnesses)
     for v, x0q in swa.init_values:
         x0 = float(x0q)
         emit(f"double {cv(v)} = {c_float(x0)};")
         emit(f"double {cv(v)}_u = {c_float(x0)};")
         emit(f"double C1_{cv(v)} = {c_float(resolve_c1(initial[v], x0))};")
-    for e in swa.events():
-        emit(f"int {names.of('event', e)} = 0;")
-        emit(f"int {names.of('event', e)}_out = 0;")
     emit("")
-
-    def test(*conds: str, present: int = 0, absent: int = 0) -> str:
-        """The event tests, then `conds`, joined; "1" when there are none."""
-        events = [("!" if absent >> i & 1 else "") + names.of("event", e)
-                  for i, e in enumerate(plan.events) if (present | absent) >> i & 1]
-        return " && ".join(events + [c for c in conds if c != "1"]) or "1"
-
-    def choice(lv: str, exprs: list[str]) -> str:
-        """``exprs[lv]`` as a chain of conditional expressions, or the one expression they all are."""
-        if len(set(exprs)) == 1:
-            return exprs[0]
-        *first, last = exprs
-        chain = "".join(f"{lv} == {d} ? {e} : " for d, e in enumerate(first))
-        return f"({chain}{last})"
-
-    def evolve_test(loc: LocationPlan) -> str:
-        return test(_c_constraint(loc.invariant, cv), absent=loc.triggers)
-
-    def fresh(base: str, taken: set[str]) -> str:
-        while base in taken:
-            base += "_"
-        taken.add(base)
-        return base
-
-    def switch_code(loc: LocationPlan, next_lv: str) -> list[str]:
-        """A part's switch tick in `loc`; `next_lv` receives its next location index."""
-        taken = set(names.used)
-        out: list[str] = []
-        put = out.append
-        prev = {}
-        for v, wit in loc.prev:
-            prev[v] = fresh(f"{cv(v)}_prev", taken)
-            put(f"double {prev[v]} = (k >= 1) ? {witness(wit, v, '(k - 1)')} : {cv(v)};")
-        # snap candidates: the first failing non-strict bound, if crossed
-        cands = []
-        for i, e in enumerate(loc.edges):
-            cands.append({})
-            for v, comps in e.snaps:
-                x, pv = cv(v), prev[v]
-                cn = cands[-1][v] = fresh(f"{x}_c{i}", taken)
-                put(f"double {cn} = {x};")
-                for n, c in enumerate(comps):
-                    b = c_num(c.bound)
-                    put(f"{'else if' if n else 'if'} (!({x} {c.op} {b})) {{")
-                    put(f"    if (({pv} <= {b} && {b} <= {x}) || ({x} <= {b} && {b} <= {pv})) {{")
-                    put(f"        {cn} = {b};")
-                    put("    }")
-                    put("}")
-        for i, (e, cand) in enumerate(zip(loc.edges, cands)):
-            one = " + ".join(f"({cn} != {cv(v)})" for v, cn in cand.items())
-            guard = _c_constraint(e.guard, lambda v: cand.get(v, cv(v)))
-            cond = test(f"({one}) <= 1" if e.exclusive else "1", guard, present=e.present, absent=e.absent)
-            put(f"{'else if' if i else 'if'} ({cond}) {{")
-            for v, cn in cand.items():
-                put(f"    {cv(v)} = {cn};")
-            temps = [(v, fresh(f"{cv(v)}_t{j}", taken), x) for j, (v, x) in enumerate(e.updates)]
-            for v, tn, x in temps:
-                put(f"    double {tn} = {affine_text(x, cv, c_num)};")
-            for v, tn, _ in temps:
-                put(f"    {cv(v)} = {tn};")
-            for v, wit in e.refresh:
-                put(f"    C1_{cv(v)} = {c1_text(wit, cv(v), c_num)};")
-            put(f"    {next_lv} = {e.dst};")
-            for n, ev in enumerate(plan.events):
-                if e.emits >> n & 1:
-                    put(f"    {names.of('event', ev)}_out = 1;")
-            put("}")
-        # no enabled edge: frozen if the part can evolve, else stuck
-        evolve = evolve_test(loc)
-        frozen = [f"if (!({evolve})) {{", "    stuck = 1;", "    return;", "}"] if evolve != "1" else []
-        frozen += [f"C1_{cv(v)} = {c1_text(wit, cv(v), c_num)};" for v, wit in loc.witnesses]
-        if loc.edges and frozen:
-            return out + ["else {", *(f"    {line}" for line in frozen), "}"]
-        return out + frozen
-
     emit(f"void {reaction}(void) {{")
     for v in swa.variables:
         emit(f"    {cv(v)} = {cv(v)}_u;")
-    tests = [choice(lv, list(map(evolve_test, locations))) for lv, locations in zip(lvs, plan.parts)]
-    evolve = "\n        && ".join(t for t in tests if t != "1") or "1"
-    emit(f"    if ({evolve}) {{")
+    emit(f"    if ({evolve_code(plan.parts, sx)}) {{")
     emit("        k = k + 1;")
-    for lv, locations in zip(lvs, plan.parts):
-        steps = [" ".join(f"{cv(v)}_u = {witness(wit, v, 'k')};" for v, wit in loc.witnesses
-                          if wit.kind is not WitnessKind.CONSTANT) for loc in locations]
-        if any(steps):
-            emit(f"        switch ({lv}) {{")
-            w += [f"        case {d}: {step} break;" for d, step in enumerate(steps) if step]
-            emit("        }")
+    for p, locations in enumerate(plan.parts):
+        w += indent(indent(step_code(p, locations, sx, swa.delta_f)))
     emit("        return;")
     emit("    }")
-    for lv, locations in zip(lvs, plan.parts):
-        emit(f"    int {lv}_n = {lv};")
-        emit(f"    switch ({lv}) {{")
-        for d, loc in enumerate(locations):
-            emit(f"    case {d}: {{  /* {loc.name} */")
-            w += [f"        {line}" for line in switch_code(loc, f"{lv}_n")]
-            emit("        break;")
-            emit("    }")
-        emit("    }")
+    for p, locations in enumerate(plan.parts):
+        emit(f"    int l{p}_n = l{p};")
+        w += indent(switch_code(p, locations, sx, swa.delta_f))
     for v in swa.variables:
         emit(f"    {cv(v)}_u = {cv(v)};")
     emit("    k = 0;")
-    for lv in lvs:
-        emit(f"    {lv} = {lv}_n;")
+    for p in range(len(plan.parts)):
+        emit(f"    l{p} = l{p}_n;")
     emit("}")
     return "\n".join(w) + "\n"
 
@@ -329,11 +268,10 @@ def _c_time_field(swa: Swa) -> list[str]:
 
 def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions) -> str:
     cv = lambda v: names.of("var", v)
-    ce = lambda e: names.of("event", e)
     plan = switch_plan(swa)
     events = swa.events()
     # each part's location name, read from its own table
-    lvs = [names.of("part", f"l{p}") for p in range(len(plan.parts))]
+    lvs = [f"l{p}" for p in range(len(plan.parts))]
     locs = [f"{names.of('table', f'loc{p}')}[{lv}]" for p, lv in enumerate(lvs)]
     # the longest row: a 19-digit tick and a time field of at most 23 characters,
     # the location, at most 22 characters per value, every event name, each field's
@@ -350,10 +288,9 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit(f"void {reaction}(void);")
     emit("extern long k;")
     emit(f"extern int stuck, {', '.join(lvs)};")
+    emit("extern unsigned long long vis, emit;")
     for v in swa.variables:
         emit(f"extern double {cv(v)}, {cv(v)}_u;")
-    for e in events:
-        emit(f"extern int {ce(e)}, {ce(e)}_out;")
     emit("")
     for p, locations in enumerate(plan.parts):
         table = ", ".join(f'"{loc.name}"' for loc in locations)
@@ -465,7 +402,7 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("int main(int argc, char **argv) {")
     emit(f"    long ticks = {options.ticks};")
     if options.stimulus_path is not None:
-        emit(f'    const char *stim_path = "{options.stimulus_path}";')
+        emit(f"    const char *stim_path = {c_string(options.stimulus_path)};")
     else:
         emit("    const char *stim_path = 0;")
     emit("    if (argc > 1) ticks = atol(argv[1]);")
@@ -485,8 +422,8 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     )
     for v in swa.variables:
         emit(f'            fprintf(stderr, "  {v} = %.17g\\n", {cv(v)}_u);')
-    for e in events:
-        emit(f'            if ({ce(e)}) fprintf(stderr, "  visible: {e}\\n");')
+    for idx, e in enumerate(events):
+        emit(f'            if (vis >> {idx} & 1) fprintf(stderr, "  visible: {e}\\n");')
     emit("            exit(3);")
     emit("        }")
     emit("        put_l(t);")
@@ -498,17 +435,15 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         emit(f"        put_s({loc});")
     for v in swa.variables:
         emit(f"        put_g({cv(v)}, {cv(v)}_g);")
-    for shown, flag in ((swa.inputs, ""), (swa.outputs, "_out")):
+    for shown, mask in ((swa.inputs, "vis"), (swa.outputs, "emit")):
         emit("        *o++ = ',';")
         for e in shown:
-            emit(f'        put_e({ce(e)}{flag}, "{e}");')
+            emit(f'        put_e({mask} >> {events.index(e)} & 1, "{e}");')
     emit("        *o++ = '\\n';")
     emit("        if (o - buf > 65536) flush();")
-    emit("        unsigned long long mask = 0;")
-    emit("        while (si < stim_n && stim[si].t <= t) mask |= stim[si++].m;")
-    for idx, e in enumerate(events):
-        emit(f"        {ce(e)} = ((mask >> {idx}) & 1) || {ce(e)}_out;")
-        emit(f"        {ce(e)}_out = 0;")
+    emit("        vis = emit;")
+    emit("        emit = 0;")
+    emit("        while (si < stim_n && stim[si].t <= t) vis |= stim[si++].m;")
     emit("    }")
     emit("    flush();")
     emit("    return 0;")

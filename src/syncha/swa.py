@@ -40,12 +40,13 @@ part's location passes its evolve test; that is the conjunction
 automaton's variables, so each part taking its own first enabled edge,
 or else being frozen, is the transition the product's egress order
 (joint switches first) picks.  No engine builds or reads a product
-state; only the product oracle in the tests does.  Two engines run the
-plan: the generic `tick` interprets it, and a specialising engine
-prints it as straight-line Python (`codegen` prints it as C).  They
-produce bit-identical traces; the specialised engine writes its own
-trace rows, formatting a value the state holds constant once per
-switch, not on every tick.
+state; only the product oracle in the tests does.  The generic `tick`
+interprets the plan.  One printer (`evolve_code`, `step_code` and
+`switch_code`) prints it as source text, spelt by a `Syntax`: as
+Python for the specialising engine (`PYTHON`), and as C for `codegen`.
+Both keep the visible and emitted events as bits of two masks.  The
+specialised engine writes its own trace rows, formatting a value the
+state holds constant once per switch, not on every tick.
 
 The specialised engine fast-forwards evolve stretches.  Evolve ticks
 emit nothing and every value is its witness at the step index, so once
@@ -57,10 +58,11 @@ and set of entry constants, and a stretch the memo knows jumps from
 step 1.  The jump stops early at the last tick of the run and at the
 next stimulus tick, after which the runner asks again.
 `evolve_horizon` confirms its answer with the engines' own float
-expression; its docstring argues why no earlier step can fail.  A traced run writes the rows it
-jumps over in batches, from value texts it formats once per run.  The
-generic engine steps tick by tick.  A stuck run raises
-`UnreachableState`, whose text is the C driver's report.
+expression; its docstring argues why no earlier step can fail.  A
+traced run writes the rows it jumps over in batches, from value texts
+it formats once per run.  The generic engine steps tick by tick.  A
+stuck run raises `UnreachableState`, whose text is the C driver's
+report.
 """
 
 from __future__ import annotations
@@ -457,6 +459,8 @@ def _location_plans(part: Swa, mask: Callable[[Iterable[str]], int]) -> tuple[Lo
     for s in part.states:
         edges = []
         for tr in s.egress:
+            if mask(tr.event.present) & mask(tr.event.absent):
+                continue  # an event both visible and silent: never enabled
             (guard,) = tr.guard_groups  # a lowered automaton: one group, which may snap
             snaps: dict[str, tuple[Comparison, ...]] = {}
             for c in guard.conjuncts:
@@ -978,14 +982,9 @@ def run(
 # --- specialising engine ------------------------------------------------------
 
 
-def _py_num(q: Rational) -> str:
-    return repr(float(q))
-
-
-def constraint_text(c: Constraint, name_of: Callable[[str], str], num: Callable[[Rational], str],
-                    conj: str = " and ", true: str = "True") -> str:
-    """`c` as source text: its comparisons joined by `conj`, `true` when it has none."""
-    return conj.join(f"{name_of(x.variable)} {x.op} {num(x.bound)}" for x in c.conjuncts) or true
+def constraint_text(c: Constraint, name_of: Callable[[str], str], num: Callable[[Rational], str], conj: str) -> str:
+    """`c` as source text: its comparisons joined by `conj`, "" when it has none."""
+    return conj.join(f"{name_of(x.variable)} {x.op} {num(x.bound)}" for x in c.conjuncts)
 
 
 def affine_text(expr: AffineExpr, name_of: Callable[[str], str], num: Callable[[Rational], str]) -> str:
@@ -1011,27 +1010,174 @@ def c1_text(w: WitnessFunction, value: str, num: Callable[[Rational], str]) -> s
     return value
 
 
-def witness_text(w: WitnessFunction, c1: str, k: str, delta_f: float, exp: str = "_exp") -> str:
+def witness_text(w: WitnessFunction, c1: str, k: str, delta_f: float) -> str:
     """`w` at step `k` from the entry constant `c1`, in the float shape of `value_at_tick`.
 
-    The text reads alike in Python and, with ``exp="exp"``, in C.  `k` is
-    multiplied by the rate per tick, a literal, so pass a difference such
-    as ``(k - 1)`` in brackets.
+    The text reads alike in Python and C, where ``exp`` is in scope.  `k`
+    is multiplied by the rate per tick, a literal, so pass a difference
+    such as ``(k - 1)`` in brackets.
     """
     if w.kind is WitnessKind.CONSTANT:
         return c1
     if w.kind is WitnessKind.LINEAR:
         return f"{c1} + {w.b_f * delta_f!r} * {k}"
     if w.x_eq_f == 0.0:
-        return f"{c1} * {exp}({w.a_f * delta_f!r} * {k})"
-    return f"{w.x_eq_f!r} + {c1} * {exp}({w.a_f * delta_f!r} * {k})"
+        return f"{c1} * exp({w.a_f * delta_f!r} * {k})"
+    return f"{w.x_eq_f!r} + {c1} * exp({w.a_f * delta_f!r} * {k})"
 
 
-def _py_can_evolve(loc: LocationPlan) -> str:
-    """`loc`'s evolve test: trigger silence, then the invariant; "" when it always holds."""
-    silent = f"(_vis & {loc.triggers}) == 0" if loc.triggers else ""
-    invariant = constraint_text(loc.invariant, lambda v: f"v_{v}", _py_num, true="")
-    return " and ".join(filter(None, (silent, invariant)))
+# --- the tick rule as source text ---------------------------------------------
+
+
+class Syntax(Record):
+    """How one language spells the tick rule, for the printers below.
+
+    Both languages name the step index ``k``, the event masks ``vis``
+    (visible) and ``emit`` (emitted), ``exp``, and part p's location
+    index ``l<p>``.  ``choose`` formats one arm of a conditional
+    expression.  ``block(n, cond, body)`` prints branch n of an if-chain,
+    the else branch when ``cond`` is None.  ``scope()`` gives each
+    location a namer ``(role, var) -> name`` of a variable's value
+    ``v``, next value ``u``, entry constant ``c1`` and row text ``r``,
+    and of its locals ``prev``, ``s<n>`` (snap candidates) and ``t<n>``
+    (staged updates).  ``dispatch(p, cases)`` runs the body of a case
+    ``(d, name, body)`` when ``l<p>`` is d, ``to`` formats the name part
+    p's next location index is written to, ``stuck`` holds the
+    statements of a stuck tick, and ``shown`` the variables whose row
+    text follows their value.
+    """
+
+    __slots__ = ("and_", "or_", "not_", "true", "choose", "block", "end", "decl", "num", "scope", "dispatch",
+                 "to", "stuck", "shown")
+
+    def __init__(self, and_: str, or_: str, not_: str, true: str, choose: str, block: Callable, end: str,
+                 decl: str, num: Callable, scope: Callable, dispatch: Callable, to: str,
+                 stuck: tuple[str, ...] = (), shown: frozenset[str] = frozenset()) -> None:
+        self._set(and_, or_, not_, true, choose, block, end, decl, num, scope, dispatch, to, stuck, shown)
+
+
+def indent(lines: Iterable[str]) -> list[str]:
+    return [f"    {line}" for line in lines]
+
+
+def _mask(m: int) -> str:
+    """An event mask as a literal of both languages: hex from bit 63 on, past C's largest signed decimal."""
+    return str(m) if m < 1 << 63 else hex(m)
+
+
+def _conj(sx: Syntax, *tests: str) -> str:
+    return sx.and_.join(t for t in tests if t and t != sx.true) or sx.true
+
+
+def _chain(sx: Syntax, branches: list[tuple[str, list[str]]], default: list[str]) -> list[str]:
+    """The first branch whose test holds runs, else `default`."""
+    if not branches:
+        return default
+    lines = [line for n, (cond, body) in enumerate(branches) for line in sx.block(n, cond, body)]
+    return lines + sx.block(len(branches), None, default) if default else lines
+
+
+def _by_location(p: int, exprs: list[str], sx: Syntax) -> str:
+    """``exprs[l<p>]``: the commonest expression, after a test for each location with another."""
+    default = max(reversed(exprs), key=exprs.count)
+    arms = "".join(sx.choose.format(test=f"l{p} == {d}", a=e) for d, e in enumerate(exprs) if e != default)
+    return f"({arms}{default})" if arms else default
+
+
+def _evolve_test(loc: LocationPlan, sx: Syntax, name: Callable[[str, str], str]) -> str:
+    """`loc`'s evolve test: its triggers silent and its invariant holding."""
+    silent = f"(vis & {_mask(loc.triggers)}) == 0" if loc.triggers else ""
+    return _conj(sx, silent, constraint_text(loc.invariant, partial(name, "v"), sx.num, sx.and_))
+
+
+def evolve_code(parts: tuple[tuple[LocationPlan, ...], ...], sx: Syntax) -> str:
+    """The test that every part can evolve, each on its location index."""
+    name = sx.scope()
+    return _conj(sx, *(_by_location(p, [_evolve_test(loc, sx, name) for loc in locations], sx)
+                       for p, locations in enumerate(parts)))
+
+
+def step_code(p: int, locations: tuple[LocationPlan, ...], sx: Syntax, delta_f: float) -> list[str]:
+    """Part p's evolution step: each variable some location moves, at the new ``k``."""
+    name, lines = sx.scope(), []
+    for var, _ in locations[0].witnesses:
+        u = name("u", var)
+        exprs = [u if w.kind is WitnessKind.CONSTANT else witness_text(w, name("c1", var), "k", delta_f)
+                 for w in (dict(loc.witnesses)[var] for loc in locations)]
+        if exprs.count(u) < len(exprs):
+            lines.append(f"{u} = {_by_location(p, exprs, sx)}{sx.end}")
+            if var in sx.shown:  # the row text follows the value where it moves
+                r = name("r", var)
+                lines.append(f"{r} = {_by_location(p, [r if e == u else name('v', var) for e in exprs], sx)}{sx.end}")
+    return lines
+
+
+def switch_code(p: int, locations: tuple[LocationPlan, ...], sx: Syntax, delta_f: float) -> list[str]:
+    """Part p's switch tick: in its location, the first enabled edge, else frozen if it can evolve, else stuck."""
+    cases = [(d, loc.name, body) for d, loc in enumerate(locations) if (body := _location_switch(p, loc, sx, delta_f))]
+    return sx.dispatch(p, cases) if cases else []
+
+
+def _location_switch(p: int, loc: LocationPlan, sx: Syntax, delta_f: float) -> list[str]:
+    """Every edge's snap candidates, then one chain over the edges' tests.
+
+    A candidate is a variable's value moved onto the first of its
+    comparisons that fails, if the value crossed that bound since the
+    previous tick; edges that snap a variable on the same comparisons
+    share one.  The chosen edge moves its candidates in, stages its
+    updates, re-anchors the destination's witnesses, moves the part and
+    emits.  With no edge enabled the part must be able to evolve, and is
+    frozen: its own witnesses are re-anchored.
+    """
+    name, lines = sx.scope(), []
+    v = partial(name, "v")
+    prev = {var: name("prev", var) for var, _ in loc.prev}
+    for var, w in loc.prev:
+        was = witness_text(w, name("c1", var), "(k - 1)", delta_f)
+        lines.append(f"{sx.decl}{prev[var]} = {sx.choose.format(test='k >= 1', a=was)}{v(var)}{sx.end}")
+
+    def reenter(witnesses: tuple[tuple[str, WitnessFunction], ...]) -> list[str]:
+        return [f"{name('c1', var)} = {c1_text(w, v(var), sx.num)}{sx.end}" for var, w in witnesses]
+
+    cands: dict[tuple[str, tuple[Comparison, ...]], str] = {}
+    branches = []
+    for e in loc.edges:
+        mine = {}
+        for var, comps in e.snaps:
+            if (var, comps) not in cands:
+                cands[var, comps] = c = name(f"s{len(cands)}", var)
+                x, was, snap = v(var), prev[var], []
+                for cmp in comps:
+                    b = sx.num(cmp.bound)
+                    crossed = f"({was} <= {b}{sx.and_}{b} <= {x}){sx.or_}({x} <= {b}{sx.and_}{b} <= {was})"
+                    snap.append((f"{sx.not_}({x} {cmp.op} {b})", sx.block(0, crossed, [f"{c} = {b}{sx.end}"])))
+                lines += [f"{sx.decl}{c} = {x}{sx.end}", *_chain(sx, snap, [])]
+            mine[var] = cands[var, comps]
+        events = f"(vis & {_mask(e.present | e.absent)}) == {_mask(e.present)}" if e.present | e.absent else ""
+        one = f"({' + '.join(f'({c} != {v(var)})' for var, c in mine.items())}) <= 1" if e.exclusive else ""
+        guard = constraint_text(e.guard, lambda var: mine.get(var) or v(var), sx.num, sx.and_)
+        temps = [(var, name(f"t{j}", var), expr) for j, (var, expr) in enumerate(e.updates)]
+        body = [f"{v(var)} = {c}{sx.end}" for var, c in mine.items()]
+        body += [f"{sx.decl}{t} = {affine_text(expr, v, sx.num)}{sx.end}" for _, t, expr in temps]
+        body += [f"{v(var)} = {t}{sx.end}" for var, t, _ in temps]
+        body += reenter(e.refresh) + [f"{sx.to.format(p)} = {e.dst}{sx.end}"]
+        body += [f"emit |= {_mask(e.emits)}{sx.end}"] if e.emits else []
+        branches.append((_conj(sx, events, one, guard), body))
+    evolve = _evolve_test(loc, sx, name)
+    frozen = [] if evolve == sx.true else sx.block(0, f"{sx.not_}({evolve})", list(sx.stuck))
+    return lines + _chain(sx, branches, frozen + reenter(loc.witnesses))
+
+
+def _py_block(n: int, cond: str | None, body: list[str]) -> list[str]:
+    return ["else:" if cond is None else f"{'elif' if n else 'if'} {cond}:", *indent(body)]
+
+
+# The Python runner's spelling; `_runner_source` adds the stuck statement and the shown variables.
+PYTHON = Syntax(
+    " and ", " or ", "not ", "True", "{a} if {test} else ", _py_block, "", "", lambda q: repr(float(q)),
+    lambda: "{}_{}".format,
+    lambda p, cases: _chain(PYTHON, [(f"l{p} == {d}", body) for d, _, body in cases], []), "l{}",
+)
 
 
 def constant_in(state: SwaState | LocationPlan) -> set[str]:
@@ -1061,14 +1207,14 @@ def _row_format(time_fmt: str, variables: tuple[str, ...], ins: bool, outs: bool
 def _runner_source(swa: Swa, trace: bool) -> str:
     """Generate the specialised tick loop for an automaton or a network.
 
-    Everything is printed from the `switch_plan`, part by part, on the
-    location index ``_l<p>`` of each part.  The evolve test is one
-    expression per part (trigger silence and the invariant of its
-    location); when all of them hold, each part's witnesses step.  On a
-    switch tick each part takes the first enabled edge of its location,
-    or must be able to evolve and is frozen, or the run is stuck.  The
-    product state ``_loc`` is then recombined from the ``_l<p>``.  When
-    ``_k`` reaches ``_ask``, the runner calls ``_JUMP`` (a `_Jump`) with
+    The tick rule is printed from the `switch_plan` by the printers that
+    also print the C reaction (`evolve_code`, `step_code`,
+    `switch_code`), spelt in `PYTHON`.  When every part's evolve test
+    holds, each part's witnesses step; otherwise each part takes the
+    first enabled edge of its location, or must be able to evolve and is
+    frozen, or the run is stuck.  Every value then re-enters, and the
+    product state ``_loc`` is recombined from the parts' ``l<p>``.  When
+    ``k`` reaches ``_ask``, the runner calls ``_JUMP`` (a `_Jump`) with
     the run's memo ``_hm``; a switch into a state and entry constants
     the memo holds asks at step 1.
 
@@ -1085,10 +1231,10 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     init = dict(swa.init_values)
     tail = "," if swa.variables else ""
     us = ", ".join(f"u_{var}" for var in swa.variables)
-    stuck = f"_mk_stuck(_loc, ({us}{tail}), _k, _vis, _t)"
     held = tuple(
         var for var in swa.variables if any(var in constant_in(loc) for locs in plan.parts for loc in locs)
     ) if trace else ()
+    sx = PYTHON.replace(stuck=(f"raise _mk_stuck(_loc, ({us}{tail}), k, vis, _t)",), shown=frozenset(held))
 
     time_fmt, time_args = _py_time(swa)
     switch_row = repr(_row_format(time_fmt, swa.variables, bool(swa.inputs), bool(swa.outputs), "%s", held))
@@ -1097,13 +1243,13 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         """The statement writing the tick's row."""
         args = ["_t", *time_args] + (["_NAMES(_loc)"] if switch else [])
         args += [f"r_{var}" if var in held else f"v_{var}" for var in swa.variables]
-        args += ["_INS(_vis)"] * bool(swa.inputs) + ["_OUTS(_emit)"] * bool(swa.outputs and switch)
+        args += ["_INS(vis)"] * bool(swa.inputs) + ["_OUTS(emit)"] * bool(swa.outputs and switch)
         return f"_write({switch_row if switch else '_row'} % ({', '.join(args)}))"
 
     w = []  # source lines
     emit = w.append
     emit("def _swarun(_TICKS, _STT, _STM, _write, _mk_stuck):")
-    emit("    _exp = _EXP")
+    emit("    exp = _EXP")
     start = plan.start
     for loc in plan.at(start):
         for var, wit in loc.witnesses:
@@ -1116,8 +1262,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     if trace:
         emit("    _row = _ROWS(_loc)")
     for p, (locations, stride) in enumerate(zip(plan.parts, plan.strides)):
-        emit(f"    _l{p} = {start // stride % len(locations)}")
-    emit("    _k = _pend = _si = _t = 0")
+        emit(f"    l{p} = {start // stride % len(locations)}")
+    emit("    k = _pend = _si = _t = 0")
     emit("    _nst = len(_STT)")
     emit("    _next = _STT[0] if _nst else -1")
     emit(f"    _ask = {_JUMP_AFTER}")
@@ -1127,15 +1273,12 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("    while _t < _TICKS:")
     for var in swa.variables:
         emit(f"        v_{var} = u_{var}")
-    emit("        _vis = _pend")
-    emit("        _emit = 0")
-
-    tests = [test for p, locations in enumerate(plan.parts) if (test := _py_evolve_test(locations, p))]
-    emit(f"        if {' and '.join(tests) or 'True'}:")
-    emit("            _k += 1")
+    emit("        vis = _pend")
+    emit("        emit = 0")
+    emit(f"        if {evolve_code(plan.parts, sx)}:")
+    emit("            k += 1")
     for p, locations in enumerate(plan.parts):
-        for line in _py_step(locations, p, held, swa.delta_f):
-            emit(f"            {line}")
+        w += indent(indent(indent(step_code(p, locations, sx, swa.delta_f))))
     if trace:
         emit(f"            {write_row(False)}")
 
@@ -1143,14 +1286,11 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     # decided, for the stuck report.
     emit("        else:")
     for p, locations in enumerate(plan.parts):
-        for line in _py_switch(locations, p, stuck, swa.delta_f):
-            emit(f"            {line}")
+        w += indent(indent(indent(switch_code(p, locations, sx, swa.delta_f))))
     for var in swa.variables:
-        emit(f"            u_{var} = v_{var}")
-    emit("            _k = 0")
-    index = " + ".join(
-        f"_l{p} * {stride}" if stride != 1 else f"_l{p}" for p, stride in enumerate(plan.strides)
-    )
+        emit(f"            u_{var} = i_{var} = v_{var}")
+    emit("            k = 0")
+    index = " + ".join(f"l{p} * {stride}" if stride != 1 else f"l{p}" for p, stride in enumerate(plan.strides))
     emit(f"            _loc = {index}")
     key = f"(_loc, {', '.join(f'c1_{var}' for var in swa.variables)})"
     emit(f"            _ask = 1 if _hm and {key} in _hm else {_JUMP_AFTER}")
@@ -1160,108 +1300,19 @@ def _runner_source(swa: Swa, trace: bool) -> str:
             emit(f"            r_{var} = '%.15g' % v_{var}")
         emit(f"            {write_row(True)}")
     batch = ", _batch" if trace else ""
-    emit("        if _k == _ask:")
-    emit(f"            _t, _k, _ask, ({us}{tail}) = _JUMP(_t, _k, _next, _TICKS, {key}, _hm{batch})")
+    emit("        if k == _ask:")
+    emit(f"            _t, k, _ask, ({us}{tail}) = _JUMP(_t, k, _next, _TICKS, {key}, _hm{batch})")
 
     emit("        if _t == _next:")
-    emit("            _pend = _STM[_si] | _emit")
+    emit("            _pend = _STM[_si] | emit")
     emit("            _si += 1")
     emit("            _next = _STT[_si] if _si < _nst else -1")
     emit("        else:")
-    emit("            _pend = _emit")
+    emit("            _pend = emit")
     emit("        _t += 1")
     is_ = ", ".join(f"i_{var}" for var in swa.variables)
-    emit(f"    return (_loc, _k, ({us}{tail}), ({is_}{tail}), _pend)")
+    emit(f"    return (_loc, k, ({us}{tail}), ({is_}{tail}), _pend)")
     return "\n".join(w) + "\n"
-
-
-def _py_evolve_test(locations: tuple[LocationPlan, ...], p: int) -> str:
-    """Part p's evolve test on its location index ``_l<p>``, "" when it always holds."""
-    tests = [_py_can_evolve(loc) or "True" for loc in locations]
-    if len(set(tests)) == 1:
-        return "" if tests[0] == "True" else f"({tests[0]})"
-    *first, last = tests
-    return "(" + "".join(f"{test} if _l{p} == {d} else " for d, test in enumerate(first)) + last + ")"
-
-
-def _py_step(locations: tuple[LocationPlan, ...], p: int, held: tuple, delta_f: float) -> list[str]:
-    """Part p's evolution step: its moving witnesses at the new ``_k``, and their row arguments."""
-    w: list[str] = []
-    for d, loc in enumerate(locations):
-        moving = [(var, wit) for var, wit in loc.witnesses if wit.kind is not WitnessKind.CONSTANT]
-        if moving:
-            w.append(f"{'elif' if w else 'if'} _l{p} == {d}:  # {loc.name}")
-            w += [f"    u_{var} = {witness_text(wit, f'c1_{var}', '_k', delta_f)}" for var, wit in moving]
-            w += [f"    r_{var} = v_{var}" for var, _ in moving if var in held]
-    return w
-
-
-def _py_switch(locations: tuple[LocationPlan, ...], p: int, stuck: str, delta_f: float) -> list[str]:
-    """Switch-tick code for part p, whose location index is `_l<p>`.
-
-    The first enabled edge patches the part's `v_*` in place and moves
-    `_l<p>`; `_f` records that one was taken.
-    """
-    w: list[str] = []
-    emit = w.append
-
-    def reenter(witnesses: tuple[tuple[str, WitnessFunction], ...], indent: str) -> None:
-        for var, wit in witnesses:
-            emit(f"{indent}i_{var} = v_{var}")
-            emit(f"{indent}c1_{var} = {c1_text(wit, f'v_{var}', _py_num)}")
-
-    for idx, loc in enumerate(locations):
-        emit(f"{'if' if idx == 0 else 'elif'} _l{p} == {idx}:  # {loc.name}")
-        for var, wit in loc.prev:
-            prev_expr = witness_text(wit, f"c1_{var}", "(_k - 1)", delta_f)
-            emit(f"    p_{var} = ({prev_expr}) if _k >= 1 else v_{var}")
-        if loc.edges:
-            emit("    _f = False")
-        for n, e in enumerate(loc.edges):
-            lit = ["not _f"] if n else []
-            if e.present:
-                lit.append(f"(_vis & {e.present}) == {e.present}")
-            if e.absent:
-                lit.append(f"(_vis & {e.absent}) == 0")
-            emit(f"    if {' and '.join(lit) or 'True'}:")
-            for var, comps in e.snaps:
-                emit(f"        s_{var} = v_{var}")
-                for i, c in enumerate(comps):
-                    b = _py_num(c.bound)
-                    emit(f"        {'elif' if i else 'if'} not (v_{var} {c.op} {b}):")
-                    emit(f"            if (p_{var} <= {b} and {b} <= v_{var})"
-                         f" or (v_{var} <= {b} and {b} <= p_{var}):")
-                    emit(f"                s_{var} = {b}")
-            snapped = [var for var, _ in e.snaps]
-            conds = [f"({' + '.join(f'(s_{v} != v_{v})' for v in snapped)}) <= 1"] if e.exclusive else []
-            if e.guard.conjuncts:
-                conds.append(constraint_text(
-                    e.guard, lambda v: f"s_{v}" if v in snapped else f"v_{v}", _py_num))
-            emit(f"        if {' and '.join(conds) or 'True'}:")
-            for var in snapped:
-                emit(f"            v_{var} = s_{var}")
-            for j, (var, expr) in enumerate(e.updates):
-                emit(f"            t_{j} = {affine_text(expr, lambda v: f'v_{v}', _py_num)}")
-            for j, (var, _) in enumerate(e.updates):
-                emit(f"            v_{var} = t_{j}")
-            reenter(e.refresh, "            ")
-            emit(f"            _l{p} = {e.dst}")
-            if e.emits:
-                emit(f"            _emit |= {e.emits}")
-            emit("            _f = True")
-        # no enabled edge: the part is frozen for this tick if it can evolve
-        indent = "    "
-        if loc.edges:
-            emit("    if not _f:")
-            indent = "        "
-        evolve = _py_can_evolve(loc)
-        if evolve:
-            emit(f"{indent}if not ({evolve}):")
-            emit(f"{indent}    raise {stuck}")
-        reenter(loc.witnesses, indent)
-        if not evolve and not loc.witnesses:
-            emit(f"{indent}pass")
-    return w
 
 
 class _Jump:

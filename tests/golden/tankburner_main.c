@@ -5,10 +5,9 @@
 void tankburnerR(void);
 extern long k;
 extern int stuck, l0, l1;
+extern unsigned long long vis, emit;
 extern double x, x_u;
 extern double c, c_u;
-extern int ON, ON_out;
-extern int OFF, OFF_out;
 
 static const char *loc0[] = { "t1", "t2", "t3", "t4" };
 static const char *loc1[] = { "b1", "b2" };
@@ -127,8 +126,8 @@ int main(int argc, char **argv) {
             fprintf(stderr, "stuck at tick %ld in state %s%s: no evolution step and no enabled transition (k = %ld)\n", t, loc0[l0], loc1[l1], k);
             fprintf(stderr, "  x = %.17g\n", x_u);
             fprintf(stderr, "  c = %.17g\n", c_u);
-            if (ON) fprintf(stderr, "  visible: ON\n");
-            if (OFF) fprintf(stderr, "  visible: OFF\n");
+            if (vis >> 0 & 1) fprintf(stderr, "  visible: ON\n");
+            if (vis >> 1 & 1) fprintf(stderr, "  visible: OFF\n");
             exit(3);
         }
         put_l(t);
@@ -145,16 +144,13 @@ int main(int argc, char **argv) {
         put_g(c, c_g);
         *o++ = ',';
         *o++ = ',';
-        put_e(ON_out, "ON");
-        put_e(OFF_out, "OFF");
+        put_e(emit >> 0 & 1, "ON");
+        put_e(emit >> 1 & 1, "OFF");
         *o++ = '\n';
         if (o - buf > 65536) flush();
-        unsigned long long mask = 0;
-        while (si < stim_n && stim[si].t <= t) mask |= stim[si++].m;
-        ON = ((mask >> 0) & 1) || ON_out;
-        ON_out = 0;
-        OFF = ((mask >> 1) & 1) || OFF_out;
-        OFF_out = 0;
+        vis = emit;
+        emit = 0;
+        while (si < stim_n && stim[si].t <= t) vis |= stim[si++].m;
     }
     flush();
     return 0;

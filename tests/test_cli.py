@@ -1,9 +1,13 @@
+import io
 import json
+import subprocess
 
 import pytest
 
 from syncha import shagen, whacheck
 from syncha.cli import main
+from syncha.codegen import find_cc
+from syncha.swa import simulate
 from oracles import parse_trace
 
 
@@ -261,6 +265,27 @@ class TestCompile:
         assert code == 0
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["burner.c", "burner_main.c", "tank.c", "tank_main.c"]
+
+    @pytest.mark.skipif(find_cc() is None, reason="no C compiler on PATH")
+    def test_baked_stimulus_path_is_escaped(self, capsys, models_dir, fixtures_dir, tank_swa, tmp_path):
+        """A stimulus file named with a quote, a backslash and a space, read by a driver run without argv[2]."""
+        stim = tmp_path / 'on "at" 5\\ now.csv'
+        stim.write_text((fixtures_dir / "on_at_5.csv").read_text())
+        code, out, err = invoke(
+            capsys,
+            "compile", str(models_dir / "watertank.pha"), "--automaton", "tank",
+            "--out", str(tmp_path), "--ticks", "40", "--stimulus", str(stim),
+        )
+        assert code == 0
+        binary = tmp_path / "tank"
+        cmd = [find_cc(), "-O2", str(tmp_path / "tank.c"), str(tmp_path / "tank_main.c"), "-lm", "-o", str(binary)]
+        build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert build.returncode == 0, build.stderr
+        proc = subprocess.run([str(binary)], capture_output=True, text=True, timeout=60)
+        buf = io.StringIO()
+        simulate(tank_swa, 40, {5: frozenset({"ON"})}, out=buf, engine="generic")
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", buf.getvalue())
+        assert ",ON," in proc.stdout
 
     def test_rejects_failing_model(self, capsys, fixtures_dir, tmp_path):
         code, out, err = invoke(

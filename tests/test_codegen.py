@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import subprocess
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from syncha.codegen import (
     build_binary,
     c_float,
     c_num,
+    c_string,
     emit_c,
     find_cc,
     write_unit,
@@ -43,6 +45,7 @@ automaton sim
   var buf init 2
   var o init 3
   var l0 init 4
+  var vis init 5
   input int put_g
   output while
 
@@ -107,10 +110,10 @@ class TestShapes:
     def test_constant_witness_takes_no_time_parameters(self, tank_swa):
         """Witnesses are printed inline; a constant one is its entry constant, with no step."""
         src = emit_c(tank_swa).automaton_source
-        assert "double x_prev = (k >= 1) ? C1_x : x;" in src  # t1 holds x
-        assert "case 1: x_u = 150.0 + C1_x * exp(-0.00075 * k); break;" in src
-        assert "double x_prev = (k >= 1) ? 150.0 + C1_x * exp(-0.00075 * (k - 1)) : x;" in src
-        assert "case 0: x_u" not in src
+        assert "double x_prev = k >= 1 ? C1_x : x;" in src  # t1 holds x
+        # t1 and t3 hold x: its step keeps x_u there
+        assert "x_u = (l0 == 1 ? 150.0 + C1_x * exp(-0.00075 * k) : l0 == 3 ? C1_x * exp(-0.00075 * k) : x_u);" in src
+        assert "double x_prev = k >= 1 ? 150.0 + C1_x * exp(-0.00075 * (k - 1)) : x;" in src
 
     def test_single_state_automaton_has_one_case(self):
         swa = swa_of(
@@ -148,17 +151,25 @@ automaton solo
         assert "double k_ = 1.0;" in src
         assert "double l0_ = 4.0;" in src
         assert "double d = 0.0;" in src
-        assert "int while_ = 0;" in src
+        # the event masks survive untouched and the model's vis is renamed (emit is a keyword of models)
+        assert "unsigned long long vis = 0, emit = 0;" in src
+        assert "double vis_ = 5.0;" in src
         # and so do the driver's line buffer, its cursor and its writers
         assert "double buf_ = 2.0;" in src
         assert "double o_ = 3.0;" in src
-        assert "int put_g_ = 0;" in src
         assert "put_g(buf_, buf__g);" in unit.driver_source
+        # events have no globals: the driver names them from the masks' bits
+        assert 'put_e(vis >> 1 & 1, "put_g");' in unit.driver_source
+        assert 'put_e(emit >> 2 & 1, "while");' in unit.driver_source
 
     def test_baked_run_parameters(self, tank_swa):
         unit = emit_c(tank_swa, CodegenOptions(ticks=123, stimulus_path="events.csv"))
         assert "long ticks = 123;" in unit.driver_source
         assert 'const char *stim_path = "events.csv";' in unit.driver_source
+
+    def test_c_string_escapes_quotes_backslashes_and_unprintable_bytes(self):
+        assert c_string('ev"il\\q.csv') == '"ev\\"il\\\\q.csv"'
+        assert c_string("a\tb\u00e9??=") == '"a\\011b\\303\\251\\?\\?="'
 
     def test_event_count_cap(self):
         names = " ".join(f"E{i}" for i in range(65))
@@ -245,6 +256,34 @@ class TestDifferential:
         assert proc.stdout == interpreter_trace(swa, 6)
         assert ",while" in proc.stdout  # the emitted event keeps its model name
 
+    def test_an_edge_on_an_event_and_its_absence_never_fires(self, tmp_path):
+        """``on GO && !GO`` asks GO to be visible and silent: at tick 4 GO is visible, so the part is stuck."""
+        swa = swa_of(CONTRADICTION, "a")
+        csv = tmp_path / "go.csv"
+        csv.write_text("3,GO\n")
+        proc = binary_trace(emit_c(swa), tmp_path, ["8", str(csv)])
+        for engine in ("generic", "compiled"):
+            buf = io.StringIO()
+            with pytest.raises(UnreachableState) as exc_info:
+                simulate(swa, 8, {3: frozenset({"GO"})}, out=buf, engine=engine)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (3, buf.getvalue(), f"{exc_info.value}\n"), engine
+        assert proc.stderr.startswith("stuck at tick 4 in state go:")
+
+    def test_sixty_four_events_fill_the_mask(self, tmp_path):
+        """Bit 63 is an event like any other: E63 is tested, emitted and shown."""
+        swa = swa_of(SIXTY_FOUR, "wide")
+        csv = tmp_path / "e63.csv"
+        csv.write_text("2,E63\n")
+        unit = emit_c(swa)
+        auto_path, main_path = write_unit(unit, tmp_path)
+        cmd = [find_cc(), "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", "-O2",
+               str(auto_path), str(main_path), "-lm", "-o", str(tmp_path / unit.name)]
+        build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert build.returncode == 0, build.stderr
+        proc = subprocess.run([str(tmp_path / unit.name), "6", str(csv)], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, interpreter_trace(swa, 6, {2: frozenset({"E63"})}))
+        assert proc.stdout.splitlines()[4].endswith(",E63,E0")
+
     def test_stuck_run_exits_with_code_3(self, fixtures_dir, tmp_path):
         swa = swa_of(fixtures_dir / "stuckling.pha", "wedge")
         unit = emit_c(swa, CodegenOptions(ticks=10))
@@ -283,6 +322,43 @@ class TestDifferential:
         assert proc.stdout == interpreter_trace(swa, 40)
         assert {row.split(",")[3] for row in proc.stdout.splitlines()[1:]} == {"0", "-0"}
 
+
+CONTRADICTION = """
+network contra
+
+automaton a
+  var x init 0
+  input GO
+
+  initial location go
+    invariant x >= 0
+    flow x' = 1
+
+  location done
+    invariant x >= 0
+    flow x' = 0
+
+  edge go -> done on GO && !GO
+"""
+
+SIXTY_FOUR = f"""
+network sixtyfour
+
+automaton wide
+  var x init 0
+  input {" ".join(f"E{i}" for i in range(1, 64))}
+  output E0
+
+  initial location idle
+    invariant x == 0
+    flow x' = 0
+
+  location done
+    invariant x == 0
+    flow x' = 0
+
+  edge idle -> done on E63 && !E62 emit E0
+"""
 
 SIGNED_ZERO = """
 network signedzero
@@ -468,6 +544,78 @@ def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path,
     assert len(rows[4][3]) == 22  # -1.23621507852519e-300
     assert min(len({row[i] for row in rows}) for i in (4, 5)) > 16384
     assert [len({xs[i] for xs in shown if cache_set(xs[i]) == 8191}) for i in (1, 2)] == [2, 3]
+
+
+SAWTOOTH = """
+network saw
+
+automaton saw
+  var x init 0
+
+  initial location up
+    invariant x >= 0 && x <= 9
+    flow x' = 1
+
+  edge up -> up guard x == 9 do x' := 0
+"""
+
+COUNTED_SNPRINTF = r"""
+#include <stdarg.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+static long calls;
+
+static void report(void) {
+    fprintf(stderr, "%ld\n", calls);
+}
+
+int counted_snprintf(char *s, size_t n, const char *fmt, ...) {
+    va_list ap;
+    int r;
+    if (!calls++) atexit(report);
+    va_start(ap, fmt);
+    r = vsnprintf(s, n, fmt, ap);
+    va_end(ap);
+    return r;
+}
+"""
+
+
+@needs_cc
+def test_put_g_formats_each_value_of_a_periodic_orbit_once(tmp_path, monkeypatch):
+    """Three periods of a sawtooth whose 901 values share cache sets in twos, never in threes.
+
+    The driver's `snprintf` calls are counted by a shim linked in for this
+    test (the emitted C is unchanged): each distinct value is formatted
+    once, so a value the other of its set has displaced is found in the
+    set's second slot.
+    """
+    swa = swa_of(SAWTOOTH, "saw")
+    shown = []
+
+    def format_row(swa, t, location, values, *events):
+        shown.append(values := tuple(values))
+        return format_trace_row(swa, t, location, values, *events)
+
+    monkeypatch.setattr("syncha.swa.format_trace_row", format_row)
+    trace = interpreter_trace(swa, 2707)
+    values = {x.hex(): x for (x,) in shown}
+    assert len(values) == 901
+    assert max(Counter(map(cache_set, values.values())).values()) == 2
+    auto_path, main_path = write_unit(emit_c(swa), tmp_path)
+    (tmp_path / "count.c").write_text(COUNTED_SNPRINTF)
+    header = tmp_path / "count.h"
+    header.write_text("#include <stdio.h>\nint counted_snprintf(char *, size_t, const char *, ...);\n"
+                      "#define snprintf counted_snprintf\n")
+    binary = tmp_path / "saw"
+    cmd = [find_cc(), "-O2", "-include", str(header), str(auto_path), str(main_path), str(tmp_path / "count.c"),
+           "-lm", "-o", str(binary)]
+    build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
+    proc = subprocess.run([str(binary), "2707"], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, trace)
+    assert int(proc.stderr) == len(values)
 
 
 def interpreter_trace_prefix_of_stuck(swa):

@@ -3,7 +3,6 @@ import io
 import itertools
 import math
 import os
-import re
 import subprocess
 import sys
 import time
@@ -661,11 +660,8 @@ class TestNetworkRunner:
         csv.write_text("5,GO\n")
         binary = build_binary(emit_c(product), tmp_path)
         proc = subprocess.run([str(binary), "10", str(csv)], capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 3
-        assert "stuck at tick 6 in state gocreep" in proc.stderr
-        assert "(k = 6)" in proc.stderr
-        printed = re.findall(r"^  (\w+) = (\S+)$", proc.stderr, re.M)
-        assert {var: float(text) for var, text in printed} == valuation
+        assert (proc.returncode, proc.stderr) == (3, f"{exc}\n")
+        assert proc.stderr.endswith("  visible: GO\n")  # read from the C driver's mask of visible events
 
     def test_runner_source_grows_linearly_with_the_parts(self):
         sizes = {n: len(_runner_source(network_product(timer_chain(n)), False)) for n in range(2, 7)}
