@@ -46,6 +46,16 @@ def _delta_arg(text: str) -> Fraction:
     return value
 
 
+def _ticks_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid tick count {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError("tick count must not be negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syncha",
@@ -71,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--automaton", help="restrict to one automaton")
     sp.add_argument("--out", default=".", help="output directory (default .)")
     sp.add_argument(
-        "--ticks", type=int, default=10000, help="default tick count baked into the driver"
+        "--ticks", type=_ticks_arg, default=10000, help="default tick count baked into the driver"
     )
     sp.add_argument("--stimulus", help="stimulus file path baked into the driver")
     sp.add_argument(
@@ -82,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_compile)
 
     def sim_flags(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--ticks", type=int, default=10000, help="reactions to run")
+        sp.add_argument("--ticks", type=_ticks_arg, default=10000, help="reactions to run")
         sp.add_argument("--stimulus", help="stimulus file (tick,events rows)")
         sp.add_argument("--out", help="write the trace here instead of stdout")
         sp.add_argument(

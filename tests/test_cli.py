@@ -73,6 +73,27 @@ class TestCheck:
         assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "compose-and-simulate", "compile"])
+class TestTickCount:
+    def test_negative_tick_count_is_a_usage_error(self, capsys, models_dir, tmp_path, command):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, str(models_dir / "thermostat.pha"), "--ticks", "-5", "--out", str(tmp_path / "out")])
+        assert exc_info.value.code == 2
+        assert "argument --ticks: tick count must not be negative" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_tick_count_that_is_no_integer_is_a_usage_error(self, capsys, models_dir, command):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, str(models_dir / "thermostat.pha"), "--ticks", "1.5"])
+        assert exc_info.value.code == 2
+        assert "invalid tick count '1.5'" in capsys.readouterr().err
+
+    def test_zero_ticks_are_allowed(self, capsys, models_dir, tmp_path, command):
+        code, _, _ = invoke(capsys, command, str(models_dir / "thermostat.pha"), "--ticks", "0",
+                            "--out", str(tmp_path / "out"))
+        assert code == 0
+
+
 class TestSimulate:
     def test_requires_automaton_choice_on_multi_model(self, capsys, models_dir):
         code, out, err = invoke(

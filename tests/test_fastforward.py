@@ -4,8 +4,10 @@ The specialised runner jumps an evolve stretch to the last tick on
 which it still evolves (`swa.evolve_horizon`, called through
 `swa._Jump`), and a stretch it has seen in the same run jumps from
 step 1 on the horizon it remembers; with a trace it writes the skipped
-rows in batches, from value texts memoised per run.  The generic engine
-steps tick by tick.
+rows in batches, from value texts memoised per run.  Without a trace
+the runner also remembers the horizon of every stretch it stepped to
+its end, and jumps a remembered one inline, without `_Jump`.  The
+generic engine steps tick by tick.
 These tests compare the final states bit for bit and the traces byte
 for byte.
 """
@@ -19,6 +21,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,7 +39,7 @@ from syncha.swa import (
     evolve_horizon,
     simulate,
 )
-from oracles import fuzz_model, fuzz_network
+from oracles import fuzz_model, fuzz_network, timer_chain_source
 
 DELTAS = (Fraction(1, 100), Fraction(1, 8), Fraction(1, 3))
 
@@ -81,7 +84,11 @@ class Jumps:
         self.untraced, self.traced, self.keys, self.memo, self.batch = [], [], [], None, None
 
     def each(self):
-        """The calls of one trace mode, once both modes are checked to have made the same."""
+        """The calls of one trace mode, once both modes are checked to have made the same.
+
+        They do while no stretch re-enters a key the memo holds: without a trace such a
+        stretch jumps inline.
+        """
         assert self.untraced == self.traced
         return self.untraced
 
@@ -89,6 +96,37 @@ class Jumps:
         """The step each untraced call would ask at: 32 on a key's first visit, 1 once it is stored."""
         seen = set()
         return [1 if key in seen or seen.add(key) else 32 for key in self.keys]
+
+
+class Inline:
+    """An untraced run read from its runner's frame with `sys.settrace`: the test hook.
+
+    ``state`` is the final state, ``memo`` the horizon memo the run ended with, and
+    ``jumps`` every jump the runner made inline as (tick, step, tick landed on, step
+    landed on), the tuple `Jumps` records, with its stretch's key in ``keys``.  A memo
+    hit whose jump is one tick or none moves nothing and is not listed.
+    """
+
+    def __init__(self, product, ticks, stimulus=None):
+        source = swa._runner_source(product, False).splitlines()
+        jump = source.index("                    _t += _d") + 1
+        self.memo, self.jumps, self.keys = None, [], []
+
+        def local(frame, event, arg):
+            f = frame.f_locals
+            if event == "line" and frame.f_lineno == jump:
+                self.jumps.append((f["_t"], f["k"], f["_t"] + f["_d"] + 1, f["k"] + f["_d"] + 1))
+                self.keys.append((f["_loc"], *(f[f"c1_{var}"] for var in product.variables)))
+            elif event == "return":
+                self.memo = dict(f["_hm"])
+            return local
+
+        old = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code.co_name == "_swarun" else None)
+        try:
+            self.state = simulate(product, ticks, stimulus)
+        finally:
+            sys.settrace(old)
 
 
 @pytest.fixture
@@ -212,6 +250,17 @@ automaton drifter
 """
 
 
+FADE = """
+network fade
+automaton f
+  var x init 10
+  input NOISE
+  initial location decay
+    invariant x >= 0
+    flow x' = -5 * x
+"""
+
+
 class Digest:
     """A trace sink that keeps only the SHA-256 of what is written to it."""
 
@@ -227,9 +276,13 @@ class TestTargeted:
         # +1.0 a tick: x == 50 at step 50, the invariant fails at 51 and x snaps back to 50
         product = product_of(CLOCK)
         assert assert_engines_agree(product, 1000)[3] == 1000 % 52
-        # ticks 32..50 would test steps 32..50; every later stretch re-enters at 0.0 and jumps at step 1
-        assert jumps.each() == [(31, 32, 50, 51)] + [(52 * n, 1, 52 * n + 50, 51) for n in range(1, 19)] + [
-            (988, 1, 999, 12)]
+        # ticks 32..50 would test steps 32..50; every later stretch re-enters at 0.0 and jumps at
+        # step 1, through `_Jump` with a trace and inline without one
+        first = [(31, 32, 50, 51)]
+        again = [(52 * n, 1, 52 * n + 50, 51) for n in range(1, 19)] + [(988, 1, 999, 12)]
+        assert jumps.traced == first + again
+        assert jumps.untraced == first
+        assert Inline(product, 1000).jumps == again
         # x's texts, first stored from step 32, grew back to step 1 when the stretch was re-entered
         assert [(key[:3], first, len(texts)) for key, (first, texts) in jumps.batch.items()] == [
             (("x", "run", 0.0), 1, 50)]
@@ -278,8 +331,11 @@ class TestTargeted:
         # x decays toward 0 from 0.0, and from -0.0 after every other switch: equal keys, other texts
         product = product_of(SIGNS)
         assert_engines_agree(product, 404)
-        # -0.0 == 0.0 as a key: every stretch after the first jumps at step 1
-        assert jumps.each() == [(31, 32, 100, 101), (102, 1, 202, 101), (204, 1, 304, 101), (306, 1, 403, 98)]
+        # -0.0 == 0.0 as a key: every stretch after the first jumps at step 1, inline without a trace
+        first, again = [(31, 32, 100, 101)], [(102, 1, 202, 101), (204, 1, 304, 101), (306, 1, 403, 98)]
+        assert jumps.traced == first + again
+        assert jumps.untraced == first
+        assert Inline(product, 404).jumps == again
         rows = final(product, 404, None, "compiled", traced=True)[1].splitlines()[1:]
         xs = [row.split(",")[3] for row in rows]
         assert [set(xs[a:b]) for a, b in [(0, 101), (101, 203), (203, 305), (305, 404)]] == [{"0"}, {"-0"}] * 2
@@ -300,9 +356,11 @@ class TestTargeted:
         rows = final(product, 404, None, "compiled", traced=True)[1].splitlines()[1:]
         assert jumps.memo == {(0, 0.0, 0.0): 101}
         assert [rows[i].split(",")[3] for i in (50, 150, 250, 350)] == ["0", "-0", "0", "-0"]
-        simulate(product, 404)
-        assert jumps.memo == {(0, 0.0, 0.0): 101}
-        assert [math.copysign(1.0, key[1]) for key in jumps.keys] == [1.0, -1.0, 1.0, -1.0]
+        run = Inline(product, 404)
+        assert jumps.memo == run.memo == {(0, 0.0, 0.0): 101}
+        # the first stretch asks `_Jump`, the others jump inline, each from its own signed constant
+        assert [math.copysign(1.0, key[1]) for key in jumps.keys + run.keys] == [1.0, -1.0, 1.0, -1.0]
+        assert math.copysign(1.0, run.state.v["x"]) == -1.0
 
     def test_a_nan_entry_constant_stores_no_horizon(self):
         jump, memo = swa._Jump(product_of(DRIFT)), {}
@@ -319,11 +377,22 @@ class TestTargeted:
         assert len(jumps.memo) == 5 and [k for _, k, _, _ in jumps.each()] == [32] * 20
 
     def test_the_horizon_memo_lives_for_one_run(self, jumps, thermostat_swa):
-        simulate(thermostat_swa, 5000)
-        first, jumps.untraced[:] = list(jumps.untraced), []
-        simulate(thermostat_swa, 5000)
-        assert jumps.untraced == first and first[0][:2] == (31, 32)
-        assert [k for _, k, _, _ in first] == jumps.asked_at()[:len(first)] and 1 in jumps.asked_at()
+        first = Inline(thermostat_swa, 5000)
+        calls, jumps.untraced[:], jumps.keys[:] = list(jumps.untraced), [], []
+        second = Inline(thermostat_swa, 5000)
+        # each run asks `_Jump` on each key's first visit, at step 32, and jumps its re-entries inline
+        assert jumps.untraced == calls and calls[0][:2] == (31, 32)
+        assert [k for _, k, _, _ in calls] == jumps.asked_at() == [32] * len(calls)
+        assert second.jumps == first.jumps and second.memo == first.memo
+        assert first.jumps and set(first.keys) <= first.memo.keys()
+
+    def test_a_horizon_past_the_trusted_range_is_not_jumped_back_to(self, jumps):
+        # x >= 0 never fails, but exp is trusted only up to step 700 / (5 * 0.01) = 14,000, so the
+        # horizon is 14,001; NOISE cuts the jump short at step 13,991 and it asks again at 14,023
+        product = product_of(FADE)
+        assert assert_engines_agree(product, 14_100, {13_990: frozenset({"NOISE"})})[3] == 14_100
+        assert jumps.untraced == jumps.traced == [
+            (31, 32, 13_990, 13_991), (14_022, 14_023, 14_022, 14_023)]
 
     def test_a_long_stretch_is_written_in_bounded_memory(self):
         # 200,000 distinct texts: the memo stops storing at 2**16, and rows go out in blocks
@@ -346,6 +415,173 @@ class TestTargeted:
         _, _, tick_, _, _, k, _ = assert_engines_agree(product, 1000)
         assert (tick_, k) == (501, 501)
         assert jumps.untraced == jumps.traced == [(31, 32, 500, 501)]
+
+
+SHORT_CLOCK = """
+network bell
+automaton ring
+  var x init 0
+  input GO NOISE
+  initial location run
+    invariant x >= 0 && x <= {top}
+    flow x' = 100
+  edge run -> run guard x == {top} do x' := 0
+  edge run -> run on GO do x' := 0
+"""
+
+BIG = "1" + "0" * 200
+
+NAN = f"""
+network nanny
+automaton n
+  var x init {BIG}
+  var c init 0
+  initial location grow
+    invariant c >= 0 && c <= 0.2
+    flow x' = 0
+    flow c' = 1
+  location decay
+    invariant x >= 0 && c >= 0 && c <= 0.2
+    flow x' = -5000 * x
+    flow c' = 1
+  location hold
+    invariant c >= 0 && c <= 0.2
+    flow x' = 0
+    flow c' = 1
+  edge grow -> decay guard c == 0.2 do c' := 0, x' := {BIG} * x
+  edge decay -> hold guard c >= 0
+  edge hold -> hold guard c == 0.2 do c' := 0
+"""
+
+# a part that adds a trigger (RING) and an event no edge listens to (DING) to any network
+CHIME = """
+automaton chime
+  var b init 0
+  input RING
+  output DING
+  initial location idle
+    invariant b >= 0 && b <= 0
+    flow b' = 0
+  edge idle -> idle on RING
+"""
+
+
+def assert_horizons_exact(product, memo):
+    """Every memo entry's steps before its horizon pass the evolve test with no event, and the horizon fails it."""
+    plan_ = swa.switch_plan(product)
+    for (j, *c1), fail in memo.items():
+        c1 = dict(zip(product.variables, c1))
+
+        def passes(step):
+            values = {var: w.value_at_tick(c1[var], step, product.delta_f)
+                      for loc in plan_.at(j) for var, w in loc.witnesses}
+            return all(swa._can_evolve(loc, values, 0) for loc in plan_.at(j))
+
+        assert all(map(passes, range(1, min(fail, 10_000))))
+        assert fail == math.inf or not passes(fail)
+
+
+class TestLearned:
+    """Without a trace, a stretch stepped to its end stores its horizon, and a known stretch jumps inline."""
+
+    @pytest.mark.parametrize("top, stored", [(swa._LEARN_FROM - 2, False), (swa._LEARN_FROM - 1, True)])
+    def test_a_stretch_from_its_length_on_is_learned(self, jumps, top, stored):
+        # x <= top fails first at step top + 1, on the switch tick top + 1
+        product = product_of(SHORT_CLOCK.format(top=top))
+        assert_engines_agree(product, 300)
+        run = Inline(product, 300)
+        assert run.memo == ({(0, 0.0): top + 1} if stored else {})
+        assert (len(run.jumps) > 0) == stored and jumps.untraced == jumps.traced == []
+
+    def test_a_re_entered_short_stretch_jumps_inline(self, jumps):
+        # 21 steps, too few to ask `_Jump`: the first stretch is stepped and teaches the horizon
+        product = product_of(SHORT_CLOCK.format(top=20))
+        assert_engines_agree(product, 300)
+        run = Inline(product, 300)
+        assert run.memo == {(0, 0.0): 21}
+        assert run.jumps == [(22 * n, 1, 22 * n + 20, 21) for n in range(1, 13)] + [(286, 1, 299, 14)]
+        assert (run.state.k, run.state.v["x"]) == (14, 14.0) and jumps.untraced == []
+
+    @pytest.mark.parametrize("stimulus, schedule", [
+        # NOISE on tick 20 is visible on tick 21, where the first stretch fails: nothing is learned
+        ({20: "NOISE"}, [(44, 1, 64, 21), (66, 1, 86, 21), (88, 1, 99, 12)]),
+        # a stimulus cuts the jump short; it asks again two steps later
+        ({30: "NOISE"}, [(22, 1, 30, 9), (31, 10, 42, 21), (44, 1, 64, 21), (66, 1, 86, 21), (88, 1, 99, 12)]),
+        # a stimulus on the tick that would jump: no jump, and again two steps later
+        ({22: "NOISE"}, [(24, 3, 42, 21), (44, 1, 64, 21), (66, 1, 86, 21), (88, 1, 99, 12)]),
+        # GO, visible on tick 36, ends the stretch at step 14 and re-enters it at 0.0: it jumps at step 1 again
+        ({35: "GO"}, [(22, 1, 35, 14), (37, 1, 57, 21), (59, 1, 79, 21), (81, 1, 99, 19)]),
+    ])
+    def test_events_in_short_stretches(self, stimulus, schedule):
+        product = product_of(SHORT_CLOCK.format(top=20))
+        stimulus = {t: frozenset({e}) for t, e in stimulus.items()}
+        assert_engines_agree(product, 100, stimulus)
+        run = Inline(product, 100, stimulus)
+        assert run.jumps == schedule and run.memo == {(0, 0.0): 21}
+
+    def test_a_learned_signed_zero(self):
+        # 21 steps: first entered at 0.0, which teaches the horizon, then at -0.0 through it
+        product = product_of(SIGNS.replace("c <= 1", "c <= 0.2").replace("c == 1", "c == 0.2"))
+        ticks = 22 * 3 + 10
+        outcome = assert_engines_agree(product, ticks)
+        rows = final(product, ticks, None, "generic", traced=True)[1].splitlines()[1:]
+        assert [rows[t].split(",")[3] for t in (10, 30, 50, 70)] == ["0", "-0", "0", "-0"]
+        run = Inline(product, ticks)
+        assert run.memo == {(0, 0.0, 0.0): 21} and len(run.jumps) == 3
+        assert [math.copysign(1.0, key[1]) for key in run.keys] == [-1.0, 1.0, -1.0]
+        assert outcome[1]["x"] == (-0.0).hex() and math.copysign(1.0, run.state.v["x"]) == -1.0
+
+    def test_a_nan_entry_constant_is_not_learned(self):
+        # x overflows to inf on entering decay, and inf * exp(-50 k) is NaN once exp underflows
+        product = product_of(NAN)
+        outcome = assert_engines_agree(product, 300)
+        assert outcome[0] == "hold" and outcome[1]["x"] == "nan"
+        run = Inline(product, 300)
+        assert run.memo == {(0, 1e200, 0.0): 21, (1, math.inf, 0.0): 15} and run.jumps == []
+
+    @pytest.mark.parametrize("limit", [0, 1, 5])
+    def test_learned_horizons_obey_the_memo_bound(self, monkeypatch, limit):
+        # x grows without bound, so every 21-step stretch enters with a new key
+        monkeypatch.setattr(swa, "_HORIZONS_MAX", limit)
+        product = product_of(DRIFT.replace("c <= 1", "c <= 0.2").replace("c == 1", "c == 0.2"))
+        assert_engines_agree(product, 1000)
+        run = Inline(product, 1000)
+        assert len(run.memo) == limit and run.jumps == []
+        assert_horizons_exact(product, run.memo)
+
+    def test_timer_chain_jumps_its_re_entered_stretches_inline(self):
+        product = product_of(timer_chain_source(3))
+        assert_engines_agree(product, 5000)
+        run = Inline(product, 5000)
+        assert len(run.jumps) > 50 and set(run.keys) <= run.memo.keys()
+        assert_horizons_exact(product, run.memo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.one_of(st.integers(2, 4).map(timer_chain_source),
+                     st.integers(0, 3000).map(lambda seed: fuzz_model(3 * seed + 2))),  # clocked models
+    delta=st.sampled_from(DELTAS),
+    ticks=st.integers(1, 3000),
+    limit=st.sampled_from([None, 0, 1, 3]),
+    data=st.data(),
+)
+def test_learned_horizons_are_exact(source, delta, ticks, limit, data):
+    """Untraced runs that learn and jump inline end as the generic engine does, bit for bit.
+
+    Stimulus ticks fall inside stretches, as switch ticks are few: RING ends a stretch, DING
+    and the chains' last event only cut a jump short, and the chains' other events can get a
+    busy timer stuck.
+    """
+    product = product_of(source + CHIME, delta)
+    events = st.frozensets(st.sampled_from(sorted(product.events())), min_size=1, max_size=2)
+    stimulus = data.draw(st.dictionaries(st.integers(0, ticks), events, max_size=8))
+    with mock.patch.object(swa, "_HORIZONS_MAX", swa._HORIZONS_MAX if limit is None else limit):
+        outcome = assert_engines_agree(product, ticks, stimulus)
+        if outcome[0] != "stuck":
+            run = Inline(product, ticks, stimulus)
+            assert len(run.memo) <= swa._HORIZONS_MAX and set(run.keys) <= run.memo.keys()
+            assert_horizons_exact(product, run.memo)
 
 
 def plan(kind, op, bound, a="0", b="0"):
@@ -443,3 +679,18 @@ def test_trace_probe_prints_a_row_per_bundled_model():
     assert header.split()[:2] == ["model", "traced"]
     assert [row.split()[0] for row in rows] == ["thermostat", "traingate", "watertank"]
     assert all(float(row.split()[-1].rstrip("%")) > 50 for row in rows), rows
+
+
+def test_stretch_probe_prints_a_row_per_network():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, str(root / "scripts" / "stretch_probe.py"), "--ticks", "2000", "--repeat", "1",
+           "--chains", "2", "3"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:3] == ["network", "stretches", "keys"]
+    assert [row.split()[0] for row in rows] == ["thermostat", "traingate", "watertank", "chain2", "chain3"]
+    # chain2: 141 stretches over 4 keys, so all but 4 re-enter one
+    assert rows[3].split()[1:4] == ["141", "4", "137"]
