@@ -9,11 +9,14 @@ network, stepped by the generic engine for N ticks with no stimulus,
 it prints the completed stretches, their distinct keys, the stretches
 that re-enter a key an earlier one had, the lengths' quartiles, the
 stretches of at least `swa._LEARN_FROM` steps (those the untraced
-runner learns a horizon from, when no event is visible), and the
-untraced ticks per second of the specialised engine (best of R runs,
-runner built beforehand).  The chains are `tests/oracles.py`'s
-`timer_chain_source(n)`, so the script needs the test dependencies
-(numpy).
+runner learns a horizon from, when no event is visible), the tick on
+which a switch configuration first recurs and its period (a switch
+tick's configuration is its product state, the bit patterns of its
+values and the events it leaves pending; "-" when none recurs within N
+ticks), and the untraced ticks per second of the specialised engine
+(best of R runs, runner built beforehand).  The chains are
+`tests/oracles.py`'s `timer_chain_source(n)`, so the script needs the
+test dependencies (numpy).
 
     PYTHONPATH=src python3 scripts/stretch_probe.py --ticks 20000 --repeat 5 --chains 2 3 4 5
 """
@@ -37,17 +40,24 @@ MODELS = Path(swa.__file__).resolve().parent / "models"
 DELTA = Fraction(1, 100)
 
 
-def stretches(product: swa.Swa, ticks: int) -> list[tuple[tuple, int]]:
-    """Each completed stretch's key and length, stepping the generic engine."""
-    plan, st, done = switch_plan(product), initial_exec_state(product), []
-    for _ in range(ticks):
+def stretches(product: swa.Swa, ticks: int) -> tuple[list[tuple[tuple, int]], tuple[int, int] | None]:
+    """Each completed stretch's key and length, and the first recurrence, stepping the generic engine.
+
+    The recurrence is the first switch tick whose configuration an
+    earlier switch tick had, and the ticks between the two.
+    """
+    plan, st, done, seen, recurrence = switch_plan(product), initial_exec_state(product), [], {}, None
+    for t in range(ticks):
         nxt, _ = swa.tick(product, st)
         if nxt.k == 0:
             j = plan.index[st.location]
             c1 = tuple(resolve_c1(w, st.i[var]) for loc in plan.at(j) for var, w in loc.witnesses)
             done.append(((j, c1), st.k))
+            config = (nxt.location, *(nxt.v[var].hex() for var in product.variables), nxt.pending_pre)
+            if recurrence is None and (first := seen.setdefault(config, t)) != t:
+                recurrence = (t, t - first)
         st = nxt
-    return done
+    return done, recurrence
 
 
 def rate(product: swa.Swa, ticks: int, repeat: int) -> float:
@@ -70,17 +80,18 @@ def main(argv: list[str] | None = None) -> int:
     networks += [(f"chain{n}", parse_model(timer_chain_source(n))) for n in args.chains]
     learn = f">= {swa._LEARN_FROM} steps"
     print(f"{'network':<12} {'stretches':>9} {'keys':>6} {'re-entered':>10} {'q1/median/q3':>14}"
-          f" {learn:>14} {'untraced ticks/s':>17}")
+          f" {learn:>14} {'recurs at':>9} {'period':>6} {'untraced ticks/s':>17}")
     for name, net in networks:
         product = compose_all(compile_automaton(ha, DELTA)[0] for ha in net.automata)
-        done = stretches(product, args.ticks)
+        done, recurrence = stretches(product, args.ticks)
         seen: set[tuple] = set()
         again = sum(key in seen or seen.add(key) or False for key, _ in done)
         lengths = [k for _, k in done]
         quartiles = "/".join(f"{q:g}" for q in statistics.quantiles(lengths, n=4)) if len(lengths) > 1 else "-"
         long = sum(k >= swa._LEARN_FROM for k in lengths)
+        recurs, period = recurrence or ("-", "-")
         print(f"{name:<12} {len(done):>9} {len(seen):>6} {again:>10} {quartiles:>14} {long:>14}"
-              f" {rate(product, args.ticks, args.repeat):>17,.0f}")
+              f" {recurs:>9} {period:>6} {rate(product, args.ticks, args.repeat):>17,.0f}")
     return 0
 
 

@@ -62,6 +62,11 @@ more than stepping short stretches.  The jump stops early at the last
 tick of the run and at the next stimulus tick, after which the runner
 asks again.  `evolve_horizon` confirms its answer with the engines' own
 float expression; its docstring argues why no earlier step can fail.
+An untraced run also jumps whole periods: a switch tick into a known
+stretch whose configuration (stimuli consumed, product state, events
+emitted and the values' bit patterns) it has seen before skips every
+repeat up to the next stimulus or the end of the run; `_runner_source`
+argues why that is exact.  A traced run, which writes every row, does not.
 A traced run writes the rows it jumps over in batches, from value
 texts it formats once per run.  The generic engine steps tick by tick.
 A stuck run raises `UnreachableState`, whose text is the C driver's
@@ -72,6 +77,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -1227,7 +1233,27 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     memo.  A known ``_hf`` is jumped inline: ``_t``
     and ``k`` move to the tick before `_Jump`'s landing, whose step code
     computes the landing values, so a -0.0 entry keeps its sign.  A jump
-    cut short by a stimulus asks again two steps later.
+    cut short by a stimulus asks again two steps later; after a
+    ``_JUMP`` call ``_hf`` is read from the memo, so that re-ask is inline
+    too.
+
+    Without ``trace``, a switch tick that enters a stretch the memo
+    knows (``_hf`` non-zero) and is no stimulus tick also looks up its
+    configuration ``(_si, _loc, emit, _PACK(u_…))`` in the run's
+    ``_seen``, which maps a configuration to the tick it was first seen
+    on and holds at most `_HORIZONS_MAX` of them.  ``_PACK`` gives the
+    values' bit patterns: 0.0 == -0.0, but the two print apart.  A hit
+    from tick t0 moves ``_t`` on by every whole period P = ``_t`` - t0
+    that ends by the tick before the next stimulus tick, or by the run's
+    last tick.  This is exact.  At the end of a switch tick k = 0 and
+    every ``i_*`` is its ``u_*``; the ``c1_*`` and the ``l<p>`` follow
+    from ``_loc`` and the ``u_*``, and ``_pend`` is ``emit``.  The memos
+    change only how fast the run gets somewhere.  So two such ticks with
+    equal keys, an equal ``_si`` meaning no stimulus between them, start
+    identical futures until the next stimulus, and the future from t
+    repeats every P ticks.  On a network whose horizon memo stays empty
+    the check is one false test per switch.  A traced run writes every
+    row and makes no such jump.
 
     With ``trace`` every tick it steps writes its row with one %-format,
     and ``_JUMP`` gets the run's `_Batch` to write the rows it skips.  The
@@ -1283,6 +1309,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         emit("    _batch = _BATCH(_write)")
     else:
         emit("    _hf = 0")
+        emit("    _seen, _room = {}, _JUMP.room()")
     emit("    while _t < _TICKS:")
     for var in swa.variables:
         emit(f"        v_{var} = u_{var}")
@@ -1320,15 +1347,23 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     else:
         # _hf stays 0 while the memo is empty, since it never shrinks
         emit(f"            _ask = 1 if _hm and (_hf := _hm.get({key}, 0)) else {_JUMP_AFTER}")
+        emit("            if _hf and _t != _next:")
+        emit(f"                _ck = (_si, _loc, emit, _PACK({us}))")
+        emit("                if _ck in _seen:")
+        emit("                    _p = _t - _seen[_ck]")
+        emit("                    _t += ((_TICKS if _next < 0 else min(_next, _TICKS)) - 1 - _t) // _p * _p")
+        emit("                elif len(_seen) < _room:")
+        emit("                    _seen[_ck] = _t")
         emit("        if k == _ask:")
+        emit("            if not _hf:")
+        emit(f"                _t, k, _ask, ({us}{tail}) = _JUMP(_t, k, _next, _TICKS, {key}, _hm)")
+        emit(f"                _hf = _hm.get({key}, 0)")
         emit("            if _hf:")
         emit("                _d = min(_hf - k, (_TICKS - 1 if _next < 0 else min(_next, _TICKS - 1)) - _t) - 1")
         emit("                if _d > 0:")
         emit("                    _t += _d")
         emit("                    k += _d")
         emit("                _ask = k + 2 if k + 1 < _hf else 0")
-        emit("            else:")
-        emit(f"                _t, k, _ask, ({us}{tail}) = _JUMP(_t, k, _next, _TICKS, {key}, _hm)")
 
     emit("        if _t == _next:")
     emit("            _pend = _STM[_si] | emit")
@@ -1355,7 +1390,10 @@ class _Jump:
     evolve test fails, whichever comes first, and returns the new tick,
     step, the step to ask again at, and every value at that step.
     A stimulus tick that cuts the jump short does not end the stretch,
-    so the runner asks again `_JUMP_AFTER` steps later.
+    so the runner asks again: `_JUMP_AFTER` steps later with a trace,
+    and inline two steps later without one, from the horizon the call
+    stored.  The untraced runner's jump over whole periods needs no
+    call; `_runner_source` describes it.
 
     The run's `memo` maps a key to the first failing step F found for
     it, and the runner asks at step 1 of a stretch whose key it holds.
@@ -1405,6 +1443,11 @@ class _Jump:
         u = {var: w.value_at_tick(c1[var], k, self.delta_f) for loc in here for var, w in loc.witnesses}
         ask = k + _JUMP_AFTER if t + d == nxt else _JUMP_AFTER
         return t + d, k, ask, tuple(map(u.__getitem__, self.variables))
+
+    @staticmethod
+    def room() -> int:
+        """How many entries a run's memos may hold: `_HORIZONS_MAX`, read when the run starts."""
+        return _HORIZONS_MAX
 
     @staticmethod
     def store(memo: dict, key: tuple, fail: float) -> None:
@@ -1523,6 +1566,8 @@ def _build_runner(swa: Swa, trace: bool):
         names = lambda events: memo(lambda m: ";".join(e for e in events if m & plan.mask((e,))))
         namespace.update(_ROWS=memo(lambda j: evolve_row(plan.name(j), plan.held(j))), _BATCH=_Batch,
                          _NAMES=plan.name, _INS=names(swa.inputs), _OUTS=names(swa.outputs))
+    else:  # the values' bit patterns, for the key of a switch configuration
+        namespace["_PACK"] = struct.Struct("<%dd" % len(swa.variables)).pack
     exec(compile(source, f"<swa:{swa.name}>", "exec"), namespace)
     return namespace.pop("_swarun")  # the runner's globals must not hold it: no reference cycle
 

@@ -6,8 +6,9 @@ which it still evolves (`swa.evolve_horizon`, called through
 step 1 on the horizon it remembers; with a trace it writes the skipped
 rows in batches, from value texts memoised per run.  Without a trace
 the runner also remembers the horizon of every stretch it stepped to
-its end, and jumps a remembered one inline, without `_Jump`.  The
-generic engine steps tick by tick.
+its end, and jumps a remembered one inline, without `_Jump`, and it
+jumps every whole period once a switch configuration repeats with no
+stimulus between.  The generic engine steps tick by tick.
 These tests compare the final states bit for bit and the traces byte
 for byte.
 """
@@ -16,6 +17,7 @@ import hashlib
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -104,21 +106,34 @@ class Inline:
     ``state`` is the final state, ``memo`` the horizon memo the run ended with, and
     ``jumps`` every jump the runner made inline as (tick, step, tick landed on, step
     landed on), the tuple `Jumps` records, with its stretch's key in ``keys``.  A memo
-    hit whose jump is one tick or none moves nothing and is not listed.
+    hit whose jump is one tick or none moves nothing and is not listed.  ``cycles``
+    lists every cycle jump that moved as (tick, tick landed on), ``seen`` is the memo
+    of switch configurations the run ended with, and ``stepped`` counts the ticks the
+    runner's loop ran.
     """
 
     def __init__(self, product, ticks, stimulus=None):
         source = swa._runner_source(product, False).splitlines()
         jump = source.index("                    _t += _d") + 1
-        self.memo, self.jumps, self.keys = None, [], []
+        cycle = next(n for n, line in enumerate(source, 1) if line.endswith("// _p * _p"))
+        loop = source.index("        vis = _pend") + 1
+        self.memo, self.seen, self.jumps, self.keys, self.cycles, self.stepped = None, None, [], [], [], 0
+        before = []  # the tick a cycle jump starts from, until the next event shows where it landed
 
         def local(frame, event, arg):
             f = frame.f_locals
-            if event == "line" and frame.f_lineno == jump:
+            if before and before[-1] != f["_t"]:
+                self.cycles.append((before[-1], f["_t"]))
+            before[:] = []
+            if event == "line" and frame.f_lineno == loop:
+                self.stepped += 1
+            elif event == "line" and frame.f_lineno == jump:
                 self.jumps.append((f["_t"], f["k"], f["_t"] + f["_d"] + 1, f["k"] + f["_d"] + 1))
                 self.keys.append((f["_loc"], *(f[f"c1_{var}"] for var in product.variables)))
+            elif event == "line" and frame.f_lineno == cycle:
+                before.append(f["_t"])
             elif event == "return":
-                self.memo = dict(f["_hm"])
+                self.memo, self.seen = dict(f["_hm"]), dict(f["_seen"])
             return local
 
         old = sys.gettrace()
@@ -282,7 +297,10 @@ class TestTargeted:
         again = [(52 * n, 1, 52 * n + 50, 51) for n in range(1, 19)] + [(988, 1, 999, 12)]
         assert jumps.traced == first + again
         assert jumps.untraced == first
-        assert Inline(product, 1000).jumps == again
+        # without a trace, switch tick 103 repeats tick 51's configuration: 17 periods of 52 ticks
+        # are jumped at once, to tick 987, the last repeat before the run's end
+        run = Inline(product, 1000)
+        assert run.jumps == [again[0], again[-1]] and run.cycles == [(103, 987)]
         # x's texts, first stored from step 32, grew back to step 1 when the stretch was re-entered
         assert [(key[:3], first, len(texts)) for key, (first, texts) in jumps.batch.items()] == [
             (("x", "run", 0.0), 1, 50)]
@@ -306,12 +324,15 @@ class TestTargeted:
 
     def test_stimulus_inside_a_long_stretch(self, jumps):
         product = product_of(LATCH)
-        # NOISE triggers no edge but is visible: the jump stops at tick 300
-        # and asks again 32 steps later; GO at 900 ends the stretch
+        # NOISE triggers no edge but is visible: the jump stops at tick 300 and asks again,
+        # 32 steps later with a trace and inline two steps later without one, since the memo
+        # holds the horizon by then; GO at 900 ends the stretch
         stimulus = {300: frozenset({"NOISE"}), 900: frozenset({"GO"})}
         outcome = assert_engines_agree(product, 2000, stimulus)
         assert (outcome[0], outcome[3]) == ("shut", 1098)
-        assert jumps.untraced == jumps.traced == [(31, 32, 300, 301), (332, 333, 900, 901), (933, 32, 1999, 1098)]
+        assert jumps.traced == [(31, 32, 300, 301), (332, 333, 900, 901), (933, 32, 1999, 1098)]
+        assert jumps.untraced == [(31, 32, 300, 301), (933, 32, 1999, 1098)]
+        assert Inline(product, 2000, stimulus).jumps == [(302, 303, 900, 901)]
 
     def test_location_left_only_by_a_trigger(self, jumps):
         product = product_of(LATCH)
@@ -386,13 +407,22 @@ class TestTargeted:
         assert second.jumps == first.jumps and second.memo == first.memo
         assert first.jumps and set(first.keys) <= first.memo.keys()
 
+    def test_the_configuration_memo_lives_for_one_run(self, thermostat_swa):
+        # a memo kept across runs would see the first configuration again at once, a period of 0
+        first, second = Inline(thermostat_swa, 5000), Inline(thermostat_swa, 5000)
+        assert first.cycles == second.cycles == [(811, 4871)]
+        assert first.seen == second.seen and len(first.seen) == 2
+
     def test_a_horizon_past_the_trusted_range_is_not_jumped_back_to(self, jumps):
         # x >= 0 never fails, but exp is trusted only up to step 700 / (5 * 0.01) = 14,000, so the
-        # horizon is 14,001; NOISE cuts the jump short at step 13,991 and it asks again at 14,023
+        # horizon is 14,001; NOISE cuts the jump short at step 13,991.  With a trace it asks again
+        # at 14,023 and stays; without one it jumps inline two steps later, to step 14,000, and steps
+        stimulus = {13_990: frozenset({"NOISE"})}
         product = product_of(FADE)
-        assert assert_engines_agree(product, 14_100, {13_990: frozenset({"NOISE"})})[3] == 14_100
-        assert jumps.untraced == jumps.traced == [
-            (31, 32, 13_990, 13_991), (14_022, 14_023, 14_022, 14_023)]
+        assert assert_engines_agree(product, 14_100, stimulus)[3] == 14_100
+        assert jumps.traced == [(31, 32, 13_990, 13_991), (14_022, 14_023, 14_022, 14_023)]
+        assert jumps.untraced == [(31, 32, 13_990, 13_991)]
+        assert Inline(product, 14_100, stimulus).jumps == [(13_992, 13_993, 14_000, 14_001)]
 
     def test_a_long_stretch_is_written_in_bounded_memory(self):
         # 200,000 distinct texts: the memo stops storing at 2**16, and rows go out in blocks
@@ -499,25 +529,29 @@ class TestLearned:
         assert_engines_agree(product, 300)
         run = Inline(product, 300)
         assert run.memo == {(0, 0.0): 21}
-        assert run.jumps == [(22 * n, 1, 22 * n + 20, 21) for n in range(1, 13)] + [(286, 1, 299, 14)]
+        # the first re-entry jumps inline; the switch after it repeats tick 21's configuration, so
+        # the run jumps 11 periods of 22 ticks, and the last stretch jumps inline to the run's end
+        assert run.jumps == [(22, 1, 42, 21), (286, 1, 299, 14)] and run.cycles == [(43, 285)]
         assert (run.state.k, run.state.v["x"]) == (14, 14.0) and jumps.untraced == []
 
+    # A schedule is the inline jumps and the cycle jumps.  After the stimulus, the second switch
+    # into the known stretch repeats the first one's configuration: one period of 22 ticks is jumped.
     @pytest.mark.parametrize("stimulus, schedule", [
         # NOISE on tick 20 is visible on tick 21, where the first stretch fails: nothing is learned
-        ({20: "NOISE"}, [(44, 1, 64, 21), (66, 1, 86, 21), (88, 1, 99, 12)]),
+        ({20: "NOISE"}, ([(44, 1, 64, 21), (88, 1, 99, 12)], [(65, 87)])),
         # a stimulus cuts the jump short; it asks again two steps later
-        ({30: "NOISE"}, [(22, 1, 30, 9), (31, 10, 42, 21), (44, 1, 64, 21), (66, 1, 86, 21), (88, 1, 99, 12)]),
+        ({30: "NOISE"}, ([(22, 1, 30, 9), (31, 10, 42, 21), (44, 1, 64, 21), (88, 1, 99, 12)], [(65, 87)])),
         # a stimulus on the tick that would jump: no jump, and again two steps later
-        ({22: "NOISE"}, [(24, 3, 42, 21), (44, 1, 64, 21), (66, 1, 86, 21), (88, 1, 99, 12)]),
+        ({22: "NOISE"}, ([(24, 3, 42, 21), (44, 1, 64, 21), (88, 1, 99, 12)], [(65, 87)])),
         # GO, visible on tick 36, ends the stretch at step 14 and re-enters it at 0.0: it jumps at step 1 again
-        ({35: "GO"}, [(22, 1, 35, 14), (37, 1, 57, 21), (59, 1, 79, 21), (81, 1, 99, 19)]),
+        ({35: "GO"}, ([(22, 1, 35, 14), (37, 1, 57, 21), (81, 1, 99, 19)], [(58, 80)])),
     ])
     def test_events_in_short_stretches(self, stimulus, schedule):
         product = product_of(SHORT_CLOCK.format(top=20))
         stimulus = {t: frozenset({e}) for t, e in stimulus.items()}
         assert_engines_agree(product, 100, stimulus)
         run = Inline(product, 100, stimulus)
-        assert run.jumps == schedule and run.memo == {(0, 0.0): 21}
+        assert (run.jumps, run.cycles) == schedule and run.memo == {(0, 0.0): 21}
 
     def test_a_learned_signed_zero(self):
         # 21 steps: first entered at 0.0, which teaches the horizon, then at -0.0 through it
@@ -552,8 +586,15 @@ class TestLearned:
     def test_timer_chain_jumps_its_re_entered_stretches_inline(self):
         product = product_of(timer_chain_source(3))
         assert_engines_agree(product, 5000)
+        # tick 111 repeats tick 53's configuration: one cycle jump takes the run to its last period
         run = Inline(product, 5000)
-        assert len(run.jumps) > 50 and set(run.keys) <= run.memo.keys()
+        assert run.jumps == [(4985, 1, 4999, 15)] and run.cycles == [(111, 4983)]
+        # E2, which no part listens to, every 100 ticks: no configuration repeats twice between
+        # two stimuli, so no cycle jump moves, and the re-entered stretches jump inline
+        stimulus = {t: frozenset({"E2"}) for t in range(50, 5000, 100)}
+        assert_engines_agree(product, 5000, stimulus)
+        run = Inline(product, 5000, stimulus)
+        assert len(run.jumps) > 50 and run.cycles == [] and set(run.keys) <= run.memo.keys()
         assert_horizons_exact(product, run.memo)
 
 
@@ -582,6 +623,94 @@ def test_learned_horizons_are_exact(source, delta, ticks, limit, data):
             run = Inline(product, ticks, stimulus)
             assert len(run.memo) <= swa._HORIZONS_MAX and set(run.keys) <= run.memo.keys()
             assert_horizons_exact(product, run.memo)
+
+
+class TestCycles:
+    """Without a trace, a switch configuration seen again with no stimulus since jumps every whole period."""
+
+    def test_a_signed_zero_is_no_repeat(self):
+        # every other stretch enters x at -0.0, a configuration equal to the 0.0 one as floats: a
+        # key of floats takes one stretch (102 ticks) for the period and ends this run at x = 0.0;
+        # by bit patterns the period is two stretches, and the jump is three periods
+        product = product_of(SIGNS)
+        assert assert_engines_agree(product, 1003)[1]["x"] == (-0.0).hex()
+        run = Inline(product, 1003)
+        assert run.cycles == [(305, 305 + 3 * 204)]
+        assert sorted(key[3] for key in run.seen) == [struct.pack("<2d", x, 0.0) for x in (0.0, -0.0)]
+
+    def test_pending_events_are_part_of_the_configuration(self):
+        # switch ticks 37 and 38 leave the same state and values, the first with an event pending:
+        # a key without the events takes 1 tick for the period and ends this run elsewhere
+        product = product_of(fuzz_network(68), Fraction(1, 3))
+        assert_engines_agree(product, 3000)
+        run = Inline(product, 3000)
+        assert run.cycles == [(64, 2980)] and [key[1:3] for key in run.seen] == [(5, 8), (5, 0)]
+
+    def test_a_stimulus_after_a_recurrence(self):
+        # the cycle jump from tick 43 lands on 153, the tick before NOISE; stepping resumes, jumps
+        # the stretch inline from step 3, and a configuration seen twice after NOISE jumps again
+        product = product_of(SHORT_CLOCK.format(top=20))
+        stimulus = {154: frozenset({"NOISE"})}
+        assert_engines_agree(product, 300, stimulus)
+        run = Inline(product, 300, stimulus)
+        assert run.cycles == [(43, 153), (197, 285)]
+        assert run.jumps == [(22, 1, 42, 21), (156, 3, 174, 21), (176, 1, 196, 21), (286, 1, 299, 14)]
+        assert [key[0] for key in run.seen] == [0, 1]  # one configuration per stimulus interval
+
+    @pytest.mark.parametrize("limit, seen, cycles", [
+        (None, 2, [(43, 153), (197, 285)]),
+        (1, 1, [(43, 153)]),  # the configuration after NOISE is not kept
+        (0, 0, []),  # no horizon is kept either, so no stretch is known and none is looked up
+    ])
+    def test_the_configuration_memo_is_bounded(self, monkeypatch, limit, seen, cycles):
+        if limit is not None:
+            monkeypatch.setattr(swa, "_HORIZONS_MAX", limit)
+        product = product_of(SHORT_CLOCK.format(top=20))
+        stimulus = {154: frozenset({"NOISE"})}
+        assert_engines_agree(product, 300, stimulus)
+        run = Inline(product, 300, stimulus)
+        assert len(run.seen) == seen and run.cycles == cycles
+
+    def test_a_billion_ticks_of_a_timer_chain(self):
+        # criterion 8's scale, and a hundred times more: the run steps only until its orbit repeats
+        product = product_of(timer_chain_source(4))
+        state, seen, t = swa.initial_exec_state(product), {}, 0
+        while True:
+            state, _ = swa.tick(product, state)
+            config = (state.location, tuple(bits(state.v).items()), state.pending_pre)
+            if state.k == 0 and seen.setdefault(config, t) != t:
+                break
+            t += 1
+        # the states after ticks seen[config] and t are equal, so from tick t on they repeat
+        period = t - seen[config]
+        ticks = 10**9
+        jumped = final(product, ticks, None, "compiled", traced=False)[0]
+        assert jumped == final(product, t + 1 + (ticks - t - 1) % period, None, "generic", traced=False)[0]
+        run = Inline(product, ticks)
+        assert run.stepped < 2000 and len(run.cycles) == 1, (run.stepped, run.cycles)
+
+
+BUNDLED = [path.read_text() for path in sorted((Path(swa.__file__).parent / "models").glob("*.pha"))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=st.one_of(st.integers(2, 4).map(timer_chain_source), st.sampled_from([SIGNS, CLOCK, *BUNDLED])),
+    delta=st.sampled_from(DELTAS),
+    ticks=st.integers(1, 20_000),
+    data=st.data(),
+)
+def test_cycle_jumps_are_exact(source, delta, ticks, data):
+    """Untraced runs that jump whole periods end as the generic engine does, bit for bit.
+
+    Most networks here repeat their switch configuration within a few hundred ticks, so
+    most stimulus ticks fall after the first recurrence.  NOISE is no event of any network.
+    """
+    product = product_of(source, delta)
+    events = st.frozensets(st.sampled_from(sorted(product.events()) + ["NOISE"]), min_size=1, max_size=2)
+    stimulus = data.draw(st.dictionaries(st.integers(0, ticks), events, max_size=6))
+    jumped = final(product, ticks, stimulus, "compiled", traced=False)[0]
+    assert jumped == final(product, ticks, stimulus, "generic", traced=False)[0]
 
 
 def plan(kind, op, bound, a="0", b="0"):
@@ -690,7 +819,9 @@ def test_stretch_probe_prints_a_row_per_network():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
-    assert header.split()[:3] == ["network", "stretches", "keys"]
+    assert header.split()[:3] == ["network", "stretches", "keys"] and "recurs at period" in header
     assert [row.split()[0] for row in rows] == ["thermostat", "traingate", "watertank", "chain2", "chain3"]
-    # chain2: 141 stretches over 4 keys, so all but 4 re-enter one
-    assert rows[3].split()[1:4] == ["141", "4", "137"]
+    # chain2: 141 stretches over 4 keys, so all but 4 re-enter one; switch tick 87 repeats tick 31's
+    # configuration, and traingate's first recurrence comes after tick 2000
+    assert rows[3].split()[1:4] == ["141", "4", "137"] and rows[3].split()[6:8] == ["87", "56"]
+    assert rows[1].split()[6:8] == ["-", "-"]
