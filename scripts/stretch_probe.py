@@ -12,16 +12,19 @@ stretches of at least `swa._LEARN_FROM` steps (those the untraced
 runner learns a horizon from, when no event is visible), the tick on
 which a switch configuration first recurs and its period (a switch
 tick's configuration is its product state, the bit patterns of its
-values and the events it leaves pending; "-" when none recurs within N
-ticks), and the untraced ticks per second of the specialised engine
-(best of R runs, runner built beforehand).  The chains are
-`tests/oracles.py`'s `timer_chain_source(n)`, so the script needs the
-test dependencies (numpy).
+values and the events it leaves pending; `oracles.first_recurrence`),
+the tick of the specialised engine's first jump over whole periods
+without and with a trace (read by `oracles.Inline`; "-" for none
+within N ticks), and its ticks per second without and with a trace
+written to the null device (best of R runs, runner built beforehand).
+The chains are `tests/oracles.py`'s `timer_chain_source(n)`, so the
+script needs the test dependencies (numpy).
 
     PYTHONPATH=src python3 scripts/stretch_probe.py --ticks 20000 --repeat 5 --chains 2 3 4 5
 """
 
 import argparse
+import os
 import statistics
 import sys
 import time
@@ -30,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from oracles import timer_chain_source  # noqa: E402
+from oracles import Inline, first_recurrence, timer_chain_source  # noqa: E402
 from syncha import swa  # noqa: E402
 from syncha.model import load_model, parse_model  # noqa: E402
 from syncha.odesolve import resolve_c1  # noqa: E402
@@ -40,34 +43,34 @@ MODELS = Path(swa.__file__).resolve().parent / "models"
 DELTA = Fraction(1, 100)
 
 
-def stretches(product: swa.Swa, ticks: int) -> tuple[list[tuple[tuple, int]], tuple[int, int] | None]:
-    """Each completed stretch's key and length, and the first recurrence, stepping the generic engine.
-
-    The recurrence is the first switch tick whose configuration an
-    earlier switch tick had, and the ticks between the two.
-    """
-    plan, st, done, seen, recurrence = switch_plan(product), initial_exec_state(product), [], {}, None
-    for t in range(ticks):
+def stretches(product: swa.Swa, ticks: int) -> list[tuple[tuple, int]]:
+    """Each completed stretch's key and length, stepping the generic engine."""
+    plan, st, done = switch_plan(product), initial_exec_state(product), []
+    for _ in range(ticks):
         nxt, _ = swa.tick(product, st)
         if nxt.k == 0:
             j = plan.index[st.location]
             c1 = tuple(resolve_c1(w, st.i[var]) for loc in plan.at(j) for var, w in loc.witnesses)
             done.append(((j, c1), st.k))
-            config = (nxt.location, *(nxt.v[var].hex() for var in product.variables), nxt.pending_pre)
-            if recurrence is None and (first := seen.setdefault(config, t)) != t:
-                recurrence = (t, t - first)
         st = nxt
-    return done, recurrence
+    return done
 
 
-def rate(product: swa.Swa, ticks: int, repeat: int) -> float:
-    simulate(product, 1)  # builds the runner
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        simulate(product, ticks)
-        best = min(best, time.perf_counter() - start)
+def rate(product: swa.Swa, ticks: int, repeat: int, traced: bool) -> float:
+    with open(os.devnull, "w") as null:
+        out = null if traced else None
+        simulate(product, 1, out=out)  # builds the runner
+        best = float("inf")
+        for _ in range(repeat):
+            start = time.perf_counter()
+            simulate(product, ticks, out=out)
+            best = min(best, time.perf_counter() - start)
     return ticks / best
+
+
+def first_cycle(product: swa.Swa, ticks: int, traced: bool) -> int | str:
+    cycles = Inline(product, ticks, traced=traced).cycles
+    return cycles[0][0] if cycles else "-"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,18 +83,21 @@ def main(argv: list[str] | None = None) -> int:
     networks += [(f"chain{n}", parse_model(timer_chain_source(n))) for n in args.chains]
     learn = f">= {swa._LEARN_FROM} steps"
     print(f"{'network':<12} {'stretches':>9} {'keys':>6} {'re-entered':>10} {'q1/median/q3':>14}"
-          f" {learn:>14} {'recurs at':>9} {'period':>6} {'untraced ticks/s':>17}")
+          f" {learn:>14} {'recurs at':>9} {'period':>6} {'untraced jump':>13} {'traced jump':>11}"
+          f" {'untraced ticks/s':>17} {'traced ticks/s':>15}")
     for name, net in networks:
         product = compose_all(compile_automaton(ha, DELTA)[0] for ha in net.automata)
-        done, recurrence = stretches(product, args.ticks)
+        done, recurrence = stretches(product, args.ticks), first_recurrence(product, args.ticks)
         seen: set[tuple] = set()
         again = sum(key in seen or seen.add(key) or False for key, _ in done)
         lengths = [k for _, k in done]
         quartiles = "/".join(f"{q:g}" for q in statistics.quantiles(lengths, n=4)) if len(lengths) > 1 else "-"
         long = sum(k >= swa._LEARN_FROM for k in lengths)
         recurs, period = recurrence or ("-", "-")
+        jumps = [first_cycle(product, args.ticks, traced) for traced in (False, True)]
+        rates = [rate(product, args.ticks, args.repeat, traced) for traced in (False, True)]
         print(f"{name:<12} {len(done):>9} {len(seen):>6} {again:>10} {quartiles:>14} {long:>14}"
-              f" {recurs:>9} {period:>6} {rate(product, args.ticks, args.repeat):>17,.0f}")
+              f" {recurs:>9} {period:>6} {jumps[0]:>13} {jumps[1]:>11} {rates[0]:>17,.0f} {rates[1]:>15,.0f}")
     return 0
 
 

@@ -62,13 +62,15 @@ more than stepping short stretches.  The jump stops early at the last
 tick of the run and at the next stimulus tick, after which the runner
 asks again.  `evolve_horizon` confirms its answer with the engines' own
 float expression; its docstring argues why no earlier step can fail.
-An untraced run also jumps whole periods: a switch tick into a known
-stretch whose configuration (stimuli consumed, product state, events
-emitted and the values' bit patterns) it has seen before skips every
-repeat up to the next stimulus or the end of the run; `_runner_source`
-argues why that is exact.  A traced run, which writes every row, does not.
-A traced run writes the rows it jumps over in batches, from value
-texts it formats once per run.  The generic engine steps tick by tick.
+Both runners also jump whole periods: a switch tick more than
+`_JUMP_AFTER` ticks before the next stimulus whose configuration
+(stimuli consumed, product state, events emitted and the values' bit
+patterns) the run has seen before skips every repeat up to the next
+stimulus or the end of the run.  A traced run first steps one more
+period and keeps its rows, then writes them again for every period it
+skips, each with its own tick and time; `_runner_source` argues why
+both are exact.  A traced run writes the rows it jumps over in
+batches, from value texts it formats once per run.  The generic engine steps tick by tick.
 A stuck run raises `UnreachableState`, whose text is the C driver's
 report.
 """
@@ -82,7 +84,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import repeat
+from itertools import accumulate, chain, cycle, repeat
 from typing import Callable, Iterable, Mapping, TextIO
 
 from .expr import COMPARE, AffineExpr, Comparison, Constraint, Rational, Record
@@ -1206,11 +1208,12 @@ def _py_time(swa: Swa) -> tuple[str, list[str]]:
     return "%d%s", [f"{scaled} // {10**j}", f"_suf[{scaled} % {10**j}]"]
 
 
-def _row_format(time_fmt: str, variables: tuple[str, ...], ins: bool, outs: bool, name: str,
+def _row_format(stamp: str, variables: tuple[str, ...], ins: bool, outs: bool, name: str,
                 held: Iterable[str]) -> str:
-    """The %-format of a trace row in state `name`; `held` variables come as strings."""
-    fmt = ["%d", time_fmt, name, *("%s" if var in held else "%.15g" for var in variables)]
-    return ",".join(fmt + ["%s" * ins, "%s" * outs]) + "\n"
+    """The %-format of a trace row in state `name`, after `stamp`, the conversions of its tick and time
+    fields and the comma after them; `held` variables come as strings."""
+    fmt = [name, *("%s" if var in held else "%.15g" for var in variables)]
+    return stamp + ",".join(fmt + ["%s" * ins, "%s" * outs]) + "\n"
 
 
 def _runner_source(swa: Swa, trace: bool) -> str:
@@ -1237,23 +1240,31 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     ``_JUMP`` call ``_hf`` is read from the memo, so that re-ask is inline
     too.
 
-    Without ``trace``, a switch tick that enters a stretch the memo
-    knows (``_hf`` non-zero) and is no stimulus tick also looks up its
-    configuration ``(_si, _loc, emit, _PACK(u_…))`` in the run's
-    ``_seen``, which maps a configuration to the tick it was first seen
-    on and holds at most `_HORIZONS_MAX` of them.  ``_PACK`` gives the
-    values' bit patterns: 0.0 == -0.0, but the two print apart.  A hit
-    from tick t0 moves ``_t`` on by every whole period P = ``_t`` - t0
-    that ends by the tick before the next stimulus tick, or by the run's
-    last tick.  This is exact.  At the end of a switch tick k = 0 and
-    every ``i_*`` is its ``u_*``; the ``c1_*`` and the ``l<p>`` follow
-    from ``_loc`` and the ``u_*``, and ``_pend`` is ``emit``.  The memos
-    change only how fast the run gets somewhere.  So two such ticks with
-    equal keys, an equal ``_si`` meaning no stimulus between them, start
-    identical futures until the next stimulus, and the future from t
-    repeats every P ticks.  On a network whose horizon memo stays empty
-    the check is one false test per switch.  A traced run writes every
-    row and makes no such jump.
+    Both runners find periods alike.  ``_next`` is the next stimulus
+    tick, or ``_TICKS`` once none is left.  A switch tick more than
+    `_JUMP_AFTER` ticks before ``_next`` looks up its configuration
+    ``(_si, _loc, emit, _PACK(u_…))`` in the run's ``_seen``, which maps
+    a configuration to the tick it was first seen on and holds at most
+    `_HORIZONS_MAX` of them.  ``_PACK`` gives the values' bit patterns:
+    0.0 == -0.0, but the two print apart.  Where stimuli come closer
+    together the check is one false test per switch.  Without ``trace``
+    a hit from tick t0 moves ``_t`` on by every whole period P = ``_t``
+    - t0 that ends by the tick before ``_next``.  With ``trace`` a hit
+    goes to `_Jump.periods`, which collects the rows of the next period
+    and then writes them again, with new tick and time fields, for every
+    whole period that ends by that tick.  This is exact.  At the end of
+    a switch tick k = 0 and every ``i_*`` is its ``u_*``; the ``c1_*``
+    and the ``l<p>`` follow from ``_loc`` and the ``u_*``, and ``_pend``
+    is ``emit``.  The memos change only how fast the run gets somewhere.
+    So two such ticks with equal keys, an equal ``_si`` meaning no
+    stimulus between them, start identical futures until the next
+    stimulus, and the future from t repeats every P ticks.  A row's
+    fields after the time field (the state's name, the values or held
+    texts ``r_*``, the inputs and outputs) are functions of that future,
+    so they repeat every P ticks too; only the tick and time fields
+    change.  Collecting a period's rows changes nothing else: the runner
+    steps it as it would, and its writes, `_Jump.write`'s among them, go
+    to a list in order.
 
     With ``trace`` every tick it steps writes its row with one %-format,
     and ``_JUMP`` gets the run's `_Batch` to write the rows it skips.  The
@@ -1274,7 +1285,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     sx = PYTHON.replace(stuck=(f"raise _mk_stuck(_loc, ({us}{tail}), k, vis, _t)",), shown=frozenset(held))
 
     time_fmt, time_args = _py_time(swa)
-    switch_row = repr(_row_format(time_fmt, swa.variables, bool(swa.inputs), bool(swa.outputs), "%s", held))
+    switch_row = repr(_row_format(f"%d,{time_fmt},", swa.variables, bool(swa.inputs), bool(swa.outputs), "%s", held))
 
     def write_row(switch: bool) -> str:
         """The statement writing the tick's row."""
@@ -1302,14 +1313,14 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         emit(f"    l{p} = {start // stride % len(locations)}")
     emit("    k = _pend = _si = _t = 0")
     emit("    _nst = len(_STT)")
-    emit("    _next = _STT[0] if _nst else -1")
+    emit("    _next = _STT[0] if _nst else _TICKS")
     emit(f"    _ask = {_JUMP_AFTER}")
     emit("    _hm = {}")
+    emit("    _seen, _room = {}, _JUMP.room()")
     if trace:
         emit("    _batch = _BATCH(_write)")
     else:
         emit("    _hf = 0")
-        emit("    _seen, _room = {}, _JUMP.room()")
     emit("    while _t < _TICKS:")
     for var in swa.variables:
         emit(f"        v_{var} = u_{var}")
@@ -1342,24 +1353,26 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         for var in held:
             emit(f"            r_{var} = '%.15g' % v_{var}")
         emit(f"            {write_row(True)}")
-        emit("        if k == _ask:")
-        emit(f"            _t, k, _ask, ({us}{tail}) = _JUMP(_t, k, _next, _TICKS, {key}, _hm, _batch)")
+        hit = ["_t, _write = _JUMP.periods(_batch, _t, _seen[_ck], _next)"]
     else:
         # _hf stays 0 while the memo is empty, since it never shrinks
         emit(f"            _ask = 1 if _hm and (_hf := _hm.get({key}, 0)) else {_JUMP_AFTER}")
-        emit("            if _hf and _t != _next:")
-        emit(f"                _ck = (_si, _loc, emit, _PACK({us}))")
-        emit("                if _ck in _seen:")
-        emit("                    _p = _t - _seen[_ck]")
-        emit("                    _t += ((_TICKS if _next < 0 else min(_next, _TICKS)) - 1 - _t) // _p * _p")
-        emit("                elif len(_seen) < _room:")
-        emit("                    _seen[_ck] = _t")
-        emit("        if k == _ask:")
+        hit = ["_p = _t - _seen[_ck]", "_t += (_next - 1 - _t) // _p * _p"]
+    emit(f"            if _next - _t > {_JUMP_AFTER}:")
+    emit(f"                _ck = (_si, _loc, emit, _PACK({us}))")
+    emit("                if _ck in _seen:")
+    w += [f"                    {line}" for line in hit]
+    emit("                elif len(_seen) < _room:")
+    emit("                    _seen[_ck] = _t")
+    emit("        if k == _ask:")
+    if trace:
+        emit(f"            _t, k, _ask, ({us}{tail}) = _JUMP(_t, k, _next, _TICKS, {key}, _hm, _batch)")
+    else:
         emit("            if not _hf:")
         emit(f"                _t, k, _ask, ({us}{tail}) = _JUMP(_t, k, _next, _TICKS, {key}, _hm)")
         emit(f"                _hf = _hm.get({key}, 0)")
         emit("            if _hf:")
-        emit("                _d = min(_hf - k, (_TICKS - 1 if _next < 0 else min(_next, _TICKS - 1)) - _t) - 1")
+        emit("                _d = min(_hf - k, _next - _t, _TICKS - 1 - _t) - 1")
         emit("                if _d > 0:")
         emit("                    _t += _d")
         emit("                    k += _d")
@@ -1368,7 +1381,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("        if _t == _next:")
     emit("            _pend = _STM[_si] | emit")
     emit("            _si += 1")
-    emit("            _next = _STT[_si] if _si < _nst else -1")
+    emit("            _next = _STT[_si] if _si < _nst else _TICKS")
     emit("        else:")
     emit("            _pend = emit")
     emit("        _t += 1")
@@ -1392,8 +1405,8 @@ class _Jump:
     A stimulus tick that cuts the jump short does not end the stretch,
     so the runner asks again: `_JUMP_AFTER` steps later with a trace,
     and inline two steps later without one, from the horizon the call
-    stored.  The untraced runner's jump over whole periods needs no
-    call; `_runner_source` describes it.
+    stored.  The jump over whole periods is `periods` with a trace and
+    inline without one; `_runner_source` describes it.
 
     The run's `memo` maps a key to the first failing step F found for
     it, and the runner asks at step 1 of a stretch whose key it holds.
@@ -1421,10 +1434,9 @@ class _Jump:
     def __init__(self, swa: Swa):
         plan, variables = switch_plan(swa), swa.variables
         self.parts, self.strides, self.variables, self.delta_f = plan.parts, plan.strides, variables, swa.delta_f
-        self.dec = decimal_delta(swa.delta)
-        time_fmt, name = "%.15g" if self.dec is None else "%d%s", plan.name
-        self.format = lru_cache(maxsize=None)(
-            lambda j: _row_format(time_fmt, variables, False, False, name(j), variables))
+        self.dec, name = decimal_delta(swa.delta), plan.name
+        self.stamp = "%d,%.15g," if self.dec is None else "%d,%d%s,"
+        self.format = lru_cache(maxsize=None)(lambda j: _row_format("%s", variables, False, False, name(j), variables))
 
     def __call__(self, t: int, k: int, nxt: int, ticks: int, key: tuple, memo: dict,
                  batch: _Batch | None = None):
@@ -1435,7 +1447,7 @@ class _Jump:
             fail = min(evolve_horizon(loc, c1, k, self.delta_f) for loc in here)
             if fail > k:
                 self.store(memo, key, fail)
-        last = ticks - 1 if nxt < 0 else min(nxt, ticks - 1)
+        last = min(nxt, ticks - 1)
         d = max(min(fail - k, last - t), 0)  # a horizon past its trusted range can lie behind k
         if batch is not None and d > 0:
             self.write(batch, key[0], here, c1, t, k, d)
@@ -1469,16 +1481,59 @@ class _Jump:
         for lo in range(0, d, _BLOCK):
             n = min(_BLOCK, d - lo)
             ticks = range(t + 1 + lo, t + 1 + lo + n)
-            if self.dec is None:
-                times = (map(self.delta_f.__rmul__, ticks),)
-            else:  # the integer part and the fraction's suffix, as `time_field` writes them
-                (m, e), p = self.dec, 10**self.dec[1]
-                scaled = range(ticks.start * m, ticks.stop * m, m)
-                times = map(p.__rfloordiv__, scaled), map(time_suffixes(e).__getitem__, map(p.__rmod__, scaled))
             columns = [repeat(_fmt(key[2]), n) if w.kind is WitnessKind.CONSTANT
                        else self.texts(batch, w, key, k + lo, k + lo + n)
                        for w, key in map(witnesses.__getitem__, self.variables)]
-            batch.write("".join(map(fmt.__mod__, zip(ticks, *times, *columns))))
+            batch.write("".join(map(fmt.__mod__, zip(self.stamps(ticks), *columns))))
+
+    def stamps(self, ticks: range) -> Iterable[str]:
+        """The text ``"t,time,"`` that starts the row of each tick t in `ticks`, a non-empty range."""
+        if self.dec is None:
+            times = (map(self.delta_f.__rmul__, ticks),)
+        elif self.dec[0] != 1:  # the integer part and the fraction's suffix, as `time_field` writes them
+            (m, e), p = self.dec, 10**self.dec[1]
+            scaled = range(ticks.start * m, ticks.stop * m, m)
+            times = map(p.__rfloordiv__, scaled), map(time_suffixes(e).__getitem__, map(p.__rmod__, scaled))
+        else:  # a tick length of 10**-e: cut from the templates of whole thousands of ticks
+            stamps = []
+            for a in range(ticks.start // 1000, (ticks.stop + 999) // 1000):
+                text, offsets = _stamp_template(self.dec[1], a > 0)
+                lo, hi = max(ticks.start - 1000 * a, 0), min(ticks.stop - 1000 * a, 1000)
+                stamps += text[offsets[lo]:offsets[hi] - 1].replace("\0", str(a)).split("\1")
+            return stamps
+        return map(self.stamp.__mod__, zip(ticks, *times))
+
+    def periods(self, batch: _Batch, t: int, first: int, nxt: int) -> tuple[int, Callable[[str], object]]:
+        """A traced run's jump over whole periods, on a switch tick t whose configuration tick `first` had.
+
+        The first such tick, with a period P = t - `first` of at most
+        `_BLOCK` ticks, starts collecting: the rows of ticks t+1 .. t+P,
+        which the runner steps as usual, go to ``batch.rows``.  On tick
+        t+P the configuration is t's again; the collected rows are
+        written, and then every whole period that ends before `nxt`, the
+        next stimulus tick or the run's length, each row a collected one
+        with its tick and time fields replaced.  Collecting starts only
+        when at least one such period follows and tick t+P passes the
+        runner's gate (`nxt` more than `_JUMP_AFTER` ticks on), so it
+        always ends.  Returns the tick to go on from and the writer of
+        the runner's rows.
+        """
+        if batch.rows is None:
+            p = t - first
+            if p <= _BLOCK and nxt - t - p > max(p, _JUMP_AFTER):
+                batch.rows, batch.cut = [], t + p
+                batch.write = batch.rows.append
+        elif t == batch.cut:
+            text, batch.rows, batch.write = "".join(batch.rows), None, batch.out
+            batch.write(text)
+            # the fields after the tick and the time: name, values, inputs, outputs and newline
+            tails = [row.split(",", 2)[2] for row in text.splitlines(True)]
+            stop = t + 1 + (nxt - 1 - t) // len(tails) * len(tails)
+            rows = cycle(tails)
+            for lo in range(t + 1, stop, _BLOCK):
+                batch.write("".join(chain.from_iterable(zip(self.stamps(range(lo, min(lo + _BLOCK, stop))), rows))))
+            t = stop - 1
+        return t, batch.write
 
     def texts(self, batch: _Batch, w: WitnessFunction, key: tuple, lo: int, hi: int) -> list[str]:
         """`_fmt` of `w`'s values at steps lo .. hi-1 from the entry constant key[2].
@@ -1504,6 +1559,22 @@ class _Jump:
         return texts[lo - first:hi - first]
 
 
+@lru_cache(maxsize=None)
+def _stamp_template(e: int, later: bool) -> tuple[str, list[int]]:
+    """The stamps of ticks 1000a .. 1000a+999 at a tick length of 10**-e, and where each starts.
+
+    The first thousand (``later`` false) are written out.  For a > 0, tick
+    1000a + b is the text of a, then b in three digits, and its time
+    (1000a + b) / 10**e is the text of a, then b's first 3 - e digits
+    and the suffix of its last e (`time_suffixes`); the template writes
+    NUL for a's text.  The stamps are separated by "\\1".
+    """
+    suffixes = time_suffixes(e)
+    stamps = [f"\0{b:03d},\0{b:03d}"[:9 - e] + f"{suffixes[b % 10**e]}," if later
+              else f"{b},{b // 10**e}{suffixes[b % 10**e]}," for b in range(1000)]
+    return "\1".join(stamps), [0, *accumulate(len(stamp) + 1 for stamp in stamps)]
+
+
 def _witness_values(w: WitnessFunction, c1: float, steps: range, delta_f: float) -> Iterable[float]:
     """``w.value_at_tick(c1, s, delta_f)`` for each s in `steps` of a moving `w`: the same doubles."""
     if w.kind is WitnessKind.LINEAR:
@@ -1513,11 +1584,16 @@ def _witness_values(w: WitnessFunction, c1: float, steps: range, delta_f: float)
 
 
 class _Batch(dict):
-    """A traced run's `write` and its own memo of value texts (`_Jump.texts`), with ``room`` for more."""
+    """A traced run's `write` and its own memo of value texts (`_Jump.texts`), with ``room`` for more.
+
+    ``out`` is the run's writer.  While `_Jump.periods` collects a period,
+    ``write`` appends to ``rows`` instead, until tick ``cut``.
+    """
 
     def __init__(self, write: Callable[[str], object]):
         super().__init__()
-        self.write, self.room = write, _TEXTS_MAX
+        self.write = self.out = write
+        self.room, self.rows, self.cut = _TEXTS_MAX, None, -1
 
 
 # The runners ask `_Jump` once a stretch they have not seen this run
@@ -1529,7 +1605,10 @@ class _Batch(dict):
 # a trace, where a stepped tick costs 4 to 7 times as much, +25% at 49
 # steps and even at about 130.  At 16, the bundled models' traced runs
 # took 4% less, but stretches of 17 to 31 steps would jump at a loss;
-# so a traced run learns no horizon from stepping.
+# so a traced run learns no horizon from stepping.  A switch tick looks
+# its configuration up only when the next stimulus is more than this
+# many ticks away, so an input every 3 to 25 ticks (switch-dense) costs
+# one comparison per switch and stores nothing.
 _JUMP_AFTER = 32
 # An untraced stretch stepped to step k >= this stores k.  A non-empty
 # memo makes every switch hash its key, 0.13 us for five values on the
@@ -1538,7 +1617,7 @@ _JUMP_AFTER = 32
 # 4.01 / 2.29, switch-dense 1.60 / 1.63 / 1.66 / 1.67 (at 8 it stores 97
 # keys of 8-step stretches, at 12 none).
 _LEARN_FROM = 12
-_BLOCK = 1024  # rows per write of a traced jump
+_BLOCK = 1024  # rows per write of a traced jump, and the longest period whose rows a traced run copies
 _TEXTS_MAX = 1 << 16
 _HORIZONS_MAX = 1 << 12  # `_Jump`'s memo entries per run
 
@@ -1560,14 +1639,13 @@ def _build_runner(swa: Swa, trace: bool):
     source = _runner_source(swa, trace)
     namespace = {"_EXP": math.exp, "_suf": time_suffixes((decimal_delta(swa.delta) or (0, 0))[1])}
     namespace["_JUMP"] = _Jump(swa)
+    namespace["_PACK"] = struct.Struct("<%dd" % len(swa.variables)).pack  # the values' bit patterns
     if trace:  # texts by product state and by event mask, each built once; none refers to `swa`
         plan, memo = switch_plan(swa), lru_cache(maxsize=None)
-        evolve_row = partial(_row_format, _py_time(swa)[0], swa.variables, bool(swa.inputs), False)
+        evolve_row = partial(_row_format, f"%d,{_py_time(swa)[0]},", swa.variables, bool(swa.inputs), False)
         names = lambda events: memo(lambda m: ";".join(e for e in events if m & plan.mask((e,))))
         namespace.update(_ROWS=memo(lambda j: evolve_row(plan.name(j), plan.held(j))), _BATCH=_Batch,
                          _NAMES=plan.name, _INS=names(swa.inputs), _OUTS=names(swa.outputs))
-    else:  # the values' bit patterns, for the key of a switch configuration
-        namespace["_PACK"] = struct.Struct("<%dd" % len(swa.variables)).pack
     exec(compile(source, f"<swa:{swa.name}>", "exec"), namespace)
     return namespace.pop("_swarun")  # the runner's globals must not hold it: no reference cycle
 
@@ -1582,11 +1660,12 @@ def run_compiled(
     events = swa.events()
     bit = {e: 1 << idx for idx, e in enumerate(events)}
     known = set(events)
-    # a tick whose events are all unknown is no stimulus tick: nothing becomes visible
+    # a tick whose events are all unknown is no stimulus tick: nothing becomes visible; nor is one
+    # outside the run, so `_TICKS` can stand for the next stimulus tick once every one is consumed
     stim_items = sorted(
         (t, mask)
         for t, evs in (stimulus or {}).items()
-        if t >= 0 and (mask := sum(bit[e] for e in set(evs) & known))
+        if 0 <= t < ticks and (mask := sum(bit[e] for e in set(evs) & known))
     )
     stt = [t for t, _ in stim_items]
     stm = [m for _, m in stim_items]

@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,31 @@ settings.load_profile("default")
 MODELS = Path(__file__).parent.parent / "src" / "syncha" / "models"
 FIXTURES = Path(__file__).parent / "fixtures"
 DELTA = Fraction(1, 100)
+TEST_SECONDS = 120  # the slowest test takes about 10 s on a 2-CPU VM
+
+
+class TimedOut(BaseException):
+    """A test ran longer than `TEST_SECONDS`.
+
+    Not an `Exception`, so Hypothesis does not take it for a failing
+    example and run that example again to shrink it.
+    """
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail a test that runs longer than `TEST_SECONDS`, by name, rather than hang the suite."""
+
+    def expire(signum, frame):
+        raise TimedOut(f"{request.node.nodeid} ran longer than {TEST_SECONDS} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,15 @@
 The oracles recompute their answers from first principles (numerical
 integration, dense sampling, direct transcription of the product loops,
 a scan of the product's egress list), reusing only the package's plain
-data types, witnesses and update arithmetic.
+data types, witnesses and update arithmetic.  `Inline` reads what the
+specialised runner does from its frame, for tests and probes that state
+its fast-forward schedule.
 """
 
 from __future__ import annotations
 
+import io
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +20,7 @@ from syncha.expr import Constraint
 from syncha.model import EventExpr, HybridAutomaton
 from syncha.odesolve import resolve_c1
 from syncha.swa import ExecState, Swa, UnreachableState, format_trace_row, initial_exec_state
-from syncha.swa import trace_header, _eval_update
+from syncha.swa import trace_header, _eval_update, _runner_source, simulate, tick as generic_tick
 
 # --- numerical integration ----------------------------------------------------
 
@@ -598,3 +602,71 @@ def timer_chain_source(n: int) -> str:
             lines.append(f"  edge a{i} -> b{i} guard {x} == 0.3 do {x}' := 0")
         lines += [f"  edge b{i} -> a{i} guard {x} == 0.2 do {x}' := 0 emit E{i}", ""]
     return "\n".join(lines)
+
+
+# --- recurrences, and the specialised runner read from its frame -------------
+
+
+def first_recurrence(product: Swa, ticks: int) -> tuple[int, int] | None:
+    """The first switch tick whose configuration an earlier one had, and the ticks between the two.
+
+    A switch tick's configuration is the product state, the bit patterns of
+    the values and the events pending after it.  The generic engine steps
+    `ticks` ticks with no stimulus; None if no configuration recurs.
+    """
+    st, seen = initial_exec_state(product), {}
+    for t in range(ticks):
+        st, _ = generic_tick(product, st)
+        if st.k == 0:
+            config = (st.location, *(st.v[var].hex() for var in product.variables), st.pending_pre)
+            if (first := seen.setdefault(config, t)) != t:
+                return t, t - first
+    return None
+
+
+class Inline:
+    """A run of the specialised engine read from its runner's frame with `sys.settrace`.
+
+    ``state`` is the final state, ``memo`` the horizon memo the run ended with, and
+    ``jumps`` every jump the untraced runner made inline as (tick, step, tick landed on,
+    step landed on), the tuple the tests record for each `_Jump` call, with its stretch's
+    key in ``keys``.  A memo hit whose jump is one tick or none moves nothing and is not
+    listed.  ``cycles`` lists every cycle jump that moved as (tick, tick landed on),
+    ``seen`` is the memo of switch configurations the run ended with, and ``stepped``
+    counts the ticks the runner's loop ran.  With ``traced`` the run writes its trace to
+    ``trace``; a traced runner jumps a stretch only by a `_Jump` call, so ``jumps`` stays
+    empty.
+    """
+
+    def __init__(self, product: Swa, ticks: int, stimulus=None, traced: bool = False):
+        source = _runner_source(product, traced).splitlines()
+        jump = None if traced else source.index("                    _t += _d") + 1
+        cycle = source.index("                elif len(_seen) < _room:")  # the hit's last line, from 1
+        loop = source.index("        vis = _pend") + 1
+        self.memo, self.seen, self.jumps, self.keys, self.cycles, self.stepped = None, None, [], [], [], 0
+        before = []  # the tick a cycle jump starts from, until the next event shows where it landed
+
+        def local(frame, event, arg):
+            f = frame.f_locals
+            if before and before[-1] != f["_t"]:
+                self.cycles.append((before[-1], f["_t"]))
+            before[:] = []
+            if event == "line" and frame.f_lineno == loop:
+                self.stepped += 1
+            elif event == "line" and frame.f_lineno == jump:
+                self.jumps.append((f["_t"], f["k"], f["_t"] + f["_d"] + 1, f["k"] + f["_d"] + 1))
+                self.keys.append((f["_loc"], *(f[f"c1_{var}"] for var in product.variables)))
+            elif event == "line" and frame.f_lineno == cycle:
+                before.append(f["_t"])
+            elif event == "return":
+                self.memo, self.seen = dict(f["_hm"]), dict(f["_seen"])
+            return local
+
+        out = io.StringIO() if traced else None
+        old = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code.co_name == "_swarun" else None)
+        try:
+            self.state = simulate(product, ticks, stimulus, out=out)
+        finally:
+            sys.settrace(old)
+        self.trace = out and out.getvalue()

@@ -41,7 +41,7 @@ from syncha.swa import (
     evolve_horizon,
     simulate,
 )
-from oracles import fuzz_model, fuzz_network, timer_chain_source
+from oracles import Inline, first_recurrence, fuzz_model, fuzz_network, timer_chain_source
 
 DELTAS = (Fraction(1, 100), Fraction(1, 8), Fraction(1, 3))
 
@@ -88,8 +88,9 @@ class Jumps:
     def each(self):
         """The calls of one trace mode, once both modes are checked to have made the same.
 
-        They do while no stretch re-enters a key the memo holds: without a trace such a
-        stretch jumps inline.
+        They do while no stretch re-enters a key the memo holds, as without a trace such a
+        stretch jumps inline, and no switch configuration recurs, as the two modes jump
+        whole periods from different ticks.
         """
         assert self.untraced == self.traced
         return self.untraced
@@ -98,50 +99,6 @@ class Jumps:
         """The step each untraced call would ask at: 32 on a key's first visit, 1 once it is stored."""
         seen = set()
         return [1 if key in seen or seen.add(key) else 32 for key in self.keys]
-
-
-class Inline:
-    """An untraced run read from its runner's frame with `sys.settrace`: the test hook.
-
-    ``state`` is the final state, ``memo`` the horizon memo the run ended with, and
-    ``jumps`` every jump the runner made inline as (tick, step, tick landed on, step
-    landed on), the tuple `Jumps` records, with its stretch's key in ``keys``.  A memo
-    hit whose jump is one tick or none moves nothing and is not listed.  ``cycles``
-    lists every cycle jump that moved as (tick, tick landed on), ``seen`` is the memo
-    of switch configurations the run ended with, and ``stepped`` counts the ticks the
-    runner's loop ran.
-    """
-
-    def __init__(self, product, ticks, stimulus=None):
-        source = swa._runner_source(product, False).splitlines()
-        jump = source.index("                    _t += _d") + 1
-        cycle = next(n for n, line in enumerate(source, 1) if line.endswith("// _p * _p"))
-        loop = source.index("        vis = _pend") + 1
-        self.memo, self.seen, self.jumps, self.keys, self.cycles, self.stepped = None, None, [], [], [], 0
-        before = []  # the tick a cycle jump starts from, until the next event shows where it landed
-
-        def local(frame, event, arg):
-            f = frame.f_locals
-            if before and before[-1] != f["_t"]:
-                self.cycles.append((before[-1], f["_t"]))
-            before[:] = []
-            if event == "line" and frame.f_lineno == loop:
-                self.stepped += 1
-            elif event == "line" and frame.f_lineno == jump:
-                self.jumps.append((f["_t"], f["k"], f["_t"] + f["_d"] + 1, f["k"] + f["_d"] + 1))
-                self.keys.append((f["_loc"], *(f[f"c1_{var}"] for var in product.variables)))
-            elif event == "line" and frame.f_lineno == cycle:
-                before.append(f["_t"])
-            elif event == "return":
-                self.memo, self.seen = dict(f["_hm"]), dict(f["_seen"])
-            return local
-
-        old = sys.gettrace()
-        sys.settrace(lambda frame, event, arg: local if frame.f_code.co_name == "_swarun" else None)
-        try:
-            self.state = simulate(product, ticks, stimulus)
-        finally:
-            sys.settrace(old)
 
 
 @pytest.fixture
@@ -295,12 +252,14 @@ class TestTargeted:
         # step 1, through `_Jump` with a trace and inline without one
         first = [(31, 32, 50, 51)]
         again = [(52 * n, 1, 52 * n + 50, 51) for n in range(1, 19)] + [(988, 1, 999, 12)]
-        assert jumps.traced == first + again
         assert jumps.untraced == first
-        # without a trace, switch tick 103 repeats tick 51's configuration: 17 periods of 52 ticks
-        # are jumped at once, to tick 987, the last repeat before the run's end
+        # switch tick 103 repeats tick 51's configuration.  Without a trace 17 periods of 52 ticks
+        # are jumped at once, to tick 987, the last repeat before the run's end; with one, the
+        # period to tick 155 is stepped and its rows copied for the other 16
         run = Inline(product, 1000)
         assert run.jumps == [again[0], again[-1]] and run.cycles == [(103, 987)]
+        assert jumps.traced == first + again[:2] + again[-1:]
+        assert Inline(product, 1000, traced=True).cycles == [(155, 987)]
         # x's texts, first stored from step 32, grew back to step 1 when the stretch was re-entered
         assert [(key[:3], first, len(texts)) for key, (first, texts) in jumps.batch.items()] == [
             (("x", "run", 0.0), 1, 50)]
@@ -366,7 +325,7 @@ class TestTargeted:
         product = product_of(DRIFT)
         out = io.StringIO()
         batch = swa._Batch(out.write)
-        assert swa._Jump(product)(31, 32, -1, 100, (0, math.nan, 0.0), {}, batch)[:2] == (99, 100)
+        assert swa._Jump(product)(31, 32, 100, 100, (0, math.nan, 0.0), {}, batch)[:2] == (99, 100)
         rows = [row.split(",") for row in out.getvalue().splitlines()]
         assert [row[0] for row in rows] == [str(t) for t in range(32, 100)]
         assert {row[3] for row in rows} == {"nan"} and [row[4] for row in rows[:2]] == ["0.32", "0.33"]
@@ -385,8 +344,8 @@ class TestTargeted:
 
     def test_a_nan_entry_constant_stores_no_horizon(self):
         jump, memo = swa._Jump(product_of(DRIFT)), {}
-        assert jump(31, 32, -1, 100, (0, math.nan, 0.0), memo)[:2] == (99, 100)
-        assert jump(31, 32, -1, 100, (0, 0.0, 0.0), memo)[:2] == (99, 100)
+        assert jump(31, 32, 100, 100, (0, math.nan, 0.0), memo)[:2] == (99, 100)
+        assert jump(31, 32, 100, 100, (0, 0.0, 0.0), memo)[:2] == (99, 100)
         assert memo == {(0, 0.0, 0.0): 101}  # c passes 1 at step 101 either way
 
     def test_the_horizon_memo_is_bounded(self, jumps, monkeypatch):
@@ -410,8 +369,10 @@ class TestTargeted:
     def test_the_configuration_memo_lives_for_one_run(self, thermostat_swa):
         # a memo kept across runs would see the first configuration again at once, a period of 0
         first, second = Inline(thermostat_swa, 5000), Inline(thermostat_swa, 5000)
-        assert first.cycles == second.cycles == [(811, 4871)]
+        assert first.cycles == second.cycles == [(607, 4667)]
         assert first.seen == second.seen and len(first.seen) == 2
+        traced = Inline(thermostat_swa, 5000, traced=True), Inline(thermostat_swa, 5000, traced=True)
+        assert [run.cycles for run in traced] == [[(1013, 4667)]] * 2 and traced[0].seen == first.seen
 
     def test_a_horizon_past_the_trusted_range_is_not_jumped_back_to(self, jumps):
         # x >= 0 never fails, but exp is trusted only up to step 700 / (5 * 0.01) = 14,000, so the
@@ -534,11 +495,12 @@ class TestLearned:
         assert run.jumps == [(22, 1, 42, 21), (286, 1, 299, 14)] and run.cycles == [(43, 285)]
         assert (run.state.k, run.state.v["x"]) == (14, 14.0) and jumps.untraced == []
 
-    # A schedule is the inline jumps and the cycle jumps.  After the stimulus, the second switch
-    # into the known stretch repeats the first one's configuration: one period of 22 ticks is jumped.
+    # A schedule is the inline jumps and the cycle jumps.  The first switch to repeat a configuration
+    # seen since the stimulus jumps one period of 22 ticks.
     @pytest.mark.parametrize("stimulus, schedule", [
-        # NOISE on tick 20 is visible on tick 21, where the first stretch fails: nothing is learned
-        ({20: "NOISE"}, ([(44, 1, 64, 21), (88, 1, 99, 12)], [(65, 87)])),
+        # NOISE on tick 20 is visible on tick 21, where the first stretch fails: nothing is learned,
+        # and switch tick 43 repeats tick 21's configuration
+        ({20: "NOISE"}, ([(88, 1, 99, 12)], [(43, 87)])),
         # a stimulus cuts the jump short; it asks again two steps later
         ({30: "NOISE"}, ([(22, 1, 30, 9), (31, 10, 42, 21), (44, 1, 64, 21), (88, 1, 99, 12)], [(65, 87)])),
         # a stimulus on the tick that would jump: no jump, and again two steps later
@@ -626,7 +588,11 @@ def test_learned_horizons_are_exact(source, delta, ticks, limit, data):
 
 
 class TestCycles:
-    """Without a trace, a switch configuration seen again with no stimulus since jumps every whole period."""
+    """A switch configuration seen again with no stimulus since jumps every whole period.
+
+    Without a trace the run jumps at once.  With one it steps one more period, then writes that
+    period's rows again for every whole period left, each with its own tick and time.
+    """
 
     def test_a_signed_zero_is_no_repeat(self):
         # every other stretch enters x at -0.0, a configuration equal to the 0.0 one as floats: a
@@ -637,14 +603,20 @@ class TestCycles:
         run = Inline(product, 1003)
         assert run.cycles == [(305, 305 + 3 * 204)]
         assert sorted(key[3] for key in run.seen) == [struct.pack("<2d", x, 0.0) for x in (0.0, -0.0)]
+        # with a trace the period to tick 509 is stepped, and its rows, "0" and "-0" alike, are copied
+        traced = Inline(product, 1003, traced=True)
+        assert traced.cycles == [(509, 917)] and traced.seen == run.seen
+        assert {row.split(",")[3] for row in traced.trace.splitlines()[510:918]} == {"0", "-0"}
 
     def test_pending_events_are_part_of_the_configuration(self):
-        # switch ticks 37 and 38 leave the same state and values, the first with an event pending:
+        # switch ticks 10 and 11 leave the same state and values, the first with an event pending:
         # a key without the events takes 1 tick for the period and ends this run elsewhere
         product = product_of(fuzz_network(68), Fraction(1, 3))
         assert_engines_agree(product, 3000)
         run = Inline(product, 3000)
-        assert run.cycles == [(64, 2980)] and [key[1:3] for key in run.seen] == [(5, 8), (5, 0)]
+        assert run.cycles == [(30, 2973)] and {t: key[1:3] for key, t in run.seen.items() if t in (10, 11)} == {
+            10: (5, 8), 11: (5, 0)}
+        assert Inline(product, 3000, traced=True).cycles == [(57, 2973)]
 
     def test_a_stimulus_after_a_recurrence(self):
         # the cycle jump from tick 43 lands on 153, the tick before NOISE; stepping resumes, jumps
@@ -656,11 +628,59 @@ class TestCycles:
         assert run.cycles == [(43, 153), (197, 285)]
         assert run.jumps == [(22, 1, 42, 21), (156, 3, 174, 21), (176, 1, 196, 21), (286, 1, 299, 14)]
         assert [key[0] for key in run.seen] == [0, 1]  # one configuration per stimulus interval
+        # with a trace each jump starts one period of 22 ticks later and lands on the same tick
+        assert Inline(product, 300, stimulus, traced=True).cycles == [(65, 153), (219, 285)]
+
+    # Switch tick 43 repeats tick 21's configuration.  Without a trace the run jumps the whole
+    # periods that end before the stimulus tick; with one it collects ticks 44 .. 65 only when a
+    # whole period follows them and the gate passes on tick 65, the stimulus more than 32 ticks on.
+    # After the stimulus the orbit's switch ticks are 22 apart again, and both runs jump to 197.
+    @pytest.mark.parametrize("tick, untraced, traced", [
+        (60, [(87, 197)], [(109, 197)]),  # inside the period a traced run would collect
+        (95, [(43, 87), (131, 197)], [(153, 197)]),  # two periods fit, but 65 is 30 ticks from it
+        (100, [(43, 87), (131, 197)], [(65, 87), (153, 197)]),
+    ])
+    def test_a_stimulus_near_a_recurrence(self, tick, untraced, traced):
+        product = product_of(SHORT_CLOCK.format(top=20))
+        stimulus = {tick: frozenset({"NOISE"})}
+        assert_engines_agree(product, 200, stimulus)
+        assert Inline(product, 200, stimulus).cycles == untraced
+        assert Inline(product, 200, stimulus, traced=True).cycles == traced
+
+    @pytest.mark.parametrize("ticks, untraced, traced", [
+        (200, [(103, 155)], []),  # no whole period would follow the one a traced run collects
+        (220, [(103, 207)], [(155, 207)]),  # both land on 207 and step to the end, mid-period
+    ])
+    def test_a_run_ending_mid_period(self, ticks, untraced, traced):
+        product = product_of(CLOCK)
+        assert_engines_agree(product, ticks)
+        assert Inline(product, ticks).cycles == untraced
+        assert Inline(product, ticks, traced=True).cycles == traced
+
+    @pytest.mark.parametrize("block, traced", [(51, []), (52, [(155, 987)])])
+    def test_a_period_longer_than_a_block_is_stepped(self, monkeypatch, block, traced):
+        # CLOCK's period is 52 ticks: a traced run collects at most `_BLOCK` rows
+        monkeypatch.setattr(swa, "_BLOCK", block)
+        product = product_of(CLOCK)
+        assert_engines_agree(product, 1000)
+        assert Inline(product, 1000).cycles == [(103, 987)]
+        assert Inline(product, 1000, traced=True).cycles == traced
+
+    @pytest.mark.parametrize("model", ["thermostat", "watertank", "traingate"])
+    def test_the_first_recurrence_jumps(self, model):
+        # with no stimulus every configuration is kept from the first switch on, so the untraced run
+        # jumps on the first recurrence; the traced one a period later, unless that is over `_BLOCK`
+        product = product_of((Path(swa.__file__).parent / "models" / f"{model}.pha").read_text())
+        t, period = first_recurrence(product, 20_000)
+        assert Inline(product, 20_000).cycles[0][0] == t
+        landing = t + (19_999 - t) // period * period  # the last repeat before the run's end
+        traced = [(t + period, landing)] if period <= swa._BLOCK else []
+        assert Inline(product, 20_000, traced=True).cycles[:1] == traced
 
     @pytest.mark.parametrize("limit, seen, cycles", [
         (None, 2, [(43, 153), (197, 285)]),
         (1, 1, [(43, 153)]),  # the configuration after NOISE is not kept
-        (0, 0, []),  # no horizon is kept either, so no stretch is known and none is looked up
+        (0, 0, []),  # no configuration is kept
     ])
     def test_the_configuration_memo_is_bounded(self, monkeypatch, limit, seen, cycles):
         if limit is not None:
@@ -674,15 +694,8 @@ class TestCycles:
     def test_a_billion_ticks_of_a_timer_chain(self):
         # criterion 8's scale, and a hundred times more: the run steps only until its orbit repeats
         product = product_of(timer_chain_source(4))
-        state, seen, t = swa.initial_exec_state(product), {}, 0
-        while True:
-            state, _ = swa.tick(product, state)
-            config = (state.location, tuple(bits(state.v).items()), state.pending_pre)
-            if state.k == 0 and seen.setdefault(config, t) != t:
-                break
-            t += 1
-        # the states after ticks seen[config] and t are equal, so from tick t on they repeat
-        period = t - seen[config]
+        # the states after ticks t - period and t are equal, so from tick t on they repeat
+        t, period = first_recurrence(product, 10_000)
         ticks = 10**9
         jumped = final(product, ticks, None, "compiled", traced=False)[0]
         assert jumped == final(product, t + 1 + (ticks - t - 1) % period, None, "generic", traced=False)[0]
@@ -701,16 +714,16 @@ BUNDLED = [path.read_text() for path in sorted((Path(swa.__file__).parent / "mod
     data=st.data(),
 )
 def test_cycle_jumps_are_exact(source, delta, ticks, data):
-    """Untraced runs that jump whole periods end as the generic engine does, bit for bit.
+    """Runs that jump whole periods end as the generic engine does, bit for bit, and write its trace.
 
     Most networks here repeat their switch configuration within a few hundred ticks, so
     most stimulus ticks fall after the first recurrence.  NOISE is no event of any network.
+    At δ = 1/3 the time field is ``%.15g``.
     """
     product = product_of(source, delta)
     events = st.frozensets(st.sampled_from(sorted(product.events()) + ["NOISE"]), min_size=1, max_size=2)
     stimulus = data.draw(st.dictionaries(st.integers(0, ticks), events, max_size=6))
-    jumped = final(product, ticks, stimulus, "compiled", traced=False)[0]
-    assert jumped == final(product, ticks, stimulus, "generic", traced=False)[0]
+    assert_engines_agree(product, ticks, stimulus)
 
 
 def plan(kind, op, bound, a="0", b="0"):
@@ -797,6 +810,19 @@ def test_batched_values_are_value_at_tick(kind, rate, eq, c1, lo, delta):
     assert [x.hex() for x in swa._witness_values(w, c1, steps, delta_f)] == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    delta=st.sampled_from([*DELTAS, Fraction(1), Fraction(1, 10), Fraction(1, 1000), Fraction(5, 2)]),
+    start=st.one_of(st.integers(0, 3000), st.integers(0, 10**12)),
+    n=st.integers(1, 2500),
+)
+def test_stamps_are_tick_and_time_fields(delta, start, n):
+    """The batch writer starts each row with the tick and `time_field`, from templates at 1/10**j too."""
+    ticks = range(start, start + n)
+    stamps = swa._Jump(product_of(LATCH, delta)).stamps(ticks)
+    assert list(stamps) == [f"{t},{swa.time_field(t, delta)}," for t in ticks]
+
+
 def test_trace_probe_prints_a_row_per_bundled_model():
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
@@ -822,6 +848,7 @@ def test_stretch_probe_prints_a_row_per_network():
     assert header.split()[:3] == ["network", "stretches", "keys"] and "recurs at period" in header
     assert [row.split()[0] for row in rows] == ["thermostat", "traingate", "watertank", "chain2", "chain3"]
     # chain2: 141 stretches over 4 keys, so all but 4 re-enter one; switch tick 87 repeats tick 31's
-    # configuration, and traingate's first recurrence comes after tick 2000
-    assert rows[3].split()[1:4] == ["141", "4", "137"] and rows[3].split()[6:8] == ["87", "56"]
-    assert rows[1].split()[6:8] == ["-", "-"]
+    # configuration, and the runner jumps whole periods from there without a trace and from one
+    # period later with one; traingate's first recurrence comes after tick 2000
+    assert rows[3].split()[1:4] == ["141", "4", "137"] and rows[3].split()[6:10] == ["87", "56", "87", "143"]
+    assert rows[1].split()[6:10] == ["-"] * 4
