@@ -1242,12 +1242,16 @@ def _runner_source(swa: Swa, trace: bool) -> str:
 
     Both runners find periods alike.  ``_next`` is the next stimulus
     tick, or ``_TICKS`` once none is left.  A switch tick more than
-    `_JUMP_AFTER` ticks before ``_next`` looks up its configuration
-    ``(_si, _loc, emit, _PACK(u_…))`` in the run's ``_seen``, which maps
-    a configuration to the tick it was first seen on and holds at most
-    `_HORIZONS_MAX` of them.  ``_PACK`` gives the values' bit patterns:
-    0.0 == -0.0, but the two print apart.  Where stimuli come closer
-    together the check is one false test per switch.  Without ``trace``
+    ``_far`` (`_JUMP_AFTER`) ticks before ``_next`` looks up its
+    configuration ``(_si, _loc, emit, _PACK(u_…))`` in the run's
+    ``_seen``, which maps a configuration to the tick it was first seen
+    on and holds at most `_HORIZONS_MAX` of them.  ``_PACK`` gives the
+    values' bit patterns: 0.0 == -0.0, but the two print apart.  Where
+    stimuli come closer together the check is one false test per
+    switch.  A miss on a full memo sets ``_far`` to ``_TICKS``, so a
+    run whose configurations stop repeating stops paying for the
+    lookups; it cannot come while a traced run collects a period,
+    whose configurations all hit.  Without ``trace``
     a hit from tick t0 moves ``_t`` on by every whole period P = ``_t``
     - t0 that ends by the tick before ``_next``.  With ``trace`` a hit
     goes to `_Jump.periods`, which collects the rows of the next period
@@ -1314,7 +1318,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("    k = _pend = _si = _t = 0")
     emit("    _nst = len(_STT)")
     emit("    _next = _STT[0] if _nst else _TICKS")
-    emit(f"    _ask = {_JUMP_AFTER}")
+    emit(f"    _ask = _far = {_JUMP_AFTER}")
     emit("    _hm = {}")
     emit("    _seen, _room = {}, _JUMP.room()")
     if trace:
@@ -1358,12 +1362,14 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         # _hf stays 0 while the memo is empty, since it never shrinks
         emit(f"            _ask = 1 if _hm and (_hf := _hm.get({key}, 0)) else {_JUMP_AFTER}")
         hit = ["_p = _t - _seen[_ck]", "_t += (_next - 1 - _t) // _p * _p"]
-    emit(f"            if _next - _t > {_JUMP_AFTER}:")
+    emit("            if _next - _t > _far:")
     emit(f"                _ck = (_si, _loc, emit, _PACK({us}))")
     emit("                if _ck in _seen:")
     w += [f"                    {line}" for line in hit]
     emit("                elif len(_seen) < _room:")
     emit("                    _seen[_ck] = _t")
+    emit("                else:")
+    emit("                    _far = _TICKS")
     emit("        if k == _ask:")
     if trace:
         emit(f"            _t, k, _ask, ({us}{tail}) = _JUMP(_t, k, _next, _TICKS, {key}, _hm, _batch)")
@@ -1607,8 +1613,9 @@ class _Batch(dict):
 # took 4% less, but stretches of 17 to 31 steps would jump at a loss;
 # so a traced run learns no horizon from stepping.  A switch tick looks
 # its configuration up only when the next stimulus is more than this
-# many ticks away, so an input every 3 to 25 ticks (switch-dense) costs
-# one comparison per switch and stores nothing.
+# many ticks away (none, after a miss on a full memo), so an input every
+# 3 to 25 ticks (switch-dense) costs one comparison per switch and
+# stores nothing.
 _JUMP_AFTER = 32
 # An untraced stretch stepped to step k >= this stores k.  A non-empty
 # memo makes every switch hash its key, 0.13 us for five values on the

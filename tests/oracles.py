@@ -632,10 +632,11 @@ class Inline:
     step landed on), the tuple the tests record for each `_Jump` call, with its stretch's
     key in ``keys``.  A memo hit whose jump is one tick or none moves nothing and is not
     listed.  ``cycles`` lists every cycle jump that moved as (tick, tick landed on),
-    ``seen`` is the memo of switch configurations the run ended with, and ``stepped``
-    counts the ticks the runner's loop ran.  With ``traced`` the run writes its trace to
-    ``trace``; a traced runner jumps a stretch only by a `_Jump` call, so ``jumps`` stays
-    empty.
+    ``seen`` is the memo of switch configurations the run ended with, ``far`` the
+    distance to the next stimulus beyond which a switch tick looks its configuration
+    up, as the run ended, and ``stepped`` counts the ticks the runner's loop ran.
+    With ``traced`` the run writes its trace to ``trace``; a traced runner jumps a
+    stretch only by a `_Jump` call, so ``jumps`` stays empty.
     """
 
     def __init__(self, product: Swa, ticks: int, stimulus=None, traced: bool = False):
@@ -643,7 +644,8 @@ class Inline:
         jump = None if traced else source.index("                    _t += _d") + 1
         cycle = source.index("                elif len(_seen) < _room:")  # the hit's last line, from 1
         loop = source.index("        vis = _pend") + 1
-        self.memo, self.seen, self.jumps, self.keys, self.cycles, self.stepped = None, None, [], [], [], 0
+        self.memo = self.seen = self.far = None
+        self.jumps, self.keys, self.cycles, self.stepped = [], [], [], 0
         before = []  # the tick a cycle jump starts from, until the next event shows where it landed
 
         def local(frame, event, arg):
@@ -659,7 +661,7 @@ class Inline:
             elif event == "line" and frame.f_lineno == cycle:
                 before.append(f["_t"])
             elif event == "return":
-                self.memo, self.seen = dict(f["_hm"]), dict(f["_seen"])
+                self.memo, self.seen, self.far = dict(f["_hm"]), dict(f["_seen"]), f["_far"]
             return local
 
         out = io.StringIO() if traced else None

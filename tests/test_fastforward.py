@@ -501,6 +501,9 @@ class TestLearned:
         # NOISE on tick 20 is visible on tick 21, where the first stretch fails: nothing is learned,
         # and switch tick 43 repeats tick 21's configuration
         ({20: "NOISE"}, ([(88, 1, 99, 12)], [(43, 87)])),
+        # a second NOISE keeps tick 43 within 32 ticks of a stimulus: no cycle jump, and the stretch
+        # re-entered on tick 44 jumps inline on the horizon the second stretch taught
+        ({20: "NOISE", 64: "NOISE"}, ([(44, 1, 64, 21), (66, 1, 86, 21), (88, 1, 99, 12)], [])),
         # a stimulus cuts the jump short; it asks again two steps later
         ({30: "NOISE"}, ([(22, 1, 30, 9), (31, 10, 42, 21), (44, 1, 64, 21), (88, 1, 99, 12)], [(65, 87)])),
         # a stimulus on the tick that would jump: no jump, and again two steps later
@@ -544,6 +547,10 @@ class TestLearned:
         run = Inline(product, 1000)
         assert len(run.memo) == limit and run.jumps == []
         assert_horizons_exact(product, run.memo)
+        # nor does a switch configuration repeat: the first switch tick after `limit` are kept
+        # misses on a full memo, and the run looks nothing up from then on, traced or not
+        for run in run, Inline(product, 1000, traced=True):
+            assert (len(run.seen), run.far, run.cycles) == (limit, 1000, [])
 
     def test_timer_chain_jumps_its_re_entered_stretches_inline(self):
         product = product_of(timer_chain_source(3))
@@ -690,6 +697,8 @@ class TestCycles:
         assert_engines_agree(product, 300, stimulus)
         run = Inline(product, 300, stimulus)
         assert len(run.seen) == seen and run.cycles == cycles
+        # with a limit, a configuration after NOISE misses on a full memo and ends the lookups
+        assert run.far == (swa._JUMP_AFTER if limit is None else 300)
 
     def test_a_billion_ticks_of_a_timer_chain(self):
         # criterion 8's scale, and a hundred times more: the run steps only until its orbit repeats
