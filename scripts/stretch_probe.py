@@ -8,11 +8,9 @@ product state and every variable's entry constant c1.  For each
 network, stepped by the generic engine for N ticks with no stimulus,
 it prints the completed stretches, their distinct keys, the stretches
 that re-enter a key an earlier one had, the lengths' quartiles, the
-stretches of at least `swa._LEARN_FROM` steps (those the untraced
-runner learns a horizon from, when no event is visible), the tick on
-which a switch configuration first recurs and its period (a switch
-tick's configuration is its product state, the bit patterns of its
-values and the events it leaves pending; `oracles.first_recurrence`),
+tick on which a switch configuration first recurs and its period (a
+switch tick's configuration is its product state, the bit patterns of
+its values and the events it leaves pending; `oracles.first_recurrence`),
 the tick of the specialised engine's first jump over whole periods
 without and with a trace (read by `oracles.Inline`; "-" for none
 within N ticks), and its ticks per second without and with a trace
@@ -81,9 +79,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     networks = [(path.stem, load_model(path)) for path in sorted(MODELS.glob("*.pha"))]
     networks += [(f"chain{n}", parse_model(timer_chain_source(n))) for n in args.chains]
-    learn = f">= {swa._LEARN_FROM} steps"
     print(f"{'network':<12} {'stretches':>9} {'keys':>6} {'re-entered':>10} {'q1/median/q3':>14}"
-          f" {learn:>14} {'recurs at':>9} {'period':>6} {'untraced jump':>13} {'traced jump':>11}"
+          f" {'recurs at':>9} {'period':>6} {'untraced jump':>13} {'traced jump':>11}"
           f" {'untraced ticks/s':>17} {'traced ticks/s':>15}")
     for name, net in networks:
         product = compose_all(compile_automaton(ha, DELTA)[0] for ha in net.automata)
@@ -92,11 +89,10 @@ def main(argv: list[str] | None = None) -> int:
         again = sum(key in seen or seen.add(key) or False for key, _ in done)
         lengths = [k for _, k in done]
         quartiles = "/".join(f"{q:g}" for q in statistics.quantiles(lengths, n=4)) if len(lengths) > 1 else "-"
-        long = sum(k >= swa._LEARN_FROM for k in lengths)
         recurs, period = recurrence or ("-", "-")
         jumps = [first_cycle(product, args.ticks, traced) for traced in (False, True)]
         rates = [rate(product, args.ticks, args.repeat, traced) for traced in (False, True)]
-        print(f"{name:<12} {len(done):>9} {len(seen):>6} {again:>10} {quartiles:>14} {long:>14}"
+        print(f"{name:<12} {len(done):>9} {len(seen):>6} {again:>10} {quartiles:>14}"
               f" {recurs:>9} {period:>6} {jumps[0]:>13} {jumps[1]:>11} {rates[0]:>17,.0f} {rates[1]:>15,.0f}")
     return 0
 

@@ -55,13 +55,11 @@ a stretch has reached step `_JUMP_AFTER` the runner asks
 part's invariant fails, and jumps straight to the tick before it.  A
 memo that lives for one run keeps that step for each product state
 and set of entry constants, and a stretch the memo knows jumps from
-step 1.  An untraced run also stores the step at which a stretch of at
-least `_LEARN_FROM` steps failed on an invariant, and jumps a known
-stretch inline; a traced one does not, as writing skipped rows costs
-more than stepping short stretches.  The jump stops early at the last
-tick of the run and at the next stimulus tick, after which the runner
-asks again.  `evolve_horizon` confirms its answer with the engines' own
-float expression; its docstring argues why no earlier step can fail.
+step 1.  Both runners ask by this one rule.  The jump stops early at
+the last tick of the run and at the next stimulus tick, after which
+the runner asks again.  `evolve_horizon` confirms its answer with the
+engines' own float expression; its docstring argues why no earlier
+step can fail.
 Both runners also jump whole periods: a switch tick more than
 `_JUMP_AFTER` ticks before the next stimulus whose configuration
 (stimuli consumed, product state, events emitted and the values' bit
@@ -1228,17 +1226,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     product state ``_loc`` is recombined from the parts' ``l<p>``.  When
     ``k`` reaches ``_ask``, the runner calls ``_JUMP`` (a `_Jump`) with
     the run's memo ``_hm``; a switch into a state and entry constants
-    the memo holds asks at step 1.
-
-    Without ``trace``, a switch tick with no event visible and
-    ``k >= _LEARN_FROM`` also stores ``k`` under the ending stretch's key
-    (`_Jump.store`), unless the stretch's horizon ``_hf`` came from the
-    memo.  A known ``_hf`` is jumped inline: ``_t``
-    and ``k`` move to the tick before `_Jump`'s landing, whose step code
-    computes the landing values, so a -0.0 entry keeps its sign.  A jump
-    cut short by a stimulus asks again two steps later; after a
-    ``_JUMP`` call ``_hf`` is read from the memo, so that re-ask is inline
-    too.
+    the memo holds asks at step 1, any other at `_JUMP_AFTER`.  The
+    rule is the same with and without ``trace``.
 
     Both runners find periods alike.  ``_next`` is the next stimulus
     tick, or ``_TICKS`` once none is left.  A switch tick more than
@@ -1323,8 +1312,6 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("    _seen, _room = {}, _JUMP.room()")
     if trace:
         emit("    _batch = _BATCH(_write)")
-    else:
-        emit("    _hf = 0")
     emit("    while _t < _TICKS:")
     for var in swa.variables:
         emit(f"        v_{var} = u_{var}")
@@ -1341,9 +1328,6 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     # decided, for the stuck report.
     key = f"(_loc, {', '.join(f'c1_{var}' for var in swa.variables)})"
     emit("        else:")
-    if not trace:  # the stretch ending on an invariant, with no event, failed first at step k
-        emit(f"            if not vis and k >= {_LEARN_FROM} and not _hf:")
-        emit(f"                _JUMP.store(_hm, {key}, k)")
     for p, locations in enumerate(plan.parts):
         w += indent(indent(indent(switch_code(p, locations, sx, swa.delta_f))))
     for var in swa.variables:
@@ -1351,16 +1335,14 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("            k = 0")
     index = " + ".join(f"l{p} * {stride}" if stride != 1 else f"l{p}" for p, stride in enumerate(plan.strides))
     emit(f"            _loc = {index}")
+    emit(f"            _ask = 1 if _hm and {key} in _hm else {_JUMP_AFTER}")
     if trace:
-        emit(f"            _ask = 1 if _hm and {key} in _hm else {_JUMP_AFTER}")
         emit("            _row = _ROWS(_loc)")
         for var in held:
             emit(f"            r_{var} = '%.15g' % v_{var}")
         emit(f"            {write_row(True)}")
         hit = ["_t, _write = _JUMP.periods(_batch, _t, _seen[_ck], _next)"]
     else:
-        # _hf stays 0 while the memo is empty, since it never shrinks
-        emit(f"            _ask = 1 if _hm and (_hf := _hm.get({key}, 0)) else {_JUMP_AFTER}")
         hit = ["_p = _t - _seen[_ck]", "_t += (_next - 1 - _t) // _p * _p"]
     emit("            if _next - _t > _far:")
     emit(f"                _ck = (_si, _loc, emit, _PACK({us}))")
@@ -1371,18 +1353,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("                else:")
     emit("                    _far = _TICKS")
     emit("        if k == _ask:")
-    if trace:
-        emit(f"            _t, k, _ask, ({us}{tail}) = _JUMP(_t, k, _next, _TICKS, {key}, _hm, _batch)")
-    else:
-        emit("            if not _hf:")
-        emit(f"                _t, k, _ask, ({us}{tail}) = _JUMP(_t, k, _next, _TICKS, {key}, _hm)")
-        emit(f"                _hf = _hm.get({key}, 0)")
-        emit("            if _hf:")
-        emit("                _d = min(_hf - k, _next - _t, _TICKS - 1 - _t) - 1")
-        emit("                if _d > 0:")
-        emit("                    _t += _d")
-        emit("                    k += _d")
-        emit("                _ask = k + 2 if k + 1 < _hf else 0")
+    emit(f"            _t, k, _ask, ({us}{tail}) = _JUMP(_t, k, _next, _TICKS, {key}, _hm{', _batch' * trace})")
 
     emit("        if _t == _next:")
     emit("            _pend = _STM[_si] | emit")
@@ -1409,10 +1380,9 @@ class _Jump:
     evolve test fails, whichever comes first, and returns the new tick,
     step, the step to ask again at, and every value at that step.
     A stimulus tick that cuts the jump short does not end the stretch,
-    so the runner asks again: `_JUMP_AFTER` steps later with a trace,
-    and inline two steps later without one, from the horizon the call
-    stored.  The jump over whole periods is `periods` with a trace and
-    inline without one; `_runner_source` describes it.
+    so the runner asks again `_JUMP_AFTER` steps later.  The jump over
+    whole periods is `periods` with a trace and inline without one;
+    `_runner_source` describes it.
 
     The run's `memo` maps a key to the first failing step F found for
     it, and the runner asks at step 1 of a stretch whose key it holds.
@@ -1422,16 +1392,10 @@ class _Jump:
     always stepped: the earliest ask is at step 1.  The first visit
     tested steps 1 .. k0-1 by stepping and k0 .. F-1 by
     `evolve_horizon`, so every re-entry with an equal key passes steps
-    1 .. F-1, and F is the same answer.  So is an F the untraced runner
-    learns, with k0 = F: steps 1 .. F-1 passed their evolve tests, and F
-    failed with no event visible, so on an invariant.  Its inline jump
-    lands on the tick that computes step F or before, and that tick's
-    evolve test reads the values it jumped from, below F, with no event.
-    0.0 == -0.0 as a key is safe: linear values +-0 + r*k and
-    exponential values x_eq + (+-0)*e**.. compare alike with every
-    bound.  An entry is stored only when F > k (learned: F >=
-    `_LEARN_FROM`), never under a NaN, and at most `_HORIZONS_MAX` per
-    run.
+    1 .. F-1, and F is the same answer.  0.0 == -0.0 as a key is safe:
+    linear values +-0 + r*k and exponential values x_eq + (+-0)*e**..
+    compare alike with every bound.  An entry is stored only when F > k,
+    never under a NaN, and at most `_HORIZONS_MAX` per run.
 
     A traced run passes its `_Batch`, and `write` writes the rows of
     the ticks skipped.
@@ -1451,8 +1415,8 @@ class _Jump:
         fail = memo.get(key)
         if fail is None:
             fail = min(evolve_horizon(loc, c1, k, self.delta_f) for loc in here)
-            if fail > k:
-                self.store(memo, key, fail)
+            if fail > k and len(memo) < _HORIZONS_MAX and not any(map(math.isnan, key)):
+                memo[key] = fail
         last = min(nxt, ticks - 1)
         d = max(min(fail - k, last - t), 0)  # a horizon past its trusted range can lie behind k
         if batch is not None and d > 0:
@@ -1466,12 +1430,6 @@ class _Jump:
     def room() -> int:
         """How many entries a run's memos may hold: `_HORIZONS_MAX`, read when the run starts."""
         return _HORIZONS_MAX
-
-    @staticmethod
-    def store(memo: dict, key: tuple, fail: float) -> None:
-        """Keep `fail` as `key`'s horizon in the run's `memo`, unless the key has a NaN or the memo is full."""
-        if len(memo) < _HORIZONS_MAX and not any(map(math.isnan, key)):
-            memo[key] = fail
 
     def write(self, batch: _Batch, state: int, here: list[LocationPlan], c1: dict[str, float],
               t: int, k: int, d: int) -> None:
@@ -1603,27 +1561,19 @@ class _Batch(dict):
 
 
 # The runners ask `_Jump` once a stretch they have not seen this run
-# reaches this step (a known one jumps at step 1: inline without a
-# trace, by a call with one), and shorter stretches pay one comparison
-# per tick.  On a 2-CPU Xeon VM a clock's stretch costs, jumped by a
-# call against stepped: without a trace, where a call costs as much as
-# stepping about 60 ticks, +87% at 49 steps and even at about 100; with
-# a trace, where a stepped tick costs 4 to 7 times as much, +25% at 49
-# steps and even at about 130.  At 16, the bundled models' traced runs
-# took 4% less, but stretches of 17 to 31 steps would jump at a loss;
-# so a traced run learns no horizon from stepping.  A switch tick looks
-# its configuration up only when the next stimulus is more than this
-# many ticks away (none, after a miss on a full memo), so an input every
-# 3 to 25 ticks (switch-dense) costs one comparison per switch and
-# stores nothing.
+# reaches this step (a known one asks at step 1), and shorter stretches
+# pay one comparison per tick.  On a 2-CPU Xeon VM a clock's stretch
+# costs, jumped by a call against stepped: without a trace, where a call
+# costs as much as stepping about 60 ticks, +87% at 49 steps and even at
+# about 100; with a trace, where a stepped tick costs 4 to 7 times as
+# much, +25% at 49 steps and even at about 130.  At 16, the bundled
+# models' traced runs took 4% less, but stretches of 17 to 31 steps
+# would jump at a loss.  Short stretches of a periodic run are skipped
+# by the period jump instead.  A switch tick looks its configuration up
+# only when the next stimulus is more than this many ticks away (none,
+# after a miss on a full memo), so an input every 3 to 25 ticks
+# (switch-dense) costs one comparison per switch and stores nothing.
 _JUMP_AFTER = 32
-# An untraced stretch stepped to step k >= this stores k.  A non-empty
-# memo makes every switch hash its key, 0.13 us for five values on the
-# same VM; a stepped chain-growth tick costs 0.18 to 0.46 us.  Untraced
-# rates at 8 / 12 / 16 / never (M ticks/s): chain-growth 6.38 / 6.34 /
-# 4.01 / 2.29, switch-dense 1.60 / 1.63 / 1.66 / 1.67 (at 8 it stores 97
-# keys of 8-step stretches, at 12 none).
-_LEARN_FROM = 12
 _BLOCK = 1024  # rows per write of a traced jump, and the longest period whose rows a traced run copies
 _TEXTS_MAX = 1 << 16
 _HORIZONS_MAX = 1 << 12  # `_Jump`'s memo entries per run

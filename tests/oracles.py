@@ -627,25 +627,21 @@ def first_recurrence(product: Swa, ticks: int) -> tuple[int, int] | None:
 class Inline:
     """A run of the specialised engine read from its runner's frame with `sys.settrace`.
 
-    ``state`` is the final state, ``memo`` the horizon memo the run ended with, and
-    ``jumps`` every jump the untraced runner made inline as (tick, step, tick landed on,
-    step landed on), the tuple the tests record for each `_Jump` call, with its stretch's
-    key in ``keys``.  A memo hit whose jump is one tick or none moves nothing and is not
-    listed.  ``cycles`` lists every cycle jump that moved as (tick, tick landed on),
-    ``seen`` is the memo of switch configurations the run ended with, ``far`` the
-    distance to the next stimulus beyond which a switch tick looks its configuration
-    up, as the run ended, and ``stepped`` counts the ticks the runner's loop ran.
-    With ``traced`` the run writes its trace to ``trace``; a traced runner jumps a
-    stretch only by a `_Jump` call, so ``jumps`` stays empty.
+    ``state`` is the final state, ``memo`` the horizon memo the run ended with,
+    ``cycles`` every cycle jump that moved as (tick, tick landed on), ``seen`` the memo
+    of switch configurations the run ended with, ``far`` the distance to the next
+    stimulus beyond which a switch tick looks its configuration up, as the run ended,
+    and ``stepped`` counts the ticks the runner's loop ran.  With ``traced`` the run
+    writes its trace to ``trace``.  Both runners jump a stretch only by a `_Jump` call,
+    which the tests' ``jumps`` fixture records.
     """
 
     def __init__(self, product: Swa, ticks: int, stimulus=None, traced: bool = False):
         source = _runner_source(product, traced).splitlines()
-        jump = None if traced else source.index("                    _t += _d") + 1
         cycle = source.index("                elif len(_seen) < _room:")  # the hit's last line, from 1
         loop = source.index("        vis = _pend") + 1
         self.memo = self.seen = self.far = None
-        self.jumps, self.keys, self.cycles, self.stepped = [], [], [], 0
+        self.cycles, self.stepped = [], 0
         before = []  # the tick a cycle jump starts from, until the next event shows where it landed
 
         def local(frame, event, arg):
@@ -655,9 +651,6 @@ class Inline:
             before[:] = []
             if event == "line" and frame.f_lineno == loop:
                 self.stepped += 1
-            elif event == "line" and frame.f_lineno == jump:
-                self.jumps.append((f["_t"], f["k"], f["_t"] + f["_d"] + 1, f["k"] + f["_d"] + 1))
-                self.keys.append((f["_loc"], *(f[f"c1_{var}"] for var in product.variables)))
             elif event == "line" and frame.f_lineno == cycle:
                 before.append(f["_t"])
             elif event == "return":

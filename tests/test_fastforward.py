@@ -4,11 +4,10 @@ The specialised runner jumps an evolve stretch to the last tick on
 which it still evolves (`swa.evolve_horizon`, called through
 `swa._Jump`), and a stretch it has seen in the same run jumps from
 step 1 on the horizon it remembers; with a trace it writes the skipped
-rows in batches, from value texts memoised per run.  Without a trace
-the runner also remembers the horizon of every stretch it stepped to
-its end, and jumps a remembered one inline, without `_Jump`, and it
-jumps every whole period once a switch configuration repeats with no
-stimulus between.  The generic engine steps tick by tick.
+rows in batches, from value texts memoised per run.  Both runners ask
+by that one rule, and both jump every whole period once a switch
+configuration repeats with no stimulus between.  The generic engine
+steps tick by tick.
 These tests compare the final states bit for bit and the traces byte
 for byte.
 """
@@ -79,7 +78,8 @@ class Jumps:
     """Every fast-forward call as (tick, step, tick landed on, step landed on), by trace mode.
 
     ``keys`` holds each untraced call's key, ``memo`` the horizon memo of the last call and
-    ``batch`` the `_Batch` of the last traced call.
+    ``batch`` the `_Batch` of the last traced call.  The two modes ask by one rule, so they
+    make the same calls until a cycle jump moves one of them.
     """
 
     def __init__(self):
@@ -88,9 +88,8 @@ class Jumps:
     def each(self):
         """The calls of one trace mode, once both modes are checked to have made the same.
 
-        They do while no stretch re-enters a key the memo holds, as without a trace such a
-        stretch jumps inline, and no switch configuration recurs, as the two modes jump
-        whole periods from different ticks.
+        They do whenever no cycle jump moves, as the two modes jump whole periods from
+        different ticks.
         """
         assert self.untraced == self.traced
         return self.untraced
@@ -249,15 +248,14 @@ class TestTargeted:
         product = product_of(CLOCK)
         assert assert_engines_agree(product, 1000)[3] == 1000 % 52
         # ticks 32..50 would test steps 32..50; every later stretch re-enters at 0.0 and jumps at
-        # step 1, through `_Jump` with a trace and inline without one
+        # step 1 on the horizon the memo holds
         first = [(31, 32, 50, 51)]
         again = [(52 * n, 1, 52 * n + 50, 51) for n in range(1, 19)] + [(988, 1, 999, 12)]
-        assert jumps.untraced == first
         # switch tick 103 repeats tick 51's configuration.  Without a trace 17 periods of 52 ticks
         # are jumped at once, to tick 987, the last repeat before the run's end; with one, the
         # period to tick 155 is stepped and its rows copied for the other 16
-        run = Inline(product, 1000)
-        assert run.jumps == [again[0], again[-1]] and run.cycles == [(103, 987)]
+        assert jumps.untraced == first + again[:1] + again[-1:]
+        assert Inline(product, 1000).cycles == [(103, 987)]
         assert jumps.traced == first + again[:2] + again[-1:]
         assert Inline(product, 1000, traced=True).cycles == [(155, 987)]
         # x's texts, first stored from step 32, grew back to step 1 when the stretch was re-entered
@@ -283,15 +281,12 @@ class TestTargeted:
 
     def test_stimulus_inside_a_long_stretch(self, jumps):
         product = product_of(LATCH)
-        # NOISE triggers no edge but is visible: the jump stops at tick 300 and asks again,
-        # 32 steps later with a trace and inline two steps later without one, since the memo
-        # holds the horizon by then; GO at 900 ends the stretch
+        # NOISE triggers no edge but is visible: the jump stops at tick 300 and asks again 32
+        # steps later, on the horizon the memo holds by then; GO at 900 ends the stretch
         stimulus = {300: frozenset({"NOISE"}), 900: frozenset({"GO"})}
         outcome = assert_engines_agree(product, 2000, stimulus)
         assert (outcome[0], outcome[3]) == ("shut", 1098)
-        assert jumps.traced == [(31, 32, 300, 301), (332, 333, 900, 901), (933, 32, 1999, 1098)]
-        assert jumps.untraced == [(31, 32, 300, 301), (933, 32, 1999, 1098)]
-        assert Inline(product, 2000, stimulus).jumps == [(302, 303, 900, 901)]
+        assert jumps.each() == [(31, 32, 300, 301), (332, 333, 900, 901), (933, 32, 1999, 1098)]
 
     def test_location_left_only_by_a_trigger(self, jumps):
         product = product_of(LATCH)
@@ -311,11 +306,8 @@ class TestTargeted:
         # x decays toward 0 from 0.0, and from -0.0 after every other switch: equal keys, other texts
         product = product_of(SIGNS)
         assert_engines_agree(product, 404)
-        # -0.0 == 0.0 as a key: every stretch after the first jumps at step 1, inline without a trace
-        first, again = [(31, 32, 100, 101)], [(102, 1, 202, 101), (204, 1, 304, 101), (306, 1, 403, 98)]
-        assert jumps.traced == first + again
-        assert jumps.untraced == first
-        assert Inline(product, 404).jumps == again
+        # -0.0 == 0.0 as a key: every stretch after the first jumps at step 1
+        assert jumps.each() == [(31, 32, 100, 101), (102, 1, 202, 101), (204, 1, 304, 101), (306, 1, 403, 98)]
         rows = final(product, 404, None, "compiled", traced=True)[1].splitlines()[1:]
         xs = [row.split(",")[3] for row in rows]
         assert [set(xs[a:b]) for a, b in [(0, 101), (101, 203), (203, 305), (305, 404)]] == [{"0"}, {"-0"}] * 2
@@ -338,8 +330,8 @@ class TestTargeted:
         assert [rows[i].split(",")[3] for i in (50, 150, 250, 350)] == ["0", "-0", "0", "-0"]
         run = Inline(product, 404)
         assert jumps.memo == run.memo == {(0, 0.0, 0.0): 101}
-        # the first stretch asks `_Jump`, the others jump inline, each from its own signed constant
-        assert [math.copysign(1.0, key[1]) for key in jumps.keys + run.keys] == [1.0, -1.0, 1.0, -1.0]
+        # the first stretch asks at step 32, the others at step 1, each from its own signed constant
+        assert [math.copysign(1.0, key[1]) for key in jumps.keys] == [1.0, -1.0, 1.0, -1.0]
         assert math.copysign(1.0, run.state.v["x"]) == -1.0
 
     def test_a_nan_entry_constant_stores_no_horizon(self):
@@ -358,13 +350,12 @@ class TestTargeted:
 
     def test_the_horizon_memo_lives_for_one_run(self, jumps, thermostat_swa):
         first = Inline(thermostat_swa, 5000)
-        calls, jumps.untraced[:], jumps.keys[:] = list(jumps.untraced), [], []
+        calls, keys, jumps.untraced[:], jumps.keys[:] = list(jumps.untraced), list(jumps.keys), [], []
         second = Inline(thermostat_swa, 5000)
-        # each run asks `_Jump` on each key's first visit, at step 32, and jumps its re-entries inline
-        assert jumps.untraced == calls and calls[0][:2] == (31, 32)
-        assert [k for _, k, _, _ in calls] == jumps.asked_at() == [32] * len(calls)
-        assert second.jumps == first.jumps and second.memo == first.memo
-        assert first.jumps and set(first.keys) <= first.memo.keys()
+        # each run asks `_Jump` on each key's first visit at step 32, and on its re-entries at step 1
+        assert jumps.untraced == calls and jumps.keys == keys and calls[0][:2] == (31, 32)
+        assert [k for _, k, _, _ in calls] == jumps.asked_at() and {1, 32} <= {k for _, k, _, _ in calls}
+        assert second.memo == first.memo and set(keys) <= first.memo.keys()
 
     def test_the_configuration_memo_lives_for_one_run(self, thermostat_swa):
         # a memo kept across runs would see the first configuration again at once, a period of 0
@@ -376,14 +367,12 @@ class TestTargeted:
 
     def test_a_horizon_past_the_trusted_range_is_not_jumped_back_to(self, jumps):
         # x >= 0 never fails, but exp is trusted only up to step 700 / (5 * 0.01) = 14,000, so the
-        # horizon is 14,001; NOISE cuts the jump short at step 13,991.  With a trace it asks again
-        # at 14,023 and stays; without one it jumps inline two steps later, to step 14,000, and steps
+        # horizon is 14,001; NOISE cuts the jump short at step 13,991.  The runner asks again at
+        # 14,023, stays, and steps
         stimulus = {13_990: frozenset({"NOISE"})}
         product = product_of(FADE)
         assert assert_engines_agree(product, 14_100, stimulus)[3] == 14_100
-        assert jumps.traced == [(31, 32, 13_990, 13_991), (14_022, 14_023, 14_022, 14_023)]
-        assert jumps.untraced == [(31, 32, 13_990, 13_991)]
-        assert Inline(product, 14_100, stimulus).jumps == [(13_992, 13_993, 14_000, 14_001)]
+        assert jumps.each() == [(31, 32, 13_990, 13_991), (14_022, 14_023, 14_022, 14_023)]
 
     def test_a_long_stretch_is_written_in_bounded_memory(self):
         # 200,000 distinct texts: the memo stops storing at 2**16, and rows go out in blocks
@@ -473,125 +462,86 @@ def assert_horizons_exact(product, memo):
 
 
 class TestLearned:
-    """Without a trace, a stretch stepped to its end stores its horizon, and a known stretch jumps inline."""
+    """What a run learns: horizons only from `_Jump` calls, and its switch configurations.
 
-    @pytest.mark.parametrize("top, stored", [(swa._LEARN_FROM - 2, False), (swa._LEARN_FROM - 1, True)])
-    def test_a_stretch_from_its_length_on_is_learned(self, jumps, top, stored):
-        # x <= top fails first at step top + 1, on the switch tick top + 1
-        product = product_of(SHORT_CLOCK.format(top=top))
-        assert_engines_agree(product, 300)
-        run = Inline(product, 300)
-        assert run.memo == ({(0, 0.0): top + 1} if stored else {})
-        assert (len(run.jumps) > 0) == stored and jumps.untraced == jumps.traced == []
+    A stretch whose key the memo lacks asks `_Jump` only at step `_JUMP_AFTER`, traced or not, so
+    shorter stretches are stepped to their end and store nothing; a periodic run of them is
+    skipped by the cycle jump instead.
+    """
 
-    def test_a_re_entered_short_stretch_jumps_inline(self, jumps):
-        # 21 steps, too few to ask `_Jump`: the first stretch is stepped and teaches the horizon
-        product = product_of(SHORT_CLOCK.format(top=20))
-        assert_engines_agree(product, 300)
-        run = Inline(product, 300)
-        assert run.memo == {(0, 0.0): 21}
-        # the first re-entry jumps inline; the switch after it repeats tick 21's configuration, so
-        # the run jumps 11 periods of 22 ticks, and the last stretch jumps inline to the run's end
-        assert run.jumps == [(22, 1, 42, 21), (286, 1, 299, 14)] and run.cycles == [(43, 285)]
-        assert (run.state.k, run.state.v["x"]) == (14, 14.0) and jumps.untraced == []
-
-    # A schedule is the inline jumps and the cycle jumps.  The first switch to repeat a configuration
-    # seen since the stimulus jumps one period of 22 ticks.
+    # A schedule is the cycle jumps without and with a trace; no stretch of 21 steps asks `_Jump`.
+    # A switch tick more than 32 ticks before the next stimulus, or the run's end, is kept, and the
+    # first to repeat one kept since the stimulus jumps a period of 22 ticks.  With a trace it first
+    # collects one more period, and only when a whole period follows it.
     @pytest.mark.parametrize("stimulus, schedule", [
-        # NOISE on tick 20 is visible on tick 21, where the first stretch fails: nothing is learned,
-        # and switch tick 43 repeats tick 21's configuration
-        ({20: "NOISE"}, ([(88, 1, 99, 12)], [(43, 87)])),
-        # a second NOISE keeps tick 43 within 32 ticks of a stimulus: no cycle jump, and the stretch
-        # re-entered on tick 44 jumps inline on the horizon the second stretch taught
-        ({20: "NOISE", 64: "NOISE"}, ([(44, 1, 64, 21), (66, 1, 86, 21), (88, 1, 99, 12)], [])),
-        # a stimulus cuts the jump short; it asks again two steps later
-        ({30: "NOISE"}, ([(22, 1, 30, 9), (31, 10, 42, 21), (44, 1, 64, 21), (88, 1, 99, 12)], [(65, 87)])),
-        # a stimulus on the tick that would jump: no jump, and again two steps later
-        ({22: "NOISE"}, ([(24, 3, 42, 21), (44, 1, 64, 21), (88, 1, 99, 12)], [(65, 87)])),
-        # GO, visible on tick 36, ends the stretch at step 14 and re-enters it at 0.0: it jumps at step 1 again
-        ({35: "GO"}, ([(22, 1, 35, 14), (37, 1, 57, 21), (81, 1, 99, 19)], [(58, 80)])),
+        # NOISE on tick 20 comes before switch tick 21, which is kept, and tick 43 repeats it
+        ({20: "NOISE"}, ([(43, 87)], [(65, 87)])),
+        # a second NOISE on tick 64: tick 43 is within 32 ticks of it and tick 87 of the run's end,
+        # so no configuration is seen twice between two stimuli
+        ({20: "NOISE", 64: "NOISE"}, ([], [])),
+        # tick 21 is within 32 ticks of NOISE; tick 65 repeats tick 43, and no whole period follows
+        ({30: "NOISE"}, ([(65, 87)], [])),
+        ({22: "NOISE"}, ([(65, 87)], [])),
+        # GO, visible on tick 36, ends the stretch at step 14 and restarts the orbit: 58 repeats 36
+        ({35: "GO"}, ([(58, 80)], [])),
     ])
-    def test_events_in_short_stretches(self, stimulus, schedule):
+    def test_events_in_short_stretches(self, jumps, stimulus, schedule):
         product = product_of(SHORT_CLOCK.format(top=20))
         stimulus = {t: frozenset({e}) for t, e in stimulus.items()}
         assert_engines_agree(product, 100, stimulus)
-        run = Inline(product, 100, stimulus)
-        assert (run.jumps, run.cycles) == schedule and run.memo == {(0, 0.0): 21}
+        runs = Inline(product, 100, stimulus), Inline(product, 100, stimulus, traced=True)
+        assert tuple(run.cycles for run in runs) == schedule and [run.memo for run in runs] == [{}, {}]
+        assert jumps.untraced == jumps.traced == []
 
     def test_a_learned_signed_zero(self):
-        # 21 steps: first entered at 0.0, which teaches the horizon, then at -0.0 through it
+        # 21 steps, entered at 0.0 and -0.0 in turn: the configuration memo tells them apart by
+        # their bits, so the period is two stretches, and the run ends at -0.0 as stepping does
         product = product_of(SIGNS.replace("c <= 1", "c <= 0.2").replace("c == 1", "c == 0.2"))
-        ticks = 22 * 3 + 10
-        outcome = assert_engines_agree(product, ticks)
-        rows = final(product, ticks, None, "generic", traced=True)[1].splitlines()[1:]
+        outcome = assert_engines_agree(product, 250)
+        rows = final(product, 250, None, "generic", traced=True)[1].splitlines()[1:]
         assert [rows[t].split(",")[3] for t in (10, 30, 50, 70)] == ["0", "-0", "0", "-0"]
-        run = Inline(product, ticks)
-        assert run.memo == {(0, 0.0, 0.0): 21} and len(run.jumps) == 3
-        assert [math.copysign(1.0, key[1]) for key in run.keys] == [-1.0, 1.0, -1.0]
+        run = Inline(product, 250)
+        assert run.memo == {} and run.cycles == [(65, 241)] and len(run.seen) == 2
+        assert Inline(product, 250, traced=True).cycles == [(109, 241)]
         assert outcome[1]["x"] == (-0.0).hex() and math.copysign(1.0, run.state.v["x"]) == -1.0
 
     def test_a_nan_entry_constant_is_not_learned(self):
-        # x overflows to inf on entering decay, and inf * exp(-50 k) is NaN once exp underflows
+        # x overflows to inf on entering decay, and inf * exp(-50 k) is NaN once exp underflows;
+        # no stretch reaches step 32.  In hold the NaN's bits repeat, and so does the configuration
         product = product_of(NAN)
         outcome = assert_engines_agree(product, 300)
         assert outcome[0] == "hold" and outcome[1]["x"] == "nan"
         run = Inline(product, 300)
-        assert run.memo == {(0, 1e200, 0.0): 21, (1, math.inf, 0.0): 15} and run.jumps == []
+        assert run.memo == {} and run.cycles == [(66, 286)]
+        assert Inline(product, 300, traced=True).cycles == [(88, 286)]
 
     @pytest.mark.parametrize("limit", [0, 1, 5])
-    def test_learned_horizons_obey_the_memo_bound(self, monkeypatch, limit):
-        # x grows without bound, so every 21-step stretch enters with a new key
+    def test_learned_horizons_obey_the_memo_bound(self, jumps, monkeypatch, limit):
+        # x grows without bound, so every 101-step stretch enters with a new key and asks at step 32
         monkeypatch.setattr(swa, "_HORIZONS_MAX", limit)
-        product = product_of(DRIFT.replace("c <= 1", "c <= 0.2").replace("c == 1", "c == 0.2"))
+        product = product_of(DRIFT)
         assert_engines_agree(product, 1000)
+        assert [k for _, k, _, _ in jumps.each()] == [32] * 10
         run = Inline(product, 1000)
-        assert len(run.memo) == limit and run.jumps == []
+        assert len(run.memo) == limit
         assert_horizons_exact(product, run.memo)
         # nor does a switch configuration repeat: the first switch tick after `limit` are kept
         # misses on a full memo, and the run looks nothing up from then on, traced or not
         for run in run, Inline(product, 1000, traced=True):
             assert (len(run.seen), run.far, run.cycles) == (limit, 1000, [])
 
-    def test_timer_chain_jumps_its_re_entered_stretches_inline(self):
+    def test_a_timer_chain_asks_alike_traced_or_not(self, jumps):
         product = product_of(timer_chain_source(3))
-        assert_engines_agree(product, 5000)
-        # tick 111 repeats tick 53's configuration: one cycle jump takes the run to its last period
-        run = Inline(product, 5000)
-        assert run.jumps == [(4985, 1, 4999, 15)] and run.cycles == [(111, 4983)]
-        # E2, which no part listens to, every 100 ticks: no configuration repeats twice between
-        # two stimuli, so no cycle jump moves, and the re-entered stretches jump inline
+        # E2, which no part listens to, every 100 ticks: no configuration repeats twice between two
+        # stimuli, so no cycle jump moves, and both runners make the same `_Jump` calls: none, as
+        # no stretch of the chain reaches step 32.  Both step every tick
         stimulus = {t: frozenset({"E2"}) for t in range(50, 5000, 100)}
         assert_engines_agree(product, 5000, stimulus)
-        run = Inline(product, 5000, stimulus)
-        assert len(run.jumps) > 50 and run.cycles == [] and set(run.keys) <= run.memo.keys()
-        assert_horizons_exact(product, run.memo)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    source=st.one_of(st.integers(2, 4).map(timer_chain_source),
-                     st.integers(0, 3000).map(lambda seed: fuzz_model(3 * seed + 2))),  # clocked models
-    delta=st.sampled_from(DELTAS),
-    ticks=st.integers(1, 3000),
-    limit=st.sampled_from([None, 0, 1, 3]),
-    data=st.data(),
-)
-def test_learned_horizons_are_exact(source, delta, ticks, limit, data):
-    """Untraced runs that learn and jump inline end as the generic engine does, bit for bit.
-
-    Stimulus ticks fall inside stretches, as switch ticks are few: RING ends a stretch, DING
-    and the chains' last event only cut a jump short, and the chains' other events can get a
-    busy timer stuck.
-    """
-    product = product_of(source + CHIME, delta)
-    events = st.frozensets(st.sampled_from(sorted(product.events())), min_size=1, max_size=2)
-    stimulus = data.draw(st.dictionaries(st.integers(0, ticks), events, max_size=8))
-    with mock.patch.object(swa, "_HORIZONS_MAX", swa._HORIZONS_MAX if limit is None else limit):
-        outcome = assert_engines_agree(product, ticks, stimulus)
-        if outcome[0] != "stuck":
-            run = Inline(product, ticks, stimulus)
-            assert len(run.memo) <= swa._HORIZONS_MAX and set(run.keys) <= run.memo.keys()
-            assert_horizons_exact(product, run.memo)
+        runs = Inline(product, 5000, stimulus), Inline(product, 5000, stimulus, traced=True)
+        assert jumps.each() == [] and [(run.cycles, run.stepped, run.memo) for run in runs] == [([], 5000, {})] * 2
+        # with no stimulus tick 111 repeats tick 53's configuration: one cycle jump takes the run to
+        # its last period
+        assert Inline(product, 5000).cycles == [(111, 4983)]
 
 
 class TestCycles:
@@ -625,15 +575,14 @@ class TestCycles:
             10: (5, 8), 11: (5, 0)}
         assert Inline(product, 3000, traced=True).cycles == [(57, 2973)]
 
-    def test_a_stimulus_after_a_recurrence(self):
-        # the cycle jump from tick 43 lands on 153, the tick before NOISE; stepping resumes, jumps
-        # the stretch inline from step 3, and a configuration seen twice after NOISE jumps again
+    def test_a_stimulus_after_a_recurrence(self, jumps):
+        # the cycle jump from tick 43 lands on 153, the tick before NOISE; stepping resumes, and a
+        # configuration seen twice after NOISE jumps again.  No stretch of 21 steps asks `_Jump`
         product = product_of(SHORT_CLOCK.format(top=20))
         stimulus = {154: frozenset({"NOISE"})}
         assert_engines_agree(product, 300, stimulus)
         run = Inline(product, 300, stimulus)
-        assert run.cycles == [(43, 153), (197, 285)]
-        assert run.jumps == [(22, 1, 42, 21), (156, 3, 174, 21), (176, 1, 196, 21), (286, 1, 299, 14)]
+        assert run.cycles == [(43, 153), (197, 285)] and jumps.untraced == jumps.traced == []
         assert [key[0] for key in run.seen] == [0, 1]  # one configuration per stimulus interval
         # with a trace each jump starts one period of 22 ticks later and lands on the same tick
         assert Inline(product, 300, stimulus, traced=True).cycles == [(65, 153), (219, 285)]
@@ -715,24 +664,36 @@ class TestCycles:
 BUNDLED = [path.read_text() for path in sorted((Path(swa.__file__).parent / "models").glob("*.pha"))]
 
 
-@settings(max_examples=40, deadline=None)
+# clocked models with a part that adds a trigger and an event no edge listens to
+CLOCKED = st.one_of(st.integers(2, 4).map(timer_chain_source),
+                    st.integers(0, 3000).map(lambda seed: fuzz_model(3 * seed + 2))).map(lambda text: text + CHIME)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    source=st.one_of(st.integers(2, 4).map(timer_chain_source), st.sampled_from([SIGNS, CLOCK, *BUNDLED])),
+    source=st.one_of(st.integers(2, 4).map(timer_chain_source), st.sampled_from([SIGNS, CLOCK, *BUNDLED]), CLOCKED),
     delta=st.sampled_from(DELTAS),
     ticks=st.integers(1, 20_000),
+    limit=st.sampled_from([None, 0, 1, 3]),
     data=st.data(),
 )
-def test_cycle_jumps_are_exact(source, delta, ticks, data):
+def test_cycle_jumps_are_exact(source, delta, ticks, limit, data):
     """Runs that jump whole periods end as the generic engine does, bit for bit, and write its trace.
 
     Most networks here repeat their switch configuration within a few hundred ticks, so
     most stimulus ticks fall after the first recurrence.  NOISE is no event of any network.
-    At δ = 1/3 the time field is ``%.15g``.
+    In the clocked models RING ends a stretch, DING and the chains' last event only cut a
+    jump short, and the chains' other events can get a busy timer stuck.  A `limit` bounds
+    both memos; the horizons a run keeps are exact.  At δ = 1/3 the time field is ``%.15g``.
     """
     product = product_of(source, delta)
     events = st.frozensets(st.sampled_from(sorted(product.events()) + ["NOISE"]), min_size=1, max_size=2)
-    stimulus = data.draw(st.dictionaries(st.integers(0, ticks), events, max_size=6))
-    assert_engines_agree(product, ticks, stimulus)
+    stimulus = data.draw(st.dictionaries(st.integers(0, ticks), events, max_size=8))
+    with mock.patch.object(swa, "_HORIZONS_MAX", swa._HORIZONS_MAX if limit is None else limit):
+        if assert_engines_agree(product, ticks, stimulus)[0] != "stuck":
+            run = Inline(product, ticks, stimulus)
+            assert len(run.memo) <= swa._HORIZONS_MAX and len(run.seen) <= swa._HORIZONS_MAX
+            assert_horizons_exact(product, run.memo)
 
 
 def plan(kind, op, bound, a="0", b="0"):
@@ -832,32 +793,41 @@ def test_stamps_are_tick_and_time_fields(delta, start, n):
     assert list(stamps) == [f"{t},{swa.time_field(t, delta)}," for t in ticks]
 
 
-def test_trace_probe_prints_a_row_per_bundled_model():
+def run_script(name, *args):
+    """The standard output of ``scripts/<name>`` run with `args`, with the package on its path."""
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    cmd = [sys.executable, str(root / "scripts" / "trace_probe.py"), "--ticks", "2000", "--repeat", "1"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = subprocess.run([sys.executable, str(root / "scripts" / name), *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
+    return proc.stdout
+
+
+def test_trace_probe_prints_a_row_per_bundled_model():
+    header, *rows = run_script("trace_probe.py", "--ticks", "2000", "--repeat", "1").splitlines()
     assert header.split()[:2] == ["model", "traced"]
     assert [row.split()[0] for row in rows] == ["thermostat", "traingate", "watertank"]
     assert all(float(row.split()[-1].rstrip("%")) > 50 for row in rows), rows
 
 
+def test_dwell_sweep_prints_a_row_per_bundled_location():
+    blocks = [block.splitlines() for block in run_script("dwell_sweep.py", "--delta", "1/100").strip().split("\n\n")]
+    nets = [load_model(path) for path in sorted((Path(swa.__file__).parent / "models").glob("*.pha"))]
+    want = [(f"{net.name}.{ha.name}", [loc.name for loc in ha.locations]) for net in nets for ha in net.automata]
+    assert [(name, [row.split()[0] for row in rows]) for name, _, *rows in blocks] == want
+    # a bounded location gets a step bound at 1/100, an unbounded one needs fairness
+    cells = [row.split()[1:] for _, _, *rows in blocks for row in rows]
+    assert all(cell == ["unbounded", "needs", "fairness"] or int(cell[1]) > 0 for cell in cells), cells
+    assert ["unbounded", "needs", "fairness"] in cells and ["2.00671", "201"] in cells
+
+
 def test_stretch_probe_prints_a_row_per_network():
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    cmd = [sys.executable, str(root / "scripts" / "stretch_probe.py"), "--ticks", "2000", "--repeat", "1",
-           "--chains", "2", "3"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
+    out = run_script("stretch_probe.py", "--ticks", "2000", "--repeat", "1", "--chains", "2", "3")
+    header, *rows = out.splitlines()
     assert header.split()[:3] == ["network", "stretches", "keys"] and "recurs at period" in header
     assert [row.split()[0] for row in rows] == ["thermostat", "traingate", "watertank", "chain2", "chain3"]
     # chain2: 141 stretches over 4 keys, so all but 4 re-enter one; switch tick 87 repeats tick 31's
     # configuration, and the runner jumps whole periods from there without a trace and from one
     # period later with one; traingate's first recurrence comes after tick 2000
-    assert rows[3].split()[1:4] == ["141", "4", "137"] and rows[3].split()[6:10] == ["87", "56", "87", "143"]
-    assert rows[1].split()[6:10] == ["-"] * 4
+    assert rows[3].split()[1:4] == ["141", "4", "137"] and rows[3].split()[5:9] == ["87", "56", "87", "143"]
+    assert rows[1].split()[5:9] == ["-"] * 4
