@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Time the C driver of each bundled model and count its `snprintf` calls.
+
+For each model in `src/syncha/models` it builds the network at
+delta = 1/100 s, compiles its C unit with ``cc -O2`` and runs the
+binary for N ticks with the trace written to the null device.  It
+prints the ticks per second (best of R runs), then the driver's
+`snprintf` calls over the same ticks, counted by a shim linked into a
+second build, next to the distinct doubles the generic engine writes in
+the value columns.  At this delta the time field needs no `snprintf`,
+so every call is a miss of `put_g`'s text cache, and a cache that keeps
+every value it has formatted makes as many calls as there are distinct
+values.
+
+    PYTHONPATH=src python3 scripts/c_probe.py --ticks 50000 --repeat 5
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from fractions import Fraction
+from pathlib import Path
+
+from syncha import swa
+from syncha.codegen import CUnit, build_binary, emit_c, find_cc, write_unit
+from syncha.model import load_model
+from syncha.swa import compile_automaton, compose_all, simulate
+
+MODELS = Path(swa.__file__).resolve().parent / "models"
+DELTA = Fraction(1, 100)
+
+# Linked into a driver compiled with `-include` of COUNT_HEADER: every
+# `snprintf` of the driver goes through it, and the number of calls is
+# written to stderr at exit.  The emitted C is unchanged.
+COUNTED_SNPRINTF = r"""
+#include <stdarg.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+static long calls;
+
+static void report(void) {
+    fprintf(stderr, "%ld\n", calls);
+}
+
+int counted_snprintf(char *s, size_t n, const char *fmt, ...) {
+    va_list ap;
+    int r;
+    if (!calls++) atexit(report);
+    va_start(ap, fmt);
+    r = vsnprintf(s, n, fmt, ap);
+    va_end(ap);
+    return r;
+}
+"""
+COUNT_HEADER = ("#include <stdio.h>\nint counted_snprintf(char *, size_t, const char *, ...);\n"
+                "#define snprintf counted_snprintf\n")
+
+
+def counted_binary(unit: CUnit, directory: Path) -> Path:
+    """`unit` built with ``cc -O2`` in `directory`, its `snprintf` calls counted on stderr."""
+    auto_path, main_path = write_unit(unit, directory)
+    (directory / "count.c").write_text(COUNTED_SNPRINTF)
+    (directory / "count.h").write_text(COUNT_HEADER)
+    binary = directory / f"{unit.name}_counted"
+    cmd = [find_cc(), "-O2", "-include", str(directory / "count.h"), str(auto_path), str(main_path),
+           str(directory / "count.c"), "-lm", "-o", str(binary)]
+    build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    if build.returncode != 0:
+        raise RuntimeError(f"C compilation failed:\n{build.stderr}")
+    return binary
+
+
+def snprintf_calls(binary: Path, ticks: int) -> int:
+    """The `snprintf` calls of a `counted_binary` run for `ticks` ticks."""
+    proc = subprocess.run([str(binary), str(ticks)], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=120, check=True)
+    return int(proc.stderr or 0)
+
+
+def distinct_values(product: swa.Swa, ticks: int) -> int:
+    """The distinct doubles of each value column of the generic engine's trace, summed over the columns.
+
+    They are collected by wrapping `swa.format_trace_row`.
+    """
+    real, seen = swa.format_trace_row, [set() for _ in product.variables]
+
+    def spy(swa_, t, location, values, *events):
+        values = tuple(values)
+        for column, x in zip(seen, values):
+            column.add(x.hex())
+        return real(swa_, t, location, values, *events)
+
+    swa.format_trace_row = spy
+    try:
+        with open(os.devnull, "w") as out:
+            simulate(product, ticks, out=out, engine="generic")
+    finally:
+        swa.format_trace_row = real
+    return sum(map(len, seen))
+
+
+def rate(binary: Path, ticks: int, repeat: int) -> float:
+    """Ticks per second of the best of `repeat` runs, the trace written to the null device."""
+    best = float("inf")
+    with open(os.devnull, "w") as out:
+        for _ in range(repeat):
+            start = time.perf_counter()
+            subprocess.run([str(binary), str(ticks)], stdout=out, timeout=120, check=True)
+            best = min(best, time.perf_counter() - start)
+    return ticks / best
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--ticks", type=int, default=50_000, help="ticks per run")
+    ap.add_argument("--repeat", type=int, default=5, help="timed runs per model, the best counts")
+    args = ap.parse_args(argv)
+    if find_cc() is None:
+        print("no C compiler on PATH", file=sys.stderr)
+        return 2
+    print(f"{'model':<12} {'C ticks/s':>12} {'snprintf':>10} {'distinct':>10}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in sorted(MODELS.glob("*.pha")):
+            product = compose_all(compile_automaton(ha, DELTA)[0] for ha in load_model(path).automata)
+            unit = emit_c(product)
+            directory = Path(tmp) / path.stem
+            fast = rate(build_binary(unit, directory), args.ticks, args.repeat)
+            calls = snprintf_calls(counted_binary(unit, directory), args.ticks)
+            print(f"{path.stem:<12} {fast:>12,.0f} {calls:>10} {distinct_values(product, args.ticks):>10}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,12 +31,14 @@ when `swa.decimal_delta` gives the tick length as a short decimal).  The
 location field is each part's location name, copied from one table per
 part at the part's location index.  Each variable goes
 through ``put_g``: a cache of 16,384 slots per variable, ``<var>_g``,
-in 8,192 sets of two, keyed on the bits of the double (so 0 and -0
-stay apart).  A set keeps its most recently used value first.  A miss
-formats the value with ``%.15g`` into the set's first slot and moves
-the first down, so a value the trace repeats, such as one a state
-holds constant or one a periodic orbit comes back to, is formatted
-once while it keeps its slot, even when another value shares its set.
+in 4,096 sets of four, keyed on the bits of the double (so 0 and -0
+stay apart).  A hit moves nothing.  A miss shifts its set down one
+slot, dropping the fourth, and formats the value with ``%.15g`` into
+the first, so a value the trace repeats, such as one a state holds
+constant or one a periodic orbit comes back to, is formatted again only
+after four other values of its set have been formatted.  A value's text is
+copied at the fixed width of its slot, 23 bytes, and the row's 24 bytes
+per value (with the comma) cover the copy.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ _C_KEYWORDS = frozenset(
 # Everything the templates themselves use, so model names never shadow it.
 _RESERVED = _C_KEYWORDS | frozenset(
     """main exp fabs printf fprintf snprintf fputs fwrite fopen fclose fgets
-    memcpy strtol strtod strcmp strncmp strcpy strlen strchr strspn strcspn
+    memcpy memmove strtol strtod strcmp strncmp strcpy strlen strchr strspn strcspn
     qsort atol atoi exit malloc realloc free size_t stdin stdout stderr errno
     k stuck vis emit t si ticks argc argv stim stim_n stim_cap stim_path
     load_stimulus by_tick slot buf o flush put put_s put_l put_g put_e INFINITY
@@ -322,25 +324,26 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("")
     if swa.variables:
         # a slot holds the bits of a double and its %.15g; a variable's
-        # 16,384 slots are 8,192 sets of two, the most recently used first
+        # 16,384 slots are 4,096 sets of four, the newest miss first; all
+        # 23 bytes of s are copied, inside the row's 24 bytes per value
         emit("typedef struct { unsigned long long b; char n, s[23]; } slot;")
         emit(f"static slot {', '.join(f'{cv(v)}_g[16384]' for v in swa.variables)};")
         emit("")
         emit("static void put_g(double v, slot *c) {")
         emit("    unsigned long long b;")
+        emit("    int i = 0;")
         emit("    memcpy(&b, &v, sizeof b);")
-        emit("    c += b * 0x9E3779B97F4A7C15ULL >> 51 << 1;")
-        emit("    if (!c->n || c->b != b) {")
-        emit("        slot t = c[1];")
-        emit("        c[1] = *c;")
-        emit("        if (!t.n || t.b != b) {")
-        emit("            t.b = b;")
-        emit('            t.n = snprintf(t.s, sizeof t.s, "%.15g", v);')
-        emit("        }")
-        emit("        *c = t;")
+        emit("    c += b * 0x9E3779B97F4A7C15ULL >> 52 << 2;")
+        emit("    while (i < 4 && (!c[i].n || c[i].b != b)) i++;")
+        emit("    if (i == 4) {")
+        emit("        memmove(c + 1, c, 3 * sizeof *c);")
+        emit("        c->b = b;")
+        emit('        c->n = snprintf(c->s, sizeof c->s, "%.15g", v);')
+        emit("        i = 0;")
         emit("    }")
         emit("    *o++ = ',';")
-        emit("    put(c->s, c->n);")
+        emit("    memcpy(o, c[i].s, sizeof c->s);")
+        emit("    o += c[i].n;")
         emit("}")
         emit("")
     if swa.inputs or swa.outputs:

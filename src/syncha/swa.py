@@ -929,9 +929,9 @@ def parse_stimulus(text: str, source: str = "<stimulus>") -> dict[int, frozenset
             continue
         first, _, rest = line.partition(",")
         first = first.strip()
-        if line_no == 1 and not _is_int(first):
+        if line_no == 1 and not _is_tick(first):
             continue  # header
-        if not _is_int(first):
+        if not _is_tick(first):
             raise ValueError(f"{source}:{line_no}: expected a tick number, got {first!r}")
         t = int(first)
         if t < 0:
@@ -941,12 +941,13 @@ def parse_stimulus(text: str, source: str = "<stimulus>") -> dict[int, frozenset
     return table
 
 
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
+def _is_tick(text: str) -> bool:
+    """Whether `text` is a tick as the C driver's `strtol` reads it: an optional sign, then ASCII digits.
+
+    Not `int`, which also takes ``1_000`` and non-ASCII digits such as ``５``.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
 
 
 def read_stimulus(path) -> dict[int, frozenset[str]]:

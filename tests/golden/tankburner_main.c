@@ -41,19 +41,19 @@ static slot x_g[16384], c_g[16384];
 
 static void put_g(double v, slot *c) {
     unsigned long long b;
+    int i = 0;
     memcpy(&b, &v, sizeof b);
-    c += b * 0x9E3779B97F4A7C15ULL >> 51 << 1;
-    if (!c->n || c->b != b) {
-        slot t = c[1];
-        c[1] = *c;
-        if (!t.n || t.b != b) {
-            t.b = b;
-            t.n = snprintf(t.s, sizeof t.s, "%.15g", v);
-        }
-        *c = t;
+    c += b * 0x9E3779B97F4A7C15ULL >> 52 << 2;
+    while (i < 4 && (!c[i].n || c[i].b != b)) i++;
+    if (i == 4) {
+        memmove(c + 1, c, 3 * sizeof *c);
+        c->b = b;
+        c->n = snprintf(c->s, sizeof c->s, "%.15g", v);
+        i = 0;
     }
     *o++ = ',';
-    put(c->s, c->n);
+    memcpy(o, c[i].s, sizeof c->s);
+    o += c[i].n;
 }
 
 static void put_e(int on, const char *s) {

@@ -29,6 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from syncha import swa
+from syncha.codegen import find_cc
 from syncha.expr import Comparison, Constraint
 from syncha.model import load_model, parse_model
 from syncha.odesolve import WitnessFunction, WitnessKind
@@ -845,3 +846,13 @@ def test_stretch_probe_prints_a_row_per_network():
     # period later with one; traingate's first recurrence comes after tick 2000
     assert rows[3].split()[1:4] == ["141", "4", "137"] and rows[3].split()[5:9] == ["87", "56", "87", "143"]
     assert rows[1].split()[5:9] == ["-"] * 4
+
+
+@pytest.mark.skipif(find_cc() is None, reason="no C compiler on PATH")
+def test_c_probe_prints_a_row_per_bundled_model():
+    header, *rows = run_script("c_probe.py", "--ticks", "2000", "--repeat", "1").splitlines()
+    assert header.split() == ["model", "C", "ticks/s", "snprintf", "distinct"]
+    assert [row.split()[0] for row in rows] == ["thermostat", "traingate", "watertank"]
+    # every distinct value is formatted at least once, and thermostat's 404 are formatted once each
+    assert all(int(row.split()[2]) >= int(row.split()[3]) > 0 for row in rows), rows
+    assert rows[0].split()[2:] == ["404", "404"]
