@@ -45,8 +45,8 @@ interprets the plan.  One printer (`evolve_code`, `step_code` and
 `switch_code`) prints it as source text, spelt by a `Syntax`: as
 Python for the specialising engine (`PYTHON`), and as C for `codegen`.
 Both keep the visible and emitted events as bits of two masks.  The
-specialised engine writes its own trace rows, formatting a value the
-state holds constant once per switch, not on every tick.
+specialised engine writes its own trace rows; a value the state holds
+constant is a repeated value and is formatted like any other.
 
 The specialised engine fast-forwards evolve stretches.  Evolve ticks
 emit nothing and every value is its witness at the step index, so once
@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -430,10 +431,6 @@ class SwitchPlan(Record):
 
     def mask(self, names: Iterable[str]) -> int:
         return sum({1 << self.events.index(e) for e in names})
-
-    def held(self, j: int) -> set[str]:
-        """The variables product state j holds constant: the union of its parts'."""
-        return set().union(*map(constant_in, self.at(j)))
 
 
 def switch_plan(swa: Swa) -> SwitchPlan:
@@ -917,41 +914,41 @@ def format_trace_row(swa: Swa, t: int, location: str, values: Iterable[float],
 
 
 def parse_stimulus(text: str, source: str = "<stimulus>") -> dict[int, frozenset[str]]:
-    """Parse a stimulus table: one `tick,events` row per line.
+    """Parse a stimulus table: one `tick,events` row per line, read as the C driver reads it.
 
     Events are semicolon separated, ticks not listed supply no events,
     and a header row is allowed.  Later rows for the same tick add up.
+    Rows end at ``\n`` only, and a NUL or ``\r`` ends a row's content.
+    Spaces and tabs around the tick and each event are trimmed, and so is
+    what `strtol` skips before the tick (``\v``, ``\f``, ``\r``); a tick
+    is an optional sign and ASCII digits.  A row that is empty or starts
+    with ``#`` or ``\r`` is skipped; so is a first row without a tick.
     """
     table: dict[int, frozenset[str]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_no, row in enumerate(text.split("\n"), start=1):
+        row = row.partition("\0")[0].lstrip(" \t")
+        if row[:1] in ("", "#", "\r"):
             continue
-        first, _, rest = line.partition(",")
-        first = first.strip()
-        if line_no == 1 and not _is_tick(first):
-            continue  # header
-        if not _is_tick(first):
-            raise ValueError(f"{source}:{line_no}: expected a tick number, got {first!r}")
-        t = int(first)
+        tick = _TICK.match(row)
+        if tick is None:
+            if line_no == 1:
+                continue  # header
+            raise ValueError(f"{source}:{line_no}: expected a tick number, got {row.partition(',')[0]!r}")
+        t = int(tick[1])
         if t < 0:
             raise ValueError(f"{source}:{line_no}: negative tick {t}")
-        events = frozenset(e.strip() for e in rest.split(";") if e.strip())
+        rest = row[tick.end():].removeprefix(",").partition("\r")[0]
+        events = frozenset(e.strip(" \t") for e in rest.split(";") if e.strip(" \t"))
         table[t] = table.get(t, frozenset()) | events
     return table
 
 
-def _is_tick(text: str) -> bool:
-    """Whether `text` is a tick as the C driver's `strtol` reads it: an optional sign, then ASCII digits.
-
-    Not `int`, which also takes ``1_000`` and non-ASCII digits such as ``５``.
-    """
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    return digits.isascii() and digits.isdigit()
+# A tick as the driver's `strtol` reads it, then spaces and tabs, before a comma, a `\r` or the row's end.
+_TICK = re.compile(r"[\t\v\f\r ]*([+-]?[0-9]+)[ \t]*(?=[,\r]|\Z)")
 
 
 def read_stimulus(path) -> dict[int, frozenset[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_stimulus(fh.read(), source=str(path))
 
 
@@ -1048,22 +1045,20 @@ class Syntax(Record):
     expression.  ``block(n, cond, body)`` prints branch n of an if-chain,
     the else branch when ``cond`` is None.  ``scope()`` gives each
     location a namer ``(role, var) -> name`` of a variable's value
-    ``v``, next value ``u``, entry constant ``c1`` and row text ``r``,
-    and of its locals ``prev``, ``s<n>`` (snap candidates) and ``t<n>``
-    (staged updates).  ``dispatch(p, cases)`` runs the body of a case
+    ``v``, next value ``u`` and entry constant ``c1``, and of its locals
+    ``prev``, ``s<n>`` (snap candidates) and ``t<n>`` (staged updates).  ``dispatch(p, cases)`` runs the body of a case
     ``(d, name, body)`` when ``l<p>`` is d, ``to`` formats the name part
-    p's next location index is written to, ``stuck`` holds the
-    statements of a stuck tick, and ``shown`` the variables whose row
-    text follows their value.
+    p's next location index is written to, and ``stuck`` holds the
+    statements of a stuck tick.
     """
 
     __slots__ = ("and_", "or_", "not_", "true", "choose", "block", "end", "decl", "num", "scope", "dispatch",
-                 "to", "stuck", "shown")
+                 "to", "stuck")
 
     def __init__(self, and_: str, or_: str, not_: str, true: str, choose: str, block: Callable, end: str,
                  decl: str, num: Callable, scope: Callable, dispatch: Callable, to: str,
-                 stuck: tuple[str, ...] = (), shown: frozenset[str] = frozenset()) -> None:
-        self._set(and_, or_, not_, true, choose, block, end, decl, num, scope, dispatch, to, stuck, shown)
+                 stuck: tuple[str, ...] = ()) -> None:
+        self._set(and_, or_, not_, true, choose, block, end, decl, num, scope, dispatch, to, stuck)
 
 
 def indent(lines: Iterable[str]) -> list[str]:
@@ -1116,9 +1111,6 @@ def step_code(p: int, locations: tuple[LocationPlan, ...], sx: Syntax, delta_f: 
                  for w in (dict(loc.witnesses)[var] for loc in locations)]
         if exprs.count(u) < len(exprs):
             lines.append(f"{u} = {_by_location(p, exprs, sx)}{sx.end}")
-            if var in sx.shown:  # the row text follows the value where it moves
-                r = name("r", var)
-                lines.append(f"{r} = {_by_location(p, [r if e == u else name('v', var) for e in exprs], sx)}{sx.end}")
     return lines
 
 
@@ -1182,17 +1174,12 @@ def _py_block(n: int, cond: str | None, body: list[str]) -> list[str]:
     return ["else:" if cond is None else f"{'elif' if n else 'if'} {cond}:", *indent(body)]
 
 
-# The Python runner's spelling; `_runner_source` adds the stuck statement and the shown variables.
+# The Python runner's spelling; `_runner_source` adds the stuck statement.
 PYTHON = Syntax(
     " and ", " or ", "not ", "True", "{a} if {test} else ", _py_block, "", "", lambda q: repr(float(q)),
     lambda: "{}_{}".format,
     lambda p, cases: _chain(PYTHON, [(f"l{p} == {d}", body) for d, _, body in cases], []), "l{}",
 )
-
-
-def constant_in(state: SwaState | LocationPlan) -> set[str]:
-    """The variables `state` holds constant: a trace formats them once per switch."""
-    return {var for var, wit in state.witnesses if wit.kind is WitnessKind.CONSTANT}
 
 
 def _py_time(swa: Swa) -> tuple[str, list[str]]:
@@ -1207,12 +1194,10 @@ def _py_time(swa: Swa) -> tuple[str, list[str]]:
     return "%d%s", [f"{scaled} // {10**j}", f"_suf[{scaled} % {10**j}]"]
 
 
-def _row_format(stamp: str, variables: tuple[str, ...], ins: bool, outs: bool, name: str,
-                held: Iterable[str]) -> str:
+def _row_format(stamp: str, n: int, ins: bool, outs: bool, name: str, value: str = "%.15g") -> str:
     """The %-format of a trace row in state `name`, after `stamp`, the conversions of its tick and time
-    fields and the comma after them; `held` variables come as strings."""
-    fmt = [name, *("%s" if var in held else "%.15g" for var in variables)]
-    return stamp + ",".join(fmt + ["%s" * ins, "%s" * outs]) + "\n"
+    fields and the comma after them, with the conversion `value` for each of its n values."""
+    return stamp + ",".join([name, *repeat(value, n), "%s" * ins, "%s" * outs]) + "\n"
 
 
 def _runner_source(swa: Swa, trace: bool) -> str:
@@ -1253,38 +1238,33 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     So two such ticks with equal keys, an equal ``_si`` meaning no
     stimulus between them, start identical futures until the next
     stimulus, and the future from t repeats every P ticks.  A row's
-    fields after the time field (the state's name, the values or held
-    texts ``r_*``, the inputs and outputs) are functions of that future,
-    so they repeat every P ticks too; only the tick and time fields
-    change.  Collecting a period's rows changes nothing else: the runner
+    fields after the time field (the state's name, the values, the
+    inputs and outputs) are functions of that future, so they repeat
+    every P ticks too; only the tick and time fields change.  Collecting a period's rows changes nothing else: the runner
     steps it as it would, and its writes, `_Jump.write`'s among them, go
     to a list in order.
 
     With ``trace`` every tick it steps writes its row with one %-format,
     and ``_JUMP`` gets the run's `_Batch` to write the rows it skips.  The
-    time field is integer arithmetic when `decimal_delta` allows it.  A
-    variable some location holds constant is printed from ``r_<var>``:
-    a string formatted at set-up and after every switch, which each
-    evolve tick in a location that moves the variable replaces by its
-    value.  An evolve row takes the format ``_row`` of its product state,
-    looked up at every switch with ``_ROWS``, which memoises it.
+    time field is integer arithmetic when `decimal_delta` allows it, and
+    every value is ``%.15g`` of ``v_<var>``, held or not: a held value is
+    a repeated one and needs no code of its own.  An evolve row takes the
+    format ``_row`` of its product state, with the name in it, looked up
+    at every switch with ``_ROWS``, which memoises it.
     """
     plan = switch_plan(swa)
     init = dict(swa.init_values)
     tail = "," if swa.variables else ""
     us = ", ".join(f"u_{var}" for var in swa.variables)
-    held = tuple(
-        var for var in swa.variables if any(var in constant_in(loc) for locs in plan.parts for loc in locs)
-    ) if trace else ()
-    sx = PYTHON.replace(stuck=(f"raise _mk_stuck(_loc, ({us}{tail}), k, vis, _t)",), shown=frozenset(held))
+    sx = PYTHON.replace(stuck=(f"raise _mk_stuck(_loc, ({us}{tail}), k, vis, _t)",))
 
     time_fmt, time_args = _py_time(swa)
-    switch_row = repr(_row_format(f"%d,{time_fmt},", swa.variables, bool(swa.inputs), bool(swa.outputs), "%s", held))
+    switch_row = repr(_row_format(f"%d,{time_fmt},", len(swa.variables), bool(swa.inputs), bool(swa.outputs), "%s"))
 
     def write_row(switch: bool) -> str:
         """The statement writing the tick's row."""
         args = ["_t", *time_args] + (["_NAMES(_loc)"] if switch else [])
-        args += [f"r_{var}" if var in held else f"v_{var}" for var in swa.variables]
+        args += [f"v_{var}" for var in swa.variables]
         args += ["_INS(vis)"] * bool(swa.inputs) + ["_OUTS(emit)"] * bool(swa.outputs and switch)
         return f"_write({switch_row if switch else '_row'} % ({', '.join(args)}))"
 
@@ -1298,8 +1278,6 @@ def _runner_source(swa: Swa, trace: bool) -> str:
             x0 = float(init[var])
             emit(f"    v_{var} = u_{var} = i_{var} = {x0!r}")
             emit(f"    c1_{var} = {resolve_c1(wit, x0)!r}")
-            if var in held:
-                emit(f"    r_{var} = {_fmt(x0)!r}")
     emit(f"    _loc = {start}")
     if trace:
         emit("    _row = _ROWS(_loc)")
@@ -1339,8 +1317,6 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit(f"            _ask = 1 if _hm and {key} in _hm else {_JUMP_AFTER}")
     if trace:
         emit("            _row = _ROWS(_loc)")
-        for var in held:
-            emit(f"            r_{var} = '%.15g' % v_{var}")
         emit(f"            {write_row(True)}")
         hit = ["_t, _write = _JUMP.periods(_batch, _t, _seen[_ck], _next)"]
     else:
@@ -1407,7 +1383,7 @@ class _Jump:
         self.parts, self.strides, self.variables, self.delta_f = plan.parts, plan.strides, variables, swa.delta_f
         self.dec, name = decimal_delta(swa.delta), plan.name
         self.stamp = "%d,%.15g," if self.dec is None else "%d,%d%s,"
-        self.format = lru_cache(maxsize=None)(lambda j: _row_format("%s", variables, False, False, name(j), variables))
+        self.format = lru_cache(maxsize=None)(lambda j: _row_format("%s", len(variables), False, False, name(j), "%s"))
 
     def __call__(self, t: int, k: int, nxt: int, ticks: int, key: tuple, memo: dict,
                  batch: _Batch | None = None):
@@ -1436,8 +1412,8 @@ class _Jump:
               t: int, k: int, d: int) -> None:
         """Write the rows of ticks t+1 .. t+d in product state `state`, in blocks of `_BLOCK` rows.
 
-        Tick t+i shows the state's name, every value at step k+i-1 (a
-        constant's held text) and no inputs or outputs, all as strings.
+        Tick t+i shows the state's name, every value at step k+i-1 and no
+        inputs or outputs, all as strings: a constant's text is repeated.
         """
         fmt = self.format(state)
         # the key carries the sign: 0.0 == -0.0, but a witness entered at -0.0 prints "-0"
@@ -1600,9 +1576,9 @@ def _build_runner(swa: Swa, trace: bool):
     namespace["_PACK"] = struct.Struct("<%dd" % len(swa.variables)).pack  # the values' bit patterns
     if trace:  # texts by product state and by event mask, each built once; none refers to `swa`
         plan, memo = switch_plan(swa), lru_cache(maxsize=None)
-        evolve_row = partial(_row_format, f"%d,{_py_time(swa)[0]},", swa.variables, bool(swa.inputs), False)
+        evolve_row = partial(_row_format, f"%d,{_py_time(swa)[0]},", len(swa.variables), bool(swa.inputs), False)
         names = lambda events: memo(lambda m: ";".join(e for e in events if m & plan.mask((e,))))
-        namespace.update(_ROWS=memo(lambda j: evolve_row(plan.name(j), plan.held(j))), _BATCH=_Batch,
+        namespace.update(_ROWS=memo(lambda j: evolve_row(plan.name(j))), _BATCH=_Batch,
                          _NAMES=plan.name, _INS=names(swa.inputs), _OUTS=names(swa.outputs))
     exec(compile(source, f"<swa:{swa.name}>", "exec"), namespace)
     return namespace.pop("_swarun")  # the runner's globals must not hold it: no reference cycle

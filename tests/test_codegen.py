@@ -2,6 +2,7 @@ import importlib.util
 import io
 import math
 import os
+import re
 import struct
 import subprocess
 from collections import Counter
@@ -22,13 +23,14 @@ from syncha.codegen import (
     write_unit,
 )
 from syncha.model import load_model, parse_model
+from syncha.odesolve import WitnessKind
 from syncha.swa import (
     UnreachableState,
     compile_automaton,
     compose_all,
-    constant_in,
     format_trace_row,
     parse_stimulus,
+    read_stimulus,
     simulate,
 )
 
@@ -413,12 +415,13 @@ def test_bundled_products_compile_strictly(models_dir, fixtures_dir, tmp_path, m
 def test_fuzzed_networks_with_held_values_match_the_generic_engine(tmp_path, seed, delta):
     """Decimal, scaled-decimal and %.15g time fields; rows that print held values."""
     product = product_of(parse_model(fuzz_network(seed)), delta)
-    assert any(constant_in(s) for s in product.states)
+    held = [frozenset(var for var, w in s.witnesses if w.kind is WitnessKind.CONSTANT) for s in product.states]
+    assert any(held)
     stimulus = {t: frozenset({"GO"}) for t in range(7, 400, 23)}
     csv = tmp_path / "go.csv"
     csv.write_text("".join(f"{t},GO\n" for t in stimulus))
     unit = emit_c(product)
-    assert len({frozenset(constant_in(s)) for s in product.states}) > 1  # states hold different sets
+    assert len(set(held)) > 1  # states hold different sets
     proc = binary_trace(unit, tmp_path, ["400", str(csv)])
     buf, oracle = io.StringIO(), io.StringIO()
     try:
@@ -472,11 +475,54 @@ def test_c_stimulus_parser_agrees_with_parse_stimulus(fixtures_dir, tmp_path, ca
         assert f"{path}:3:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def heldnet_driver(fixtures_dir, tmp_path_factory):
+    """The heldnet product and its built driver."""
+    product = product_of(load_model(fixtures_dir / "heldnet.pha"))
+    return product, build_binary(emit_c(product), tmp_path_factory.mktemp("heldnet"))
+
+
+@needs_cc
+@pytest.mark.parametrize("rows, expected", [
+    pytest.param("tick,events\n5\u00a0,GO\n", 2, id="no-break-space"),  # a no-break space is no space
+    pytest.param("5\u00a0,GO\n", {}, id="no-break-space-first"),  # nor on the first row: the header
+    pytest.param("\u20035,GO\n", {}, id="em-space-first"),
+    pytest.param("tick,events\n5,GO\u2028\n", {}, id="line-separator"),  # rows end at \n only
+    pytest.param("tick,events\n5,GO\r6,GO\r\n", {5: {"GO"}}, id="bare-cr"),  # a \r ends the content
+    pytest.param("tick,events\n5,GO\0;NOISE\n", {5: {"GO"}}, id="nul"),  # and so does a NUL
+    pytest.param("tick,events\n5\v,GO\n", 2, id="vt-after-tick"),
+    pytest.param("tick,events\n\v5,GO\n", {5: {"GO"}}, id="vt-before-tick"),  # strtol skips it
+    pytest.param("tick,events\n 5 , GO ; \n", {5: {"GO"}}, id="spaces"),
+    pytest.param("tick,events\r\n3,GO\r\n5,GO;NOISE\r\n\r\n", {3: {"GO"}, 5: {"GO", "NOISE"}}, id="crlf"),
+])
+def test_stimulus_rows_read_alike_in_the_cli_and_the_driver(heldnet_driver, tmp_path, rows, expected):
+    """`read_stimulus` and the driver give the same table, or reject the same line.
+
+    `expected` is the table of known events, or the line number of the error.
+    """
+    product, binary = heldnet_driver
+    path = tmp_path / "stim.csv"
+    path.write_bytes(rows.encode("utf-8"))
+    proc = subprocess.run([str(binary), "16", str(path)], capture_output=True, text=True, timeout=60)
+    if isinstance(expected, int):
+        with pytest.raises(ValueError, match=f":{expected}: expected a tick number"):
+            read_stimulus(path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"{path}:{expected}: expected a tick number")
+        return
+    stimulus = read_stimulus(path)
+    known = {t: events & {"GO", "NOISE"} for t, events in stimulus.items()}
+    assert {t: events for t, events in known.items() if events} == expected
+    assert (proc.returncode, proc.stdout) == (0, interpreter_trace(product, 16, stimulus))
+
+
+PAD = 52  # `pad`'s variables: each wide value fills 23 of the 24 bytes `width` allows it
+TINY = "-0." + "0" * 299 + "1234567890123456789"
 WIDE_ROWS = f"""
 network widerow
 
 automaton wide
-  var z init -0.{"0" * 299}1234567890123456789
+  var z init {TINY}
   input ALPHA_IS_A_LONG_EVENT BRAVO_IS_LONGER_STILL
   output CHARLIE_EMITTED_HERE DELTA_EMITTED_TOO
 
@@ -489,6 +535,7 @@ automaton wide
     flow z' = 0.001 * z
 
   edge waiting -> the_longest_location_name_of_this_network on ALPHA_IS_A_LONG_EVENT emit CHARLIE_EMITTED_HERE DELTA_EMITTED_TOO
+  edge the_longest_location_name_of_this_network -> the_longest_location_name_of_this_network on ALPHA_IS_A_LONG_EVENT emit CHARLIE_EMITTED_HERE DELTA_EMITTED_TOO
 
 automaton ramp
   var x init 0
@@ -497,7 +544,17 @@ automaton ramp
   initial location up
     invariant x >= 0 && y >= 1
     flow x' = 1.1
-    flow y' = 0.0005 * y
+    flow y' = 0.0004 * y
+
+automaton pad
+{"".join(f"  var h{i} init 0{chr(10)}" for i in range(PAD))}  input ALPHA_IS_A_LONG_EVENT CHARLIE_EMITTED_HERE
+
+  initial location low
+
+  location high
+
+  edge low -> high on ALPHA_IS_A_LONG_EVENT do {", ".join(f"h{i}' := {TINY}" for i in range(PAD))}
+  edge high -> low on CHARLIE_EMITTED_HERE do {", ".join(f"h{i}' := 0" for i in range(PAD))}
 """
 
 
@@ -519,16 +576,32 @@ def cache_set(x):
 
 @needs_cc
 def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path, monkeypatch):
-    """The widest row a network writes, and ramps with more distinct values than cache slots.
+    """The widest rows a network writes, one of them at the flush mark, and ramps with more distinct
+    values than cache slots.
 
-    Row 4 shows the longest location name, every event, values whose %.15g
-    is longest (negative, exponent form) and a %.15g time field (delta 1/3).
+    A stimulus tick t makes row t+1 as wide as rows get: the longest
+    location name, every event, values whose %.15g is longest (negative,
+    exponent form) and a %.15g time field (delta 1/3); `pad` holds 0 on
+    the rows between.  Row 4 is one.  Another goes where the rows reach
+    furthest past the driver's 64 KB flush mark, by the row offsets of
+    the trace without it.  It comes within 2 bytes per value of the
+    buffer's end, so a `width` of 22 bytes per value would be overrun.
     x and y never repeat, so their 20,000 values collide in 4,096 sets of
     four slots; each column puts at least five values in the last set, so
     its fourth slot, the last of the array, is written, read and evicted.
     The rows cross the driver's 64 KB block many times.
     """
     product = product_of(parse_model(WIDE_ROWS), Fraction(1, 3))
+    every = frozenset({"ALPHA_IS_A_LONG_EVENT", "BRAVO_IS_LONGER_STILL"})
+    plain = io.StringIO()
+    simulate(product, 20000, {3: every}, out=plain)
+    starts, at = [], 0  # where each row starts in the driver's buffer
+    lengths = list(map(len, plain.getvalue().splitlines(True)[1:]))
+    for n in lengths:
+        starts.append(at)
+        at = 0 if at + n > 65536 else at + n
+    wide = max(range(6, 20000), key=lambda t: starts[t] + lengths[t])
+    stimulus = {3: every, wide - 1: every}
     shown = []  # the doubles of every row the generic engine writes
 
     def format_row(swa, t, location, values, *events):
@@ -537,8 +610,10 @@ def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path,
 
     monkeypatch.setattr("syncha.swa.format_trace_row", format_row)
     csv = tmp_path / "all.csv"
-    csv.write_text("3,ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL\n")
-    auto_path, main_path = write_unit(emit_c(product), tmp_path)
+    csv.write_text("".join(f"{t},ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL\n" for t in stimulus))
+    unit = emit_c(product)
+    width = int(re.search(r"buf\[65536 \+ (\d+)\]", unit.driver_source)[1])
+    auto_path, main_path = write_unit(unit, tmp_path)
     binary = tmp_path / "wide"
     cmd = [sanitizing_cc, "-std=c99", "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
            str(auto_path), str(main_path), "-lm", "-o", str(binary)]
@@ -548,14 +623,18 @@ def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path,
     proc = subprocess.run([str(binary), "20000", str(csv)], capture_output=True, text=True, timeout=120, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(proc.stdout) > 10 * 65536
-    assert proc.stdout == interpreter_trace(product, 20000, {3: frozenset({"ALPHA_IS_A_LONG_EVENT",
-                                                                           "BRAVO_IS_LONGER_STILL"})})
-    rows = [row.split(",") for row in proc.stdout.splitlines()[1:]]
-    assert rows[4][2] == max((s.name for s in product.states), key=len)
-    assert rows[4][6:] == ["ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL", "CHARLIE_EMITTED_HERE;DELTA_EMITTED_TOO"]
+    assert proc.stdout == interpreter_trace(product, 20000, stimulus)
+    lines = proc.stdout.splitlines(True)[1:]
+    rows = [row.split(",") for row in lines]
+    for t in (4, wide):
+        assert rows[t][2] == max((s.name for s in product.states), key=len)
+        assert rows[t][-2:] == ["ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL", "CHARLIE_EMITTED_HERE;DELTA_EMITTED_TOO\n"]
+        assert [len(text) for text in rows[t][6:-2]] == [22] * PAD  # -1.23456789012346e-300
     assert len(rows[4][3]) == 22  # -1.23621507852519e-300
+    assert 65536 - width < starts[wide] <= 65536
+    assert starts[wide] + len(lines[wide]) > 65536 + width - 2 * len(product.variables)
     assert min(len({row[i] for row in rows}) for i in (4, 5)) > 16384
-    assert [len({xs[i] for xs in shown if cache_set(xs[i]) == 4095}) for i in (1, 2)] == [6, 6]
+    assert [len({xs[i] for xs in shown if cache_set(xs[i]) == 4095}) for i in (1, 2)] == [5, 5]
 
 
 SAWTOOTH = """
