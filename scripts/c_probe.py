@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Time the C driver of each bundled model and count its `snprintf` calls.
+"""Time the C driver of each bundled model, size its source and count its `snprintf` calls.
 
 For each model in `src/syncha/models` it builds the network at
 delta = 1/100 s, compiles its C unit with ``cc -O2`` and runs the
 binary for N ticks with the trace written to the null device.  It
-prints the ticks per second (best of R runs), then the driver's
-`snprintf` calls over the same ticks, counted by a shim linked into a
-second build, next to the distinct doubles the generic engine writes in
-the value columns.  At this delta the time field needs no `snprintf`,
+prints the ticks per second (best of R runs) next to the bytes of the
+C source (automaton plus driver), the paper's two measures of generated
+code, then the driver's `snprintf` calls over the same ticks, counted
+by a shim linked into a second build, next to the distinct doubles the
+generic engine writes in the value columns.  At this delta the time field needs no `snprintf`,
 so every call is a miss of `put_g`'s text cache, and a cache that keeps
 every value it has formatted makes as many calls as there are distinct
 values.
@@ -122,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     if find_cc() is None:
         print("no C compiler on PATH", file=sys.stderr)
         return 2
-    print(f"{'model':<12} {'C ticks/s':>12} {'snprintf':>10} {'distinct':>10}")
+    print(f"{'model':<12} {'C ticks/s':>12} {'C bytes':>8} {'snprintf':>10} {'distinct':>10}")
     with tempfile.TemporaryDirectory() as tmp:
         for path in sorted(MODELS.glob("*.pha")):
             product = compose_all(compile_automaton(ha, DELTA)[0] for ha in load_model(path).automata)
@@ -130,7 +131,8 @@ def main(argv: list[str] | None = None) -> int:
             directory = Path(tmp) / path.stem
             fast = rate(build_binary(unit, directory), args.ticks, args.repeat)
             calls = snprintf_calls(counted_binary(unit, directory), args.ticks)
-            print(f"{path.stem:<12} {fast:>12,.0f} {calls:>10} {distinct_values(product, args.ticks):>10}")
+            size = len(unit.automaton_source) + len(unit.driver_source)
+            print(f"{path.stem:<12} {fast:>12,.0f} {size:>8} {calls:>10} {distinct_values(product, args.ticks):>10}")
     return 0
 
 

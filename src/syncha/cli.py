@@ -209,8 +209,8 @@ def _run_trace(swa: Swa, args) -> int:
         )
         if unknown:
             print(
-                "warning: stimulus mentions unknown events, ignored: "
-                + ", ".join(unknown),
+                "warning: stimulus mentions unknown events, ignored: "  # a byte that is not UTF-8 as \udcXX
+                + ", ".join(e.encode("utf-8", "backslashreplace").decode() for e in unknown),
                 file=sys.stderr,
             )
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout

@@ -25,9 +25,13 @@ Each part's location index is a global ``int``, so neither unit has code
 or data per product state, and a network of any number of product
 states compiles.  The driver appends each row to one buffer and writes it with
 one ``fwrite`` once it holds more than 64 KB, before a stuck report and
-at the end of the run.  The tick and the time field come from an
-integer writer (the time field is integer arithmetic on the tick index
-when `swa.decimal_delta` gives the tick length as a short decimal).  The
+at the end of the run.  The tick is a decimal counter, 19 zero-padded
+digits that gain 1 with a carry at the end of each row and are copied
+at a fixed width from their first significant digit, so a row divides
+nothing.  When `swa.decimal_delta` gives the tick length as a short
+decimal m / 10**j, the time field is decimal digits too: the tick's own
+(m = 1) or those of a second counter that gains m per row, with a
+point moved in j digits from the end (see `_c_time_field`).  The
 location field is each part's location name, copied from one table per
 part at the part's location index.  Each variable goes
 through ``put_g``: a cache of 16,384 slots per variable, ``<var>_g``,
@@ -64,7 +68,7 @@ _RESERVED = _C_KEYWORDS | frozenset(
     memcpy memmove strtol strtod strcmp strncmp strcpy strlen strchr strspn strcspn
     qsort atol atoi exit malloc realloc free size_t stdin stdout stderr errno
     k stuck vis emit t si ticks argc argv stim stim_n stim_cap stim_path
-    load_stimulus by_tick slot buf o flush put put_s put_l put_g put_e INFINITY
+    load_stimulus by_tick slot buf o ds ts f g p flush put_s put_g put_e INFINITY
     NAN""".split()
 )
 
@@ -245,27 +249,50 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
     return "\n".join(w) + "\n"
 
 
-def _c_time_field(swa: Swa) -> list[str]:
-    """Statements that write the time field of row t.
+def _c_add(at: str, digit: int, first: str) -> list[str]:
+    """Add `digit` to the decimal digit at `at`, carrying left, with ``p`` left at the leftmost digit
+    changed; the pointer `first` moves there if the carry passed it."""
+    return [f"for (p = {at}, *p += {digit}; *p > '9'; ++*--p) *p -= 10;", f"if (p < {first}) {first} = p;"]
 
-    With `decimal_delta` the field is integer arithmetic on t*m: the
-    quotient by 10**j, then the remainder plus 10**j, whose leading 1
-    becomes the point, with trailing zeros and a bare point stripped.
+
+def _c_time_field(swa: Swa) -> tuple[list[str], list[str], list[str]]:
+    """The time field of row t: the declarators of its counter, the statements that write it and those
+    that step it.
+
+    The tick is the decimal counter ``ds``: 19 zero-padded digits and a
+    comma, with ``f`` at its first significant digit.  Each row copies it
+    at a fixed width, and 1 is added with a carry at the end of the row,
+    so no row divides.  With `decimal_delta` giving m = 1 and j the time
+    field is the same digits, copied from ``g``, the leftmost of ``f`` and
+    the units digit of t / 10**j: their last j move one place right
+    behind a point, then trailing zeros and a bare point are stripped.
+    For m != 1 a second counter ``ts`` holds t*m in 25 digits (t < 2**63,
+    m < 10**6) and steps by m, one carry per nonzero digit of m.  For any
+    other delta the field is ``%.15g`` of t * delta_f.
     """
     dec = decimal_delta(swa.delta)
     if dec is None:
-        return [f'o += snprintf(o, 24, "%.15g", t * {c_float(swa.delta_f)});']
+        return [], [f'o += snprintf(o, 24, "%.15g", t * {c_float(swa.delta_f)});'], []
     m, j = dec
-    scaled = "t" if m == 1 else f"t * {m}"
+    if m == 1:
+        digits, n, start, decls = "ds", 19, "f" if j == 0 else "g", []
+        step = [] if j == 0 else ["if (p < g) g = p;"]
+    else:
+        digits, n, start, decls = "ts", 25, "g", [f'ts[52] = "{"0" * 25}"']
+        step = [line for i, c in enumerate(reversed(str(m))) if c != "0"
+                for line in _c_add(f"ts + {24 - i}", int(c), "g")]
+    if start == "g":
+        decls.append(f"*g = {digits} + {n - 1 - j}")
+    row = [f"memcpy(o, {start}, {n + 1});"]
     if j == 0:
-        return [f"put_l({scaled});"]
-    return [
-        f"put_l({scaled} / {10**j});",
-        f"put_l({scaled} % {10**j} + {10**j});",
+        return decls, row + [f"o += {digits} + {n} - {start};"], step
+    return decls, row + [
+        f"o += {digits} + {n + 1} - {start};",
+        f"memmove(o - {j}, o - {j + 1}, {j});",
         f"o[-{j + 1}] = '.';",
         "while (o[-1] == '0') o--;",
         "if (o[-1] == '.') o--;",
-    ]
+    ], step
 
 
 def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions) -> str:
@@ -275,10 +302,13 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     # each part's location name, read from its own table
     lvs = [f"l{p}" for p in range(len(plan.parts))]
     locs = [f"{names.of('table', f'loc{p}')}[{lv}]" for p, lv in enumerate(lvs)]
-    # the longest row: a 19-digit tick and a time field of at most 23 characters,
-    # the location, at most 22 characters per value, every event name, each field's
-    # separator and the newline
-    width = (48 + sum(max(len(loc.name) for loc in locations) for locations in plan.parts)
+    time_decls, time_row, time_step = _c_time_field(swa)
+    m = (decimal_delta(swa.delta) or (1, 0))[0]
+    # the longest row: a 19-digit tick and a time field of at most 23 characters
+    # (26 for m != 1: t*m in 25 digits and a point), the location, at most 22
+    # characters per value, every event name, each field's separator and the newline
+    width = (48 + 3 * (m != 1)
+             + sum(max(len(loc.name) for loc in locations) for locations in plan.parts)
              + 24 * len(swa.variables) + sum(len(e) + 1 for e in (*swa.inputs, *swa.outputs)))
 
     w: list[str] = []
@@ -301,25 +331,18 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("static long stim_n, stim_cap;")
     emit("")
     emit(f"static char buf[65536 + {width}], *o = buf;")
+    counters = [f'ds[40] = "{"0" * 19},"', "*f = ds + 18", *time_decls, "*p"]
+    emit(f"static char {', '.join(counters)};")
     emit("")
     emit("static void flush(void) {")
     emit("    fwrite(buf, 1, o - buf, stdout);")
     emit("    o = buf;")
     emit("}")
     emit("")
-    emit("static void put(const char *s, size_t n) {")
+    emit("static void put_s(const char *s) {")
+    emit("    size_t n = strlen(s);")
     emit("    memcpy(o, s, n);")
     emit("    o += n;")
-    emit("}")
-    emit("")
-    emit("static void put_s(const char *s) {")
-    emit("    put(s, strlen(s));")
-    emit("}")
-    emit("")
-    emit("static void put_l(long v) {")
-    emit("    char s[20], *e = s + 20;")
-    emit("    do *--e = '0' + v % 10; while (v /= 10);")
-    emit("    put(e, s + 20 - e);")
     emit("}")
     emit("")
     if swa.variables:
@@ -429,9 +452,9 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         emit(f'            if (vis >> {idx} & 1) fprintf(stderr, "  visible: {e}\\n");')
     emit("            exit(3);")
     emit("        }")
-    emit("        put_l(t);")
-    emit("        *o++ = ',';")
-    for line in _c_time_field(swa):
+    emit("        memcpy(o, f, 20);")
+    emit("        o += ds + 20 - f;")
+    for line in time_row:
         emit(f"        {line}")
     emit("        *o++ = ',';")
     for loc in locs:
@@ -447,6 +470,8 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("        vis = emit;")
     emit("        emit = 0;")
     emit("        while (si < stim_n && stim[si].t <= t) vis |= stim[si++].m;")
+    for line in _c_add("ds + 18", 1, "f") + time_step:
+        emit(f"        {line}")
     emit("    }")
     emit("    flush();")
     emit("    return 0;")

@@ -33,13 +33,13 @@ interleaves a half-step with a jump.
 part: its evolve test (trigger silence and the invariant, which is
 also the test for freezing), its witnesses, the variables whose
 previous value snapping reads, and each edge's event masks, snap
-candidates, guard, staged updates, destination, emitted events and
-re-anchored witnesses.  A product state evolves exactly when every
-part's location passes its evolve test; that is the conjunction
-`product_state` builds.  Guards and updates never read another
-automaton's variables, so each part taking its own first enabled edge,
-or else being frozen, is the transition the product's egress order
-(joint switches first) picks.  No engine builds or reads a product
+candidates, guard, updates (simultaneous, on the snapped values),
+destination, emitted events and re-anchored witnesses.  A product
+state evolves exactly when every part's location passes its evolve
+test; that is the conjunction `product_state` builds.  Guards and
+updates never read another automaton's variables, so each part taking
+its own first enabled edge, or else being frozen, is the transition the
+product's egress order (joint switches first) picks.  No engine builds or reads a product
 state; only the product oracle in the tests does.  The generic `tick`
 interprets the plan.  One printer (`evolve_code`, `step_code` and
 `switch_code`) prints it as source text, spelt by a `Syntax`: as
@@ -948,7 +948,9 @@ _TICK = re.compile(r"[\t\v\f\r ]*([+-]?[0-9]+)[ \t]*(?=[,\r]|\Z)")
 
 
 def read_stimulus(path) -> dict[int, frozenset[str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """`parse_stimulus` of a file's bytes, as the driver reads them: a byte that is not UTF-8 stays a
+    lone surrogate, so it is in no event name and no tick."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         return parse_stimulus(fh.read(), source=str(path))
 
 
@@ -1126,10 +1128,14 @@ def _location_switch(p: int, loc: LocationPlan, sx: Syntax, delta_f: float) -> l
     A candidate is a variable's value moved onto the first of its
     comparisons that fails, if the value crossed that bound since the
     previous tick; edges that snap a variable on the same comparisons
-    share one.  The chosen edge moves its candidates in, stages its
+    share one.  The chosen edge moves its candidates in, applies its
     updates, re-anchors the destination's witnesses, moves the part and
-    emits.  With no edge enabled the part must be able to evolve, and is
-    frozen: its own witnesses are re-anchored.
+    emits.  The updates read the snapped values, so a candidate is moved
+    in only if an update reads its variable or none writes it.  They are
+    assigned directly, in order, unless one of them reads a variable
+    that another writes; then every update is staged in a ``t<n>``
+    local first.  With no edge enabled the part must be able to evolve,
+    and is frozen: its own witnesses are re-anchored.
     """
     name, lines = sx.scope(), []
     v = partial(name, "v")
@@ -1158,10 +1164,15 @@ def _location_switch(p: int, loc: LocationPlan, sx: Syntax, delta_f: float) -> l
         events = f"(vis & {_mask(e.present | e.absent)}) == {_mask(e.present)}" if e.present | e.absent else ""
         one = f"({' + '.join(f'({c} != {v(var)})' for var, c in mine.items())}) <= 1" if e.exclusive else ""
         guard = constraint_text(e.guard, lambda var: mine.get(var) or v(var), sx.num, sx.and_)
-        temps = [(var, name(f"t{j}", var), expr) for j, (var, expr) in enumerate(e.updates)]
-        body = [f"{v(var)} = {c}{sx.end}" for var, c in mine.items()]
-        body += [f"{sx.decl}{t} = {affine_text(expr, v, sx.num)}{sx.end}" for _, t, expr in temps]
-        body += [f"{v(var)} = {t}{sx.end}" for var, t, _ in temps]
+        written = dict(e.updates)
+        reads = {var: expr.variable for var, expr in e.updates if expr.a != 0}  # the variable each update reads
+        body = [f"{v(var)} = {c}{sx.end}" for var, c in mine.items() if var in reads.values() or var not in written]
+        if any(x != var and x in written for var, x in reads.items()):
+            temps = [(var, name(f"t{j}", var), expr) for j, (var, expr) in enumerate(e.updates)]
+            body += [f"{sx.decl}{t} = {affine_text(expr, v, sx.num)}{sx.end}" for _, t, expr in temps]
+            body += [f"{v(var)} = {t}{sx.end}" for var, t, _ in temps]
+        else:
+            body += [f"{v(var)} = {affine_text(expr, v, sx.num)}{sx.end}" for var, expr in e.updates]
         body += reenter(e.refresh) + [f"{sx.to.format(p)} = {e.dst}{sx.end}"]
         body += [f"emit |= {_mask(e.emits)}{sx.end}"] if e.emits else []
         branches.append((_conj(sx, events, one, guard), body))

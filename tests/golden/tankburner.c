@@ -123,9 +123,7 @@ void tankburnerR(void) {
             }
         }
         if (c_s0 == 25) {
-            c = c_s0;
-            double c_t0 = 0;
-            c = c_t0;
+            c = 0;
             C1_c = c;
             l1_n = 1;
             emit |= 1;
@@ -148,9 +146,7 @@ void tankburnerR(void) {
             }
         }
         if (c_s0 == 15) {
-            c = c_s0;
-            double c_t0 = 0;
-            c = c_t0;
+            c = 0;
             C1_c = c;
             l1_n = 0;
             emit |= 2;

@@ -15,25 +15,17 @@ static struct { long t; unsigned long long m; } *stim;
 static long stim_n, stim_cap;
 
 static char buf[65536 + 107], *o = buf;
+static char ds[40] = "0000000000000000000,", *f = ds + 18, *g = ds + 16, *p;
 
 static void flush(void) {
     fwrite(buf, 1, o - buf, stdout);
     o = buf;
 }
 
-static void put(const char *s, size_t n) {
+static void put_s(const char *s) {
+    size_t n = strlen(s);
     memcpy(o, s, n);
     o += n;
-}
-
-static void put_s(const char *s) {
-    put(s, strlen(s));
-}
-
-static void put_l(long v) {
-    char s[20], *e = s + 20;
-    do *--e = '0' + v % 10; while (v /= 10);
-    put(e, s + 20 - e);
 }
 
 typedef struct { unsigned long long b; char n, s[23]; } slot;
@@ -130,10 +122,11 @@ int main(int argc, char **argv) {
             if (vis >> 1 & 1) fprintf(stderr, "  visible: OFF\n");
             exit(3);
         }
-        put_l(t);
-        *o++ = ',';
-        put_l(t / 100);
-        put_l(t % 100 + 100);
+        memcpy(o, f, 20);
+        o += ds + 20 - f;
+        memcpy(o, g, 20);
+        o += ds + 20 - g;
+        memmove(o - 2, o - 3, 2);
         o[-3] = '.';
         while (o[-1] == '0') o--;
         if (o[-1] == '.') o--;
@@ -151,6 +144,9 @@ int main(int argc, char **argv) {
         vis = emit;
         emit = 0;
         while (si < stim_n && stim[si].t <= t) vis |= stim[si++].m;
+        for (p = ds + 18, *p += 1; *p > '9'; ++*--p) *p -= 10;
+        if (p < f) f = p;
+        if (p < g) g = p;
     }
     flush();
     return 0;

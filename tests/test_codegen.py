@@ -31,7 +31,9 @@ from syncha.swa import (
     format_trace_row,
     parse_stimulus,
     read_stimulus,
+    _runner_source,
     simulate,
+    time_field,
 )
 
 from oracles import fuzz_network, product_run, timer_chain_source
@@ -75,9 +77,9 @@ def swa_of(text_or_path, automaton, delta=Fraction(1, 100)):
     return swa
 
 
-def interpreter_trace(swa, ticks, stimulus=None):
+def interpreter_trace(swa, ticks, stimulus=None, engine="generic"):
     buf = io.StringIO()
-    simulate(swa, ticks, stimulus=stimulus, out=buf, engine="generic")
+    simulate(swa, ticks, stimulus=stimulus, out=buf, engine=engine)
     return buf.getvalue()
 
 
@@ -494,26 +496,35 @@ def heldnet_driver(fixtures_dir, tmp_path_factory):
     pytest.param("tick,events\n\v5,GO\n", {5: {"GO"}}, id="vt-before-tick"),  # strtol skips it
     pytest.param("tick,events\n 5 , GO ; \n", {5: {"GO"}}, id="spaces"),
     pytest.param("tick,events\r\n3,GO\r\n5,GO;NOISE\r\n\r\n", {3: {"GO"}, 5: {"GO", "NOISE"}}, id="crlf"),
+    pytest.param("tick,events\n5,GO\udcff\n", {}, id="not-utf8-event"),  # the byte 0xff: an unknown event
+    pytest.param("tick,events\n\udcff5,GO\n", 2, id="not-utf8-tick"),  # and no tick
 ])
-def test_stimulus_rows_read_alike_in_the_cli_and_the_driver(heldnet_driver, tmp_path, rows, expected):
-    """`read_stimulus` and the driver give the same table, or reject the same line.
+def test_stimulus_rows_read_alike_in_the_cli_and_the_driver(heldnet_driver, fixtures_dir, tmp_path, capsys, rows,
+                                                            expected):
+    """`read_stimulus`, the CLI and the driver give the same table, or reject the same line.
 
-    `expected` is the table of known events, or the line number of the error.
+    `expected` is the table of known events, or the line number of the
+    error.  A lone surrogate in `rows` is written as the byte it escapes.
     """
     product, binary = heldnet_driver
     path = tmp_path / "stim.csv"
-    path.write_bytes(rows.encode("utf-8"))
+    path.write_bytes(rows.encode("utf-8", "surrogateescape"))
     proc = subprocess.run([str(binary), "16", str(path)], capture_output=True, text=True, timeout=60)
+    cli = cli_main(["compose-and-simulate", str(fixtures_dir / "heldnet.pha"), "--ticks", "16", "--stimulus", str(path)])
+    out, err = capsys.readouterr()
     if isinstance(expected, int):
         with pytest.raises(ValueError, match=f":{expected}: expected a tick number"):
             read_stimulus(path)
-        assert proc.returncode == 2
+        assert proc.returncode == cli == 2
         assert proc.stderr.startswith(f"{path}:{expected}: expected a tick number")
+        assert f"{path}:{expected}: expected a tick number" in err
         return
     stimulus = read_stimulus(path)
     known = {t: events & {"GO", "NOISE"} for t, events in stimulus.items()}
     assert {t: events for t, events in known.items() if events} == expected
     assert (proc.returncode, proc.stdout) == (0, interpreter_trace(product, 16, stimulus))
+    assert (cli, out) == (0, proc.stdout)
+    assert ("GO\\udcff" in err) == ("\udcff" in rows)  # the unknown event is named in the warning
 
 
 PAD = 52  # `pad`'s variables: each wide value fills 23 of the 24 bytes `width` allows it
@@ -574,24 +585,19 @@ def cache_set(x):
     return int.from_bytes(struct.pack("<d", x), "little") * 0x9E3779B97F4A7C15 % 2**64 >> 52
 
 
-@needs_cc
-def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path, monkeypatch):
-    """The widest rows a network writes, one of them at the flush mark, and ramps with more distinct
-    values than cache slots.
+def widest_rows_run(cc, tmp_path, delta):
+    """20,000 ticks of WIDE_ROWS at `delta` by a driver built with AddressSanitizer and UBSan, which
+    must run clean and write the generic engine's trace.
 
     A stimulus tick t makes row t+1 as wide as rows get: the longest
-    location name, every event, values whose %.15g is longest (negative,
-    exponent form) and a %.15g time field (delta 1/3); `pad` holds 0 on
-    the rows between.  Row 4 is one.  Another goes where the rows reach
-    furthest past the driver's 64 KB flush mark, by the row offsets of
-    the trace without it.  It comes within 2 bytes per value of the
-    buffer's end, so a `width` of 22 bytes per value would be overrun.
-    x and y never repeat, so their 20,000 values collide in 4,096 sets of
-    four slots; each column puts at least five values in the last set, so
-    its fourth slot, the last of the array, is written, read and evicted.
-    The rows cross the driver's 64 KB block many times.
+    location name, every event and values whose %.15g is longest
+    (negative, exponent form); `pad` holds 0 on the rows between.  Row 4
+    is one.  Another, row `wide`, goes where the rows reach furthest past
+    the driver's 64 KB flush mark, by the row offsets of the trace
+    without it, so it starts within `width` below the mark.  Returns the
+    product, those offsets, `wide`, the driver's `width` and the rows.
     """
-    product = product_of(parse_model(WIDE_ROWS), Fraction(1, 3))
+    product = product_of(parse_model(WIDE_ROWS), delta)
     every = frozenset({"ALPHA_IS_A_LONG_EVENT", "BRAVO_IS_LONGER_STILL"})
     plain = io.StringIO()
     simulate(product, 20000, {3: every}, out=plain)
@@ -602,20 +608,13 @@ def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path,
         at = 0 if at + n > 65536 else at + n
     wide = max(range(6, 20000), key=lambda t: starts[t] + lengths[t])
     stimulus = {3: every, wide - 1: every}
-    shown = []  # the doubles of every row the generic engine writes
-
-    def format_row(swa, t, location, values, *events):
-        shown.append(values := tuple(values))
-        return format_trace_row(swa, t, location, values, *events)
-
-    monkeypatch.setattr("syncha.swa.format_trace_row", format_row)
     csv = tmp_path / "all.csv"
     csv.write_text("".join(f"{t},ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL\n" for t in stimulus))
     unit = emit_c(product)
     width = int(re.search(r"buf\[65536 \+ (\d+)\]", unit.driver_source)[1])
     auto_path, main_path = write_unit(unit, tmp_path)
     binary = tmp_path / "wide"
-    cmd = [sanitizing_cc, "-std=c99", "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+    cmd = [cc, "-std=c99", "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
            str(auto_path), str(main_path), "-lm", "-o", str(binary)]
     build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert build.returncode == 0, build.stderr
@@ -625,16 +624,52 @@ def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path,
     assert len(proc.stdout) > 10 * 65536
     assert proc.stdout == interpreter_trace(product, 20000, stimulus)
     lines = proc.stdout.splitlines(True)[1:]
-    rows = [row.split(",") for row in lines]
     for t in (4, wide):
-        assert rows[t][2] == max((s.name for s in product.states), key=len)
-        assert rows[t][-2:] == ["ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL", "CHARLIE_EMITTED_HERE;DELTA_EMITTED_TOO\n"]
-        assert [len(text) for text in rows[t][6:-2]] == [22] * PAD  # -1.23456789012346e-300
-    assert len(rows[4][3]) == 22  # -1.23621507852519e-300
+        row = lines[t].split(",")
+        assert row[2] == max((s.name for s in product.states), key=len)
+        assert row[-2:] == ["ALPHA_IS_A_LONG_EVENT;BRAVO_IS_LONGER_STILL", "CHARLIE_EMITTED_HERE;DELTA_EMITTED_TOO\n"]
+        assert [len(text) for text in row[6:-2]] == [22] * PAD  # -1.23456789012346e-300
     assert 65536 - width < starts[wide] <= 65536
+    return product, starts, wide, width, lines
+
+
+@needs_cc
+def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path, monkeypatch):
+    """The widest rows a network writes, one of them at the flush mark, and ramps with more distinct
+    values than cache slots.
+
+    The rows of `widest_rows_run` at delta 1/3, so with a %.15g time
+    field.  Row `wide` comes within 2 bytes per value of the buffer's
+    end, so a `width` of 22 bytes per value would be overrun.
+    x and y never repeat, so their 20,000 values collide in 4,096 sets of
+    four slots; each column puts at least five values in the last set, so
+    its fourth slot, the last of the array, is written, read and evicted.
+    The rows cross the driver's 64 KB block many times.
+    """
+    shown = []  # the doubles of every row the generic engine writes
+
+    def format_row(swa, t, location, values, *events):
+        shown.append(values := tuple(values))
+        return format_trace_row(swa, t, location, values, *events)
+
+    monkeypatch.setattr("syncha.swa.format_trace_row", format_row)
+    product, starts, wide, width, lines = widest_rows_run(sanitizing_cc, tmp_path, Fraction(1, 3))
     assert starts[wide] + len(lines[wide]) > 65536 + width - 2 * len(product.variables)
+    rows = [row.split(",") for row in lines]
+    assert len(rows[4][3]) == 22  # -1.23621507852519e-300
     assert min(len({row[i] for row in rows}) for i in (4, 5)) > 16384
-    assert [len({xs[i] for xs in shown if cache_set(xs[i]) == 4095}) for i in (1, 2)] == [5, 5]
+    assert [len({xs[i] for xs in shown[-20000:] if cache_set(xs[i]) == 4095}) for i in (1, 2)] == [5, 5]
+
+
+@needs_cc
+@pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 8)], ids=str)
+def test_decimal_stamps_of_the_widest_rows_stay_in_bounds(sanitizing_cc, tmp_path, delta):
+    """The widest rows under AddressSanitizer at a decimal delta, so that the row at the 64 KB flush mark
+    starts with the fixed-width copies of the tick counter and of the time field, from the tick's
+    digits (m = 1) or from the counter of t*m (m = 125)."""
+    product, starts, wide, width, lines = widest_rows_run(sanitizing_cc, tmp_path, delta)
+    assert lines[wide].startswith(f"{wide},{time_field(wide, delta)},")
+    assert ("ts[52]" in emit_c(product).driver_source) == (delta == Fraction(1, 8))
 
 
 SAWTOOTH = """
@@ -689,6 +724,86 @@ def test_put_g_misses_little_more_than_once_per_distinct_value(models_dir, tmp_p
     product = product_of(load_model(models_dir / f"{model}.pha"))
     calls = c_probe.snprintf_calls(c_probe.counted_binary(emit_c(product), tmp_path), 50_000)
     assert calls <= 1.25 * c_probe.distinct_values(product, 50_000)
+
+
+SWAP = """
+network swap
+
+automaton sw
+  var x init 1
+  var y init 5
+  var c init 0
+
+  initial location run
+    invariant c >= 0 && c <= 0.07
+    flow x' = 0
+    flow y' = 0
+    flow c' = 1
+
+  edge run -> run guard c == 0.07 do x' := y, y' := x, c' := 0
+"""
+
+RESETS = """
+network resets
+
+automaton r
+  var x init 0
+  var y init 0
+
+  initial location up
+    invariant x >= 0 && x <= 0.2
+    flow x' = 1
+    flow y' = 0
+
+  edge up -> up guard x == 0.2 do x' := 0, y' := y + 1
+"""
+
+
+@needs_cc
+def test_a_swap_is_staged_and_matches_the_generic_engine(tmp_path):
+    """x' := y reads what y' := x writes, so every update of the edge goes through a temporary."""
+    swa = swa_of(SWAP, "sw")
+    unit = emit_c(swa)
+    assert "double x_t0 = y;" in unit.automaton_source
+    assert "double y_t1 = x;" in unit.automaton_source
+    assert "c = c_s0;" not in unit.automaton_source  # c' := 0 overwrites the snapped c, and no update reads it
+    trace = interpreter_trace(swa, 40)
+    assert [row.split(",")[3:5] for row in trace.splitlines()[8:11]] == [["1", "5"], ["5", "1"], ["5", "1"]]
+    assert (binary_trace(unit, tmp_path, ["40"]).stdout, interpreter_trace(swa, 40, engine="compiled")) == (trace, trace)
+
+
+@needs_cc
+def test_an_independent_reset_needs_no_temporary(tmp_path):
+    """x' := 0 and y' := y + 1 read nothing the other writes: both are assigned directly, in C and in
+    Python, and the snapped x, which no update reads, is not copied in."""
+    swa = swa_of(RESETS, "r")
+    unit = emit_c(swa)
+    for source in (unit.automaton_source, _runner_source(swa, False), _runner_source(swa, True)):
+        assert re.search(r"\b[xy]_t\d", source) is None
+        assert re.search(r"\bx = x_s0\b", source) is None
+    assert "            x = 0;\n            y = y + 1;\n" in unit.automaton_source
+    trace = interpreter_trace(swa, 100)
+    assert [row.split(",")[3:5] for row in trace.splitlines()[21:24]] == [["0.2", "0"], ["0", "1"], ["0", "1"]]
+    assert (binary_trace(unit, tmp_path, ["100"]).stdout, interpreter_trace(swa, 100, engine="compiled")) == (trace, trace)
+
+
+SAW_WRAP = SAWTOOTH.replace("  var x init 0", "  var x init 0\n  output WRAP").replace("x' := 0", "x' := 0 emit WRAP")
+
+
+@needs_cc
+@pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 20), Fraction(1, 8), Fraction(3, 2), Fraction(1),
+                                   Fraction(2), Fraction(1, 3)], ids=str)
+def test_tick_and_time_stamps_cross_every_decimal_rollover(tmp_path, delta):
+    """100,002 rows: the tick crosses 9 -> 10, 99 -> 100, 999 -> 1000 and 99,999 -> 100,000, and so do
+    the driver's decimal counters, the tick's and (for m != 1) t*m's, at every delta's m and j."""
+    swa = swa_of(SAW_WRAP, "saw", delta)
+    proc = binary_trace(emit_c(swa), tmp_path, ["100002"])
+    trace = interpreter_trace(swa, 100002)
+    assert (proc.returncode, proc.stdout) == (0, trace)
+    rows = trace.splitlines()[1:]
+    for t in (9, 10, 99, 100, 999, 1000, 99999, 100000, 100001):
+        assert rows[t].startswith(f"{t},{time_field(t, delta)},")
+    assert "WRAP" in trace
 
 
 def interpreter_trace_prefix_of_stuck(swa):

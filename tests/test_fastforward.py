@@ -29,7 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from syncha import swa
-from syncha.codegen import find_cc
+from syncha.codegen import emit_c, find_cc
 from syncha.expr import Comparison, Constraint
 from syncha.model import load_model, parse_model
 from syncha.odesolve import WitnessFunction, WitnessKind
@@ -849,10 +849,15 @@ def test_stretch_probe_prints_a_row_per_network():
 
 
 @pytest.mark.skipif(find_cc() is None, reason="no C compiler on PATH")
-def test_c_probe_prints_a_row_per_bundled_model():
+def test_c_probe_prints_a_row_per_bundled_model(models_dir):
     header, *rows = run_script("c_probe.py", "--ticks", "2000", "--repeat", "1").splitlines()
-    assert header.split() == ["model", "C", "ticks/s", "snprintf", "distinct"]
+    assert header.split() == ["model", "C", "ticks/s", "C", "bytes", "snprintf", "distinct"]
     assert [row.split()[0] for row in rows] == ["thermostat", "traingate", "watertank"]
+    # the C source bytes are the automaton's and the driver's at the probe's delta
+    for row in rows:
+        net = load_model(models_dir / f"{row.split()[0]}.pha")
+        unit = emit_c(compose_all(compile_automaton(ha, Fraction(1, 100))[0] for ha in net.automata))
+        assert int(row.split()[2]) == len(unit.automaton_source) + len(unit.driver_source)
     # every distinct value is formatted at least once, and thermostat's 404 are formatted once each
-    assert all(int(row.split()[2]) >= int(row.split()[3]) > 0 for row in rows), rows
-    assert rows[0].split()[2:] == ["404", "404"]
+    assert all(int(row.split()[3]) >= int(row.split()[4]) > 0 for row in rows), rows
+    assert rows[0].split()[3:] == ["404", "404"]
