@@ -1207,7 +1207,8 @@ def _py_time(swa: Swa) -> tuple[str, list[str]]:
 
 def _row_format(stamp: str, n: int, ins: bool, outs: bool, name: str, value: str = "%.15g") -> str:
     """The %-format of a trace row in state `name`, after `stamp`, the conversions of its tick and time
-    fields and the comma after them, with the conversion `value` for each of its n values."""
+    fields and the comma after them, with `value` for each of its n values: a conversion, or the
+    marker `_Jump` splits the row's fixed pieces at."""
     return stamp + ",".join([name, *repeat(value, n), "%s" * ins, "%s" * outs]) + "\n"
 
 
@@ -1391,52 +1392,68 @@ class _Jump:
 
     def __init__(self, swa: Swa):
         plan, variables = switch_plan(swa), swa.variables
-        self.parts, self.strides, self.variables, self.delta_f = plan.parts, plan.strides, variables, swa.delta_f
-        self.dec, name = decimal_delta(swa.delta), plan.name
+        self.variables, self.delta_f, self.dec = variables, swa.delta_f, decimal_delta(swa.delta)
         self.stamp = "%d,%.15g," if self.dec is None else "%d,%d%s,"
-        self.format = lru_cache(maxsize=None)(lambda j: _row_format("%s", len(variables), False, False, name(j), "%s"))
+        flows = {}  # each moving witness's (kind, a, b) -> its number, in the order first met
+
+        def state(j: int) -> tuple[tuple[LocationPlan, ...], tuple[WitnessFunction, ...], tuple, list[str]]:
+            """State j's locations, each variable's witness and the number of its flow (None for a
+            constant), and the fixed pieces of the state's rows between its values."""
+            at = dict(w for loc in plan.at(j) for w in loc.witnesses)
+            witnesses = tuple(at[var] for var in variables)
+            numbers = tuple(None if w.kind is WitnessKind.CONSTANT else flows.setdefault((w.kind, w.a, w.b), len(flows))
+                            for w in witnesses)
+            pieces = _row_format("", len(variables), False, False, plan.name(j), "\0").split("\0")
+            return plan.at(j), witnesses, numbers, pieces
+        self.state = lru_cache(maxsize=None)(state)
 
     def __call__(self, t: int, k: int, nxt: int, ticks: int, key: tuple, memo: dict,
                  batch: _Batch | None = None):
-        c1 = dict(zip(self.variables, key[1:]))
-        here = [locations[key[0] // s % len(locations)] for locations, s in zip(self.parts, self.strides)]
+        here, witnesses, _, _ = self.state(key[0])
         fail = memo.get(key)
         if fail is None:
+            c1 = dict(zip(self.variables, key[1:]))
             fail = min(evolve_horizon(loc, c1, k, self.delta_f) for loc in here)
             if fail > k and len(memo) < _HORIZONS_MAX and not any(map(math.isnan, key)):
                 memo[key] = fail
         last = min(nxt, ticks - 1)
         d = max(min(fail - k, last - t), 0)  # a horizon past its trusted range can lie behind k
         if batch is not None and d > 0:
-            self.write(batch, key[0], here, c1, t, k, d)
+            self.write(batch, key[0], key[1:], t, k, d)
         k += d
-        u = {var: w.value_at_tick(c1[var], k, self.delta_f) for loc in here for var, w in loc.witnesses}
         ask = k + _JUMP_AFTER if t + d == nxt else _JUMP_AFTER
-        return t + d, k, ask, tuple(map(u.__getitem__, self.variables))
+        return t + d, k, ask, tuple([w.value_at_tick(c, k, self.delta_f) for w, c in zip(witnesses, key[1:])])
 
     @staticmethod
     def room() -> int:
         """How many entries a run's memos may hold: `_HORIZONS_MAX`, read when the run starts."""
         return _HORIZONS_MAX
 
-    def write(self, batch: _Batch, state: int, here: list[LocationPlan], c1: dict[str, float],
-              t: int, k: int, d: int) -> None:
+    def write(self, batch: _Batch, state: int, c1: tuple[float, ...], t: int, k: int, d: int) -> None:
         """Write the rows of ticks t+1 .. t+d in product state `state`, in blocks of `_BLOCK` rows.
 
-        Tick t+i shows the state's name, every value at step k+i-1 and no
-        inputs or outputs, all as strings: a constant's text is repeated.
+        Tick t+i shows the state's name, every value at step k+i-1 from its
+        entry constant in `c1` (in variable order) and no inputs or
+        outputs.  A block is joined from texts: each row's stamp, then the
+        state's fixed pieces between the value columns.  A constant's text
+        is the same on every row, so it joins the pieces around it.
         """
-        fmt = self.format(state)
-        # the key carries the sign: 0.0 == -0.0, but a witness entered at -0.0 prints "-0"
-        witnesses = {var: (w, (var, loc.name, c1[var], math.copysign(1.0, c1[var])))
-                     for loc in here for var, w in loc.witnesses}
+        _, witnesses, flows, pieces = self.state(state)
+        row, columns = [None, pieces[0]], []
+        for w, flow, c, piece in zip(witnesses, flows, c1, pieces[1:]):
+            if flow is None:
+                row[-1] += _fmt(c) + piece
+            else:  # the key carries the sign: 0.0 == -0.0, but a witness entered at -0.0 prints "-0"
+                columns.append((len(row), w, (flow, c, math.copysign(1.0, c))))
+                row += [None, piece]
+        width = len(row)
         for lo in range(0, d, _BLOCK):
             n = min(_BLOCK, d - lo)
-            ticks = range(t + 1 + lo, t + 1 + lo + n)
-            columns = [repeat(_fmt(key[2]), n) if w.kind is WitnessKind.CONSTANT
-                       else self.texts(batch, w, key, k + lo, k + lo + n)
-                       for w, key in map(witnesses.__getitem__, self.variables)]
-            batch.write("".join(map(fmt.__mod__, zip(self.stamps(ticks), *columns))))
+            rows = row * n
+            rows[::width] = self.stamps(range(t + 1 + lo, t + 1 + lo + n))
+            for at, w, key in columns:
+                rows[at::width] = self.texts(batch, w, key, k + lo, k + lo + n)
+            batch.write("".join(rows))
 
     def stamps(self, ticks: range) -> Iterable[str]:
         """The text ``"t,time,"`` that starts the row of each tick t in `ticks`, a non-empty range."""
@@ -1488,16 +1505,20 @@ class _Jump:
         return t, batch.write
 
     def texts(self, batch: _Batch, w: WitnessFunction, key: tuple, lo: int, hi: int) -> list[str]:
-        """`_fmt` of `w`'s values at steps lo .. hi-1 from the entry constant key[2].
+        """`_fmt` of `w`'s values at steps lo .. hi-1 from the entry constant key[1].
 
-        They come from the run's memo, which holds, by key, the first step
-        it holds and the texts from there on.  A periodic orbit re-enters
-        a stretch at the same constant and slices the list, which grows
-        at either end: a first visit is asked from step `_JUMP_AFTER`,
-        a re-entry from step 1.
+        `key` is w's flow number (`state`), the constant and its sign.  The
+        values are one float expression of the flow's kind, a and b, the
+        constant and the step, so every witness with that flow entered at
+        that constant shows the same texts, in any location and for any
+        variable.  They come from the run's memo, which holds, by key, the
+        first step it holds and the texts from there on.  A periodic orbit
+        re-enters a stretch at the same constant and slices the list, which
+        grows at either end: a first visit is asked from step
+        `_JUMP_AFTER`, a re-entry from step 1.
         """
         first, texts = batch.get(key, (lo, []))
-        end, c1 = first + len(texts), key[2]
+        end, c1 = first + len(texts), key[1]
         new = lambda a, b: list(map("%.15g".__mod__, _witness_values(w, c1, range(a, b), self.delta_f)))
         grow = max(first - lo, 0) + max(hi - end, 0)
         if grow > batch.room or c1 != c1:  # a NaN is no key
@@ -1538,6 +1559,9 @@ def _witness_values(w: WitnessFunction, c1: float, steps: range, delta_f: float)
 class _Batch(dict):
     """A traced run's `write` and its own memo of value texts (`_Jump.texts`), with ``room`` for more.
 
+    The memo maps a witness's flow, an entry constant and the constant's
+    sign (0.0 == -0.0, but the two print apart) to the first step it
+    holds and the `%.15g` texts of that flow's values from there on.
     ``out`` is the run's writer.  While `_Jump.periods` collects a period,
     ``write`` appends to ``rows`` instead, until tick ``cut``.
     """
@@ -1554,13 +1578,16 @@ class _Batch(dict):
 # costs, jumped by a call against stepped: without a trace, where a call
 # costs as much as stepping about 60 ticks, +87% at 49 steps and even at
 # about 100; with a trace, where a stepped tick costs 4 to 7 times as
-# much, +25% at 49 steps and even at about 130.  At 16, the bundled
-# models' traced runs took 4% less, but stretches of 17 to 31 steps
-# would jump at a loss.  Short stretches of a periodic run are skipped
-# by the period jump instead.  A switch tick looks its configuration up
-# only when the next stimulus is more than this many ticks away (none,
-# after a miss on a full memo), so an input every 3 to 25 ticks
-# (switch-dense) costs one comparison per switch and stores nothing.
+# much, +7% at 49 steps and even at about 55.  There `write` takes about
+# 4.3 us for 1 row and 6.5 us for 32 whose texts the run holds, and the
+# call around it, with a first visit's `evolve_horizon`, about 7 us.  At
+# 16, the bundled models' traced runs took 4% less, but stretches of 17
+# to 31 steps would jump at a loss.  Short stretches of a periodic run
+# are skipped by the period jump instead.  A switch tick looks its
+# configuration up only when the next stimulus is more than this many
+# ticks away (none, after a miss on a full memo), so an input every 3 to
+# 25 ticks (switch-dense) costs one comparison per switch and stores
+# nothing.
 _JUMP_AFTER = 32
 _BLOCK = 1024  # rows per write of a traced jump, and the longest period whose rows a traced run copies
 _TEXTS_MAX = 1 << 16

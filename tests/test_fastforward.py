@@ -13,6 +13,7 @@ for byte.
 """
 
 import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -222,6 +223,51 @@ automaton drifter
 """
 
 
+TWINS = """
+network twins
+automaton blink
+  var c init 0
+  output FLIP
+  initial location lit
+    invariant c >= 0 && c <= 1
+    flow c' = 1
+  location dark
+    invariant c >= 0 && c <= 1
+    flow c' = 1
+  edge lit -> dark guard c == 1 do c' := 0 emit FLIP
+  edge dark -> lit guard c == 1 do c' := 0
+"""
+
+MIRROR = """
+network mirror
+automaton fade
+  var x init 0
+  var y init 0
+  var c init 0
+  initial location decay
+    invariant x >= 0 && y <= 0 && c >= 0 && c <= 1
+    flow x' = -0.5 * x
+    flow y' = -0.5 * y
+    flow c' = 1
+  edge decay -> decay guard c == 1 do c' := 0, y' := -x
+"""
+
+RELAY = """
+network relay
+automaton lamp
+  var x init 0
+  var h init 2.5
+  input GO
+  output DONE
+  initial location glow
+    invariant x >= 0 && x <= 400
+    flow x' = 1
+    flow h' = 0
+  edge glow -> glow guard x == 400 do x' := 0 emit DONE
+  edge glow -> glow on GO do x' := 0, h' := h + 1
+"""
+
+
 FADE = """
 network fade
 automaton f
@@ -259,9 +305,10 @@ class TestTargeted:
         assert Inline(product, 1000).cycles == [(103, 987)]
         assert jumps.traced == first + again[:2] + again[-1:]
         assert Inline(product, 1000, traced=True).cycles == [(155, 987)]
-        # x's texts, first stored from step 32, grew back to step 1 when the stretch was re-entered
-        assert [(key[:3], first, len(texts)) for key, (first, texts) in jumps.batch.items()] == [
-            (("x", "run", 0.0), 1, 50)]
+        # x's texts, first stored from step 32, grew back to step 1 when the stretch was re-entered:
+        # one entry, under x's flow (the only one, number 0) and its entry constant +0.0
+        assert [(key, first, len(texts)) for key, (first, texts) in jumps.batch.items()] == [
+            ((0, 0.0, 1.0), 1, 50)]
 
     @pytest.mark.parametrize("op, eq", [
         ("<=", "10.000001"),  # crosses 10 after about 3,200 ticks
@@ -317,12 +364,13 @@ class TestTargeted:
         # no run enters a NaN, but a NaN key never matches, so every stretch would add an entry
         product = product_of(DRIFT)
         out = io.StringIO()
-        batch = swa._Batch(out.write)
-        assert swa._Jump(product)(31, 32, 100, 100, (0, math.nan, 0.0), {}, batch)[:2] == (99, 100)
+        batch, jump = swa._Batch(out.write), swa._Jump(product)
+        assert jump(31, 32, 100, 100, (0, math.nan, 0.0), {}, batch)[:2] == (99, 100)
         rows = [row.split(",") for row in out.getvalue().splitlines()]
         assert [row[0] for row in rows] == [str(t) for t in range(32, 100)]
         assert {row[3] for row in rows} == {"nan"} and [row[4] for row in rows[:2]] == ["0.32", "0.33"]
-        assert [key[0] for key in batch] == ["c"]
+        # x and c share one flow, x' = c' = 1; only c's entry at 0.0 is stored, none under x's NaN
+        assert jump.state(0)[2] == (0, 0) and list(batch) == [(0, 0.0, 1.0)]
 
     def test_signed_zero_entries_share_one_horizon(self, jumps):
         product = product_of(SIGNS)
@@ -334,6 +382,40 @@ class TestTargeted:
         # the first stretch asks at step 32, the others at step 1, each from its own signed constant
         assert [math.copysign(1.0, key[1]) for key in jumps.keys] == [1.0, -1.0, 1.0, -1.0]
         assert math.copysign(1.0, run.state.v["x"]) == -1.0
+
+    def test_locations_with_one_witness_share_its_texts(self, jumps):
+        # lit and dark both run c' = 1 from c = 0, so their stretches write the same value texts
+        product = product_of(TWINS)
+        assert_engines_agree(product, 1000)
+        assert jumps.traced[:2] == [(31, 32, 100, 101), (133, 32, 202, 101)]  # one stretch in each
+        assert jumps.keys[:2] == [(0, 0.0), (1, 0.0)]
+        assert [(key, first, len(texts)) for key, (first, texts) in jumps.batch.items()] == [
+            ((0, 0.0, 1.0), 1, 100)]
+
+    def test_one_witness_entered_at_both_zeros_prints_apart(self, jumps):
+        # x and y share a flow; after the first switch y enters at -0.0 beside x at 0.0
+        product = product_of(MIRROR)
+        assert_engines_agree(product, 1000)
+        assert jumps.keys[:2] == [(0, 0.0, 0.0, 0.0), (0, 0.0, -0.0, 0.0)]
+        assert sorted(jumps.batch) == [(0, -0.0, -1.0), (0, 0.0, 1.0), (1, 0.0, 1.0)]
+        rows = final(product, 1000, None, "compiled", traced=True)[1].splitlines()[1:]
+        assert {row.split(",")[3] for row in rows} == {"0"}
+        assert [row.split(",")[4] for row in rows[100:103]] == ["0", "-0", "-0"]
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_a_jump_spans_blocks_beside_a_held_value(self, jumps, delta):
+        # stretches of 400/delta steps: at each delta the first and the one GO starts at tick 2001
+        # are longer than a block.  h is held at 2.5, then at 3.5.  DONE is emitted only at 1/8
+        # and 1/3, where a stretch ends within the run
+        stimulus = {2000: frozenset({"GO"})}
+        product = product_of(RELAY, delta)
+        assert assert_engines_agree(product, 6000, stimulus)[0] == "glow"
+        assert max(t1 - t0 for t0, _, t1, _ in jumps.traced) > swa._BLOCK
+        rows = [row.split(",") for row in final(product, 6000, stimulus, "compiled", traced=True)[1].splitlines()]
+        assert rows[0] == ["tick", "time", "location", "x", "h", "inputs", "outputs"]
+        assert {row[4] for row in rows[1:2002]} == {"2.5"} and {row[4] for row in rows[2002:]} == {"3.5"}
+        assert [(row[0], row[5]) for row in rows[1:] if row[5]] == [("2001", "GO")]
+        assert {row[6] for row in rows[1:]} == ({""} if delta == Fraction(1, 100) else {"", "DONE"})
 
     def test_a_nan_entry_constant_stores_no_horizon(self):
         jump, memo = swa._Jump(product_of(DRIFT)), {}
@@ -821,8 +903,22 @@ def run_script(name, *args):
 def test_trace_probe_prints_a_row_per_bundled_model():
     header, *rows = run_script("trace_probe.py", "--ticks", "2000", "--repeat", "1").splitlines()
     assert header.split()[:2] == ["model", "traced"]
+    assert header.split()[-4:] == ["texts", "distinct", "rows", "batched"]
     assert [row.split()[0] for row in rows] == ["thermostat", "traingate", "watertank"]
     assert all(float(row.split()[-1].rstrip("%")) > 50 for row in rows), rows
+    # thermostat's x shows 404 distinct texts in 2,000 rows, and its jumps format 402 texts
+    assert rows[0].split()[-3:-1] == ["402", "404"]
+
+
+def test_trace_probe_fails_when_the_engines_differ(monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "trace_probe.py"
+    spec = importlib.util.spec_from_file_location("trace_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    assert probe.main(["--ticks", "200", "--repeat", "1"]) == 0
+    monkeypatch.setattr(swa._Jump, "stamps", lambda self, ticks: ["0,0,"] * len(ticks))  # every jumped row at tick 0
+    assert probe.main(["--ticks", "200", "--repeat", "1"]) == 1
+    assert "differs from the generic engine's: thermostat, traingate, watertank" in capsys.readouterr().err
 
 
 def test_dwell_sweep_prints_a_row_per_bundled_location():
