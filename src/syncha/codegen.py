@@ -1,6 +1,6 @@
 """C code generation for executable automata.
 
-Each automaton becomes two translation units:
+Each automaton becomes two C files:
 
 * ``<name>.c`` holds the state globals, among them one location index
   per part, and the reaction function that advances a single tick,
@@ -10,12 +10,19 @@ Each automaton becomes two translation units:
   table, calls the reaction in a loop and prints the same trace format
   as the Python engines.
 
+`build_binary` compiles the two as one translation unit, through a
+third file that includes both (`write_whole`).
+
 The reaction is printed by the one printer of the tick rule in `swa`,
 which also prints the Python runner; only its `swa.Syntax` differs.
 Every arithmetic expression therefore has exactly the operation shape
 the interpreter uses (same association, same special cases), so the C
 binary and the Python engines compute identical doubles and identical
-``%.15g`` trace rows on the same libm.  The events are the bits of two
+``%.15g`` trace rows on the same libm.  Three spellings are C's own and
+keep the reaction short: each snap candidate is one call of a static
+``snap`` helper, each part's evolve test is computed once into a flag
+``e<p>`` that its freeze check reuses, and a stuck part jumps to one
+``stuck:`` label at the end of the reaction.  The events are the bits of two
 ``unsigned long long`` masks, as in the Python runner: ``vis`` holds
 the events visible during the tick and ``emit`` those it emits, and
 after each row the driver sets ``vis`` to the emitted events and the
@@ -31,14 +38,17 @@ at a fixed width from their first significant digit, so a row divides
 nothing.  When `swa.decimal_delta` gives the tick length as a short
 decimal m / 10**j, the time field is decimal digits too: the tick's own
 (m = 1) or those of a second counter that gains m per row, with a
-point moved in j digits from the end (see `_c_time_field`).  The
+point moved in j digits from the end (see `_c_time_field`); at any
+other delta it is ``fmt_g`` of t * delta.  The
 location field is each part's location name, copied from one table per
 part at the part's location index.  Each variable goes
 through ``put_g``: a cache of 16,384 slots per variable, ``<var>_g``,
 in 4,096 sets of four, keyed on the bits of the double (so 0 and -0
 stay apart).  A hit moves nothing.  A miss shifts its set down one
-slot, dropping the fourth, and formats the value with ``%.15g`` into
-the first, so a value the trace repeats, such as one a state holds
+slot, dropping the fourth, and formats the value as ``%.15g`` into
+the first, by ``fmt_g`` (see `_C_FORMAT`), which writes the digits of
+values from 1 to 1e15 itself and leaves the others to ``snprintf``,
+so a value the trace repeats, such as one a state holds
 constant or one a periodic orbit comes back to, is formatted again only
 after four other values of its set have been formatted.  A value's text is
 copied at the fixed width of its slot, 23 bytes, and the row's 24 bytes
@@ -53,7 +63,7 @@ from pathlib import Path
 
 from .expr import Rational, Record, format_number
 from .odesolve import resolve_c1
-from .swa import Swa, Syntax, decimal_delta, evolve_code, indent, step_code, switch_code, switch_plan
+from .swa import Swa, Syntax, decimal_delta, evolve_tests, indent, step_code, switch_code, switch_plan
 
 _C_KEYWORDS = frozenset(
     """auto break case char const continue default do double else enum extern
@@ -68,7 +78,7 @@ _RESERVED = _C_KEYWORDS | frozenset(
     memcpy memmove strtol strtod strcmp strncmp strcpy strlen strchr strspn strcspn
     qsort atol atoi exit malloc realloc free size_t stdin stdout stderr errno
     k stuck vis emit t si ticks argc argv stim stim_n stim_cap stim_path
-    load_stimulus by_tick slot buf o ds ts f g p flush put_s put_g put_e INFINITY
+    load_stimulus by_tick slot buf o ds ts f g p flush put_s put_g put_e fmt_g snap INFINITY
     NAN""".split()
 )
 
@@ -128,7 +138,7 @@ class CodegenOptions(Record):
 
 
 class CUnit(Record):
-    """The two generated translation units for one automaton."""
+    """The two generated C files for one automaton."""
 
     __slots__ = ("name", "automaton_source", "driver_source", "reaction_symbol")
 
@@ -152,8 +162,9 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
     names = _Names()
     auto = names.claim("auto", swa.name, lambda n: {n, f"{n}R"})
     parts = range(len(swa.parts or (swa,)))
-    for p in parts:  # part p's location index and its next one: claimed first, they keep these names
+    for p in parts:  # part p's location index, its next one and its evolve flag: claimed first, they keep these names
         names.claim("part", f"l{p}", lambda n: {n, f"{n}_n"})
+        names.claim("flag", f"e{p}", lambda n: {n})
     for v in swa.variables:
         names.claim("var", v, lambda n: {n, f"{n}_u", f"C1_{n}", f"{n}_g"})
     for p in parts:
@@ -174,23 +185,35 @@ def _c_dispatch(p: int, cases: list[tuple[int, str, list[str]]]) -> list[str]:
         f"case {d}: {{  /* {name} */", *indent(body), "    break;", "}")), "}"]
 
 
-# The C reaction's spelling; `_emit_automaton` adds the namer of each unit.
+# The C reaction's spelling; `_emit_automaton` adds the namer of each unit.  Part p's evolve test is
+# computed once into the flag ``e<p>``, which the freeze check reuses: a part's test reads only its own
+# variables and ``vis``, which no other part's switch code writes, and it is read only where no edge of
+# its own was taken.
 C = Syntax(" && ", " || ", "!", "1", "{test} ? {a} : ", _c_block, ";", "double ", c_num, None, _c_dispatch,
-           "l{}_n", ("stuck = 1;", "return;"))
+           "l{}_n", lambda p, _: [f"if (!e{p}) goto stuck;"], "double {c} = snap({x}, {was}, {b}, {holds});")
 _C_GLOBALS = {"v": "{}", "u": "{}_u", "c1": "C1_{}"}  # a variable's value, next value and entry constant
+
+# A snap candidate: x, unless it fails a comparison (h false) and crossed that comparison's bound b
+# since the previous tick's value p; then b.
+_C_SNAP = """static double snap(double x, double p, double b, int h) {
+    return h || !((p <= b && b <= x) || (x <= b && b <= p)) ? x : b;
+}
+"""
 
 
 def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
     """Globals and the reaction.
 
     The tick rule is printed from the `switch_plan` by the printers that
-    also print the Python runner (`swa.evolve_code`, `swa.step_code`,
+    also print the Python runner (`swa.evolve_tests`, `swa.step_code`,
     `swa.switch_code`), spelt for C: each part's location index is the
     global ``l<p>``, its switch code writes the next one to the local
     ``l<p>_n``, and the indices move only once every part has decided,
     so a stuck report names the locations the tick started in.  The
     visible and emitted events are the bits of the masks ``vis`` and
-    ``emit``.
+    ``emit``.  Part p's evolve test is the flag ``e<p>``, declared only
+    for a part with a location that can fail it, and ``snap`` and the
+    ``stuck:`` label are printed only in a unit that uses them.
     """
     plan = switch_plan(swa)
     cv = lambda v: names.of("var", v)
@@ -212,6 +235,7 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
         return name
 
     sx = C.replace(scope=scope)
+    flags = [(f"e{p}", test) for p, test in enumerate(evolve_tests(plan.parts, sx)) if test != sx.true]
     w: list[str] = []
     emit = w.append
     emit("#include <math.h>")
@@ -228,10 +252,14 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
         emit(f"double {cv(v)}_u = {c_float(x0)};")
         emit(f"double C1_{cv(v)} = {c_float(resolve_c1(initial[v], x0))};")
     emit("")
+    if any(e.snaps for locations in plan.parts for loc in locations for e in loc.edges):
+        w += [_C_SNAP]
     emit(f"void {reaction}(void) {{")
     for v in swa.variables:
         emit(f"    {cv(v)} = {cv(v)}_u;")
-    emit(f"    if ({evolve_code(plan.parts, sx)}) {{")
+    if flags:
+        emit(f"    int {', '.join(f'{e} = {test}' for e, test in flags)};")
+    emit(f"    if ({sx.and_.join(e for e, _ in flags) or sx.true}) {{")
     emit("        k = k + 1;")
     for p, locations in enumerate(plan.parts):
         w += indent(indent(step_code(p, locations, sx, swa.delta_f)))
@@ -245,8 +273,67 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
     emit("    k = 0;")
     for p in range(len(plan.parts)):
         emit(f"    l{p} = l{p}_n;")
+    if flags:  # some part's freeze check jumps here
+        emit("    return;")
+        emit("stuck:")
+        emit("    stuck = 1;")
     emit("}")
     return "\n".join(w) + "\n"
+
+
+_C_FORMAT = """static int fmt_g(char *s, double v) {
+    double a = fabs(v), p = 1e14, t = 10, h = 0;
+    long long n = 0;
+    int x = 0, i;
+    char *e, *q;
+    if (a >= 1 && a < 1e15 - .5) {
+        for (; a >= t; x++) t *= 10, p /= 10;
+        n = h = a * p;
+        h -= n;
+    }
+    if (!n || h == .5) return snprintf(s, 23, "%.15g", v);
+    n += h > .5;
+    if (n > 999999999999999) n /= 10, x++;
+    for (i = 14 - x; i && n % 10 == 0; i--) n /= 10;
+    *s = '-';
+    e = q = s + (v < 0) + x + 1 + i + !!i;
+    for (; n; n /= 10) {
+        *--q = '0' + n % 10;
+        if (!--i) *--q = '.';
+    }
+    return e - s;
+}
+"""
+"""The driver's ``fmt_g(s, v)``: writes what ``snprintf(s, 23, "%.15g", v)`` writes, without its NUL, and
+returns its length.
+
+For 1 <= |v| < 999999999999999.5 it writes the digits itself, exactly,
+unless the scaled value's fraction is exactly one half.  The loop finds
+x = floor(log10 |v|) by comparing |v| with t = 10**(x+1) and steps
+p = 10**(14 - x) down from 1e14; every power of ten up to 10**15 is a
+double and each step's product or quotient is one, so both are exact
+and the real product P = |v|*p lies in [1e14, 1e15).  h is P rounded
+to a double, so |P - h| <= ulp(h)/2 <= 1/16, and with n the integer
+part of h the fraction r = h - n is exact (h < 2**50) and a multiple of
+ulp(h).  So r > 0.5 means r >= 0.5 + ulp(h) and P rounds to n + 1, and
+r < 0.5 means r <= 0.5 - ulp(h) and P rounds to n; only r == 0.5
+leaves the rounding to the error of h, and that value goes to
+`snprintf` (a value with many digits does so with chance ulp(h), 1/64
+to 1/8; the exact ties, which glibc rounds to even, are among them).  n is then
+the 15 significant digits of |v| rounded to nearest; when rounding
+carries to 10**15 they become 10**14 and x grows by one, and the bound
+999999999999999.5, which itself rounds to 1e+15, keeps x below 15.  So
+%.15g writes the fixed-point form: x + 1 integer digits, the point and
+14 - x fraction digits, with trailing zeros and then a bare point
+stripped; the zeros are stripped from n before its digits are written
+backwards.  Every other value goes to `snprintf` too: 0, -0, NaN,
++-inf, |v| < 1 and the largest values.  This holds with the default
+rounding to nearest and ``FLT_EVAL_METHOD == 0``, where every operation
+rounds once, to double, as the reaction assumes too.  Neither path
+needs libm (``fabs`` is inline), so a network without exponential
+flows links no libm.  `tests/test_codegen.py` compares it with
+`snprintf` on 7 * 10**6 doubles.
+"""
 
 
 def _c_add(at: str, digit: int, first: str) -> list[str]:
@@ -268,11 +355,11 @@ def _c_time_field(swa: Swa) -> tuple[list[str], list[str], list[str]]:
     behind a point, then trailing zeros and a bare point are stripped.
     For m != 1 a second counter ``ts`` holds t*m in 25 digits (t < 2**63,
     m < 10**6) and steps by m, one carry per nonzero digit of m.  For any
-    other delta the field is ``%.15g`` of t * delta_f.
+    other delta the field is ``%.15g`` of t * delta_f, by ``fmt_g``.
     """
     dec = decimal_delta(swa.delta)
     if dec is None:
-        return [], [f'o += snprintf(o, 24, "%.15g", t * {c_float(swa.delta_f)});'], []
+        return [], [f"o += fmt_g(o, t * {c_float(swa.delta_f)});"], []
     m, j = dec
     if m == 1:
         digits, n, start, decls = "ds", 19, "f" if j == 0 else "g", []
@@ -313,6 +400,7 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
 
     w: list[str] = []
     emit = w.append
+    emit("#include <math.h>")
     emit("#include <stdio.h>")
     emit("#include <stdlib.h>")
     emit("#include <string.h>")
@@ -345,6 +433,8 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit("    o += n;")
     emit("}")
     emit("")
+    if swa.variables or decimal_delta(swa.delta) is None:
+        w += [_C_FORMAT]
     if swa.variables:
         # a slot holds the bits of a double and its %.15g; a variable's
         # 16,384 slots are 4,096 sets of four, the newest miss first; all
@@ -361,7 +451,7 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         emit("    if (i == 4) {")
         emit("        memmove(c + 1, c, 3 * sizeof *c);")
         emit("        c->b = b;")
-        emit('        c->n = snprintf(c->s, sizeof c->s, "%.15g", v);')
+        emit("        c->n = fmt_g(c->s, v);")
         emit("        i = 0;")
         emit("    }")
         emit("    *o++ = ',';")
@@ -490,6 +580,15 @@ def write_unit(unit: CUnit, directory) -> tuple[Path, Path]:
     return auto_path, main_path
 
 
+def write_whole(unit: CUnit, directory) -> Path:
+    """Write the unit's two files and ``<name>_all.c``, which includes both, so that they compile as one
+    translation unit; return the path of the last."""
+    auto_path, main_path = write_unit(unit, directory)
+    whole = Path(directory) / f"{unit.name}_all.c"
+    whole.write_text(f'#include "{auto_path.name}"\n#include "{main_path.name}"\n', encoding="utf-8")
+    return whole
+
+
 def find_cc() -> str | None:
     for cc in ("cc", "gcc", "clang"):
         path = shutil.which(cc)
@@ -499,13 +598,13 @@ def find_cc() -> str | None:
 
 
 def build_binary(unit: CUnit, directory, cc: str | None = None) -> Path | None:
-    """Compile the unit in ``directory``; None when no C compiler exists."""
+    """Compile the unit in ``directory`` as one translation unit (`write_whole`); None when no C compiler
+    exists."""
     cc = cc or find_cc()
     if cc is None:
         return None
-    auto_path, main_path = write_unit(unit, directory)
     binary = Path(directory) / unit.name
-    cmd = [cc, "-O2", str(auto_path), str(main_path), "-lm", "-o", str(binary)]
+    cmd = [cc, "-O2", str(write_whole(unit, directory)), "-lm", "-o", str(binary)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"C compilation failed:\n{proc.stderr}")

@@ -41,8 +41,8 @@ updates never read another automaton's variables, so each part taking
 its own first enabled edge, or else being frozen, is the transition the
 product's egress order (joint switches first) picks.  No engine builds or reads a product
 state; only the product oracle in the tests does.  The generic `tick`
-interprets the plan.  One printer (`evolve_code`, `step_code` and
-`switch_code`) prints it as source text, spelt by a `Syntax`: as
+interprets the plan.  One printer (`evolve_code` or `evolve_tests`,
+`step_code` and `switch_code`) prints it as source text, spelt by a `Syntax`: as
 Python for the specialising engine (`PYTHON`), and as C for `codegen`.
 Both keep the visible and emitted events as bits of two masks.  The
 specialised engine writes its own trace rows; a value the state holds
@@ -1050,17 +1050,22 @@ class Syntax(Record):
     ``v``, next value ``u`` and entry constant ``c1``, and of its locals
     ``prev``, ``s<n>`` (snap candidates) and ``t<n>`` (staged updates).  ``dispatch(p, cases)`` runs the body of a case
     ``(d, name, body)`` when ``l<p>`` is d, ``to`` formats the name part
-    p's next location index is written to, and ``stuck`` holds the
-    statements of a stuck tick.
+    p's next location index is written to, and ``stuck(p, test)`` gives
+    the lines that end the tick as stuck unless part p, with no edge
+    enabled, can evolve by its location's evolve test `test`.  ``snap``,
+    when set, formats a snap candidate as one declaration from ``{c}``,
+    ``{x}``, ``{was}`` (the previous value), ``{b}`` (the bound of the
+    first comparison that fails) and ``{holds}`` (all of them hold);
+    else each candidate is printed as a chain over its comparisons.
     """
 
     __slots__ = ("and_", "or_", "not_", "true", "choose", "block", "end", "decl", "num", "scope", "dispatch",
-                 "to", "stuck")
+                 "to", "stuck", "snap")
 
     def __init__(self, and_: str, or_: str, not_: str, true: str, choose: str, block: Callable, end: str,
                  decl: str, num: Callable, scope: Callable, dispatch: Callable, to: str,
-                 stuck: tuple[str, ...] = ()) -> None:
-        self._set(and_, or_, not_, true, choose, block, end, decl, num, scope, dispatch, to, stuck)
+                 stuck: Callable[[int, str], list[str]] | None = None, snap: str | None = None) -> None:
+        self._set(and_, or_, not_, true, choose, block, end, decl, num, scope, dispatch, to, stuck, snap)
 
 
 def indent(lines: Iterable[str]) -> list[str]:
@@ -1097,11 +1102,16 @@ def _evolve_test(loc: LocationPlan, sx: Syntax, name: Callable[[str, str], str])
     return _conj(sx, silent, constraint_text(loc.invariant, partial(name, "v"), sx.num, sx.and_))
 
 
-def evolve_code(parts: tuple[tuple[LocationPlan, ...], ...], sx: Syntax) -> str:
-    """The test that every part can evolve, each on its location index."""
+def evolve_tests(parts: tuple[tuple[LocationPlan, ...], ...], sx: Syntax) -> list[str]:
+    """Each part's test that it can evolve, on its location index."""
     name = sx.scope()
-    return _conj(sx, *(_by_location(p, [_evolve_test(loc, sx, name) for loc in locations], sx)
-                       for p, locations in enumerate(parts)))
+    return [_by_location(p, [_evolve_test(loc, sx, name) for loc in locations], sx)
+            for p, locations in enumerate(parts)]
+
+
+def evolve_code(parts: tuple[tuple[LocationPlan, ...], ...], sx: Syntax) -> str:
+    """The test that every part can evolve."""
+    return _conj(sx, *evolve_tests(parts, sx))
 
 
 def step_code(p: int, locations: tuple[LocationPlan, ...], sx: Syntax, delta_f: float) -> list[str]:
@@ -1154,12 +1164,18 @@ def _location_switch(p: int, loc: LocationPlan, sx: Syntax, delta_f: float) -> l
         for var, comps in e.snaps:
             if (var, comps) not in cands:
                 cands[var, comps] = c = name(f"s{len(cands)}", var)
-                x, was, snap = v(var), prev[var], []
-                for cmp in comps:
-                    b = sx.num(cmp.bound)
-                    crossed = f"({was} <= {b}{sx.and_}{b} <= {x}){sx.or_}({x} <= {b}{sx.and_}{b} <= {was})"
-                    snap.append((f"{sx.not_}({x} {cmp.op} {b})", sx.block(0, crossed, [f"{c} = {b}{sx.end}"])))
-                lines += [f"{sx.decl}{c} = {x}{sx.end}", *_chain(sx, snap, [])]
+                x, was = v(var), prev[var]
+                bounds = [sx.num(cmp.bound) for cmp in comps]
+                holds = [f"{x} {cmp.op} {b}" for cmp, b in zip(comps, bounds)]
+                if sx.snap:
+                    first = "".join(sx.choose.format(test=f"{sx.not_}({h})", a=b) for h, b in zip(holds, bounds[:-1]))
+                    lines.append(sx.snap.format(c=c, x=x, was=was, b=first + bounds[-1], holds=sx.and_.join(holds)))
+                else:
+                    snap = []
+                    for h, b in zip(holds, bounds):
+                        crossed = f"({was} <= {b}{sx.and_}{b} <= {x}){sx.or_}({x} <= {b}{sx.and_}{b} <= {was})"
+                        snap.append((f"{sx.not_}({h})", sx.block(0, crossed, [f"{c} = {b}{sx.end}"])))
+                    lines += [f"{sx.decl}{c} = {x}{sx.end}", *_chain(sx, snap, [])]
             mine[var] = cands[var, comps]
         events = f"(vis & {_mask(e.present | e.absent)}) == {_mask(e.present)}" if e.present | e.absent else ""
         one = f"({' + '.join(f'({c} != {v(var)})' for var, c in mine.items())}) <= 1" if e.exclusive else ""
@@ -1177,7 +1193,7 @@ def _location_switch(p: int, loc: LocationPlan, sx: Syntax, delta_f: float) -> l
         body += [f"emit |= {_mask(e.emits)}{sx.end}"] if e.emits else []
         branches.append((_conj(sx, events, one, guard), body))
     evolve = _evolve_test(loc, sx, name)
-    frozen = [] if evolve == sx.true else sx.block(0, f"{sx.not_}({evolve})", list(sx.stuck))
+    frozen = [] if evolve == sx.true else sx.stuck(p, evolve)
     return lines + _chain(sx, branches, frozen + reenter(loc.witnesses))
 
 
@@ -1268,7 +1284,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     init = dict(swa.init_values)
     tail = "," if swa.variables else ""
     us = ", ".join(f"u_{var}" for var in swa.variables)
-    sx = PYTHON.replace(stuck=(f"raise _mk_stuck(_loc, ({us}{tail}), k, vis, _t)",))
+    stuck = f"raise _mk_stuck(_loc, ({us}{tail}), k, vis, _t)"
+    sx = PYTHON.replace(stuck=lambda p, test: _py_block(0, f"not ({test})", [stuck]))
 
     time_fmt, time_args = _py_time(swa)
     switch_row = repr(_row_format(f"%d,{time_fmt},", len(swa.variables), bool(swa.inputs), bool(swa.outputs), "%s"))

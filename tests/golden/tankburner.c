@@ -12,10 +12,15 @@ double c = 0.0;
 double c_u = 0.0;
 double C1_c = 0.0;
 
+static double snap(double x, double p, double b, int h) {
+    return h || !((p <= b && b <= x) || (x <= b && b <= p)) ? x : b;
+}
+
 void tankburnerR(void) {
     x = x_u;
     c = c_u;
-    if ((l0 == 0 ? (vis & 3) == 0 && x == 20 : l0 == 2 ? (vis & 3) == 0 && x == 100 : (vis & 3) == 0 && x >= 20 && x <= 100) && (l1 == 0 ? c >= 0 && c <= 25 : c >= 0 && c <= 15)) {
+    int e0 = (l0 == 0 ? (vis & 3) == 0 && x == 20 : l0 == 2 ? (vis & 3) == 0 && x == 100 : (vis & 3) == 0 && x >= 20 && x <= 100), e1 = (l1 == 0 ? c >= 0 && c <= 25 : c >= 0 && c <= 15);
+    if (e0 && e1) {
         k = k + 1;
         x_u = (l0 == 1 ? 150.0 + C1_x * exp(-0.00075 * k) : l0 == 3 ? C1_x * exp(-0.00075 * k) : x_u);
         c_u = C1_c + 0.01 * k;
@@ -25,34 +30,21 @@ void tankburnerR(void) {
     switch (l0) {
     case 0: {  /* t1 */
         double x_prev = k >= 1 ? C1_x : x;
-        double x_s0 = x;
-        if (!(x == 20)) {
-            if ((x_prev <= 20 && 20 <= x) || (x <= 20 && 20 <= x_prev)) {
-                x_s0 = 20;
-            }
-        }
+        double x_s0 = snap(x, x_prev, 20, x == 20);
         if ((vis & 3) == 1 && x_s0 == 20) {
             x = x_s0;
             C1_x = x - 150;
             l0_n = 1;
         }
         else {
-            if (!((vis & 3) == 0 && x == 20)) {
-                stuck = 1;
-                return;
-            }
+            if (!e0) goto stuck;
             C1_x = x;
         }
         break;
     }
     case 1: {  /* t2 */
         double x_prev = k >= 1 ? 150.0 + C1_x * exp(-0.00075 * (k - 1)) : x;
-        double x_s0 = x;
-        if (!(x == 100)) {
-            if ((x_prev <= 100 && 100 <= x) || (x <= 100 && 100 <= x_prev)) {
-                x_s0 = 100;
-            }
-        }
+        double x_s0 = snap(x, x_prev, 100, x == 100);
         if (x_s0 == 100) {
             x = x_s0;
             C1_x = x;
@@ -63,10 +55,7 @@ void tankburnerR(void) {
             l0_n = 3;
         }
         else {
-            if (!((vis & 3) == 0 && x >= 20 && x <= 100)) {
-                stuck = 1;
-                return;
-            }
+            if (!e0) goto stuck;
             C1_x = x - 150;
         }
         break;
@@ -77,22 +66,14 @@ void tankburnerR(void) {
             l0_n = 3;
         }
         else {
-            if (!((vis & 3) == 0 && x == 100)) {
-                stuck = 1;
-                return;
-            }
+            if (!e0) goto stuck;
             C1_x = x;
         }
         break;
     }
     case 3: {  /* t4 */
         double x_prev = k >= 1 ? C1_x * exp(-0.00075 * (k - 1)) : x;
-        double x_s0 = x;
-        if (!(x == 20)) {
-            if ((x_prev <= 20 && 20 <= x) || (x <= 20 && 20 <= x_prev)) {
-                x_s0 = 20;
-            }
-        }
+        double x_s0 = snap(x, x_prev, 20, x == 20);
         if ((vis & 3) == 1) {
             C1_x = x - 150;
             l0_n = 1;
@@ -103,10 +84,7 @@ void tankburnerR(void) {
             l0_n = 0;
         }
         else {
-            if (!((vis & 3) == 0 && x >= 20 && x <= 100)) {
-                stuck = 1;
-                return;
-            }
+            if (!e0) goto stuck;
             C1_x = x;
         }
         break;
@@ -116,12 +94,7 @@ void tankburnerR(void) {
     switch (l1) {
     case 0: {  /* b1 */
         double c_prev = k >= 1 ? C1_c + 0.01 * (k - 1) : c;
-        double c_s0 = c;
-        if (!(c == 25)) {
-            if ((c_prev <= 25 && 25 <= c) || (c <= 25 && 25 <= c_prev)) {
-                c_s0 = 25;
-            }
-        }
+        double c_s0 = snap(c, c_prev, 25, c == 25);
         if (c_s0 == 25) {
             c = 0;
             C1_c = c;
@@ -129,22 +102,14 @@ void tankburnerR(void) {
             emit |= 1;
         }
         else {
-            if (!(c >= 0 && c <= 25)) {
-                stuck = 1;
-                return;
-            }
+            if (!e1) goto stuck;
             C1_c = c;
         }
         break;
     }
     case 1: {  /* b2 */
         double c_prev = k >= 1 ? C1_c + 0.01 * (k - 1) : c;
-        double c_s0 = c;
-        if (!(c == 15)) {
-            if ((c_prev <= 15 && 15 <= c) || (c <= 15 && 15 <= c_prev)) {
-                c_s0 = 15;
-            }
-        }
+        double c_s0 = snap(c, c_prev, 15, c == 15);
         if (c_s0 == 15) {
             c = 0;
             C1_c = c;
@@ -152,10 +117,7 @@ void tankburnerR(void) {
             emit |= 2;
         }
         else {
-            if (!(c >= 0 && c <= 15)) {
-                stuck = 1;
-                return;
-            }
+            if (!e1) goto stuck;
             C1_c = c;
         }
         break;
@@ -166,4 +128,7 @@ void tankburnerR(void) {
     k = 0;
     l0 = l0_n;
     l1 = l1_n;
+    return;
+stuck:
+    stuck = 1;
 }

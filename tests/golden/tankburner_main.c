@@ -1,3 +1,4 @@
+#include <math.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -28,6 +29,29 @@ static void put_s(const char *s) {
     o += n;
 }
 
+static int fmt_g(char *s, double v) {
+    double a = fabs(v), p = 1e14, t = 10, h = 0;
+    long long n = 0;
+    int x = 0, i;
+    char *e, *q;
+    if (a >= 1 && a < 1e15 - .5) {
+        for (; a >= t; x++) t *= 10, p /= 10;
+        n = h = a * p;
+        h -= n;
+    }
+    if (!n || h == .5) return snprintf(s, 23, "%.15g", v);
+    n += h > .5;
+    if (n > 999999999999999) n /= 10, x++;
+    for (i = 14 - x; i && n % 10 == 0; i--) n /= 10;
+    *s = '-';
+    e = q = s + (v < 0) + x + 1 + i + !!i;
+    for (; n; n /= 10) {
+        *--q = '0' + n % 10;
+        if (!--i) *--q = '.';
+    }
+    return e - s;
+}
+
 typedef struct { unsigned long long b; char n, s[23]; } slot;
 static slot x_g[16384], c_g[16384];
 
@@ -40,7 +64,7 @@ static void put_g(double v, slot *c) {
     if (i == 4) {
         memmove(c + 1, c, 3 * sizeof *c);
         c->b = b;
-        c->n = snprintf(c->s, sizeof c->s, "%.15g", v);
+        c->n = fmt_g(c->s, v);
         i = 0;
     }
     *o++ = ',';

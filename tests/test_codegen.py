@@ -13,6 +13,7 @@ import pytest
 
 from syncha.cli import main as cli_main
 from syncha.codegen import (
+    _C_FORMAT,
     CodegenOptions,
     build_binary,
     c_float,
@@ -21,6 +22,7 @@ from syncha.codegen import (
     emit_c,
     find_cc,
     write_unit,
+    write_whole,
 )
 from syncha.model import load_model, parse_model
 from syncha.odesolve import WitnessKind
@@ -41,7 +43,7 @@ from oracles import fuzz_network, product_run, timer_chain_source
 GOLDEN = Path(__file__).parent / "golden"
 
 _spec = importlib.util.spec_from_file_location("c_probe", Path(__file__).parent.parent / "scripts" / "c_probe.py")
-c_probe = importlib.util.module_from_spec(_spec)  # the snprintf-counting build of scripts/c_probe.py
+c_probe = importlib.util.module_from_spec(_spec)  # the value-counting build of scripts/c_probe.py
 _spec.loader.exec_module(c_probe)
 
 needs_cc = pytest.mark.skipif(find_cc() is None, reason="no C compiler on PATH")
@@ -393,10 +395,12 @@ def product_of(net, delta=Fraction(1, 100)):
 @needs_cc
 @pytest.mark.parametrize("model", ["thermostat", "watertank", "traingate", "fuzz42", "satramp", "stucklate"])
 def test_bundled_products_compile_strictly(models_dir, fixtures_dir, tmp_path, model):
-    """Each bundled product, and a fuzzed network whose parts hold values.
+    """Each bundled product, and a fuzzed network whose parts hold values, as two translation units and
+    as the one `build_binary` compiles.
 
     In `satramp` and `stucklate` the product state is one part's location
     index, and that part has a location whose witnesses do not move.
+    `stucklate` snaps nothing, so its unit has no ``snap``.
     """
     if model == "fuzz42":
         net = parse_model(fuzz_network(42))
@@ -404,11 +408,13 @@ def test_bundled_products_compile_strictly(models_dir, fixtures_dir, tmp_path, m
         net = load_model((models_dir if model in ("thermostat", "watertank", "traingate") else fixtures_dir)
                          / f"{model}.pha")
     unit = emit_c(product_of(net))
+    assert ("static double snap(" in unit.automaton_source) == (model != "stucklate")
     auto_path, main_path = write_unit(unit, tmp_path)
-    cmd = [find_cc(), "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", "-O2",
-           str(auto_path), str(main_path), "-lm", "-o", str(tmp_path / unit.name)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    strict = [find_cc(), "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", "-O2"]
+    for sources in ([auto_path, main_path], [write_whole(unit, tmp_path)]):  # two units, then one
+        proc = subprocess.run([*strict, *map(str, sources), "-lm", "-o", str(tmp_path / unit.name)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 @needs_cc
@@ -690,10 +696,11 @@ automaton saw
 def test_put_g_formats_each_value_of_a_periodic_orbit_once(tmp_path, monkeypatch):
     """Three periods of a sawtooth whose 2,001 values share cache sets in up to fours, never in fives.
 
-    The driver's `snprintf` calls are counted by the shim of
-    `scripts/c_probe.py` (the emitted C is unchanged): each distinct value
-    is formatted once, so a value that up to three others of its set have
-    followed is found in the set's later slots.
+    The values the driver formats, through ``fmt_g``'s own digits or its
+    `snprintf` fallback, are counted by the shim of `scripts/c_probe.py`
+    (the emitted C is unchanged): each distinct value is formatted once,
+    so a value that up to three others of its set have followed is found
+    in the set's later slots.
     """
     swa = swa_of(SAWTOOTH, "saw")
     shown = []
@@ -706,6 +713,7 @@ def test_put_g_formats_each_value_of_a_periodic_orbit_once(tmp_path, monkeypatch
     trace = interpreter_trace(swa, 6007)
     values = {x.hex(): x for (x,) in shown}
     assert len(values) == 2001
+    assert sum(x >= 1 for x in values.values()) == 1901  # the rest, below 1, go to snprintf
     assert max(Counter(map(cache_set, values.values())).values()) == 4
     binary = c_probe.counted_binary(emit_c(swa), tmp_path)
     proc = subprocess.run([str(binary), "6007"], capture_output=True, text=True, timeout=60)
@@ -716,13 +724,14 @@ def test_put_g_formats_each_value_of_a_periodic_orbit_once(tmp_path, monkeypatch
 @needs_cc
 @pytest.mark.parametrize("model", ["traingate", "watertank"])
 def test_put_g_misses_little_more_than_once_per_distinct_value(models_dir, tmp_path, model):
-    """50,000 ticks of a bundled network's nearly periodic orbit: at most 1.25 `snprintf` calls per distinct value.
+    """50,000 ticks of a bundled network's nearly periodic orbit: at most 1.25 values formatted per distinct
+    value, counted through either path of ``fmt_g``.
 
     With 8,192 sets of two, traingate's nearly arithmetic values thrashed:
     14,347 calls for 4,872 distinct values, and 8,389 for 5,998 on watertank.
     """
     product = product_of(load_model(models_dir / f"{model}.pha"))
-    calls = c_probe.snprintf_calls(c_probe.counted_binary(emit_c(product), tmp_path), 50_000)
+    calls = c_probe.formatted_values(c_probe.counted_binary(emit_c(product), tmp_path), 50_000)
     assert calls <= 1.25 * c_probe.distinct_values(product, 50_000)
 
 
@@ -815,3 +824,178 @@ def interpreter_trace_prefix_of_stuck(swa):
     except UnreachableState:
         pass
     return buf.getvalue()
+
+
+# Compares the driver's formatter with snprintf("%.15g") on N doubles of each class and prints each
+# class's mismatches; the first few mismatched values go to stderr.
+FORMAT_HARNESS = r"""
+#include <math.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+%s
+static unsigned long long r = 88172645463325252ULL;
+
+static unsigned long long next(void) {
+    r ^= r << 13;
+    r ^= r >> 7;
+    r ^= r << 17;
+    return r;
+}
+
+static double pick(int kind) {
+    unsigned long long b;
+    double v;
+    int x, s;
+    switch (kind) {
+    case 0:  /* random bit patterns */
+        b = next();
+        memcpy(&v, &b, sizeof v);
+        return v;
+    case 1:  /* 2^-70 to 2^40 */
+        return ldexp(1 + (next() >> 11) * 0x1p-53, (int)(next() %% 110) - 70);
+    case 2:  /* short decimals: n / 10^j, correctly rounded */
+        return (double)(next() %% 1000000000000ULL) / pow(10, (int)(next() %% 13));
+    case 3:  /* exponential decays, as witnesses step them */
+        return (double)(next() %% 300) + ((double)(next() %% 2001) - 1000)
+            * exp(-1e-4 * (next() %% 1000) * (double)(next() %% 100000));
+    case 4:  /* within 32 ulps of 10^-5 .. 10^20 */
+        v = pow(10, (int)(next() %% 26) - 5);
+        memcpy(&b, &v, sizeof b);
+        b += next() %% 65 - 32;
+        memcpy(&v, &b, sizeof v);
+        return v;
+    case 5:  /* exact ties at the 16th digit: x + 1 integer digits and 15 - x fraction digits, the last a 5 */
+        x = (int)(next() %% 15);
+        s = 15 - x;
+        v = pow(10, x);
+        v += (double)(next() %% (unsigned long long)(9 * v));
+        return v + ldexp((double)(2 * (next() %% (1ULL << (s - 1))) + 1), -s);
+    default:  /* negatives of the others */
+        return -fabs(pick((int)(next() %% 6)));
+    }
+}
+
+int main(int argc, char **argv) {
+    long n = argc > 1 ? atol(argv[1]) : 1000000, i;
+    char mine[32], ref[32];
+    int kind, shown = 0;
+    for (kind = 0; kind < 7; kind++) {
+        long bad = 0;
+        for (i = 0; i < n; i++) {
+            double v = pick(kind);
+            int len = fmt_g(mine, v);
+            if (len != snprintf(ref, sizeof ref, "%%.15g", v) || memcmp(mine, ref, len)) {
+                if (shown++ < 10) fprintf(stderr, "%%a: %%.*s, not %%s\n", v, len, mine, ref);
+                bad++;
+            }
+        }
+        printf("%%ld\n", bad);
+    }
+    return 0;
+}
+"""
+
+
+@needs_cc
+def test_fmt_g_writes_what_snprintf_writes(tmp_path):
+    """10**6 doubles of each of seven classes, formatted by the driver's ``fmt_g`` and by ``%.15g``: no
+    byte differs.  The classes reach both sides of the range ``fmt_g`` formats itself (1 to
+    999999999999999.5), the carry of rounding into another digit and the ties it rounds to even."""
+    src = tmp_path / "fmt.c"
+    src.write_text(FORMAT_HARNESS % _C_FORMAT)
+    cmd = [find_cc(), "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", "-O2", str(src), "-lm",
+           "-o", str(tmp_path / "fmt")]
+    build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
+    proc = subprocess.run([str(tmp_path / "fmt"), "1000000"], capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout.split(), proc.stderr) == (0, ["0"] * 7, "")
+
+
+def test_the_formatter_is_printed_once_where_it_is_used(models_dir):
+    """``fmt_g`` is the constant's text, printed once, and the time field at a delta that is no short decimal
+    calls it (a driver without values has it only for that field: see the next test)."""
+    for delta in (Fraction(1, 100), Fraction(1, 3)):
+        unit = emit_c(product_of(load_model(models_dir / "watertank.pha"), delta))
+        assert unit.driver_source.count(_C_FORMAT) == 1
+        assert ("o += fmt_g(o, t * " in unit.driver_source) == (delta == Fraction(1, 3))
+
+
+NO_VALUES = """
+network quiet
+
+automaton idle
+  input GO
+  output DONE
+
+  initial location wait
+
+  edge wait -> wait on GO emit DONE
+"""
+
+@needs_cc
+@pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 3)], ids=str)
+def test_a_unit_without_values_compiles_strictly_and_runs(tmp_path, delta):
+    """No value and no snap: neither ``snap`` nor, unless the time field needs it, ``fmt_g`` is printed, so
+    the one translation unit compiles under ``-Werror``."""
+    swa = swa_of(NO_VALUES, "idle", delta)
+    unit = emit_c(swa)
+    assert "snap" not in unit.automaton_source
+    assert ("fmt_g" in unit.driver_source) == (delta == Fraction(1, 3))
+    cmd = [find_cc(), "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", "-O2", str(write_whole(unit, tmp_path)),
+           "-lm", "-o", str(tmp_path / "quiet")]
+    build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
+    csv = tmp_path / "go.csv"
+    csv.write_text("2,GO\n")
+    proc = subprocess.run([str(tmp_path / "quiet"), "6", str(csv)], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, interpreter_trace(swa, 6, {2: frozenset({"GO"})}))
+
+
+# Variables named like the reaction's flags, the snap helper, the formatter and the fabs it calls.
+NAMESAKES = """
+network namesakes
+
+automaton a
+  var e0 init 0
+  var snap init 1
+  output WRAP
+
+  initial location up
+    invariant e0 >= 0 && e0 <= 0.05
+    flow e0' = 1
+    flow snap' = 0
+
+  edge up -> up guard e0 == 0.05 do e0' := 0, snap' := snap + 1 emit WRAP
+
+automaton b
+  var e1 init 0
+  var fabs init 2
+  var fmt_g init 3
+  input WRAP
+
+  initial location wait
+    invariant e1 >= 0 && e1 <= 0.07
+    flow e1' = 1
+    flow fabs' = 0
+    flow fmt_g' = 0
+
+  edge wait -> wait on WRAP guard e1 >= 0 && e1 <= 0.07 do fabs' := fmt_g, fmt_g' := fabs
+  edge wait -> wait guard e1 == 0.07 do e1' := 0
+"""
+
+
+@needs_cc
+def test_variables_named_like_the_new_identifiers_build_and_run(tmp_path):
+    """``e0``, ``e1``, ``snap``, ``fabs`` and ``fmt_g`` are model variables here: they are renamed, and the
+    binary writes the generic engine's trace."""
+    product = product_of(parse_model(NAMESAKES))
+    unit = emit_c(product)
+    for name in ("e0", "e1", "snap", "fabs", "fmt_g"):
+        assert f"double {name}_ = " in unit.automaton_source
+    assert "int e0 = " in unit.automaton_source and "static double snap(" in unit.automaton_source
+    proc = binary_trace(unit, tmp_path, ["400"])
+    trace = interpreter_trace(product, 400)
+    assert (proc.returncode, proc.stdout) == (0, trace)
+    assert len({row.split(",")[4] for row in trace.splitlines()[1:]}) > 5  # snap counts the wraps
