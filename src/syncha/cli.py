@@ -29,6 +29,7 @@ from .swa import (
     read_stimulus,
     simulate,
 )
+from .whacheck import WhaReport, foreign_reads
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -130,6 +131,19 @@ def _report(ha: HybridAutomaton, exc: IllFormedAutomaton) -> None:
         print(f"{ha.name}: {diag}", file=sys.stderr)
 
 
+def _analyse(ha: HybridAutomaton, delta: Fraction) -> tuple[Sha, list[str]]:
+    """`generate_sha`, which also refuses an automaton that reads a sibling's variables, as no engine runs it;
+    IllFormedAutomaton lists those reads after the well-formedness violations."""
+    foreign = foreign_reads(ha)
+    try:
+        sha, warnings = generate_sha(ha, delta)
+    except IllFormedAutomaton as exc:
+        foreign = exc.report.violations + foreign
+    if foreign:
+        raise IllFormedAutomaton(WhaReport(ha.name, foreign))
+    return sha, warnings
+
+
 def _analysed(automata: Sequence[HybridAutomaton], delta: Fraction) -> list[Sha] | None:
     """Analyse every automaton, which also validates it.
 
@@ -141,7 +155,7 @@ def _analysed(automata: Sequence[HybridAutomaton], delta: Fraction) -> list[Sha]
     failed = False
     for ha in automata:
         try:
-            sha, warns = generate_sha(ha, delta)
+            sha, warns = _analyse(ha, delta)
         except IllFormedAutomaton as exc:
             _report(ha, exc)
             failed = True
@@ -165,7 +179,7 @@ def _cmd_check(args) -> int:
     failed = False
     for ha in net.automata:
         try:
-            _, warnings = generate_sha(ha, args.delta)
+            _, warnings = _analyse(ha, args.delta)
         except IllFormedAutomaton as exc:
             failed = True
             _report(ha, exc)
@@ -188,8 +202,14 @@ def _cmd_compile(args) -> int:
         return EXIT_CHECK_FAILED
     outdir = Path(args.out)
     options = CodegenOptions(ticks=args.ticks, stimulus_path=args.stimulus)
-    # emit every unit before writing any, so a rejected automaton leaves no files
+    # emit every unit and name every file before writing any, so a rejected automaton leaves no files
     units = [emit_c(build_swa(sha), options) for sha in shas]
+    owner: dict[str, str] = {}
+    for ha, unit in zip(automata, units):
+        for name in unit.file_names():
+            if owner.setdefault(name, ha.name) != ha.name:
+                print(f"error: automata {owner[name]} and {ha.name} both write {outdir / name}", file=sys.stderr)
+                return EXIT_USAGE
     for ha, sha, unit in zip(automata, shas, units):
         for path in write_unit(unit, outdir):
             print(path)

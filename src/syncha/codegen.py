@@ -1,11 +1,11 @@
 """C code generation for executable automata.
 
-Each automaton becomes two C files:
+Each automaton becomes two C files, named after it:
 
 * ``<name>.c`` holds the state globals, among them one location index
-  per part, and the reaction function that advances a single tick,
-  printed part by part from `swa.switch_plan`: each part's evolve test
-  and witness step, then its switch code,
+  per part, and the reaction function ``react_<name>`` that advances a
+  single tick, printed part by part from `swa.switch_plan`: each part's
+  evolve test and witness step, then its switch code and its re-entry,
 * ``<name>_main.c`` holds a driver that loads an optional stimulus
   table, calls the reaction in a loop and prints the same trace format
   as the Python engines.
@@ -27,6 +27,11 @@ keep the reaction short: each snap candidate is one call of a static
 the events visible during the tick and ``emit`` those it emits, and
 after each row the driver sets ``vis`` to the emitted events and the
 stimulus, and clears ``emit``.  So a network has at most 64 events.
+Every identifier a model name gives is `swa.ident`'s ``<role>_<name>``,
+as in the Python runner (``v_x``, ``n_x``, ``c1_x``, ``g_x``, the
+locals ``prev_x``, ``s<n>_x`` and ``t<n>_x``, and ``react_<name>``), and
+every other identifier is the templates' own, so no model name can meet
+a name of C, of the four headers or of the templates.
 
 Each part's location index is a global ``int``, so neither unit has code
 or data per product state, and a network of any number of product
@@ -42,7 +47,7 @@ point moved in j digits from the end (see `_c_time_field`); at any
 other delta it is ``fmt_g`` of t * delta.  The
 location field is each part's location name, copied from one table per
 part at the part's location index.  Each variable goes
-through ``put_g``: a cache of 16,384 slots per variable, ``<var>_g``,
+through ``put_g``: a cache of 16,384 slots per variable, ``g_<var>``,
 in 4,096 sets of four, keyed on the bits of the double (so 0 and -0
 stay apart).  A hit moves nothing.  A miss shifts its set down one
 slot, dropping the fourth, and formats the value as ``%.15g`` into
@@ -63,43 +68,7 @@ from pathlib import Path
 
 from .expr import Rational, Record, format_number
 from .odesolve import resolve_c1
-from .swa import Swa, Syntax, decimal_delta, evolve_tests, indent, step_code, switch_code, switch_plan
-
-_C_KEYWORDS = frozenset(
-    """auto break case char const continue default do double else enum extern
-    float for goto if inline int long register restrict return short signed
-    sizeof static struct switch typedef union unsigned void volatile while
-    _Bool _Complex _Imaginary""".split()
-)
-
-# Everything the templates themselves use, so model names never shadow it.
-_RESERVED = _C_KEYWORDS | frozenset(
-    """main exp fabs printf fprintf snprintf fputs fwrite fopen fclose fgets
-    memcpy memmove strtol strtod strcmp strncmp strcpy strlen strchr strspn strcspn
-    qsort atol atoi exit malloc realloc free size_t stdin stdout stderr errno
-    k stuck vis emit t si ticks argc argv stim stim_n stim_cap stim_path
-    load_stimulus by_tick slot buf o ds ts f g p flush put_s put_g put_e fmt_g snap INFINITY
-    NAN""".split()
-)
-
-
-class _Names:
-    """Injective mapping from model identifiers to free C identifiers."""
-
-    def __init__(self) -> None:
-        self.used: set[str] = set(_RESERVED)
-        self.map: dict[tuple[str, str], str] = {}
-
-    def claim(self, kind: str, original: str, derived) -> str:
-        name = original
-        while any(x in self.used for x in derived(name)):
-            name += "_"
-        self.used.update(derived(name))
-        self.map[(kind, original)] = name
-        return name
-
-    def of(self, kind: str, original: str) -> str:
-        return self.map[(kind, original)]
+from .swa import Swa, Syntax, decimal_delta, evolve_tests, ident, indent, step_code, switch_code, switch_plan
 
 
 def c_num(q: Rational) -> str:
@@ -143,7 +112,7 @@ class CUnit(Record):
     __slots__ = ("name", "automaton_source", "driver_source", "reaction_symbol")
 
     def __init__(
-        self, name: str,  # sanitized base name: <name>.c plus <name>_main.c
+        self, name: str,  # the automaton's name: <name>.c plus <name>_main.c
         automaton_source: str, driver_source: str, reaction_symbol: str,
     ) -> None:
         self._set(name, automaton_source, driver_source, reaction_symbol)
@@ -159,21 +128,8 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
             f"automaton {swa.name!r} has {len(swa.events())} events, more than the C "
             "driver's limit of 64 (it packs events into a 64-bit stimulus mask)"
         )
-    names = _Names()
-    auto = names.claim("auto", swa.name, lambda n: {n, f"{n}R"})
-    parts = range(len(swa.parts or (swa,)))
-    for p in parts:  # part p's location index, its next one and its evolve flag: claimed first, they keep these names
-        names.claim("part", f"l{p}", lambda n: {n, f"{n}_n"})
-        names.claim("flag", f"e{p}", lambda n: {n})
-    for v in swa.variables:
-        names.claim("var", v, lambda n: {n, f"{n}_u", f"C1_{n}", f"{n}_g"})
-    for p in parts:
-        names.claim("table", f"loc{p}", lambda n: {n})
-
-    reaction = f"{auto}R"
-    automaton_source = _emit_automaton(swa, names, reaction)
-    driver_source = _emit_driver(swa, names, reaction, options)
-    return CUnit(auto, automaton_source, driver_source, reaction)
+    reaction = ident("react", swa.name)
+    return CUnit(swa.name, _emit_automaton(swa, reaction), _emit_driver(swa, reaction, options), reaction)
 
 
 def _c_block(n: int, cond: str | None, body: list[str]) -> list[str]:
@@ -185,13 +141,11 @@ def _c_dispatch(p: int, cases: list[tuple[int, str, list[str]]]) -> list[str]:
         f"case {d}: {{  /* {name} */", *indent(body), "    break;", "}")), "}"]
 
 
-# The C reaction's spelling; `_emit_automaton` adds the namer of each unit.  Part p's evolve test is
-# computed once into the flag ``e<p>``, which the freeze check reuses: a part's test reads only its own
-# variables and ``vis``, which no other part's switch code writes, and it is read only where no edge of
-# its own was taken.
-C = Syntax(" && ", " || ", "!", "1", "{test} ? {a} : ", _c_block, ";", "double ", c_num, None, _c_dispatch,
+# The C reaction's spelling.  Part p's evolve test is computed once into the flag ``e<p>``, which the
+# freeze check reuses: a part's test reads only its own variables and ``vis``, which no other part's
+# switch code writes, and it is read only where no edge of its own was taken.
+C = Syntax(" && ", " || ", "!", "1", "{test} ? {a} : ", _c_block, ";", "double ", c_num, _c_dispatch,
            "l{}_n", lambda p, _: [f"if (!e{p}) goto stuck;"], "double {c} = snap({x}, {was}, {b}, {holds});")
-_C_GLOBALS = {"v": "{}", "u": "{}_u", "c1": "C1_{}"}  # a variable's value, next value and entry constant
 
 # A snap candidate: x, unless it fails a comparison (h false) and crossed that comparison's bound b
 # since the previous tick's value p; then b.
@@ -201,41 +155,25 @@ _C_SNAP = """static double snap(double x, double p, double b, int h) {
 """
 
 
-def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
+def _emit_automaton(swa: Swa, reaction: str) -> str:
     """Globals and the reaction.
 
     The tick rule is printed from the `switch_plan` by the printers that
     also print the Python runner (`swa.evolve_tests`, `swa.step_code`,
     `swa.switch_code`), spelt for C: each part's location index is the
     global ``l<p>``, its switch code writes the next one to the local
-    ``l<p>_n``, and the indices move only once every part has decided,
-    so a stuck report names the locations the tick started in.  The
-    visible and emitted events are the bits of the masks ``vis`` and
-    ``emit``.  Part p's evolve test is the flag ``e<p>``, declared only
-    for a part with a location that can fail it, and ``snap`` and the
-    ``stuck:`` label are printed only in a unit that uses them.
+    ``l<p>_n``, which its re-entry reads, and the indices move only once
+    every part has decided, so a stuck report names the locations the
+    tick started in.  The visible and emitted events are the bits of the
+    masks ``vis`` and ``emit``.  Part p's evolve test is the flag
+    ``e<p>``, declared only for a part with a location that can fail it,
+    and ``snap`` and the ``stuck:`` label are printed only in a unit that
+    uses them.
     """
     plan = switch_plan(swa)
-    cv = lambda v: names.of("var", v)
     start = [[loc.name for loc in locations].index(part.initial_state)
              for part, locations in zip(swa.parts or (swa,), plan.parts)]
-
-    def scope():
-        """Per location: the globals, and fresh names for its locals."""
-        taken = set(names.used)
-
-        def name(role: str, var: str) -> str:
-            if role in _C_GLOBALS:
-                return _C_GLOBALS[role].format(cv(var))
-            local = f"{cv(var)}_{role}"
-            while local in taken:
-                local += "_"
-            taken.add(local)
-            return local
-        return name
-
-    sx = C.replace(scope=scope)
-    flags = [(f"e{p}", test) for p, test in enumerate(evolve_tests(plan.parts, sx)) if test != sx.true]
+    flags = [(f"e{p}", test) for p, test in enumerate(evolve_tests(plan.parts, C)) if test != C.true]
     w: list[str] = []
     emit = w.append
     emit("#include <math.h>")
@@ -248,28 +186,28 @@ def _emit_automaton(swa: Swa, names: _Names, reaction: str) -> str:
     initial = dict(pair for locations, d in zip(plan.parts, start) for pair in locations[d].witnesses)
     for v, x0q in swa.init_values:
         x0 = float(x0q)
-        emit(f"double {cv(v)} = {c_float(x0)};")
-        emit(f"double {cv(v)}_u = {c_float(x0)};")
-        emit(f"double C1_{cv(v)} = {c_float(resolve_c1(initial[v], x0))};")
+        emit(f"double {ident('v', v)} = {c_float(x0)};")
+        emit(f"double {ident('n', v)} = {c_float(x0)};")
+        emit(f"double {ident('c1', v)} = {c_float(resolve_c1(initial[v], x0))};")
     emit("")
     if any(e.snaps for locations in plan.parts for loc in locations for e in loc.edges):
         w += [_C_SNAP]
     emit(f"void {reaction}(void) {{")
     for v in swa.variables:
-        emit(f"    {cv(v)} = {cv(v)}_u;")
+        emit(f"    {ident('v', v)} = {ident('n', v)};")
     if flags:
         emit(f"    int {', '.join(f'{e} = {test}' for e, test in flags)};")
-    emit(f"    if ({sx.and_.join(e for e, _ in flags) or sx.true}) {{")
+    emit(f"    if ({C.and_.join(e for e, _ in flags) or C.true}) {{")
     emit("        k = k + 1;")
     for p, locations in enumerate(plan.parts):
-        w += indent(indent(step_code(p, locations, sx, swa.delta_f)))
+        w += indent(indent(step_code(p, locations, C, swa.delta_f)))
     emit("        return;")
     emit("    }")
     for p, locations in enumerate(plan.parts):
         emit(f"    int l{p}_n = l{p};")
-        w += indent(switch_code(p, locations, sx, swa.delta_f))
+        w += indent(switch_code(p, locations, C, swa.delta_f))
     for v in swa.variables:
-        emit(f"    {cv(v)}_u = {cv(v)};")
+        emit(f"    {ident('n', v)} = {ident('v', v)};")
     emit("    k = 0;")
     for p in range(len(plan.parts)):
         emit(f"    l{p} = l{p}_n;")
@@ -382,13 +320,12 @@ def _c_time_field(swa: Swa) -> tuple[list[str], list[str], list[str]]:
     ], step
 
 
-def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions) -> str:
-    cv = lambda v: names.of("var", v)
+def _emit_driver(swa: Swa, reaction: str, options: CodegenOptions) -> str:
     plan = switch_plan(swa)
     events = swa.events()
     # each part's location name, read from its own table
     lvs = [f"l{p}" for p in range(len(plan.parts))]
-    locs = [f"{names.of('table', f'loc{p}')}[{lv}]" for p, lv in enumerate(lvs)]
+    locs = [f"loc{p}[{lv}]" for p, lv in enumerate(lvs)]
     time_decls, time_row, time_step = _c_time_field(swa)
     m = (decimal_delta(swa.delta) or (1, 0))[0]
     # the longest row: a 19-digit tick and a time field of at most 23 characters
@@ -410,11 +347,11 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     emit(f"extern int stuck, {', '.join(lvs)};")
     emit("extern unsigned long long vis, emit;")
     for v in swa.variables:
-        emit(f"extern double {cv(v)}, {cv(v)}_u;")
+        emit(f"extern double {ident('v', v)}, {ident('n', v)};")
     emit("")
     for p, locations in enumerate(plan.parts):
         table = ", ".join(f'"{loc.name}"' for loc in locations)
-        emit(f"static const char *{names.of('table', f'loc{p}')}[] = {{ {table} }};")
+        emit(f"static const char *loc{p}[] = {{ {table} }};")
     emit("static struct { long t; unsigned long long m; } *stim;")
     emit("static long stim_n, stim_cap;")
     emit("")
@@ -440,7 +377,7 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         # 16,384 slots are 4,096 sets of four, the newest miss first; all
         # 23 bytes of s are copied, inside the row's 24 bytes per value
         emit("typedef struct { unsigned long long b; char n, s[23]; } slot;")
-        emit(f"static slot {', '.join(f'{cv(v)}_g[16384]' for v in swa.variables)};")
+        emit(f"static slot {', '.join(ident('g', v) + '[16384]' for v in swa.variables)};")
         emit("")
         emit("static void put_g(double v, slot *c) {")
         emit("    unsigned long long b;")
@@ -537,7 +474,7 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
         f" t, {', '.join(locs)}, k);"
     )
     for v in swa.variables:
-        emit(f'            fprintf(stderr, "  {v} = %.17g\\n", {cv(v)}_u);')
+        emit(f'            fprintf(stderr, "  {v} = %.17g\\n", {ident("n", v)});')
     for idx, e in enumerate(events):
         emit(f'            if (vis >> {idx} & 1) fprintf(stderr, "  visible: {e}\\n");')
     emit("            exit(3);")
@@ -550,7 +487,7 @@ def _emit_driver(swa: Swa, names: _Names, reaction: str, options: CodegenOptions
     for loc in locs:
         emit(f"        put_s({loc});")
     for v in swa.variables:
-        emit(f"        put_g({cv(v)}, {cv(v)}_g);")
+        emit(f"        put_g({ident('v', v)}, {ident('g', v)});")
     for shown, mask in ((swa.inputs, "vis"), (swa.outputs, "emit")):
         emit("        *o++ = ',';")
         for e in shown:

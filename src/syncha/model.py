@@ -1,8 +1,9 @@
 """Hybrid automata networks and their textual model format.
 
 A model file declares one network of automata.  Each automaton owns the
-variables it declares (it is the only writer); guards and update
-right-hand sides may read variables owned by sibling automata.  The
+variables it declares, and its invariants, guards and update right-hand
+sides read only those: automata share events, not variables
+(`whacheck.foreign_reads`, which ``syncha check`` reports).  The
 format is line oriented:
 
     network heater

@@ -34,9 +34,9 @@ part: its evolve test (trigger silence and the invariant, which is
 also the test for freezing), its witnesses, the variables whose
 previous value snapping reads, and each edge's event masks, snap
 candidates, guard, updates (simultaneous, on the snapped values),
-destination, emitted events and re-anchored witnesses.  A product
-state evolves exactly when every part's location passes its evolve
-test; that is the conjunction `product_state` builds.  Guards and
+destination and emitted events.  A product state evolves exactly when
+every part's location passes its evolve test; that is the conjunction
+`product_state` builds.  Guards and
 updates never read another automaton's variables, so each part taking
 its own first enabled edge, or else being frozen, is the transition the
 product's egress order (joint switches first) picks.  No engine builds or reads a product
@@ -44,7 +44,11 @@ state; only the product oracle in the tests does.  The generic `tick`
 interprets the plan.  One printer (`evolve_code` or `evolve_tests`,
 `step_code` and `switch_code`) prints it as source text, spelt by a `Syntax`: as
 Python for the specialising engine (`PYTHON`), and as C for `codegen`.
-Both keep the visible and emitted events as bits of two masks.  The
+Both keep the visible and emitted events as bits of two masks, and both
+name what the model names by one rule, `ident`: ``<role>_<name>``, so
+no model name can meet a name of the language, its library or the
+printed code.  A part re-enters its new location once, after its switch
+code, by one line per variable chosen by its new location index.  The
 specialised engine writes its own trace rows; a value the state holds
 constant is a repeated value and is formatted like any other.
 
@@ -90,6 +94,7 @@ from .expr import COMPARE, AffineExpr, Comparison, Constraint, Rational, Record
 from .model import EventExpr, HybridAutomaton
 from .odesolve import WitnessFunction, WitnessKind, resolve_c1
 from .shagen import Sha, generate_sha
+from .whacheck import foreign_reads
 
 
 class UnreachableState(Exception):
@@ -257,37 +262,17 @@ def _dedup(items: Iterable[str]) -> tuple[str, ...]:
 # --- lowering -----------------------------------------------------------------
 
 
-def _foreign_vars(ha: HybridAutomaton) -> list[str]:
-    owned = set(ha.variables)
-    bad: dict[str, None] = {}
-    for loc in ha.locations:
-        for v in loc.invariant.variables():
-            if v not in owned:
-                bad.setdefault(f"{v} (invariant of {loc.name})", None)
-    for e in ha.edges:
-        for v in e.guard.variables():
-            if v not in owned:
-                bad.setdefault(f"{v} (guard of {e.src} -> {e.dst})", None)
-        for _, expr in e.updates:
-            if expr.a != 0 and expr.variable not in owned:
-                bad.setdefault(f"{expr.variable} (update on {e.src} -> {e.dst})", None)
-    return list(bad)
-
-
 def build_swa(sha: Sha) -> Swa:
     """Lower an analysed automaton into its executable form.
 
     The automaton must be self-contained: invariants, guards and update
-    expressions may only mention its own variables (compose executable
-    automata to let one react to another's events).
+    expressions may only mention its own variables (`foreign_reads`;
+    compose executable automata to let one react to another's events).
     """
     ha = sha.base
-    foreign = _foreign_vars(ha)
+    foreign = foreign_reads(ha)
     if foreign:
-        raise ValueError(
-            f"automaton {ha.name} reads variables it does not own: "
-            + "; ".join(foreign)
-        )
+        raise ValueError(f"automaton {ha.name} reads variables it does not own: " + "; ".join(map(str, foreign)))
     triggers = ha.trigger_events()
     states = []
     for loc in ha.locations:
@@ -341,7 +326,7 @@ def initial_exec_state(swa: Swa) -> ExecState:
 class EdgePlan(Record):
     """One edge of a location, as a switch tick tests and takes it."""
 
-    __slots__ = ("present", "absent", "snaps", "guard", "updates", "dst", "emits", "refresh")
+    __slots__ = ("present", "absent", "snaps", "guard", "updates", "dst", "emits")
 
     def __init__(
         self, present: int,  # event mask that must be visible
@@ -351,9 +336,8 @@ class EdgePlan(Record):
         updates: tuple[tuple[str, AffineExpr], ...],  # staged: every one reads the snapped values
         dst: int,  # destination location index
         emits: int,  # event mask
-        refresh: tuple[tuple[str, WitnessFunction], ...],  # the destination's witnesses, re-anchored
     ) -> None:
-        self._set(present, absent, snaps, guard, updates, dst, emits, refresh)
+        self._set(present, absent, snaps, guard, updates, dst, emits)
 
     @property
     def exclusive(self) -> bool:  # the guard must check that at most one variable snapped
@@ -439,10 +423,11 @@ def switch_plan(swa: Swa) -> SwitchPlan:
     A product state evolves when every part's location has its triggers
     silent and its invariant holding; each part's witnesses then step.
     Only non-strict comparisons can snap, so only their variables need a
-    previous-tick value.  Every jump re-anchors the destination's
-    witnesses and every freeze the location's own, at the values it
-    leaves the tick with.  The plan is memoised on `swa`: a cache keyed
-    by an equal but distinct Swa would compare every state on each tick.
+    previous-tick value.  Every part that switches re-enters the location
+    it ends the tick in, jumped to or frozen in, at the values it leaves
+    the tick with, so no edge carries witnesses.  The plan is memoised on
+    `swa`: a cache keyed by an equal but distinct Swa would compare every
+    state on each tick.
     """
     if swa._plan is None:
         object.__setattr__(swa, "_plan", _build_plan(swa))
@@ -472,10 +457,8 @@ def _location_plans(part: Swa, mask: Callable[[Iterable[str]], int]) -> tuple[Lo
             for c in guard.conjuncts:
                 if c.op not in ("<", ">"):
                     snaps[c.variable] = snaps.get(c.variable, ()) + (c,)
-            edges.append(EdgePlan(
-                mask(tr.event.present), mask(tr.event.absent), tuple(snaps.items()), guard, tr.updates,
-                index[tr.dst], mask(tr.emits), part.state(tr.dst).witnesses,
-            ))
+            edges.append(EdgePlan(mask(tr.event.present), mask(tr.event.absent), tuple(snaps.items()), guard,
+                                  tr.updates, index[tr.dst], mask(tr.emits)))
         prev = _dedup(var for e in edges for var, _ in e.snaps)
         plans.append(LocationPlan(
             s.name, s.self_transition.guard, mask(s.self_transition.absent), s.witnesses,
@@ -1038,17 +1021,30 @@ def witness_text(w: WitnessFunction, c1: str, k: str, delta_f: float) -> str:
 # --- the tick rule as source text ---------------------------------------------
 
 
+def ident(role: str, name: str) -> str:
+    """The identifier of model name `name` in `role`, in Python and in C: ``<role>_<name>``.
+
+    The roles are ``v`` (a variable's value), ``n`` (its next value),
+    ``c1`` (its entry constant), ``i`` (the Python runner's entry value),
+    ``g`` (the C driver's text cache), the locals ``prev``, ``s<n>``
+    (snap candidates) and ``t<n>`` (staged updates), and ``react`` (the
+    C reaction of an automaton).  A model name starts with a letter or
+    an underscore, so no two pairs give one identifier, and no header
+    the C units include, nor either language, declares a name with one
+    of these prefixes.
+    """
+    return f"{role}_{name}"
+
+
 class Syntax(Record):
     """How one language spells the tick rule, for the printers below.
 
     Both languages name the step index ``k``, the event masks ``vis``
-    (visible) and ``emit`` (emitted), ``exp``, and part p's location
-    index ``l<p>``.  ``choose`` formats one arm of a conditional
-    expression.  ``block(n, cond, body)`` prints branch n of an if-chain,
-    the else branch when ``cond`` is None.  ``scope()`` gives each
-    location a namer ``(role, var) -> name`` of a variable's value
-    ``v``, next value ``u`` and entry constant ``c1``, and of its locals
-    ``prev``, ``s<n>`` (snap candidates) and ``t<n>`` (staged updates).  ``dispatch(p, cases)`` runs the body of a case
+    (visible) and ``emit`` (emitted), ``exp``, part p's location index
+    ``l<p>``, and a model's names by `ident`.  ``choose`` formats one arm
+    of a conditional expression.  ``block(n, cond, body)`` prints branch
+    n of an if-chain, the else branch when ``cond`` is None.
+    ``dispatch(p, cases)`` runs the body of a case
     ``(d, name, body)`` when ``l<p>`` is d, ``to`` formats the name part
     p's next location index is written to, and ``stuck(p, test)`` gives
     the lines that end the tick as stuck unless part p, with no edge
@@ -1059,13 +1055,13 @@ class Syntax(Record):
     else each candidate is printed as a chain over its comparisons.
     """
 
-    __slots__ = ("and_", "or_", "not_", "true", "choose", "block", "end", "decl", "num", "scope", "dispatch",
-                 "to", "stuck", "snap")
+    __slots__ = ("and_", "or_", "not_", "true", "choose", "block", "end", "decl", "num", "dispatch", "to",
+                 "stuck", "snap")
 
     def __init__(self, and_: str, or_: str, not_: str, true: str, choose: str, block: Callable, end: str,
-                 decl: str, num: Callable, scope: Callable, dispatch: Callable, to: str,
+                 decl: str, num: Callable, dispatch: Callable, to: str,
                  stuck: Callable[[int, str], list[str]] | None = None, snap: str | None = None) -> None:
-        self._set(and_, or_, not_, true, choose, block, end, decl, num, scope, dispatch, to, stuck, snap)
+        self._set(and_, or_, not_, true, choose, block, end, decl, num, dispatch, to, stuck, snap)
 
 
 def indent(lines: Iterable[str]) -> list[str]:
@@ -1089,23 +1085,26 @@ def _chain(sx: Syntax, branches: list[tuple[str, list[str]]], default: list[str]
     return lines + sx.block(len(branches), None, default) if default else lines
 
 
-def _by_location(p: int, exprs: list[str], sx: Syntax) -> str:
-    """``exprs[l<p>]``: the commonest expression, after a test for each location with another."""
+def _by_location(index: str, exprs: list[str], sx: Syntax) -> str:
+    """``exprs[index]``, on a location index: the commonest expression, after a test for each location with
+    another."""
     default = max(reversed(exprs), key=exprs.count)
-    arms = "".join(sx.choose.format(test=f"l{p} == {d}", a=e) for d, e in enumerate(exprs) if e != default)
+    arms = "".join(sx.choose.format(test=f"{index} == {d}", a=e) for d, e in enumerate(exprs) if e != default)
     return f"({arms}{default})" if arms else default
 
 
-def _evolve_test(loc: LocationPlan, sx: Syntax, name: Callable[[str, str], str]) -> str:
+_value = partial(ident, "v")
+
+
+def _evolve_test(loc: LocationPlan, sx: Syntax) -> str:
     """`loc`'s evolve test: its triggers silent and its invariant holding."""
     silent = f"(vis & {_mask(loc.triggers)}) == 0" if loc.triggers else ""
-    return _conj(sx, silent, constraint_text(loc.invariant, partial(name, "v"), sx.num, sx.and_))
+    return _conj(sx, silent, constraint_text(loc.invariant, _value, sx.num, sx.and_))
 
 
 def evolve_tests(parts: tuple[tuple[LocationPlan, ...], ...], sx: Syntax) -> list[str]:
     """Each part's test that it can evolve, on its location index."""
-    name = sx.scope()
-    return [_by_location(p, [_evolve_test(loc, sx, name) for loc in locations], sx)
+    return [_by_location(f"l{p}", [_evolve_test(loc, sx) for loc in locations], sx)
             for p, locations in enumerate(parts)]
 
 
@@ -1116,20 +1115,30 @@ def evolve_code(parts: tuple[tuple[LocationPlan, ...], ...], sx: Syntax) -> str:
 
 def step_code(p: int, locations: tuple[LocationPlan, ...], sx: Syntax, delta_f: float) -> list[str]:
     """Part p's evolution step: each variable some location moves, at the new ``k``."""
-    name, lines = sx.scope(), []
+    lines = []
     for var, _ in locations[0].witnesses:
-        u = name("u", var)
-        exprs = [u if w.kind is WitnessKind.CONSTANT else witness_text(w, name("c1", var), "k", delta_f)
+        n = ident("n", var)
+        exprs = [n if w.kind is WitnessKind.CONSTANT else witness_text(w, ident("c1", var), "k", delta_f)
                  for w in (dict(loc.witnesses)[var] for loc in locations)]
-        if exprs.count(u) < len(exprs):
-            lines.append(f"{u} = {_by_location(p, exprs, sx)}{sx.end}")
+        if exprs.count(n) < len(exprs):
+            lines.append(f"{n} = {_by_location(f'l{p}', exprs, sx)}{sx.end}")
     return lines
 
 
 def switch_code(p: int, locations: tuple[LocationPlan, ...], sx: Syntax, delta_f: float) -> list[str]:
-    """Part p's switch tick: in its location, the first enabled edge, else frozen if it can evolve, else stuck."""
+    """Part p's switch tick: in its location, the first enabled edge, else frozen if it can evolve, else stuck;
+    then the part re-enters the location it is in, whichever way it got there.
+
+    The re-entry is one line per variable, which sets its entry constant
+    from its value by the formula of the part's new location, chosen by
+    the next location index (`_by_location`), as the generic `tick`
+    enters every part at its post values.
+    """
     cases = [(d, loc.name, body) for d, loc in enumerate(locations) if (body := _location_switch(p, loc, sx, delta_f))]
-    return sx.dispatch(p, cases) if cases else []
+    entries = [(var, [c1_text(dict(loc.witnesses)[var], _value(var), sx.num) for loc in locations])
+               for var, _ in locations[0].witnesses]
+    return (sx.dispatch(p, cases) if cases else []) + [
+        f"{ident('c1', var)} = {_by_location(sx.to.format(p), exprs, sx)}{sx.end}" for var, exprs in entries]
 
 
 def _location_switch(p: int, loc: LocationPlan, sx: Syntax, delta_f: float) -> list[str]:
@@ -1139,23 +1148,20 @@ def _location_switch(p: int, loc: LocationPlan, sx: Syntax, delta_f: float) -> l
     comparisons that fails, if the value crossed that bound since the
     previous tick; edges that snap a variable on the same comparisons
     share one.  The chosen edge moves its candidates in, applies its
-    updates, re-anchors the destination's witnesses, moves the part and
-    emits.  The updates read the snapped values, so a candidate is moved
-    in only if an update reads its variable or none writes it.  They are
-    assigned directly, in order, unless one of them reads a variable
-    that another writes; then every update is staged in a ``t<n>``
-    local first.  With no edge enabled the part must be able to evolve,
-    and is frozen: its own witnesses are re-anchored.
+    updates, moves the part and emits.  The updates read the snapped
+    values, so a candidate is moved in only if an update reads its
+    variable or none writes it.  They are assigned directly, in order,
+    unless one of them reads a variable that another writes; then every
+    update is staged in a ``t<n>`` local first.  With no edge enabled
+    the part must be able to evolve, and is frozen.  `switch_code`
+    re-enters the location either way.
     """
-    name, lines = sx.scope(), []
-    v = partial(name, "v")
-    prev = {var: name("prev", var) for var, _ in loc.prev}
+    lines = []
+    v = _value
+    prev = {var: ident("prev", var) for var, _ in loc.prev}
     for var, w in loc.prev:
-        was = witness_text(w, name("c1", var), "(k - 1)", delta_f)
+        was = witness_text(w, ident("c1", var), "(k - 1)", delta_f)
         lines.append(f"{sx.decl}{prev[var]} = {sx.choose.format(test='k >= 1', a=was)}{v(var)}{sx.end}")
-
-    def reenter(witnesses: tuple[tuple[str, WitnessFunction], ...]) -> list[str]:
-        return [f"{name('c1', var)} = {c1_text(w, v(var), sx.num)}{sx.end}" for var, w in witnesses]
 
     cands: dict[tuple[str, tuple[Comparison, ...]], str] = {}
     branches = []
@@ -1163,7 +1169,7 @@ def _location_switch(p: int, loc: LocationPlan, sx: Syntax, delta_f: float) -> l
         mine = {}
         for var, comps in e.snaps:
             if (var, comps) not in cands:
-                cands[var, comps] = c = name(f"s{len(cands)}", var)
+                cands[var, comps] = c = ident(f"s{len(cands)}", var)
                 x, was = v(var), prev[var]
                 bounds = [sx.num(cmp.bound) for cmp in comps]
                 holds = [f"{x} {cmp.op} {b}" for cmp, b in zip(comps, bounds)]
@@ -1184,17 +1190,16 @@ def _location_switch(p: int, loc: LocationPlan, sx: Syntax, delta_f: float) -> l
         reads = {var: expr.variable for var, expr in e.updates if expr.a != 0}  # the variable each update reads
         body = [f"{v(var)} = {c}{sx.end}" for var, c in mine.items() if var in reads.values() or var not in written]
         if any(x != var and x in written for var, x in reads.items()):
-            temps = [(var, name(f"t{j}", var), expr) for j, (var, expr) in enumerate(e.updates)]
+            temps = [(var, ident(f"t{j}", var), expr) for j, (var, expr) in enumerate(e.updates)]
             body += [f"{sx.decl}{t} = {affine_text(expr, v, sx.num)}{sx.end}" for _, t, expr in temps]
             body += [f"{v(var)} = {t}{sx.end}" for var, t, _ in temps]
         else:
             body += [f"{v(var)} = {affine_text(expr, v, sx.num)}{sx.end}" for var, expr in e.updates]
-        body += reenter(e.refresh) + [f"{sx.to.format(p)} = {e.dst}{sx.end}"]
+        body += [f"{sx.to.format(p)} = {e.dst}{sx.end}"]
         body += [f"emit |= {_mask(e.emits)}{sx.end}"] if e.emits else []
         branches.append((_conj(sx, events, one, guard), body))
-    evolve = _evolve_test(loc, sx, name)
-    frozen = [] if evolve == sx.true else sx.stuck(p, evolve)
-    return lines + _chain(sx, branches, frozen + reenter(loc.witnesses))
+    evolve = _evolve_test(loc, sx)
+    return lines + _chain(sx, branches, [] if evolve == sx.true else sx.stuck(p, evolve))
 
 
 def _py_block(n: int, cond: str | None, body: list[str]) -> list[str]:
@@ -1204,7 +1209,6 @@ def _py_block(n: int, cond: str | None, body: list[str]) -> list[str]:
 # The Python runner's spelling; `_runner_source` adds the stuck statement.
 PYTHON = Syntax(
     " and ", " or ", "not ", "True", "{a} if {test} else ", _py_block, "", "", lambda q: repr(float(q)),
-    lambda: "{}_{}".format,
     lambda p, cases: _chain(PYTHON, [(f"l{p} == {d}", body) for d, _, body in cases], []), "l{}",
 )
 
@@ -1246,7 +1250,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     Both runners find periods alike.  ``_next`` is the next stimulus
     tick, or ``_TICKS`` once none is left.  A switch tick more than
     ``_far`` (`_JUMP_AFTER`) ticks before ``_next`` looks up its
-    configuration ``(_si, _loc, emit, _PACK(u_…))`` in the run's
+    configuration ``(_si, _loc, emit, _PACK(n_…))`` in the run's
     ``_seen``, which maps a configuration to the tick it was first seen
     on and holds at most `_HORIZONS_MAX` of them.  ``_PACK`` gives the
     values' bit patterns: 0.0 == -0.0, but the two print apart.  Where
@@ -1260,8 +1264,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     goes to `_Jump.periods`, which collects the rows of the next period
     and then writes them again, with new tick and time fields, for every
     whole period that ends by that tick.  This is exact.  At the end of
-    a switch tick k = 0 and every ``i_*`` is its ``u_*``; the ``c1_*``
-    and the ``l<p>`` follow from ``_loc`` and the ``u_*``, and ``_pend``
+    a switch tick k = 0 and every ``i_*`` is its ``n_*``; the ``c1_*``
+    and the ``l<p>`` follow from ``_loc`` and the ``n_*``, and ``_pend``
     is ``emit``.  The memos change only how fast the run gets somewhere.
     So two such ticks with equal keys, an equal ``_si`` meaning no
     stimulus between them, start identical futures until the next
@@ -1283,7 +1287,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     plan = switch_plan(swa)
     init = dict(swa.init_values)
     tail = "," if swa.variables else ""
-    us = ", ".join(f"u_{var}" for var in swa.variables)
+    v, n, i, c1 = (partial(ident, role) for role in ("v", "n", "i", "c1"))
+    us = ", ".join(map(n, swa.variables))
     stuck = f"raise _mk_stuck(_loc, ({us}{tail}), k, vis, _t)"
     sx = PYTHON.replace(stuck=lambda p, test: _py_block(0, f"not ({test})", [stuck]))
 
@@ -1293,7 +1298,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     def write_row(switch: bool) -> str:
         """The statement writing the tick's row."""
         args = ["_t", *time_args] + (["_NAMES(_loc)"] if switch else [])
-        args += [f"v_{var}" for var in swa.variables]
+        args += map(v, swa.variables)
         args += ["_INS(vis)"] * bool(swa.inputs) + ["_OUTS(emit)"] * bool(swa.outputs and switch)
         return f"_write({switch_row if switch else '_row'} % ({', '.join(args)}))"
 
@@ -1305,8 +1310,8 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     for loc in plan.at(start):
         for var, wit in loc.witnesses:
             x0 = float(init[var])
-            emit(f"    v_{var} = u_{var} = i_{var} = {x0!r}")
-            emit(f"    c1_{var} = {resolve_c1(wit, x0)!r}")
+            emit(f"    {v(var)} = {n(var)} = {i(var)} = {x0!r}")
+            emit(f"    {c1(var)} = {resolve_c1(wit, x0)!r}")
     emit(f"    _loc = {start}")
     if trace:
         emit("    _row = _ROWS(_loc)")
@@ -1322,7 +1327,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
         emit("    _batch = _BATCH(_write)")
     emit("    while _t < _TICKS:")
     for var in swa.variables:
-        emit(f"        v_{var} = u_{var}")
+        emit(f"        {v(var)} = {n(var)}")
     emit("        vis = _pend")
     emit("        emit = 0")
     emit(f"        if {evolve_code(plan.parts, sx)}:")
@@ -1332,14 +1337,14 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     if trace:
         emit(f"            {write_row(False)}")
 
-    # Switching.  u_* keep the committed values until every part has
+    # Switching.  n_* keep the committed values until every part has
     # decided, for the stuck report.
-    key = f"(_loc, {', '.join(f'c1_{var}' for var in swa.variables)})"
+    key = f"(_loc, {', '.join(map(c1, swa.variables))})"
     emit("        else:")
     for p, locations in enumerate(plan.parts):
         w += indent(indent(indent(switch_code(p, locations, sx, swa.delta_f))))
     for var in swa.variables:
-        emit(f"            u_{var} = i_{var} = v_{var}")
+        emit(f"            {n(var)} = {i(var)} = {v(var)}")
     emit("            k = 0")
     index = " + ".join(f"l{p} * {stride}" if stride != 1 else f"l{p}" for p, stride in enumerate(plan.strides))
     emit(f"            _loc = {index}")
@@ -1368,7 +1373,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     emit("        else:")
     emit("            _pend = emit")
     emit("        _t += 1")
-    is_ = ", ".join(f"i_{var}" for var in swa.variables)
+    is_ = ", ".join(map(i, swa.variables))
     emit(f"    return (_loc, k, ({us}{tail}), ({is_}{tail}), _pend)")
     return "\n".join(w) + "\n"
 

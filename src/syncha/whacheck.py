@@ -19,6 +19,12 @@ mapped through its update; a variable the edge does not update keeps
 its projection.  A frozen part re-entering its own location is not an
 edge and is not checked.
 
+`foreign_reads` states the rule that an automaton reads only its own
+variables, since parts share only events.  It is not one of the four
+criteria, which judge an automaton on its own: the lowering
+(`swa.build_swa`) refuses such reads, and ``syncha check`` reports
+each one with its line.
+
 Unlike a fail-fast gate, the checker accumulates every violation so a
 report lists all of them at once.  The verdict is PASS exactly when the
 violation list is empty.
@@ -49,13 +55,14 @@ NO_CLOSED_FORM = "NO_CLOSED_FORM"
 NON_MONOTONE = "NON_MONOTONE"
 INIT_OUTSIDE_BOUNDARY = "INIT_OUTSIDE_BOUNDARY"
 ENTRY_OUTSIDE_BOUNDARY = "ENTRY_OUTSIDE_BOUNDARY"
+FOREIGN_READ = "FOREIGN_READ"
 
 
 class Violation(Record):
     __slots__ = ("kind", "where", "detail", "line")
 
     def __init__(
-        self, kind: str,  # NON_CVX_CONSTRAINT | NO_CLOSED_FORM | NON_MONOTONE | *_OUTSIDE_BOUNDARY
+        self, kind: str,  # NON_CVX_CONSTRAINT | NO_CLOSED_FORM | NON_MONOTONE | *_OUTSIDE_BOUNDARY | FOREIGN_READ
         where: str,  # location or edge description
         detail: str, line: int = 0,
     ) -> None:
@@ -226,3 +233,15 @@ def check_wha(ha: HybridAutomaton) -> WhaReport:
                     f"enters {var} in {image}, outside the boundary {boundary} of {e.dst}", e.line))
 
     return WhaReport(ha.name, tuple(violations))
+
+
+def foreign_reads(ha: HybridAutomaton) -> tuple[Violation, ...]:
+    """Every read of a variable `ha` does not own, by an invariant, a guard or an update's right-hand
+    side, once per place and variable, in declaration order, at the line of its location or edge."""
+    reads = [(f"invariant of {loc.name}", loc.invariant.variables(), loc.line) for loc in ha.locations]
+    for e in ha.edges:
+        reads += [(f"guard of edge {e.src} -> {e.dst}", e.guard.variables(), e.line),
+                  (f"update on edge {e.src} -> {e.dst}", [x.variable for _, x in e.updates if x.a != 0], e.line)]
+    return tuple(dict.fromkeys(
+        Violation(FOREIGN_READ, where, f"reads {var}, which {ha.name} does not own", line)
+        for where, names, line in reads for var in names if var not in ha.variables))

@@ -3,12 +3,12 @@
 #include <stdlib.h>
 #include <string.h>
 
-void tankburnerR(void);
+void react_tankburner(void);
 extern long k;
 extern int stuck, l0, l1;
 extern unsigned long long vis, emit;
-extern double x, x_u;
-extern double c, c_u;
+extern double v_x, n_x;
+extern double v_c, n_c;
 
 static const char *loc0[] = { "t1", "t2", "t3", "t4" };
 static const char *loc1[] = { "b1", "b2" };
@@ -53,7 +53,7 @@ static int fmt_g(char *s, double v) {
 }
 
 typedef struct { unsigned long long b; char n, s[23]; } slot;
-static slot x_g[16384], c_g[16384];
+static slot g_x[16384], g_c[16384];
 
 static void put_g(double v, slot *c) {
     unsigned long long b;
@@ -136,12 +136,12 @@ int main(int argc, char **argv) {
     long si = 0;
     fputs("tick,time,location,x,c,inputs,outputs\n", stdout);
     for (long t = 0; t < ticks; t++) {
-        tankburnerR();
+        react_tankburner();
         if (stuck) {
             flush();
             fprintf(stderr, "stuck at tick %ld in state %s%s: no evolution step and no enabled transition (k = %ld)\n", t, loc0[l0], loc1[l1], k);
-            fprintf(stderr, "  x = %.17g\n", x_u);
-            fprintf(stderr, "  c = %.17g\n", c_u);
+            fprintf(stderr, "  x = %.17g\n", n_x);
+            fprintf(stderr, "  c = %.17g\n", n_c);
             if (vis >> 0 & 1) fprintf(stderr, "  visible: ON\n");
             if (vis >> 1 & 1) fprintf(stderr, "  visible: OFF\n");
             exit(3);
@@ -157,8 +157,8 @@ int main(int argc, char **argv) {
         *o++ = ',';
         put_s(loc0[l0]);
         put_s(loc1[l1]);
-        put_g(x, x_g);
-        put_g(c, c_g);
+        put_g(v_x, g_x);
+        put_g(v_c, g_c);
         *o++ = ',';
         *o++ = ',';
         put_e(emit >> 0 & 1, "ON");

@@ -17,6 +17,28 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# ctl's guard reads x, which plant owns
+PEEK = """network peek
+
+automaton plant
+  var x init 0
+
+  initial location up
+    invariant x >= 0 && x <= 10
+    flow x' = 1
+
+  edge up -> up guard x == 10 do x' := 0
+
+automaton ctl
+  var y init 5
+
+  initial location idle
+    invariant y == 5
+
+  edge idle -> idle guard y == 5 && x >= 3
+"""
+
+
 class TestCheck:
     def test_passing_model(self, capsys, models_dir):
         code, out, err = invoke(capsys, "check", str(models_dir / "watertank.pha"))
@@ -49,6 +71,18 @@ class TestCheck:
         assert code == 1
         assert "probe: FAIL (1 violation)" in out
         assert "ENTRY_OUTSIDE_BOUNDARY (line 24): edge start -> up: enters x in [0, 0]" in err
+
+    def test_read_of_a_siblings_variable_fails_with_its_line(self, capsys, tmp_path):
+        """``check`` refuses, with the edge's line, the guard that the run cannot lower."""
+        model = tmp_path / "peek.pha"
+        model.write_text(PEEK, encoding="utf-8")
+        code, out, err = invoke(capsys, "check", str(model))
+        assert code == 1
+        assert out.splitlines() == ["plant: PASS", "ctl: FAIL (1 violation)"]
+        assert err == "ctl: FOREIGN_READ (line 18): guard of edge idle -> idle: reads x, which ctl does not own\n"
+        code, out, err = invoke(capsys, "compose-and-simulate", str(model), "--ticks", "1")
+        assert (code, out) == (1, "")
+        assert "ctl: FOREIGN_READ (line 18)" in err
 
     def test_syntax_error_reports_position(self, capsys, fixtures_dir):
         code, out, err = invoke(capsys, "check", str(fixtures_dir / "disjunct.pha"))
@@ -331,6 +365,29 @@ class TestCompile:
             "error: automaton 'much' has 65 events, more than the C driver's limit "
             "of 64 (it packs events into a 64-bit stimulus mask)"
         )
+
+    def test_colliding_file_names_are_a_usage_error(self, capsys, tmp_path):
+        """``a``'s driver and ``a_main``'s reaction would both be ``a_main.c``: nothing is written."""
+        model = tmp_path / "twins.pha"
+        model.write_text(
+            "network twins\n\n" + "".join(f"automaton {name}\n  var {var} init 0\n\n  initial location idle\n    invariant {var} == 0\n\n"
+                    for name, var in (("a", "x"), ("a_main", "y"))),
+            encoding="utf-8",
+        )
+        outdir = tmp_path / "c"
+        code, out, err = invoke(capsys, "compile", str(model), "--out", str(outdir))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: automata a and a_main both write {outdir / 'a_main.c'}"
+        assert not outdir.exists()
+
+    def test_an_automaton_named_main_keeps_its_name(self, capsys, tmp_path):
+        model = tmp_path / "main.pha"
+        model.write_text("network main\n\nautomaton main\n  var x init 0\n\n  initial location idle\n    invariant x == 0\n",
+                         encoding="utf-8")
+        code, out, err = invoke(capsys, "compile", str(model), "--out", str(tmp_path))
+        assert code == 0
+        assert [p.rsplit("/", 1)[-1] for p in out.splitlines()] == ["main.c", "main_main.c"]
+        assert "void react_main(void) {" in (tmp_path / "main.c").read_text()
 
     def test_rejected_automaton_leaves_no_files(self, capsys, tmp_path):
         # the first automaton compiles; the second has too many events

@@ -2,6 +2,7 @@ import importlib.util
 import io
 import math
 import os
+import random
 import re
 import struct
 import subprocess
@@ -24,7 +25,7 @@ from syncha.codegen import (
     write_unit,
     write_whole,
 )
-from syncha.model import load_model, parse_model
+from syncha.model import KEYWORDS, load_model, parse_model
 from syncha.odesolve import WitnessKind
 from syncha.swa import (
     UnreachableState,
@@ -106,7 +107,7 @@ class TestGolden:
     def test_unit_metadata(self, watertank_swa):
         unit = emit_c(watertank_swa)
         assert unit.name == "tankburner"
-        assert unit.reaction_symbol == "tankburnerR"
+        assert unit.reaction_symbol == "react_tankburner"
         assert unit.file_names() == ("tankburner.c", "tankburner_main.c")
 
     def test_emission_is_deterministic(self, models_dir):
@@ -122,10 +123,10 @@ class TestShapes:
     def test_constant_witness_takes_no_time_parameters(self, tank_swa):
         """Witnesses are printed inline; a constant one is its entry constant, with no step."""
         src = emit_c(tank_swa).automaton_source
-        assert "double x_prev = k >= 1 ? C1_x : x;" in src  # t1 holds x
-        # t1 and t3 hold x: its step keeps x_u there
-        assert "x_u = (l0 == 1 ? 150.0 + C1_x * exp(-0.00075 * k) : l0 == 3 ? C1_x * exp(-0.00075 * k) : x_u);" in src
-        assert "double x_prev = k >= 1 ? 150.0 + C1_x * exp(-0.00075 * (k - 1)) : x;" in src
+        assert "double prev_x = k >= 1 ? c1_x : v_x;" in src  # t1 holds x
+        # t1 and t3 hold x: its step keeps n_x there
+        assert "n_x = (l0 == 1 ? 150.0 + c1_x * exp(-0.00075 * k) : l0 == 3 ? c1_x * exp(-0.00075 * k) : n_x);" in src
+        assert "double prev_x = k >= 1 ? 150.0 + c1_x * exp(-0.00075 * (k - 1)) : v_x;" in src
 
     def test_single_state_automaton_has_one_case(self):
         swa = swa_of(
@@ -159,17 +160,17 @@ automaton solo
         # the template's globals survive untouched
         assert "long k = 0;" in src
         assert "int l0 = 0;" in src
-        # the model's own k and l0 live under fresh names; d is no longer taken
-        assert "double k_ = 1.0;" in src
-        assert "double l0_ = 4.0;" in src
-        assert "double d = 0.0;" in src
-        # the event masks survive untouched and the model's vis is renamed (emit is a keyword of models)
+        # every model variable is named by its role: the model's own k and l0 as much as d
+        assert "double v_k = 1.0;" in src
+        assert "double v_l0 = 4.0;" in src
+        assert "double v_d = 0.0;" in src
+        # the event masks survive untouched beside the model's vis (emit is a keyword of models)
         assert "unsigned long long vis = 0, emit = 0;" in src
-        assert "double vis_ = 5.0;" in src
+        assert "double v_vis = 5.0;" in src
         # and so do the driver's line buffer, its cursor and its writers
-        assert "double buf_ = 2.0;" in src
-        assert "double o_ = 3.0;" in src
-        assert "put_g(buf_, buf__g);" in unit.driver_source
+        assert "double v_buf = 2.0;" in src
+        assert "double v_o = 3.0;" in src
+        assert "put_g(v_buf, g_buf);" in unit.driver_source
         # events have no globals: the driver names them from the masks' bits
         assert 'put_e(vis >> 1 & 1, "put_g");' in unit.driver_source
         assert 'put_e(emit >> 2 & 1, "while");' in unit.driver_source
@@ -773,9 +774,9 @@ def test_a_swap_is_staged_and_matches_the_generic_engine(tmp_path):
     """x' := y reads what y' := x writes, so every update of the edge goes through a temporary."""
     swa = swa_of(SWAP, "sw")
     unit = emit_c(swa)
-    assert "double x_t0 = y;" in unit.automaton_source
-    assert "double y_t1 = x;" in unit.automaton_source
-    assert "c = c_s0;" not in unit.automaton_source  # c' := 0 overwrites the snapped c, and no update reads it
+    assert "double t0_x = v_y;" in unit.automaton_source
+    assert "double t1_y = v_x;" in unit.automaton_source
+    assert "v_c = s0_c;" not in unit.automaton_source  # c' := 0 overwrites the snapped c, and no update reads it
     trace = interpreter_trace(swa, 40)
     assert [row.split(",")[3:5] for row in trace.splitlines()[8:11]] == [["1", "5"], ["5", "1"], ["5", "1"]]
     assert (binary_trace(unit, tmp_path, ["40"]).stdout, interpreter_trace(swa, 40, engine="compiled")) == (trace, trace)
@@ -788,9 +789,9 @@ def test_an_independent_reset_needs_no_temporary(tmp_path):
     swa = swa_of(RESETS, "r")
     unit = emit_c(swa)
     for source in (unit.automaton_source, _runner_source(swa, False), _runner_source(swa, True)):
-        assert re.search(r"\b[xy]_t\d", source) is None
-        assert re.search(r"\bx = x_s0\b", source) is None
-    assert "            x = 0;\n            y = y + 1;\n" in unit.automaton_source
+        assert re.search(r"\bt\d_[xy]\b", source) is None
+        assert re.search(r"\bv_x = s0_x\b", source) is None
+    assert "            v_x = 0;\n            v_y = v_y + 1;\n" in unit.automaton_source
     trace = interpreter_trace(swa, 100)
     assert [row.split(",")[3:5] for row in trace.splitlines()[21:24]] == [["0.2", "0"], ["0", "1"], ["0", "1"]]
     assert (binary_trace(unit, tmp_path, ["100"]).stdout, interpreter_trace(swa, 100, engine="compiled")) == (trace, trace)
@@ -988,14 +989,81 @@ automaton b
 
 @needs_cc
 def test_variables_named_like_the_new_identifiers_build_and_run(tmp_path):
-    """``e0``, ``e1``, ``snap``, ``fabs`` and ``fmt_g`` are model variables here: they are renamed, and the
-    binary writes the generic engine's trace."""
+    """``e0``, ``e1``, ``snap``, ``fabs`` and ``fmt_g`` are model variables here: they are named by their role,
+    and the binary writes the generic engine's trace."""
     product = product_of(parse_model(NAMESAKES))
     unit = emit_c(product)
     for name in ("e0", "e1", "snap", "fabs", "fmt_g"):
-        assert f"double {name}_ = " in unit.automaton_source
+        assert f"double v_{name} = " in unit.automaton_source
     assert "int e0 = " in unit.automaton_source and "static double snap(" in unit.automaton_source
     proc = binary_trace(unit, tmp_path, ["400"])
     trace = interpreter_trace(product, 400)
     assert (proc.returncode, proc.stdout) == (0, trace)
     assert len({row.split(",")[4] for row in trace.splitlines()[1:]}) > 5  # snap counts the wraps
+
+
+@pytest.fixture(scope="module")
+def c_names():
+    """Every identifier of the four headers the units include, preprocessed and as macro definitions, in the
+    compiler's default mode (`build_binary`'s) and under -std=c99, and every name the templates print."""
+    cc = find_cc()
+    headers = "".join(f"#include <{h}.h>\n" for h in ("math", "stdio", "stdlib", "string"))
+    names = set()
+    for flags in ([], ["-std=c99"]):
+        for mode in ([], ["-dM"]):
+            proc = subprocess.run([cc, *flags, "-x", "c", "-E", *mode, "-"], input=headers, capture_output=True,
+                                  text=True, timeout=60, check=True)
+            names.update(re.findall(r"\b[A-Za-z_]\w*", re.sub(r"(?m)^# .*", "", proc.stdout)))
+    unit = emit_c(product_of(parse_model(fuzz_network(42)), Fraction(1, 3)))  # with snap and fmt_g
+    names.update(re.findall(r"\b[A-Za-z_]\w*", unit.automaton_source + unit.driver_source))
+    return sorted(name for name in names if name not in KEYWORDS)
+
+
+def clashing_network(seed: int, names: list[str]) -> str:
+    """`fuzz_network(seed)` with its variables named ``sin``, ``puts``, ``int``, ``char`` and then a sample
+    of `names`, its first automaton ``SEEK_CU`` (``SEEK_CUR`` is a macro of <stdio.h>) and the others
+    from the sample.  A name the model already uses for something else is not drawn."""
+    text = fuzz_network(seed)
+    variables = re.findall(r"(?m)^  var (\w+)", text)
+    automata = re.findall(r"(?m)^automaton (\w+)", text)
+    fixed = ["sin", "puts", "int", "char", "SEEK_CU"]
+    taken = set(re.findall(r"\b[A-Za-z_]\w*", text)) | set(fixed)
+    drawn = random.Random(seed).sample([n for n in names if n not in taken], len(variables) + len(automata) - 5)
+    new = fixed[:4] + drawn[:len(variables) - 4] + fixed[4:] + drawn[len(variables) - 4:]
+    renamed = dict(zip(variables + automata, new))
+    return re.sub(r"\b[A-Za-z_]\w*", lambda m: renamed.get(m[0], m[0]), text)
+
+
+@needs_cc
+@pytest.mark.parametrize("seed", [0, 2, 8])
+def test_model_names_that_c_declares_build_and_run(c_names, tmp_path, seed):
+    """A network whose variables and automata bear names of the C library and of the templates builds
+    under -Werror, in the default mode and under -std=c99, as a network and as its first part alone
+    (``SEEK_CU``, as ``syncha compile`` writes it), and each binary writes the generic engine's trace."""
+    net = parse_model(clashing_network(seed, c_names))
+    assert {"sin", "puts", "int", "char"} <= {v for ha in net.automata for v in ha.variables}
+    assert net.automata[0].name == "SEEK_CU"
+    stimulus = {t: frozenset({"GO"}) for t in range(7, 300, 23)}
+    csv = tmp_path / "go.csv"
+    csv.write_text("".join(f"{t},GO\n" for t in stimulus))
+
+    def run(swa, engine):
+        buf = io.StringIO()
+        try:
+            simulate(swa, 300, stimulus, out=buf, engine=engine)
+        except UnreachableState:
+            return 3, buf.getvalue()
+        return 0, buf.getvalue()
+
+    for swa in (product_of(net), compile_automaton(net.automata[0], Fraction(1, 100))[0]):
+        trace = run(swa, "generic")
+        assert run(swa, "compiled") == trace
+        unit = emit_c(swa)
+        for std in ([], ["-std=c99", "-pedantic"]):
+            binary = tmp_path / "clash"
+            cmd = [find_cc(), *std, "-Wall", "-Wextra", "-Werror", "-O2", str(write_whole(unit, tmp_path)), "-lm",
+                   "-o", str(binary)]
+            build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+            assert build.returncode == 0, build.stderr
+            proc = subprocess.run([str(binary), "300", str(csv)], capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stdout) == trace

@@ -6,11 +6,13 @@ from syncha.expr import Comparison, Constraint
 from syncha.model import load_model, parse_model
 from syncha.whacheck import (
     ENTRY_OUTSIDE_BOUNDARY,
+    FOREIGN_READ,
     INIT_OUTSIDE_BOUNDARY,
     NO_CLOSED_FORM,
     NON_CVX_CONSTRAINT,
     NON_MONOTONE,
     check_wha,
+    foreign_reads,
 )
 from oracles import fuzz_model, fuzz_network
 
@@ -206,3 +208,37 @@ automaton ramp
     boundary y in {boundary}
   edge rising -> capped guard y == 50
 """
+
+
+PEEKING = """
+network peeking
+
+automaton a
+  var x init 0
+
+  initial location go
+    invariant x >= 0 && z <= 3
+    flow x' = 1
+
+  edge go -> go guard y >= 1 && y <= 2 do x' := 2 * y + 1
+
+automaton b
+  var y init 0
+  var z init 0
+
+  initial location idle
+    invariant y == 0
+"""
+
+
+def test_foreign_reads_name_each_place_once_with_its_line():
+    """Each place reads another automaton's variable once, however often it names it."""
+    net = parse_model(PEEKING)
+    reads = foreign_reads(net.automaton("a"))
+    assert [(v.kind, v.where, v.detail, v.line) for v in reads] == [
+        (FOREIGN_READ, "invariant of go", "reads z, which a does not own", 7),
+        (FOREIGN_READ, "guard of edge go -> go", "reads y, which a does not own", 11),
+        (FOREIGN_READ, "update on edge go -> go", "reads y, which a does not own", 11),
+    ]
+    assert check_wha(net.automaton("a")).passed  # an automaton on its own: the four criteria hold
+    assert foreign_reads(net.automaton("b")) == ()
