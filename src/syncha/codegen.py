@@ -40,11 +40,11 @@ one ``fwrite`` once it holds more than 64 KB, before a stuck report and
 at the end of the run.  The tick is a decimal counter, 19 zero-padded
 digits that gain 1 with a carry at the end of each row and are copied
 at a fixed width from their first significant digit, so a row divides
-nothing.  When `swa.decimal_delta` gives the tick length as a short
-decimal m / 10**j, the time field is decimal digits too: the tick's own
-(m = 1) or those of a second counter that gains m per row, with a
-point moved in j digits from the end (see `_c_time_field`); at any
-other delta it is ``fmt_g`` of t * delta.  The
+nothing.  When `swa.decimal_delta` gives the tick length as 10**-j,
+the time field is the tick's own digits, with a point moved in j
+digits from the end (see `_c_time_field`); at any other delta it is
+``fmt_g`` of t * delta, which writes the same bytes as the exact
+decimal t * delta wherever that has at most 15 significant digits.  The
 location field is each part's location name, copied from one table per
 part at the part's location index.  Each variable goes
 through ``put_g``: a cache of 16,384 slots per variable, ``g_<var>``,
@@ -109,13 +109,10 @@ class CodegenOptions(Record):
 class CUnit(Record):
     """The two generated C files for one automaton."""
 
-    __slots__ = ("name", "automaton_source", "driver_source", "reaction_symbol")
+    __slots__ = ("name", "automaton_source", "driver_source")
 
-    def __init__(
-        self, name: str,  # the automaton's name: <name>.c plus <name>_main.c
-        automaton_source: str, driver_source: str, reaction_symbol: str,
-    ) -> None:
-        self._set(name, automaton_source, driver_source, reaction_symbol)
+    def __init__(self, name: str, automaton_source: str, driver_source: str) -> None:  # <name>.c, <name>_main.c
+        self._set(name, automaton_source, driver_source)
 
     def file_names(self) -> tuple[str, str]:
         return (f"{self.name}.c", f"{self.name}_main.c")
@@ -129,11 +126,11 @@ def emit_c(swa: Swa, options: CodegenOptions | None = None) -> CUnit:
             "driver's limit of 64 (it packs events into a 64-bit stimulus mask)"
         )
     reaction = ident("react", swa.name)
-    return CUnit(swa.name, _emit_automaton(swa, reaction), _emit_driver(swa, reaction, options), reaction)
+    return CUnit(swa.name, _emit_automaton(swa, reaction), _emit_driver(swa, reaction, options))
 
 
-def _c_block(n: int, cond: str | None, body: list[str]) -> list[str]:
-    return ["else {" if cond is None else f"{'else if' if n else 'if'} ({cond}) {{", *indent(body), "}"]
+def _c_block(n: int, cond: str, body: list[str]) -> list[str]:
+    return [f"{'else if' if n else 'if'} ({cond}) {{", *indent(body), "}"]
 
 
 def _c_dispatch(p: int, cases: list[tuple[int, str, list[str]]]) -> list[str]:
@@ -145,7 +142,8 @@ def _c_dispatch(p: int, cases: list[tuple[int, str, list[str]]]) -> list[str]:
 # freeze check reuses: a part's test reads only its own variables and ``vis``, which no other part's
 # switch code writes, and it is read only where no edge of its own was taken.
 C = Syntax(" && ", " || ", "!", "1", "{test} ? {a} : ", _c_block, ";", "double ", c_num, _c_dispatch,
-           "l{}_n", lambda p, _: [f"if (!e{p}) goto stuck;"], "double {c} = snap({x}, {was}, {b}, {holds});")
+           "l{}_n", lambda p, _, n: [f"{'else ' * (n > 0)}if (!e{p}) goto stuck;"],
+           "double {c} = snap({x}, {was}, {b}, {holds});")
 
 # A snap candidate: x, unless it fails a comparison (h false) and crossed that comparison's bound b
 # since the previous tick's value p; then b.
@@ -274,50 +272,33 @@ flows links no libm.  `tests/test_codegen.py` compares it with
 """
 
 
-def _c_add(at: str, digit: int, first: str) -> list[str]:
-    """Add `digit` to the decimal digit at `at`, carrying left, with ``p`` left at the leftmost digit
-    changed; the pointer `first` moves there if the carry passed it."""
-    return [f"for (p = {at}, *p += {digit}; *p > '9'; ++*--p) *p -= 10;", f"if (p < {first}) {first} = p;"]
-
-
 def _c_time_field(swa: Swa) -> tuple[list[str], list[str], list[str]]:
-    """The time field of row t: the declarators of its counter, the statements that write it and those
+    """The time field of row t: the declarators of its pointer, the statements that write it and those
     that step it.
 
     The tick is the decimal counter ``ds``: 19 zero-padded digits and a
     comma, with ``f`` at its first significant digit.  Each row copies it
     at a fixed width, and 1 is added with a carry at the end of the row,
-    so no row divides.  With `decimal_delta` giving m = 1 and j the time
-    field is the same digits, copied from ``g``, the leftmost of ``f`` and
-    the units digit of t / 10**j: their last j move one place right
-    behind a point, then trailing zeros and a bare point are stripped.
-    For m != 1 a second counter ``ts`` holds t*m in 25 digits (t < 2**63,
-    m < 10**6) and steps by m, one carry per nonzero digit of m.  For any
-    other delta the field is ``%.15g`` of t * delta_f, by ``fmt_g``.
+    so no row divides.  With `decimal_delta` giving j the time field is
+    the same digits: at j = 0 copied from ``f``, else from ``g``, the
+    leftmost of ``f`` and the units digit of t / 10**j, with their last j
+    moved one place right behind a point, then trailing zeros and a bare
+    point stripped.  For any other delta the field is ``%.15g`` of
+    t * delta_f, by ``fmt_g``.
     """
-    dec = decimal_delta(swa.delta)
-    if dec is None:
+    j = decimal_delta(swa.delta)
+    if j is None:
         return [], [f"o += fmt_g(o, t * {c_float(swa.delta_f)});"], []
-    m, j = dec
-    if m == 1:
-        digits, n, start, decls = "ds", 19, "f" if j == 0 else "g", []
-        step = [] if j == 0 else ["if (p < g) g = p;"]
-    else:
-        digits, n, start, decls = "ts", 25, "g", [f'ts[52] = "{"0" * 25}"']
-        step = [line for i, c in enumerate(reversed(str(m))) if c != "0"
-                for line in _c_add(f"ts + {24 - i}", int(c), "g")]
-    if start == "g":
-        decls.append(f"*g = {digits} + {n - 1 - j}")
-    row = [f"memcpy(o, {start}, {n + 1});"]
     if j == 0:
-        return decls, row + [f"o += {digits} + {n} - {start};"], step
-    return decls, row + [
-        f"o += {digits} + {n + 1} - {start};",
+        return [], ["memcpy(o, f, 20);", "o += ds + 19 - f;"], []
+    return [f"*g = ds + {18 - j}"], [
+        "memcpy(o, g, 20);",
+        "o += ds + 20 - g;",
         f"memmove(o - {j}, o - {j + 1}, {j});",
         f"o[-{j + 1}] = '.';",
         "while (o[-1] == '0') o--;",
         "if (o[-1] == '.') o--;",
-    ], step
+    ], ["if (p < g) g = p;"]
 
 
 def _emit_driver(swa: Swa, reaction: str, options: CodegenOptions) -> str:
@@ -327,12 +308,9 @@ def _emit_driver(swa: Swa, reaction: str, options: CodegenOptions) -> str:
     lvs = [f"l{p}" for p in range(len(plan.parts))]
     locs = [f"loc{p}[{lv}]" for p, lv in enumerate(lvs)]
     time_decls, time_row, time_step = _c_time_field(swa)
-    m = (decimal_delta(swa.delta) or (1, 0))[0]
-    # the longest row: a 19-digit tick and a time field of at most 23 characters
-    # (26 for m != 1: t*m in 25 digits and a point), the location, at most 22
-    # characters per value, every event name, each field's separator and the newline
-    width = (48 + 3 * (m != 1)
-             + sum(max(len(loc.name) for loc in locations) for locations in plan.parts)
+    # the longest row: a 19-digit tick and a time field of at most 23 characters, the location,
+    # at most 22 characters per value, every event name, each field's separator and the newline
+    width = (48 + sum(max(len(loc.name) for loc in locations) for locations in plan.parts)
              + 24 * len(swa.variables) + sum(len(e) + 1 for e in (*swa.inputs, *swa.outputs)))
 
     w: list[str] = []
@@ -497,7 +475,9 @@ def _emit_driver(swa: Swa, reaction: str, options: CodegenOptions) -> str:
     emit("        vis = emit;")
     emit("        emit = 0;")
     emit("        while (si < stim_n && stim[si].t <= t) vis |= stim[si++].m;")
-    for line in _c_add("ds + 18", 1, "f") + time_step:
+    emit("        for (p = ds + 18, *p += 1; *p > '9'; ++*--p) *p -= 10;")
+    emit("        if (p < f) f = p;")
+    for line in time_step:
         emit(f"        {line}")
     emit("    }")
     emit("    flush();")

@@ -854,23 +854,20 @@ def _fmt(x: float) -> str:
 
 
 @lru_cache(maxsize=None)
-def decimal_delta(delta: Fraction) -> tuple[int, int] | None:
-    """``(m, j)`` when ``delta * 10**j == m`` is an integer, j <= 3 and m < 10**6.
+def decimal_delta(delta: Fraction) -> int | None:
+    """j when the tick length is ``10**-j`` with j <= 3, else None.
 
     For such a tick length every engine writes the time field of row t as
-    the exact decimal t*m / 10**j: the integer part, then ``.`` and the j
+    the exact decimal t / 10**j: the integer part, then ``.`` and the j
     fraction digits with trailing zeros stripped, or the integer part alone
-    when the fraction is 0.  This is byte-equal to ``'%.15g' % (t * delta_f)``
-    for every t*m < 10**15: that double lies within 2.3e-16 relative of the
-    decimal, which has at most 15 significant digits.  Past that, where
-    ``%.15g`` would round, the exact decimal is still written.  For any
-    other delta (None) the time field is ``%.15g`` of t * delta_f.
+    when the fraction is 0.  For any other delta the time field is
+    ``%.15g`` of t * delta_f.  For a delta m / 10**j with j <= 3 and
+    t*m < 10**15 (every t below 10**9 when m < 10**6) the two agree byte
+    for byte: that double lies within 2.3e-16 relative of the decimal,
+    which has at most 15 significant digits.  Past t = 10**15 at 10**-j,
+    where ``%.15g`` would round, the exact decimal is still written.
     """
-    for j in range(4):
-        scaled = delta * 10**j
-        if scaled.denominator == 1:
-            return (scaled.numerator, j) if scaled.numerator < 10**6 else None
-    return None
+    return next((j for j in range(4) if delta == Fraction(1, 10**j)), None)
 
 
 @lru_cache(maxsize=None)
@@ -881,11 +878,10 @@ def time_suffixes(j: int) -> tuple[str, ...]:
 
 def time_field(t: int, delta: Fraction) -> str:
     """The time field of trace row t, as `decimal_delta` defines it."""
-    dec = decimal_delta(delta)
-    if dec is None:
+    j = decimal_delta(delta)
+    if j is None:
         return _fmt(t * float(delta))
-    m, j = dec
-    whole, frac = divmod(t * m, 10**j)
+    whole, frac = divmod(t, 10**j)
     return f"{whole}{time_suffixes(j)[frac]}"
 
 
@@ -1043,12 +1039,12 @@ class Syntax(Record):
     (visible) and ``emit`` (emitted), ``exp``, part p's location index
     ``l<p>``, and a model's names by `ident`.  ``choose`` formats one arm
     of a conditional expression.  ``block(n, cond, body)`` prints branch
-    n of an if-chain, the else branch when ``cond`` is None.
-    ``dispatch(p, cases)`` runs the body of a case
+    n of an if-chain.  ``dispatch(p, cases)`` runs the body of a case
     ``(d, name, body)`` when ``l<p>`` is d, ``to`` formats the name part
-    p's next location index is written to, and ``stuck(p, test)`` gives
-    the lines that end the tick as stuck unless part p, with no edge
-    enabled, can evolve by its location's evolve test `test`.  ``snap``,
+    p's next location index is written to, and ``stuck(p, test, n)``
+    gives branch n of the chain over part p's edges, the last: it ends
+    the tick as stuck unless the part, with no edge enabled, can evolve
+    by its location's evolve test `test`.  ``snap``,
     when set, formats a snap candidate as one declaration from ``{c}``,
     ``{x}``, ``{was}`` (the previous value), ``{b}`` (the bound of the
     first comparison that fails) and ``{holds}`` (all of them hold);
@@ -1060,7 +1056,7 @@ class Syntax(Record):
 
     def __init__(self, and_: str, or_: str, not_: str, true: str, choose: str, block: Callable, end: str,
                  decl: str, num: Callable, dispatch: Callable, to: str,
-                 stuck: Callable[[int, str], list[str]] | None = None, snap: str | None = None) -> None:
+                 stuck: Callable[[int, str, int], list[str]] | None = None, snap: str | None = None) -> None:
         self._set(and_, or_, not_, true, choose, block, end, decl, num, dispatch, to, stuck, snap)
 
 
@@ -1077,12 +1073,9 @@ def _conj(sx: Syntax, *tests: str) -> str:
     return sx.and_.join(t for t in tests if t and t != sx.true) or sx.true
 
 
-def _chain(sx: Syntax, branches: list[tuple[str, list[str]]], default: list[str]) -> list[str]:
-    """The first branch whose test holds runs, else `default`."""
-    if not branches:
-        return default
-    lines = [line for n, (cond, body) in enumerate(branches) for line in sx.block(n, cond, body)]
-    return lines + sx.block(len(branches), None, default) if default else lines
+def _chain(sx: Syntax, branches: list[tuple[str, list[str]]]) -> list[str]:
+    """The first branch whose test holds runs."""
+    return [line for n, (cond, body) in enumerate(branches) for line in sx.block(n, cond, body)]
 
 
 def _by_location(index: str, exprs: list[str], sx: Syntax) -> str:
@@ -1181,7 +1174,7 @@ def _location_switch(p: int, loc: LocationPlan, sx: Syntax, delta_f: float) -> l
                     for h, b in zip(holds, bounds):
                         crossed = f"({was} <= {b}{sx.and_}{b} <= {x}){sx.or_}({x} <= {b}{sx.and_}{b} <= {was})"
                         snap.append((f"{sx.not_}({h})", sx.block(0, crossed, [f"{c} = {b}{sx.end}"])))
-                    lines += [f"{sx.decl}{c} = {x}{sx.end}", *_chain(sx, snap, [])]
+                    lines += [f"{sx.decl}{c} = {x}{sx.end}", *_chain(sx, snap)]
             mine[var] = cands[var, comps]
         events = f"(vis & {_mask(e.present | e.absent)}) == {_mask(e.present)}" if e.present | e.absent else ""
         one = f"({' + '.join(f'({c} != {v(var)})' for var, c in mine.items())}) <= 1" if e.exclusive else ""
@@ -1199,30 +1192,26 @@ def _location_switch(p: int, loc: LocationPlan, sx: Syntax, delta_f: float) -> l
         body += [f"emit |= {_mask(e.emits)}{sx.end}"] if e.emits else []
         branches.append((_conj(sx, events, one, guard), body))
     evolve = _evolve_test(loc, sx)
-    return lines + _chain(sx, branches, [] if evolve == sx.true else sx.stuck(p, evolve))
+    return lines + _chain(sx, branches) + ([] if evolve == sx.true else sx.stuck(p, evolve, len(branches)))
 
 
-def _py_block(n: int, cond: str | None, body: list[str]) -> list[str]:
-    return ["else:" if cond is None else f"{'elif' if n else 'if'} {cond}:", *indent(body)]
+def _py_block(n: int, cond: str, body: list[str]) -> list[str]:
+    return [f"{'elif' if n else 'if'} {cond}:", *indent(body)]
 
 
 # The Python runner's spelling; `_runner_source` adds the stuck statement.
 PYTHON = Syntax(
     " and ", " or ", "not ", "True", "{a} if {test} else ", _py_block, "", "", lambda q: repr(float(q)),
-    lambda p, cases: _chain(PYTHON, [(f"l{p} == {d}", body) for d, _, body in cases], []), "l{}",
+    lambda p, cases: _chain(PYTHON, [(f"l{p} == {d}", body) for d, _, body in cases]), "l{}",
 )
 
 
 def _py_time(swa: Swa) -> tuple[str, list[str]]:
     """The %-conversion and the arguments of row ``_t``'s time field."""
-    dec = decimal_delta(swa.delta)
-    if dec is None:
+    j = decimal_delta(swa.delta)
+    if j is None:
         return "%.15g", [f"_t * {swa.delta_f!r}"]
-    m, j = dec
-    scaled = "_t" if m == 1 else f"_t * {m}"
-    if j == 0:
-        return "%d", [scaled]
-    return "%d%s", [f"{scaled} // {10**j}", f"_suf[{scaled} % {10**j}]"]
+    return "%d%s", [f"_t // {10**j}", f"_suf[_t % {10**j}]"]
 
 
 def _row_format(stamp: str, n: int, ins: bool, outs: bool, name: str, value: str = "%.15g") -> str:
@@ -1290,7 +1279,7 @@ def _runner_source(swa: Swa, trace: bool) -> str:
     v, n, i, c1 = (partial(ident, role) for role in ("v", "n", "i", "c1"))
     us = ", ".join(map(n, swa.variables))
     stuck = f"raise _mk_stuck(_loc, ({us}{tail}), k, vis, _t)"
-    sx = PYTHON.replace(stuck=lambda p, test: _py_block(0, f"not ({test})", [stuck]))
+    sx = PYTHON.replace(stuck=lambda p, test, n: _py_block(n, f"not ({test})", [stuck]))
 
     time_fmt, time_args = _py_time(swa)
     switch_row = repr(_row_format(f"%d,{time_fmt},", len(swa.variables), bool(swa.inputs), bool(swa.outputs), "%s"))
@@ -1415,7 +1404,6 @@ class _Jump:
     def __init__(self, swa: Swa):
         plan, variables = switch_plan(swa), swa.variables
         self.variables, self.delta_f, self.dec = variables, swa.delta_f, decimal_delta(swa.delta)
-        self.stamp = "%d,%.15g," if self.dec is None else "%d,%d%s,"
         flows = {}  # each moving witness's (kind, a, b) -> its number, in the order first met
 
         def state(j: int) -> tuple[tuple[LocationPlan, ...], tuple[WitnessFunction, ...], tuple, list[str]]:
@@ -1480,19 +1468,13 @@ class _Jump:
     def stamps(self, ticks: range) -> Iterable[str]:
         """The text ``"t,time,"`` that starts the row of each tick t in `ticks`, a non-empty range."""
         if self.dec is None:
-            times = (map(self.delta_f.__rmul__, ticks),)
-        elif self.dec[0] != 1:  # the integer part and the fraction's suffix, as `time_field` writes them
-            (m, e), p = self.dec, 10**self.dec[1]
-            scaled = range(ticks.start * m, ticks.stop * m, m)
-            times = map(p.__rfloordiv__, scaled), map(time_suffixes(e).__getitem__, map(p.__rmod__, scaled))
-        else:  # a tick length of 10**-e: cut from the templates of whole thousands of ticks
-            stamps = []
-            for a in range(ticks.start // 1000, (ticks.stop + 999) // 1000):
-                text, offsets = _stamp_template(self.dec[1], a > 0)
-                lo, hi = max(ticks.start - 1000 * a, 0), min(ticks.stop - 1000 * a, 1000)
-                stamps += text[offsets[lo]:offsets[hi] - 1].replace("\0", str(a)).split("\1")
-            return stamps
-        return map(self.stamp.__mod__, zip(ticks, *times))
+            return map("%d,%.15g,".__mod__, zip(ticks, map(self.delta_f.__rmul__, ticks)))
+        stamps = []  # a tick length of 10**-dec: cut from the templates of whole thousands of ticks
+        for a in range(ticks.start // 1000, (ticks.stop + 999) // 1000):
+            text, offsets = _stamp_template(self.dec, a > 0)
+            lo, hi = max(ticks.start - 1000 * a, 0), min(ticks.stop - 1000 * a, 1000)
+            stamps += text[offsets[lo]:offsets[hi] - 1].replace("\0", str(a)).split("\1")
+        return stamps
 
     def periods(self, batch: _Batch, t: int, first: int, nxt: int) -> tuple[int, Callable[[str], object]]:
         """A traced run's jump over whole periods, on a switch tick t whose configuration tick `first` had.
@@ -1631,7 +1613,7 @@ def _runner(swa: Swa, trace: bool):
 @lru_cache(maxsize=64)
 def _build_runner(swa: Swa, trace: bool):
     source = _runner_source(swa, trace)
-    namespace = {"_EXP": math.exp, "_suf": time_suffixes((decimal_delta(swa.delta) or (0, 0))[1])}
+    namespace = {"_EXP": math.exp, "_suf": time_suffixes(decimal_delta(swa.delta) or 0)}
     namespace["_JUMP"] = _Jump(swa)
     namespace["_PACK"] = struct.Struct("<%dd" % len(swa.variables)).pack  # the values' bit patterns
     if trace:  # texts by product state and by event mask, each built once; none refers to `swa`

@@ -35,9 +35,7 @@ void react_tankburner(void) {
             v_x = s0_x;
             l0_n = 1;
         }
-        else {
-            if (!e0) goto stuck;
-        }
+        else if (!e0) goto stuck;
         break;
     }
     case 1: {  /* t2 */
@@ -50,18 +48,14 @@ void react_tankburner(void) {
         else if ((vis & 3) == 2) {
             l0_n = 3;
         }
-        else {
-            if (!e0) goto stuck;
-        }
+        else if (!e0) goto stuck;
         break;
     }
     case 2: {  /* t3 */
         if ((vis & 3) == 2) {
             l0_n = 3;
         }
-        else {
-            if (!e0) goto stuck;
-        }
+        else if (!e0) goto stuck;
         break;
     }
     case 3: {  /* t4 */
@@ -74,9 +68,7 @@ void react_tankburner(void) {
             v_x = s0_x;
             l0_n = 0;
         }
-        else {
-            if (!e0) goto stuck;
-        }
+        else if (!e0) goto stuck;
         break;
     }
     }
@@ -91,9 +83,7 @@ void react_tankburner(void) {
             l1_n = 1;
             emit |= 1;
         }
-        else {
-            if (!e1) goto stuck;
-        }
+        else if (!e1) goto stuck;
         break;
     }
     case 1: {  /* b2 */
@@ -104,9 +94,7 @@ void react_tankburner(void) {
             l1_n = 0;
             emit |= 2;
         }
-        else {
-            if (!e1) goto stuck;
-        }
+        else if (!e1) goto stuck;
         break;
     }
     }

@@ -107,7 +107,6 @@ class TestGolden:
     def test_unit_metadata(self, watertank_swa):
         unit = emit_c(watertank_swa)
         assert unit.name == "tankburner"
-        assert unit.reaction_symbol == "react_tankburner"
         assert unit.file_names() == ("tankburner.c", "tankburner_main.c")
 
     def test_emission_is_deterministic(self, models_dir):
@@ -671,12 +670,12 @@ def test_widest_rows_and_slot_collisions_stay_in_bounds(sanitizing_cc, tmp_path,
 @needs_cc
 @pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 8)], ids=str)
 def test_decimal_stamps_of_the_widest_rows_stay_in_bounds(sanitizing_cc, tmp_path, delta):
-    """The widest rows under AddressSanitizer at a decimal delta, so that the row at the 64 KB flush mark
-    starts with the fixed-width copies of the tick counter and of the time field, from the tick's
-    digits (m = 1) or from the counter of t*m (m = 125)."""
+    """The widest rows under AddressSanitizer at a short decimal delta, so that the row at the 64 KB flush
+    mark starts with the fixed-width copy of the tick counter and a time field either from the tick's
+    digits (1/100) or from ``fmt_g`` (1/8)."""
     product, starts, wide, width, lines = widest_rows_run(sanitizing_cc, tmp_path, delta)
     assert lines[wide].startswith(f"{wide},{time_field(wide, delta)},")
-    assert ("ts[52]" in emit_c(product).driver_source) == (delta == Fraction(1, 8))
+    assert ("o += fmt_g(o, t * " in emit_c(product).driver_source) == (delta == Fraction(1, 8))
 
 
 SAWTOOTH = """
@@ -804,8 +803,9 @@ SAW_WRAP = SAWTOOTH.replace("  var x init 0", "  var x init 0\n  output WRAP").r
 @pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 20), Fraction(1, 8), Fraction(3, 2), Fraction(1),
                                    Fraction(2), Fraction(1, 3)], ids=str)
 def test_tick_and_time_stamps_cross_every_decimal_rollover(tmp_path, delta):
-    """100,002 rows: the tick crosses 9 -> 10, 99 -> 100, 999 -> 1000 and 99,999 -> 100,000, and so do
-    the driver's decimal counters, the tick's and (for m != 1) t*m's, at every delta's m and j."""
+    """100,002 rows: the tick crosses 9 -> 10, 99 -> 100, 999 -> 1000 and 99,999 -> 100,000, and so does
+    the driver's decimal counter, whose digits the time field copies at 1/100 and 1, with the point
+    moved in j = 2 or 0 digits; every other delta writes its time field with ``fmt_g``."""
     swa = swa_of(SAW_WRAP, "saw", delta)
     proc = binary_trace(emit_c(swa), tmp_path, ["100002"])
     trace = interpreter_trace(swa, 100002)

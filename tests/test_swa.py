@@ -265,7 +265,7 @@ class TestTimeField:
     @given(decimal_ticks())
     def test_decimal_ticks_match_printf(self, delta_t):
         delta, t = delta_t
-        assert decimal_delta(delta) is not None
+        assert (decimal_delta(delta) is not None) == (delta in {Fraction(1, 10**j) for j in range(4)})
         assert time_field(t, delta) == "%.15g" % (t * float(delta))
 
     @pytest.mark.parametrize(
@@ -278,10 +278,11 @@ class TestTimeField:
             assert time_field(t, delta) == "%.15g" % (t * float(delta))
 
     def test_helper_values(self):
-        assert decimal_delta(Fraction(1, 100)) == (1, 2)
-        assert decimal_delta(Fraction(1, 8)) == (125, 3)
-        assert decimal_delta(Fraction(5, 2)) == (25, 1)
-        assert decimal_delta(Fraction(999_999)) == (999_999, 0)
+        assert decimal_delta(Fraction(1, 100)) == 2
+        assert decimal_delta(Fraction(1)) == 0
+        assert decimal_delta(Fraction(1, 8)) is None
+        assert decimal_delta(Fraction(5, 2)) is None
+        assert decimal_delta(Fraction(999_999)) is None
         assert [time_field(t, Fraction(1, 100)) for t in (0, 5, 10, 100, 105, 110)] == [
             "0", "0.05", "0.1", "1", "1.05", "1.1",
         ]
