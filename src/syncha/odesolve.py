@@ -41,6 +41,11 @@ class WitnessKind(enum.Enum):
     EXPONENTIAL = "EXPONENTIAL"
 
 
+# Read by `WitnessFunction.value_at_tick` on every evolve tick of the generic engine: an Enum
+# member read through its class costs about 0.1 us on CPython 3.11, a global a tenth of that.
+_CONSTANT, _LINEAR = WitnessKind.CONSTANT, WitnessKind.LINEAR
+
+
 class Monotonicity(enum.Enum):
     INCREASING = "INCREASING"
     DECREASING = "DECREASING"
@@ -96,9 +101,10 @@ class WitnessFunction(Record):
         associated as (rate*delta)*k, and the equilibrium term is omitted
         (not added as 0.0) when the equilibrium is zero.
         """
-        if self.kind is WitnessKind.CONSTANT:
+        kind = self.kind
+        if kind is _CONSTANT:
             return c1
-        if self.kind is WitnessKind.LINEAR:
+        if kind is _LINEAR:
             return c1 + (self.b_f * delta) * k
         if self.x_eq_f == 0.0:
             return c1 * math.exp((self.a_f * delta) * k)

@@ -40,9 +40,15 @@ every part's location passes its evolve test; that is the conjunction
 updates never read another automaton's variables, so each part taking
 its own first enabled edge, or else being frozen, is the transition the
 product's egress order (joint switches first) picks.  No engine builds or reads a product
-state; only the product oracle in the tests does.  The generic `tick`
-interprets the plan.  One printer (`evolve_code` or `evolve_tests`,
-`step_code` and `switch_code`) prints it as source text, spelt by a `Syntax`: as
+state; only the product oracle in the tests does.  The generic engine
+interprets the plan: `_step` states the tick rule once, on a `_Config`
+(the product state index and its locations, the values, each variable's
+entry constant, worked out when its location is entered, the step index
+and the pending events' mask), which it changes in place.  `run`
+carries one configuration through a whole run, and `tick` makes one from
+an `ExecState`, steps it and returns the next `ExecState`.  One printer
+(`evolve_code` or `evolve_tests`, `step_code` and `switch_code`) prints
+it as source text, spelt by a `Syntax`: as
 Python for the specialising engine (`PYTHON`), and as C for `codegen`.
 Both keep the visible and emitted events as bits of two masks, and both
 name what the model names by one rule, `ident`: ``<role>_<name>``, so
@@ -73,6 +79,8 @@ period and keeps its rows, then writes them again for every period it
 skips, each with its own tick and time; `_runner_source` argues why
 both are exact.  A traced run writes the rows it jumps over in
 batches, from value texts it formats once per run.  The generic engine steps tick by tick.
+Both Python engines read the stimulus as sorted arrays of ticks and
+event masks (`stimulus_arrays`).
 A stuck run raises `UnreachableState`, whose text is the C driver's
 report.
 """
@@ -416,6 +424,10 @@ class SwitchPlan(Record):
     def mask(self, names: Iterable[str]) -> int:
         return sum({1 << self.events.index(e) for e in names})
 
+    def events_in(self, m: int) -> tuple[str, ...]:
+        """The events of mask `m`, in bit order."""
+        return tuple(e for b, e in enumerate(self.events) if m >> b & 1)
+
 
 def switch_plan(swa: Swa) -> SwitchPlan:
     """The plan of an automaton or a network, built from its parts.
@@ -583,13 +595,14 @@ def _eval_update(expr: AffineExpr, valuation: Mapping[str, float]) -> float:
     return term + expr.b_f
 
 
-def _take_edge(loc: LocationPlan, v: dict[str, float], st: ExecState, vis: int,
-               delta_f: float) -> EdgePlan | None:
-    """Take `loc`'s first enabled edge, patching the values `v` in place."""
-    prev = {
-        var: w.value_at_tick(resolve_c1(w, st.i[var]), st.k - 1, delta_f) if st.k >= 1 else v[var]
-        for var, w in loc.prev
-    }
+def _take_edge(loc: LocationPlan, v: Mapping[str, float], c1: Mapping[str, float], k: int, vis: int,
+               delta_f: float) -> tuple[EdgePlan, list[tuple[str, float]]] | None:
+    """`loc`'s first enabled edge at the values `v` and step k, and what it writes: snapped values, then updates.
+
+    A value the previous tick committed is its witness at step k - 1 from
+    its entry constant in `c1`, or the value itself at step 0.
+    """
+    prev = {var: w.value_at_tick(c1[var], k - 1, delta_f) if k >= 1 else v[var] for var, w in loc.prev}
     for e in loc.edges:
         if vis & e.present != e.present or vis & e.absent:
             continue
@@ -605,10 +618,7 @@ def _take_edge(loc: LocationPlan, v: dict[str, float], st: ExecState, vis: int,
         patched = {**v, **snapped} if snapped else v
         if not e.guard.holds(patched):
             continue
-        staged = [(var, _eval_update(expr, patched)) for var, expr in e.updates]
-        v.update(snapped)
-        v.update(staged)
-        return e
+        return e, [*snapped.items(), *((var, _eval_update(expr, patched)) for var, expr in e.updates)]
     return None
 
 
@@ -624,10 +634,86 @@ def _can_evolve(loc: LocationPlan, v: Mapping[str, float], vis: int) -> bool:
     return True
 
 
+class _Config:
+    """A configuration between two ticks, which `_step` changes in place for a whole run.
+
+    ``j`` is the product state and ``here`` its locations (`SwitchPlan.at`).
+    ``v`` holds the values the next tick commits, ``i`` the values the
+    state was entered with and ``c1`` each variable's entry constant, which
+    its location works out once, on entry.  ``k`` is the step index and
+    ``pend`` the mask of the events the next tick sees.
+    """
+
+    __slots__ = ("j", "here", "v", "i", "c1", "k", "pend")
+
+    def __init__(self, plan: SwitchPlan, st: ExecState) -> None:
+        pend = plan.mask(st.pending_pre.intersection(plan.events)) if st.pending_pre else 0
+        self.v, self.i, self.c1, self.k, self.pend = dict(st.v), {}, {}, st.k, pend
+        self.enter(plan, plan.index[st.location], st.i)
+
+    def enter(self, plan: SwitchPlan, j: int, values: Mapping[str, float]) -> None:
+        """Enter state j at `values`."""
+        self.j = j
+        self.here = plan.at(j)
+        i, c1 = self.i, self.c1
+        for loc in self.here:
+            for var, w in loc.witnesses:
+                i[var] = x = values[var]
+                c1[var] = resolve_c1(w, x)
+
+
+def _step(plan: SwitchPlan, cf: _Config, inputs: int, delta_f: float) -> int | None:
+    """One reaction of `cf`, in place: the generic engine's tick rule, stated once.
+
+    When every part's location can evolve, the step index advances and
+    each witness gives its value at it.  Otherwise each part takes its
+    location's first enabled edge, or must be able to evolve and is
+    frozen; every part then re-enters the location it is in at the values
+    it leaves the tick with.  The event mask `inputs` and the events
+    emitted become visible on the next tick.  Returns the mask of the
+    events emitted, or None, with `cf` unchanged, when the configuration
+    is stuck.
+    """
+    vis, here, v = cf.pend, cf.here, cf.v
+    for loc in here:
+        if not _can_evolve(loc, v, vis):
+            break
+    else:
+        cf.k = k = cf.k + 1
+        c1 = cf.c1
+        for loc in here:
+            for var, w in loc.witnesses:
+                v[var] = w.value_at_tick(c1[var], k, delta_f)
+        cf.pend = inputs
+        return 0
+
+    # The committed values stay in `v` until every part has decided, for the stuck report.
+    j, emits, writes = cf.j, 0, []
+    for loc, locations, stride in zip(here, plan.parts, plan.strides):
+        taken = _take_edge(loc, v, cf.c1, cf.k, vis, delta_f)
+        if taken is not None:
+            edge, values = taken
+            j += (edge.dst - cf.j // stride % len(locations)) * stride
+            emits |= edge.emits
+            writes += values
+        elif not _can_evolve(loc, v, vis):
+            return None
+    v.update(writes)
+    cf.enter(plan, j, v)
+    cf.k, cf.pend = 0, inputs | emits
+    return emits
+
+
+def _stuck(swa: Swa, plan: SwitchPlan, j: int, values: Iterable[float], k: int, vis: int,
+           t: int | None) -> UnreachableState:
+    """The report of a run stuck in state j at tick t, with `values` in variable order and events `vis` visible."""
+    return UnreachableState(swa.name, plan.name(j), dict(zip(swa.variables, values)), k, plan.events_in(vis), t)
+
+
 def tick(
     swa: Swa, st: ExecState, inputs: frozenset[str] = frozenset()
 ) -> tuple[ExecState, frozenset[str]]:
-    """Advance one reaction.
+    """Advance one reaction: `_step` on a configuration made from `st`.
 
     ``inputs`` are the externally supplied events of this tick; they
     become visible on the next tick.  Returns the next configuration and
@@ -635,39 +721,14 @@ def tick(
     the configuration is stuck.
     """
     plan = switch_plan(swa)
-    j = plan.index[st.location]
-    here = plan.at(j)
-    committed = st.v
-    visible = st.pending_pre
-    vis = plan.mask(visible.intersection(plan.events)) if visible else 0
-    delta_f = swa.delta_f
-
-    for loc in here:
-        if not _can_evolve(loc, committed, vis):
-            break
-    else:
-        k_new = st.k + 1
-        new_v = {
-            var: w.value_at_tick(resolve_c1(w, st.i[var]), k_new, delta_f)
-            for loc in here for var, w in loc.witnesses
-        }
-        return ExecState(st.location, new_v, st.i, k_new, inputs), frozenset()
-
-    # Each part takes its first enabled edge, or must be able to evolve
-    # and is frozen.  Every part re-enters a location, so the new entry
-    # values are all the post values.
-    post = dict(committed)
-    index, emits = j, 0
-    for loc, locations, stride in zip(here, plan.parts, plan.strides):
-        edge = _take_edge(loc, post, st, vis, delta_f)
-        if edge is not None:
-            index += (edge.dst - j // stride % len(locations)) * stride
-            emits |= edge.emits
-        elif not _can_evolve(loc, committed, vis):
-            shown = (e for e in plan.events if e in visible)
-            raise UnreachableState(swa.name, st.location, committed, st.k, shown)
-    emitted = frozenset(e for i, e in enumerate(plan.events) if emits >> i & 1)
-    return ExecState(plan.name(index), post, post, 0, inputs | emitted), emitted
+    cf = _Config(plan, st)
+    emits = _step(plan, cf, 0, swa.delta_f)
+    if emits is None:
+        raise _stuck(swa, plan, cf.j, map(cf.v.__getitem__, swa.variables), cf.k, cf.pend, None)
+    if cf.k:
+        return ExecState(st.location, cf.v, st.i, cf.k, inputs), frozenset()
+    emitted = frozenset(plan.events_in(emits))
+    return ExecState(plan.name(cf.j), cf.v, cf.v, 0, inputs | emitted), emitted
 
 
 # --- parallel composition -----------------------------------------------------
@@ -933,6 +994,30 @@ def read_stimulus(path) -> dict[int, frozenset[str]]:
         return parse_stimulus(fh.read(), source=str(path))
 
 
+def stimulus_arrays(events: Sequence[str], ticks: int,
+                    stimulus: Mapping[int, Iterable[str]] | None) -> tuple[list[int], list[int]]:
+    """The stimulus ticks of a run of `ticks` ticks, in order, and the mask of each one's events.
+
+    Bit b of a mask is ``events[b]``, and each distinct event set's mask is
+    worked out once.  A tick whose events are all unknown is no stimulus
+    tick, since nothing becomes visible; nor is one outside the run, so a
+    runner can take the run's length for the next stimulus tick once it
+    has consumed every one.
+    """
+    bit = {e: 1 << b for b, e in enumerate(events)}
+    masks: dict[frozenset[str], int] = {}
+    stt, stm = [], []
+    for t in sorted(t for t in stimulus or () if 0 <= t < ticks):
+        evs = frozenset(stimulus[t])
+        m = masks.get(evs)
+        if m is None:
+            m = masks[evs] = sum(bit[e] for e in evs if e in bit)
+        if m:
+            stt.append(t)
+            stm.append(m)
+    return stt, stm
+
+
 def run(
     swa: Swa,
     ticks: int,
@@ -941,30 +1026,39 @@ def run(
 ) -> ExecState:
     """Run the generic interpreter for the given number of reactions.
 
+    One `_Config` is made from the initial state and carried through the
+    run: `_step` changes it in place on every tick, and `tick` applies the
+    same rule to one `ExecState`.  Names and `ExecState`s appear only at
+    the edges: the initial state, trace rows, the stuck report and the
+    final state.
+
     When ``out`` is given, a header plus one row per tick is written to
     it: committed values on evolution ticks, post-jump values on switch
     ticks (the value a switch entered with therefore appears on two
     consecutive rows).  Unknown event names in the stimulus are ignored.
     """
-    stimulus = stimulus or {}
-    known = frozenset(swa.events())
-    st = initial_exec_state(swa)
+    plan, delta_f, variables = switch_plan(swa), swa.delta_f, swa.variables
+    cf = _Config(plan, initial_exec_state(swa))
+    v = cf.v
+    stimuli = zip(*stimulus_arrays(plan.events, ticks, stimulus))
+    nxt, mask = next(stimuli, (ticks, 0))
     if out is not None:
         out.write(trace_header(swa) + "\n")
+        events = lru_cache(maxsize=None)(lambda m: frozenset(plan.events_in(m)))
     for t in range(ticks):
-        supplied = stimulus.get(t)
-        inputs = (frozenset(supplied) & known) if supplied else frozenset()
-        prev = st
-        try:
-            st, emitted = tick(swa, prev, inputs)
-        except UnreachableState as exc:
-            exc.tick = t
-            raise
+        inputs = 0
+        if t == nxt:
+            inputs = mask
+            nxt, mask = next(stimuli, (ticks, 0))
         if out is not None:
-            observed = st.v if st.k == 0 else prev.v
-            values = (observed[var] for var in swa.variables)
-            out.write(format_trace_row(swa, t, st.location, values, prev.pending_pre, emitted) + "\n")
-    return st
+            vis, committed = cf.pend, [v[var] for var in variables]
+        emits = _step(plan, cf, inputs, delta_f)
+        if emits is None:
+            raise _stuck(swa, plan, cf.j, map(v.__getitem__, variables), cf.k, cf.pend, t)
+        if out is not None:
+            shown = committed if cf.k else map(v.__getitem__, variables)
+            out.write(format_trace_row(swa, t, plan.name(cf.j), shown, events(vis), events(emits)) + "\n")
+    return ExecState(plan.name(cf.j), v, cf.i, cf.k, frozenset(plan.events_in(cf.pend)))
 
 
 # --- specialising engine ------------------------------------------------------
@@ -1211,6 +1305,8 @@ def _py_time(swa: Swa) -> tuple[str, list[str]]:
     j = decimal_delta(swa.delta)
     if j is None:
         return "%.15g", [f"_t * {swa.delta_f!r}"]
+    if j == 0:
+        return "%d", ["_t"]
     return "%d%s", [f"_t // {10**j}", f"_suf[_t % {10**j}]"]
 
 
@@ -1633,34 +1729,15 @@ def run_compiled(
     out: TextIO | None = None,
 ) -> ExecState:
     """Run the specialising engine.  Same contract and output as `run`."""
-    events = swa.events()
-    bit = {e: 1 << idx for idx, e in enumerate(events)}
-    known = set(events)
-    # a tick whose events are all unknown is no stimulus tick: nothing becomes visible; nor is one
-    # outside the run, so `_TICKS` can stand for the next stimulus tick once every one is consumed
-    stim_items = sorted(
-        (t, mask)
-        for t, evs in (stimulus or {}).items()
-        if 0 <= t < ticks and (mask := sum(bit[e] for e in set(evs) & known))
-    )
-    stt = [t for t, _ in stim_items]
-    stm = [m for _, m in stim_items]
+    plan = switch_plan(swa)
+    stt, stm = stimulus_arrays(plan.events, ticks, stimulus)
     if out is not None:
         out.write(trace_header(swa) + "\n")
-
-    name = switch_plan(swa).name
-
-    def mk_stuck(loc, values, k, vis, t):
-        valuation = dict(zip(swa.variables, values))
-        visible = (e for e in events if vis & bit[e])
-        return UnreachableState(swa.name, name(loc), valuation, k, visible, tick=t)
-
     fn = _runner(swa, out is not None)
     write = out.write if out is not None else None
-    loc, k, us, is_, pend = fn(ticks, stt, stm, write, mk_stuck)
+    loc, k, us, is_, pend = fn(ticks, stt, stm, write, partial(_stuck, swa, plan))
     values = lambda xs: dict(zip(swa.variables, xs))
-    pending = frozenset(e for e in events if pend & bit[e])
-    return ExecState(name(loc), values(us), values(is_), k, pending)
+    return ExecState(plan.name(loc), values(us), values(is_), k, frozenset(plan.events_in(pend)))
 
 
 ENGINES = ("generic", "compiled")

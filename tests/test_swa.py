@@ -20,6 +20,7 @@ from syncha.expr import AffineExpr
 from syncha.model import load_model, parse_model
 from syncha.swa import (
     ENGINES,
+    ExecState,
     ProductStates,
     SwaState,
     UnreachableState,
@@ -31,6 +32,7 @@ from syncha.swa import (
     compose,
     compose_all,
     decimal_delta,
+    format_trace_row,
     initial_exec_state,
     names_unambiguous,
     parse_name,
@@ -38,6 +40,7 @@ from syncha.swa import (
     run,
     run_compiled,
     simulate,
+    stimulus_arrays,
     switch_plan,
     tick,
     time_field,
@@ -247,6 +250,13 @@ class TestStimulusParsing:
         assert all(r.location == "t1" for r in rows)
         assert all(r.inputs == () for r in rows)
 
+    def test_stimulus_arrays_hold_the_known_ticks_of_the_run(self):
+        """A tick outside the run, or whose events are all unknown, is no stimulus tick."""
+        stimulus = {-1: frozenset({"ON"}), 9: {"OFF", "BOGUS"}, 0: ["ON"], 4: frozenset({"BOGUS"}),
+                    12: frozenset({"ON"}), 7: frozenset({"ON", "OFF"}), 8: frozenset()}
+        assert stimulus_arrays(("ON", "OFF"), 12, stimulus) == ([0, 7, 9], [1, 3, 2])
+        assert stimulus_arrays(("ON", "OFF"), 12, None) == ([], [])
+
 
 @st.composite
 def decimal_ticks(draw):
@@ -291,6 +301,14 @@ class TestTimeField:
         assert "%.15g" % float(10**15) == "1e+15"
         assert time_field(10**15, Fraction(1)) == "1000000000000000"
         assert time_field(10**15 + 1, Fraction(1, 10)) == "100000000000000.1"
+
+    def test_at_delta_one_the_time_field_is_the_tick(self, models_dir):
+        net = load_model(models_dir / "watertank.pha")
+        swa = compose_all(comp(net, a.name, Fraction(1)) for a in net.automata)
+        assert "// 1" not in _runner_source(swa, True)
+        compiled = trace_text(swa, 3000)
+        assert compiled == trace_text(swa, 3000, engine="generic")
+        assert [row.split(",")[1] for row in compiled.splitlines()[1:]] == [str(t) for t in range(3000)]
 
     @pytest.mark.parametrize(
         "delta", [Fraction(1, 100), Fraction(1, 8), Fraction(3, 8), Fraction(2), Fraction(1, 3)]
@@ -724,6 +742,76 @@ class TestNetworkRunner:
 
 
 needs_cc = pytest.mark.skipif(find_cc() is None, reason="no C compiler on PATH")
+
+
+def stepped(swa, ticks, stimulus):
+    """`tick` stepped from `initial_exec_state`: the trace rows `run` writes, and the final state or
+    the stuck report's fields, its text among them."""
+    buf = io.StringIO()
+    buf.write(trace_header(swa) + "\n")
+    known = frozenset(swa.events())
+    now = initial_exec_state(swa)
+    for t in range(ticks):
+        prev = now
+        try:
+            now, emitted = tick(swa, prev, frozenset(stimulus.get(t, ())) & known)
+        except UnreachableState as exc:
+            exc.tick = t
+            return buf.getvalue(), report(exc)
+        shown = now.v if now.k == 0 else prev.v
+        values = [shown[var] for var in swa.variables]
+        buf.write(format_trace_row(swa, t, now.location, values, prev.pending_pre, emitted) + "\n")
+    return buf.getvalue(), now
+
+
+def report(exc):
+    return exc.automaton, exc.tick, exc.state, exc.valuation, exc.k, exc.shown, str(exc)
+
+
+class TestGenericConfiguration:
+    """`run` carries one configuration through a run, and `tick` applies the same rule to an `ExecState`."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_run_steps_as_tick_does_on_fuzzed_networks(self, seed):
+        product = network_product(parse_model(fuzz_network(seed)))
+        stimulus = {t: frozenset({"GO"}) for t in range(3, 600, 7 + seed)}
+        self.check(product, 600, stimulus)
+
+    @pytest.mark.parametrize("case", sorted(STUCK_CASES) + ["stuckfar", "stuckling"])
+    def test_run_steps_as_tick_does_into_every_stuck_report(self, case, fixtures_dir):
+        model, ticks, stim = STUCK_CASES[case][:3] if case in STUCK_CASES else (f"{case}.pha", 6000, {})
+        product = network_product(load_model(fixtures_dir / model))
+        stimulus = {t: frozenset({e}) for t, e in stim.items()}
+        assert isinstance(self.check(product, ticks, stimulus), tuple)
+
+    @staticmethod
+    def check(swa, ticks, stimulus):
+        trace, final = stepped(swa, ticks, stimulus)
+        buf = io.StringIO()
+        for out in (buf, None):
+            try:
+                got = run(swa, ticks, stimulus, out=out)
+            except UnreachableState as exc:
+                got = report(exc)
+            assert got == final
+        assert buf.getvalue() == trace
+        return final
+
+    def test_a_run_builds_a_constant_number_of_exec_states(self, watertank_swa, monkeypatch):
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return ExecState(*args, **kwargs)
+
+        monkeypatch.setattr("syncha.swa.ExecState", counting)
+        counts = []
+        for ticks in (10, 10_000):
+            for out in (None, io.StringIO()):
+                made.clear()
+                run(watertank_swa, ticks, out=out)
+                counts.append(len(made))
+        assert counts == [2] * 4  # the initial state and the final one
 
 
 class TestChainScaling:
